@@ -13,9 +13,9 @@ import (
 // NOTHING, and the packet pool must stay flat (no pool misses).
 func TestEnqueueHotPathAllocationFree(t *testing.T) {
 	const burst = 512
-	q := eiffel.NewShapedSharded(eiffel.ShapedShardedOptions{
+	q := eiffel.NewMultiShaped(eiffel.MultiShapedOptions{ShapedShardedOptions: eiffel.ShapedShardedOptions{
 		Shards: 4, HorizonNs: 1 << 20, RankSpan: 1 << 20,
-	})
+	}})
 	pool := eiffel.NewPool(burst)
 	ps := make([]*eiffel.Packet, burst)
 	out := make([]*eiffel.Packet, 128)

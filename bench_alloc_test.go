@@ -51,7 +51,7 @@ func BenchmarkHotPathEnqueueBatched(b *testing.B) {
 	out := make([]*eiffel.Node, 256)
 	lap := func() {
 		for j := range nodes {
-			prod.Enqueue(uint64(j), &nodes[j], uint64(j%4096))
+			prod.Enqueue(uint64(j), &nodes[j], uint64(j%4096), 0)
 		}
 		prod.Flush()
 		hotDrain(b, q, out)
@@ -92,7 +92,7 @@ func BenchmarkHotPathGroupDrain(b *testing.B) {
 	}
 	lap := func() {
 		for j := range nodes {
-			prod.Enqueue(uint64(j), &nodes[j], uint64(j%4096))
+			prod.Enqueue(uint64(j), &nodes[j], uint64(j%4096), 0)
 		}
 		prod.Flush()
 		wg.Add(groups)
@@ -117,9 +117,9 @@ func BenchmarkHotPathGroupDrain(b *testing.B) {
 }
 
 func BenchmarkHotPathShapedEnqueueBatched(b *testing.B) {
-	q := eiffel.NewShapedSharded(eiffel.ShapedShardedOptions{
+	q := eiffel.NewMultiShaped(eiffel.MultiShapedOptions{ShapedShardedOptions: eiffel.ShapedShardedOptions{
 		Shards: 8, HorizonNs: 1 << 20, RankSpan: 1 << 20,
-	})
+	}})
 	pool := eiffel.NewPool(hotBurst)
 	ps := make([]*eiffel.Packet, hotBurst)
 	for i := range ps {
@@ -152,17 +152,17 @@ func BenchmarkHotPathShapedEnqueueBatched(b *testing.B) {
 }
 
 // hotPathShapedBackend is the shared body of the approximate-backend
-// hot-path laps: one publish→drain lap per op through a ShapedSharded
+// hot-path laps: one publish→drain lap per op through a shaped front
 // whose per-shard scheduler is the given backend kind. After the warming
 // lap grows every bucket/slot backing array, allocs/op must be zero — the
 // approximate backends ride the same //eiffel:hotpath contract as the
 // exact vector store.
 func hotPathShapedBackend(b *testing.B, kind eiffel.SchedBackendKind) {
 	b.Helper()
-	q := eiffel.NewShapedSharded(eiffel.ShapedShardedOptions{
+	q := eiffel.NewMultiShaped(eiffel.MultiShapedOptions{ShapedShardedOptions: eiffel.ShapedShardedOptions{
 		Shards: 8, HorizonNs: 1 << 20, RankSpan: 1 << 20,
 		SchedBackend: kind,
-	})
+	}})
 	pool := eiffel.NewPool(hotBurst)
 	ps := make([]*eiffel.Packet, hotBurst)
 	for i := range ps {

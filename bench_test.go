@@ -137,12 +137,12 @@ func BenchmarkEgress(b *testing.B) {
 
 // BenchmarkShapedSched runs the decoupled shaping + priority scheduling
 // scaling experiment (8 producers, per-packet (SendAt, Rank); see
-// internal/exp/shapedsched.go). The reported metrics are the ShapedSharded
-// runtime's throughput gain over the kernel-style Locked pifo.Tree
+// internal/exp/shapedsched.go). The reported metrics are the shaped front's
+// throughput gain over the kernel-style Locked pifo.Tree
 // baseline (the ≥2× acceptance figure, measured on the batched-admission
 // row) and its priority inversions beyond scheduler bucket granularity
 // (which must be zero, and is also asserted by
-// TestShapedShardedPriorityFidelity{,Batched} and TestShapedSchedQuick).
+// TestShapedShardedPriorityFidelity and TestShapedSchedQuick).
 func BenchmarkShapedSched(b *testing.B) {
 	res := runExp(b, "shapedsched")
 	rows := res.Tables[0].Rows
@@ -188,7 +188,7 @@ func BenchmarkPolicySched(b *testing.B) {
 // BenchmarkApprox runs the approximate-scheduler-backend experiment in
 // quick mode (internal/exp/approx.go): the gradient and RIFO-style
 // fixed-window backends against the exact vecSched baseline, single-
-// threaded and through ShapedSharded, with rank-inversion accounting
+// threaded and through the shaped front, with rank-inversion accounting
 // against the exact oracle replay. The experiment flags any row whose
 // measured inversion magnitude escapes its analytic bound (the invariant
 // TestGradSchedInversionBound and TestRIFOSchedInversionBound prove over

@@ -175,8 +175,10 @@ type (
 // NewLogQueue constructs a log-scale bucketed min-queue.
 func NewLogQueue(opt LogOptions) *LogQueue { return ffsq.NewLogQueue(opt) }
 
-// Sharded multi-producer runtime: N shards, each owning its own bucketed
-// queue behind a lock-free MPSC ring, replacing the kernel's global qdisc
+// Sharded multi-producer runtime (one core, shardq.Core; ShardedQueue and
+// ShapedShardedQueue are its two typed views — without and with a shaper
+// stage): N shards, each owning its own bucketed queue behind a lock-free
+// MPSC ring, replacing the kernel's global qdisc
 // lock (§4) with flow-hashed partitioning and batched drains. Enqueue is
 // safe from any number of goroutines; the consuming side partitions into
 // consumer GROUPS (ShardedOptions.NumGroups, default 1 — the single-
@@ -199,10 +201,10 @@ type (
 	// ShardedStats is a snapshot of a ShardedQueue's counters.
 	ShardedStats = shardq.Snapshot
 	// Producer is a per-goroutine batched enqueue handle for a
-	// ShardedQueue (NewProducer). Staged elements publish on Flush.
+	// ShardedQueue or ShapedShardedQueue (NewProducer), staging the same
+	// (node, k1, k2) triples their Enqueue publishes. Staged elements
+	// publish on Flush.
 	Producer = shardq.Producer
-	// ShapedProducer is the Producer analogue for a ShapedShardedQueue.
-	ShapedProducer = shardq.ShapedProducer
 )
 
 // NewShardedQueue constructs a sharded multi-producer runtime.
@@ -222,29 +224,28 @@ type (
 	ShapedShardedQueueOptions = shardq.ShapedOptions
 	// PairFunc maps a published shaper handle to its scheduler twin.
 	PairFunc = shardq.PairFunc
-
-	// ShapedSharded is the qdisc-shaped surface over the runtime: packets
-	// gate on SendAt and release in Rank order.
-	ShapedSharded = qdisc.ShapedSharded
-	// ShapedShardedOptions sizes a ShapedSharded qdisc.
-	ShapedShardedOptions = qdisc.ShapedShardedOptions
 )
 
-// Parallel egress: the sharded runtimes partitioned into consumer groups,
-// each drained by a dedicated worker into its own egress sink — the
-// multi-queue-NIC topology. Flow-hash confinement pins every flow to one
-// shard, hence one group, so per-flow dequeue order is identical to the
-// single-consumer qdiscs with zero new hot-path synchronization; only the
-// interleaving across groups (across TX queues) is relaxed.
+// The sharded qdisc front: one type over the sharded runtime, owning
+// admission, the group drain, the single-consumer release buffer, and the
+// Serve/Close/Drain/CloseForce lifecycle exactly once; the constructors
+// below are option presets that pick a runtime and a publication rule. The
+// shards partition into consumer groups, each drained by a dedicated
+// worker into its own egress sink — the multi-queue-NIC topology.
+// Flow-hash confinement pins every flow to one shard, hence one group, so
+// per-flow dequeue order is identical to the single-consumer qdisc with
+// zero new hot-path synchronization; only the interleaving across groups
+// (across TX queues) is relaxed.
 type (
-	// MultiSharded is Sharded drained by one worker per consumer group.
-	MultiSharded = qdisc.MultiSharded
-	// MultiShardedOptions sizes a MultiSharded qdisc.
+	// Front is the sharded qdisc every preset returns (PolicySharded and
+	// HierSharded embed it).
+	Front = qdisc.Front
+	// MultiShardedOptions sizes the timer preset.
 	MultiShardedOptions = qdisc.MultiShardedOptions
-	// MultiShaped is ShapedSharded drained by one worker per consumer
-	// group, each migrating and draining on its own clock.
-	MultiShaped = qdisc.MultiShaped
-	// MultiShapedOptions sizes a MultiShaped qdisc.
+	// ShapedShardedOptions is the shaped preset's queue geometry (embedded
+	// in MultiShapedOptions).
+	ShapedShardedOptions = qdisc.ShapedShardedOptions
+	// MultiShapedOptions sizes the shaped preset.
 	MultiShapedOptions = qdisc.MultiShapedOptions
 	// EgressSink models one egress transmit queue (a NIC TX ring); each
 	// group worker owns one.
@@ -253,13 +254,16 @@ type (
 	CountingSink = qdisc.CountingSink
 )
 
-// NewMultiSharded constructs a parallel-egress sharded qdisc.
-func NewMultiSharded(opt MultiShardedOptions) *MultiSharded {
+// NewMultiSharded constructs the timer preset: per-shard Eiffel cFFS timer
+// queues, packets released at their SendAt.
+func NewMultiSharded(opt MultiShardedOptions) *Front {
 	return qdisc.NewMultiSharded(opt)
 }
 
-// NewMultiShaped constructs a parallel-egress shaped+scheduled qdisc.
-func NewMultiShaped(opt MultiShapedOptions) *MultiShaped {
+// NewMultiShaped constructs the shaped preset (Figure 8 on the sharded
+// runtime): packets gate on SendAt in per-shard shapers and release in
+// Rank order from per-shard schedulers.
+func NewMultiShaped(opt MultiShapedOptions) *Front {
 	return qdisc.NewMultiShaped(opt)
 }
 
@@ -375,23 +379,17 @@ func NewShapedShardedQueue(opt ShapedShardedQueueOptions) *ShapedShardedQueue {
 	return shardq.NewShaped(opt)
 }
 
-// NewShapedSharded constructs a shaped+scheduled sharded qdisc over
-// pkt.Packet's TimerNode/SchedNode pair.
-func NewShapedSharded(opt ShapedShardedOptions) *ShapedSharded {
-	return qdisc.NewShapedSharded(opt)
-}
-
 // Approximate scheduler backends: the per-shard Scheduler slot accepts
 // cheaper-than-exact priority indexes that trade bounded rank inversion
 // for indexing cost — the paper's §3.1.2 gradient queue as a drop-in
 // backend, and a RIFO-style fixed-rank-window at the extreme-cheap end.
-// Select one per ShapedSharded via ShapedShardedOptions.SchedBackend, or
+// Select one per shaped front via ShapedShardedOptions.SchedBackend, or
 // construct directly for a ShapedShardedQueue's SchedBackend hook. Each
 // backend's worst-case inversion magnitude is analytic (the *Bound
 // functions); ReplayInversions measures the realised count and magnitude
 // against an exact oracle replay.
 type (
-	// SchedBackendKind selects a ShapedSharded's per-shard scheduler
+	// SchedBackendKind selects the shaped front's per-shard scheduler
 	// backend family.
 	SchedBackendKind = qdisc.SchedBackendKind
 	// GradSchedOptions configures a gradient scheduler backend.
@@ -474,8 +472,8 @@ type (
 	// AdmitPolicy selects what a qdisc does with packets its shard bound
 	// refuses: drop-tail (count and discard) or backpressure (hand back).
 	AdmitPolicy = qdisc.AdmitPolicy
-	// AdmitQdisc is the bounded-admission qdisc surface implemented by
-	// Sharded, ShapedSharded, and PolicySharded.
+	// AdmitQdisc is the bounded-admission qdisc surface (implemented by
+	// Front).
 	AdmitQdisc = qdisc.AdmitQdisc
 	// Admit is the runtime-level outcome of one bounded flush.
 	Admit = shardq.Admit
@@ -508,7 +506,7 @@ const (
 // Fault-tolerant egress and graceful lifecycle: sinks that can refuse
 // work (FallibleSink) are driven with bounded retries, capped
 // exponential backoff, and a per-packet deadline (RetryPolicy), with
-// every disposal accounted by reason; the parallel-egress fronts close
+// every disposal accounted by reason; the front closes
 // through a running → draining → closed state machine whose quiescence
 // obeys admitted == tx'd + dropped + released exactly; and Serve worker
 // fleets are supervised — panic recovery with a bounded restart budget,

@@ -55,17 +55,17 @@ func ExampleChoose() {
 	// BinHeap
 }
 
-// ExampleNewShapedSharded shows the decoupled shaping + priority
+// ExampleNewMultiShaped shows the decoupled shaping + priority
 // scheduling qdisc (Figure 8 on the sharded multi-producer runtime): a
 // packet never leaves before its SendAt, and among eligible packets
 // release order follows Rank — even when the earliest-due packet has the
 // worst priority.
-func ExampleNewShapedSharded() {
-	q := eiffel.NewShapedSharded(eiffel.ShapedShardedOptions{
+func ExampleNewMultiShaped() {
+	q := eiffel.NewMultiShaped(eiffel.MultiShapedOptions{ShapedShardedOptions: eiffel.ShapedShardedOptions{
 		Shards:    4,
 		HorizonNs: 2000, // tiny horizon: 1 ns shaping buckets
 		RankSpan:  1 << 11,
-	})
+	}})
 	pool := eiffel.NewPool(4)
 	for _, pkt := range []struct{ sendAt, rank int64 }{
 		{100, 30}, // due first, worst priority
@@ -125,7 +125,7 @@ func ExampleShardedQueue_producer() {
 	nodes := make([]eiffel.Node, 6)
 	for i := range nodes {
 		flow, rank := uint64(i%3), uint64((i*37)%100)
-		prod.Enqueue(flow, &nodes[i], rank)
+		prod.Enqueue(flow, &nodes[i], rank, 0)
 	}
 	fmt.Println(q.Len()) // still staged: nothing published yet
 

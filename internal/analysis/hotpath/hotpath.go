@@ -9,7 +9,7 @@
 // Reported constructs:
 //
 //   - function literals, except when passed directly as an argument to a
-//     module-local hotpath function (the mergeRuns serve-callback idiom:
+//     module-local hotpath function (the serve-callback idiom:
 //     the callee is itself under the gate and does not retain its
 //     argument, so the closure does not escape);
 //   - make/new, map and slice composite literals, and &composite

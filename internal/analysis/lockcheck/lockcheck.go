@@ -12,7 +12,7 @@
 //     receiver, starts with `<recv>.mu` held — that is its contract;
 //   - a function-literal argument to a call of a function annotated
 //     `//eiffel:acquires(L)` runs with the abstract lock L held (the
-//     shardq.Q.WithShardLocked callback family);
+//     shardq.Core.WithShardLocked callback family);
 //   - locks acquired inside a conditional are not held after it; locks
 //     released inside a conditional are treated as released after it
 //     (conservative both ways), except in branches that cannot fall

@@ -31,7 +31,7 @@ import (
 //     (cache-hostile) bucket geometries. This isolates the index cost the
 //     backends actually differ by; the large geometry is where the
 //     fixed-window backend's cache residency pays.
-//   - sharded: 8 concurrent producers through qdisc.ShapedSharded with
+//   - sharded: 8 concurrent producers through qdisc.NewMultiShaped with
 //     each backend selected via ShapedShardedOptions.SchedBackend — the
 //     deployment surface — with claim-amortization and allocation
 //     accounting beside the throughput and inversion columns.
@@ -201,7 +201,7 @@ func approxBackendSweep(o Options, res *Result, payload *ApproxJSON) {
 	res.Tables = append(res.Tables, t)
 }
 
-// approxShardedSweep runs the 8-producer ShapedSharded sweep across the
+// approxShardedSweep runs the 8-producer shaped-front sweep across the
 // SchedBackend kinds.
 func approxShardedSweep(o Options, res *Result, payload *ApproxJSON) {
 	const producers = 8
@@ -224,7 +224,7 @@ func approxShardedSweep(o Options, res *Result, payload *ApproxJSON) {
 	}
 
 	t := &stats.Table{
-		Title: "Approximate backends — 8 producers through ShapedSharded, batched admission",
+		Title: "Approximate backends — 8 producers through the shaped front, batched admission",
 		Headers: []string{"backend", "packets", "Mpps", "vs exact", "inv",
 			"max-mag", "avg-mag", "bound", "allocs/op", "claims-amort"},
 	}
@@ -236,7 +236,7 @@ func approxShardedSweep(o Options, res *Result, payload *ApproxJSON) {
 		cfg.SchedBackend = kind
 		bound := cfg.SchedInversionBound()
 
-		q := qdisc.NewShapedSharded(cfg)
+		q := qdisc.NewMultiShaped(qdisc.MultiShapedOptions{ShapedShardedOptions: cfg})
 		mpps, allocs := measuredReplay(q, packets, 3, opt)
 		if exactMpps == 0 {
 			exactMpps = mpps
@@ -245,7 +245,7 @@ func approxShardedSweep(o Options, res *Result, payload *ApproxJSON) {
 
 		// Inversion pass on a fresh instance, through the same batched
 		// admission path: approximation must not grow under concurrency.
-		st := qdisc.ReplayInversions(qdisc.NewShapedSharded(cfg), packets, opt)
+		st := qdisc.ReplayInversions(qdisc.NewMultiShaped(qdisc.MultiShapedOptions{ShapedShardedOptions: cfg}), packets, opt)
 		if st.Released != producers*perProducer {
 			res.Notes = append(res.Notes, fmt.Sprintf(
 				"sharded/%s: drain released %d of %d", kind, st.Released, producers*perProducer))
@@ -310,7 +310,7 @@ type ApproxBackendRowJSON struct {
 	BoundRank    uint64  `json:"bound_rank"`
 }
 
-// ApproxShardedRowJSON is one concurrent ShapedSharded measurement.
+// ApproxShardedRowJSON is one concurrent shaped-front measurement.
 type ApproxShardedRowJSON struct {
 	Backend      string  `json:"backend"`
 	Packets      int     `json:"packets"`

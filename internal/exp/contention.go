@@ -29,14 +29,14 @@ func Contention(o Options) *Result {
 	const producerBatch = 256
 
 	exact := func() qdisc.Qdisc {
-		return qdisc.NewSharded(qdisc.ShardedOptions{
+		return qdisc.NewMultiSharded(qdisc.MultiShardedOptions{ShardedOptions: qdisc.ShardedOptions{
 			Shards: 8, Buckets: 2500, HorizonNs: 2e9, RingBits: 15,
-		})
+		}})
 	}
 	directDue := func() qdisc.Qdisc {
-		return qdisc.NewSharded(qdisc.ShardedOptions{
+		return qdisc.NewMultiSharded(qdisc.MultiShardedOptions{ShardedOptions: qdisc.ShardedOptions{
 			Shards: 8, Buckets: 2500, HorizonNs: 2e9, RingBits: 15, DirectDue: true,
-		})
+		}})
 	}
 	entries := []struct {
 		name string
@@ -68,7 +68,7 @@ func Contention(o Options) *Result {
 		}
 		counters := "-"
 		var amort float64
-		if s, ok := q.(*qdisc.Sharded); ok {
+		if s, ok := q.(*qdisc.Front); ok {
 			snap := s.Stats()
 			counters = snap.String()
 			amort = amortization(snap.BulkClaimed, snap.BulkClaims)

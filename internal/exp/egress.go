@@ -36,7 +36,7 @@ func Egress(o Options) *Result {
 	// the batched admission path PR 3 made the fast default.
 	const producerBatch = 256
 
-	mk := func(groups int) *qdisc.MultiSharded {
+	mk := func(groups int) *qdisc.Front {
 		return qdisc.NewMultiSharded(qdisc.MultiShardedOptions{
 			ShardedOptions: qdisc.ShardedOptions{
 				Shards: 8, Buckets: 2500, HorizonNs: 2e9, RingBits: 15,

@@ -14,7 +14,7 @@ import (
 // an uncorrelated priority, and the qdisc must honor both — never release
 // early, and release eligible packets in priority order. The baseline is
 // the kernel-style deployment (a pifo.Tree behind the decoupled shaper,
-// all behind one global lock); the contender is qdisc.ShapedSharded. Each
+// all behind one global lock); the contender is the shaped front (qdisc.NewMultiShaped). Each
 // row reports contention throughput (8 producers vs one consumer) and the
 // priority-order fidelity of a post-publication drain — inversions beyond
 // scheduler-bucket granularity must be zero for both.
@@ -47,15 +47,17 @@ func ShapedSched(o Options) *Result {
 	// EnqueueBatch call — the harness's producer-batch-size knob.
 	const producerBatch = 256
 
+	shaped := func() qdisc.Qdisc {
+		return qdisc.NewMultiShaped(qdisc.MultiShapedOptions{ShapedShardedOptions: geometry})
+	}
 	entries := []struct {
 		name string
 		mk   func() qdisc.Qdisc
 		opt  qdisc.ContentionOptions
 	}{
 		{"Eiffel tree+lock", func() qdisc.Qdisc { return qdisc.NewLocked(qdisc.NewShapedTree(treeGeometry)) }, qdisc.ContentionOptions{}},
-		{"Eiffel+shaped-shards", func() qdisc.Qdisc { return qdisc.NewShapedSharded(geometry) }, qdisc.ContentionOptions{}},
-		{"Eiffel+shaped-shards (batched)", func() qdisc.Qdisc { return qdisc.NewShapedSharded(geometry) },
-			qdisc.ContentionOptions{ProducerBatch: producerBatch}},
+		{"Eiffel+shaped-shards", shaped, qdisc.ContentionOptions{}},
+		{"Eiffel+shaped-shards (batched)", shaped, qdisc.ContentionOptions{ProducerBatch: producerBatch}},
 	}
 
 	gran := rankSpan / (2 * uint64(geometry.SchedBuckets))
@@ -99,9 +101,9 @@ func ShapedSched(o Options) *Result {
 
 		counters := "-"
 		var amort float64
-		if s, ok := fq.(*qdisc.ShapedSharded); ok {
+		if s, ok := fq.(*qdisc.Front); ok {
 			counters = s.Stats().String()
-			tsnap := q.(*qdisc.ShapedSharded).Stats()
+			tsnap := q.(*qdisc.Front).Stats()
 			amort = amortization(tsnap.BulkClaimed, tsnap.BulkClaims)
 		}
 		t.AddRow(e.name,

@@ -228,9 +228,9 @@ func TestChurnAdmitPushbackEquivalence(t *testing.T) {
 		{
 			name: "sharded",
 			mk: func(bound int) AdmitQdisc {
-				return NewSharded(ShardedOptions{
+				return NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
 					Shards: 8, HorizonNs: 1 << 30, RingBits: 10, ShardBound: bound,
-				})
+				}})
 			},
 			// Timer runtime: release times inside the horizon, all due by
 			// the drain clock.
@@ -239,9 +239,9 @@ func TestChurnAdmitPushbackEquivalence(t *testing.T) {
 		{
 			name: "shaped-sharded",
 			mk: func(bound int) AdmitQdisc {
-				return NewShapedSharded(ShapedShardedOptions{
+				return NewMultiShaped(MultiShapedOptions{ShapedShardedOptions: ShapedShardedOptions{
 					Shards: 8, HorizonNs: 1 << 30, RingBits: 10, ShardBound: bound,
-				})
+				}})
 			},
 			stamp: func(p *pkt.Packet, i int) { p.SendAt = int64(i % 4096) },
 		},

@@ -17,9 +17,9 @@ type BatchDequeuer interface {
 }
 
 // BatchEnqueuer is the producer-side twin: qdiscs that can admit a whole
-// run of packets in one call (Sharded and ShapedSharded, which stage the
-// run per shard and publish each shard's piece as one multi-slot ring
-// claim). The harness's ProducerBatch knob routes enqueues through it.
+// run of packets in one call (the sharded Front, which stages the run per
+// shard and publishes each shard's piece as one multi-slot ring claim).
+// The harness's ProducerBatch knob routes enqueues through it.
 type BatchEnqueuer interface {
 	EnqueueBatch(ps []*pkt.Packet, now int64)
 }
@@ -190,46 +190,17 @@ func ReplayFlowFidelity(q Qdisc, packets [][]*pkt.Packet, opt ContentionOptions)
 			expected[p.Flow] = append(expected[p.Flow], p.ID)
 		}
 	}
-	var wg sync.WaitGroup
-	for w := range packets {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			produce(q, packets[w], opt)
-		}(w)
-	}
-	wg.Wait()
+	publishAll(q, packets, opt)
 
 	pos := map[uint64]int{}
-	count := func(p *pkt.Packet) {
+	drainEach(q, horizon, func(p *pkt.Packet) {
 		ids := expected[p.Flow]
 		if i := pos[p.Flow]; i >= len(ids) || ids[i] != p.ID {
 			misorders++
 		}
 		pos[p.Flow]++
 		released++
-	}
-	now := horizon
-	if bd, ok := q.(BatchDequeuer); ok {
-		out := make([]*pkt.Packet, 1024)
-		for {
-			k := bd.DequeueBatch(now, out)
-			if k == 0 {
-				break
-			}
-			for _, p := range out[:k] {
-				count(p)
-			}
-		}
-	} else {
-		for {
-			p := q.Dequeue(now)
-			if p == nil {
-				break
-			}
-			count(p)
-		}
-	}
+	})
 	return released, misorders
 }
 
@@ -248,46 +219,17 @@ func ReplayPriorityFidelity(q Qdisc, packets [][]*pkt.Packet, gran uint64) (rele
 // knobs applied — the fidelity guarantee must hold through the batched
 // admission path exactly as through the per-packet one.
 func ReplayPriorityFidelityOpts(q Qdisc, packets [][]*pkt.Packet, gran uint64, opt ContentionOptions) (released, inversions int) {
-	var wg sync.WaitGroup
-	for w := range packets {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			produce(q, packets[w], opt)
-		}(w)
-	}
-	wg.Wait()
+	publishAll(q, packets, opt)
 
-	now := horizon
 	var last uint64
-	count := func(p *pkt.Packet) {
+	drainEach(q, horizon, func(p *pkt.Packet) {
 		qr := p.Rank / gran
 		if released > 0 && qr < last {
 			inversions++
 		}
 		last = qr
 		released++
-	}
-	if bd, ok := q.(BatchDequeuer); ok {
-		out := make([]*pkt.Packet, 1024)
-		for {
-			k := bd.DequeueBatch(now, out)
-			if k == 0 {
-				break
-			}
-			for _, p := range out[:k] {
-				count(p)
-			}
-		}
-	} else {
-		for {
-			p := q.Dequeue(now)
-			if p == nil {
-				break
-			}
-			count(p)
-		}
-	}
+	})
 	return released, inversions
 }
 
@@ -345,39 +287,11 @@ func (s *InversionStats) Note(runMax *uint64, rank uint64) {
 // analytic bound (shardq.GradSchedBound, shardq.RIFOSchedBound) — the
 // property tests assert both.
 func ReplayInversions(q Qdisc, packets [][]*pkt.Packet, opt ContentionOptions) InversionStats {
-	var wg sync.WaitGroup
-	for w := range packets {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			produce(q, packets[w], opt)
-		}(w)
-	}
-	wg.Wait()
+	publishAll(q, packets, opt)
 
-	now := horizon
 	var st InversionStats
 	var runMax uint64
-	if bd, ok := q.(BatchDequeuer); ok {
-		out := make([]*pkt.Packet, 1024)
-		for {
-			k := bd.DequeueBatch(now, out)
-			if k == 0 {
-				break
-			}
-			for _, p := range out[:k] {
-				st.Note(&runMax, p.Rank)
-			}
-		}
-	} else {
-		for {
-			p := q.Dequeue(now)
-			if p == nil {
-				break
-			}
-			st.Note(&runMax, p.Rank)
-		}
-	}
+	drainEach(q, horizon, func(p *pkt.Packet) { st.Note(&runMax, p.Rank) })
 	return st
 }
 
@@ -412,6 +326,38 @@ func produce(q enqueuer, set []*pkt.Packet, opt ContentionOptions) {
 	}
 }
 
+// publishAll pushes every packet set through q from its own goroutine and
+// returns once all of them have finished.
+func publishAll(q enqueuer, packets [][]*pkt.Packet, opt ContentionOptions) {
+	var wg sync.WaitGroup
+	for w := range packets {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			produce(q, packets[w], opt)
+		}(w)
+	}
+	wg.Wait()
+}
+
+// drainEach pops q until a pop comes back empty, at a fixed now, handing
+// every packet to visit in release order — through DequeueBatch when q
+// has one (batching qdiscs get their intended drain path).
+func drainEach(q Qdisc, now int64, visit func(*pkt.Packet)) {
+	if bd, ok := q.(BatchDequeuer); ok {
+		out := make([]*pkt.Packet, 1024)
+		for k := bd.DequeueBatch(now, out); k > 0; k = bd.DequeueBatch(now, out) {
+			for _, p := range out[:k] {
+				visit(p)
+			}
+		}
+		return
+	}
+	for p := q.Dequeue(now); p != nil; p = q.Dequeue(now) {
+		visit(p)
+	}
+}
+
 // ReplayContention replays the §4 many-senders scenario against q with
 // per-packet admission; see ReplayContentionOpts.
 func ReplayContention(q Qdisc, packets [][]*pkt.Packet) ContentionResult {
@@ -422,8 +368,8 @@ func ReplayContention(q Qdisc, packets [][]*pkt.Packet) ContentionResult {
 // goroutine per packet set enqueues its packets in order (per packet, or
 // in ProducerBatch-sized runs through the qdisc's batch admission) while
 // one consumer concurrently drains until every packet has come back out.
-// The workload is identical for every qdisc, so Locked vs Sharded numbers
-// are directly comparable — this is the repo's locked-vs-sharded
+// The workload is identical for every qdisc, so Locked vs sharded-front
+// numbers are directly comparable — this is the repo's locked-vs-sharded
 // experiment substrate. Packets must be detached (as they are after a full
 // prior replay), so a benchmark can replay one workload repeatedly.
 func ReplayContentionOpts(q Qdisc, packets [][]*pkt.Packet, opt ContentionOptions) ContentionResult {
@@ -476,4 +422,163 @@ func ReplayContentionOpts(q Qdisc, packets [][]*pkt.Packet, opt ContentionOption
 	elapsed := time.Since(start)
 	wg.Wait()
 	return ContentionResult{Packets: total, Elapsed: elapsed}
+}
+
+// --- Parallel-egress contention replays (the egress experiment substrate) ---
+
+// EgressResult reports one parallel-egress contention replay.
+type EgressResult struct {
+	// Packets is the total number of packets pushed through the qdisc.
+	Packets int
+	// Elapsed is the wall time from first enqueue to last dequeue.
+	Elapsed time.Duration
+	// PerGroup is how many packets each group's worker drained.
+	PerGroup []int64
+}
+
+// Mpps returns aggregate million packets per second through the qdisc.
+func (r EgressResult) Mpps() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Packets) / r.Elapsed.Seconds() / 1e6
+}
+
+// ReplayEgress replays the many-senders scenario against a parallel-
+// egress front: one goroutine per packet set enqueues (per packet or in
+// ProducerBatch runs) while one drain worker PER CONSUMER GROUP
+// concurrently pops its group until every packet has come back out. The
+// workload contract matches ReplayContentionOpts — detached packets,
+// replayable — so locked, single-consumer, and multi-consumer rows are
+// directly comparable.
+func ReplayEgress(m *Front, packets [][]*pkt.Packet, opt ContentionOptions) EgressResult {
+	total := 0
+	for _, set := range packets {
+		total += len(set)
+	}
+
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := range packets {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			produce(m, packets[w], opt)
+		}(w)
+	}
+	var producersDone atomic.Bool
+	go func() { wg.Wait(); producersDone.Store(true) }()
+
+	now := horizon // beyond every SendAt: everything is always eligible
+	G := m.NumGroups()
+	perGroup := make([]int64, G)
+	var consumed atomic.Int64
+	var cwg sync.WaitGroup
+	for g := 0; g < G; g++ {
+		cwg.Add(1)
+		go func(g int) {
+			defer cwg.Done()
+			out := make([]*pkt.Packet, 1024)
+			var suspectSince time.Time
+			for {
+				k := m.GroupDequeueBatch(g, now, out)
+				if k > 0 {
+					perGroup[g] += int64(k) // worker-private slot; read after join
+					consumed.Add(int64(k))
+					suspectSince = time.Time{}
+					continue
+				}
+				if consumed.Load() >= int64(total) {
+					return
+				}
+				if producersDone.Load() && m.Len() == 0 && consumed.Load() < int64(total) {
+					// Looks like lost packets — but unlike the single-consumer
+					// replay, this observation RACES the other workers: a peer
+					// may have popped the final batch (Len is already 0) and
+					// not yet added it to consumed. That window closes as soon
+					// as the peer runs again, so only a condition that
+					// PERSISTS is a real loss. Defensive: a correct front
+					// can't get here durably.
+					if suspectSince.IsZero() {
+						suspectSince = time.Now()
+					} else if time.Since(suspectSince) > 2*time.Second {
+						panic("qdisc: egress replay lost packets")
+					}
+				} else {
+					suspectSince = time.Time{}
+				}
+				runtime.Gosched()
+			}
+		}(g)
+	}
+	cwg.Wait()
+	elapsed := time.Since(start)
+	wg.Wait()
+	return EgressResult{Packets: total, Elapsed: elapsed, PerGroup: perGroup}
+}
+
+// ReplayEgressFidelity checks the parallel-egress ordering contract: every
+// packet set enqueues from its own goroutine; once everything is
+// published, one worker per group drains concurrently, each recording
+// which packets it released and in what order. It returns how many
+// packets came out, how many left their flow's publish order
+// (orderViolations — per-flow order must survive parallel egress exactly,
+// EgressPackets having made each flow's eligible order well defined), and
+// how many flows were released by a group other than the one that owns
+// them (groupViolations — the partition invariant: a flow has exactly one
+// egress worker).
+func ReplayEgressFidelity(m *Front, packets [][]*pkt.Packet, opt ContentionOptions) (released, orderViolations, groupViolations int) {
+	expected := map[uint64][]uint64{}
+	for _, set := range packets {
+		for _, p := range set {
+			expected[p.Flow] = append(expected[p.Flow], p.ID)
+		}
+	}
+	publishAll(m, packets, opt)
+
+	type rec struct {
+		flow, id uint64
+	}
+	G := m.NumGroups()
+	seqs := make([][]rec, G) // worker-private; merged after the join
+	var cwg sync.WaitGroup
+	for g := 0; g < G; g++ {
+		cwg.Add(1)
+		go func(g int) {
+			defer cwg.Done()
+			out := make([]*pkt.Packet, 1024)
+			for {
+				k := m.GroupDequeueBatch(g, horizon, out)
+				if k == 0 {
+					return // quiescent publish: an empty pop means the group is drained
+				}
+				for _, p := range out[:k] {
+					seqs[g] = append(seqs[g], rec{p.Flow, p.ID})
+				}
+			}
+		}(g)
+	}
+	cwg.Wait()
+
+	flowGroup := map[uint64]int{}
+	pos := map[uint64]int{}
+	for g, seq := range seqs {
+		for _, r := range seq {
+			if owner, seen := flowGroup[r.flow]; !seen {
+				flowGroup[r.flow] = g
+				if m.GroupFor(r.flow) != g {
+					groupViolations++
+				}
+			} else if owner != g {
+				groupViolations++
+			}
+			ids := expected[r.flow]
+			if i := pos[r.flow]; i >= len(ids) || ids[i] != r.id {
+				orderViolations++
+			}
+			pos[r.flow]++
+			released++
+		}
+	}
+	return released, orderViolations, groupViolations
 }

@@ -1,24 +1,44 @@
 package qdisc
 
 import (
+	"sync/atomic"
 	"time"
 
 	"eiffel/internal/pkt"
 	"eiffel/internal/stats"
 )
 
-// This file is the fallible half of the egress contract. EgressSink.Tx
-// (multi.go) models a transmit queue that never pushes back — fine for
-// benchmarks, wrong for a real NIC ring that fills, a pacer that
-// throttles, or a driver that hiccups. FallibleSink is the honest
-// contract: a sink may accept a prefix of the batch, or none of it, and
-// say why. The retry machinery here (txResilient, driven by RetryPolicy)
-// turns that into the degradation the runtime wants: bounded retries
-// with capped exponential backoff, and a per-packet deadline after which
-// the head packet is DROPPED with a counted reason instead of wedging
-// the group's worker forever. Every disposal is accounted in a
-// stats.Egress block, so conservation (admitted == tx'd + dropped +
-// released) stays checkable at quiescence.
+// This file is the egress contract. EgressSink.Tx models a transmit queue
+// that never pushes back — fine for benchmarks, wrong for a real NIC ring
+// that fills, a pacer that throttles, or a driver that hiccups.
+// FallibleSink is the honest contract: a sink may accept a prefix of the
+// batch, or none of it, and say why. The retry machinery here
+// (txResilient, driven by RetryPolicy) turns that into the degradation the
+// runtime wants: bounded retries with capped exponential backoff, and a
+// per-packet deadline after which the head packet is DROPPED with a
+// counted reason instead of wedging the group's worker forever. Every
+// disposal is accounted in a stats.Egress block, so conservation (admitted
+// == tx'd + dropped + released) stays checkable at quiescence.
+
+// EgressSink models one egress transmit queue — a NIC TX ring, a DPDK
+// port queue, a per-core pacer. Each consumer-group worker owns one sink
+// and hands it every batch it drains. Tx is called only from that group's
+// worker goroutine; ps is the worker's reusable scratch, valid only for
+// the duration of the call (copy what must outlive it).
+type EgressSink interface {
+	Tx(ps []*pkt.Packet)
+}
+
+// CountingSink is the trivial EgressSink: an atomic packet counter, the
+// "TX queue" of benchmarks and experiments where transmission is free.
+type CountingSink struct{ n atomic.Int64 }
+
+// Tx implements EgressSink.
+func (c *CountingSink) Tx(ps []*pkt.Packet) { c.n.Add(int64(len(ps))) }
+
+// Count returns how many packets have been handed to the sink. Safe from
+// any goroutine.
+func (c *CountingSink) Count() int64 { return c.n.Load() }
 
 // FallibleSink is an egress transmit queue that can refuse work. TryTx
 // offers ps and returns how many packets from the FRONT of ps the sink

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"eiffel/internal/fault"
 	"eiffel/internal/pkt"
 	"eiffel/internal/stats"
 )
@@ -286,38 +287,62 @@ func (s *panicSink) Tx(ps []*pkt.Packet) {
 	s.CountingSink.Tx(ps)
 }
 
-func mkServeFront(groups int) *MultiSharded {
-	return NewMultiSharded(MultiShardedOptions{
-		ShardedOptions: ShardedOptions{Shards: 8, Buckets: 2048, HorizonNs: horizon, RingBits: 10},
-		Groups:         groups,
-	})
+// servePresets is the front contract's presets reduced to one per
+// scheduler family: supervision, drain and chaos exist once in Front, so
+// every preset must behave the same under them.
+func servePresets() []frontCase {
+	var out []frontCase
+	for _, c := range frontCases {
+		switch c.name {
+		case "timer", "shaped", "policy-pfabric", "hier":
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// forEachPreset runs f as a subtest per preset.
+func forEachPreset(t *testing.T, f func(t *testing.T, c frontCase)) {
+	for _, c := range servePresets() {
+		t.Run(c.name, func(t *testing.T) { f(t, c) })
+	}
+}
+
+// serveClock is a worker clock beyond every contract release time.
+func serveClock() int64 { return contractHorizon }
+
+// tryAll offers set through TryEnqueue and fails the test on a refusal.
+func tryAll(t *testing.T, f *Front, set []*pkt.Packet) {
+	t.Helper()
+	for _, p := range set {
+		if !f.TryEnqueue(p, 0) {
+			t.Fatal("TryEnqueue refused while open")
+		}
+	}
 }
 
 // TestServeSupervisionPanicRecovery: a sink that panics periodically
 // must cost restarts, never packets — the un-disposed remainder of each
 // panicking batch is re-offered after recovery.
 func TestServeSupervisionPanicRecovery(t *testing.T) {
-	m := mkServeFront(1)
-	sink := &panicSink{every: 3}
-	srv := m.ServeWith(func() int64 { return horizon }, []EgressSink{sink},
-		ServeOptions{MaxRestarts: -1, StallWindow: -1})
-	packets := EgressPackets(1, 2000, 100)
-	for _, p := range packets[0] {
-		if !m.TryEnqueue(p, 0) {
-			t.Fatal("TryEnqueue refused while open")
+	forEachPreset(t, func(t *testing.T, c frontCase) {
+		m := c.mk(t, frontOpts{groups: 1})
+		sink := &panicSink{every: 3}
+		srv := m.ServeWith(serveClock, []EgressSink{sink}, ServeOptions{MaxRestarts: -1, StallWindow: -1})
+		set := contractPackets(c)[0]
+		tryAll(t, m, set)
+		waitUntil(t, 20*time.Second, func() bool {
+			return sink.Count() >= int64(len(set))
+		}, func() string { return m.Egress().Snapshot().String() })
+		rep := srv.Stop()
+		if !rep.Conserved() || rep.Dropped != 0 || rep.Txd != uint64(len(set)) {
+			t.Fatalf("panic recovery lost packets: %s", rep)
 		}
-	}
-	waitUntil(t, 20*time.Second, func() bool {
-		return sink.Count() >= int64(len(packets[0]))
-	}, func() string { return m.Egress().Snapshot().String() })
-	rep := srv.Stop()
-	if !rep.Conserved() || rep.Dropped != 0 || rep.Txd != uint64(len(packets[0])) {
-		t.Fatalf("panic recovery lost packets: %s", rep)
-	}
-	h := srv.Health()[0]
-	if h.Restarts == 0 || h.Panics != h.Restarts {
-		t.Fatalf("health restarts=%d panics=%d, want equal and > 0", h.Restarts, h.Panics)
-	}
+		h := srv.Health()[0]
+		if h.Restarts == 0 || h.Panics != h.Restarts {
+			t.Fatalf("health restarts=%d panics=%d, want equal and > 0", h.Restarts, h.Panics)
+		}
+	})
 }
 
 // TestServeSupervisionFailedGroup: a sink that always panics exhausts
@@ -325,38 +350,36 @@ func TestServeSupervisionPanicRecovery(t *testing.T) {
 // and Stop's drain disposes the whole backlog as DropSinkFailed —
 // conservation holds with zero tx'd.
 func TestServeSupervisionFailedGroup(t *testing.T) {
-	m := mkServeFront(1)
-	sink := &panicSink{every: 1}
-	var drops atomic.Int64
-	srv := m.ServeWith(func() int64 { return horizon }, []EgressSink{sink},
-		ServeOptions{MaxRestarts: 1, StallWindow: -1,
-			OnDrop: func(*pkt.Packet, DropReason) { drops.Add(1) }})
-	packets := EgressPackets(1, 500, 50)
-	for _, p := range packets[0] {
-		if !m.TryEnqueue(p, 0) {
-			t.Fatal("TryEnqueue refused while open")
+	forEachPreset(t, func(t *testing.T, c frontCase) {
+		m := c.mk(t, frontOpts{groups: 1})
+		sink := &panicSink{every: 1}
+		var drops atomic.Int64
+		srv := m.ServeWith(serveClock, []EgressSink{sink},
+			ServeOptions{MaxRestarts: 1, StallWindow: -1,
+				OnDrop: func(*pkt.Packet, DropReason) { drops.Add(1) }})
+		set := contractPackets(c)[0][:500]
+		tryAll(t, m, set)
+		waitUntil(t, 20*time.Second, func() bool {
+			return srv.Health()[0].Failed
+		}, func() string { return m.Egress().Snapshot().String() })
+		rep := srv.Stop()
+		if !rep.Conserved() {
+			t.Fatalf("failed-group stop broke conservation: %s", rep)
 		}
-	}
-	waitUntil(t, 20*time.Second, func() bool {
-		return srv.Health()[0].Failed
-	}, func() string { return m.Egress().Snapshot().String() })
-	rep := srv.Stop()
-	if !rep.Conserved() {
-		t.Fatalf("failed-group stop broke conservation: %s", rep)
-	}
-	if rep.Txd != 0 || rep.Dropped != uint64(len(packets[0])) {
-		t.Fatalf("always-panicking sink: txd=%d dropped=%d, want 0/%d", rep.Txd, rep.Dropped, len(packets[0]))
-	}
-	eg := m.Egress().Snapshot()
-	if eg.FailedDrops != rep.Dropped {
-		t.Fatalf("attribution: %d failed-drops of %d dropped", eg.FailedDrops, rep.Dropped)
-	}
-	if got := drops.Load(); got != int64(rep.Dropped) {
-		t.Fatalf("onDrop saw %d of %d drops", got, rep.Dropped)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("Len = %d at quiescence", m.Len())
-	}
+		if rep.Txd != 0 || rep.Dropped != uint64(len(set)) {
+			t.Fatalf("always-panicking sink: txd=%d dropped=%d, want 0/%d", rep.Txd, rep.Dropped, len(set))
+		}
+		eg := m.Egress().Snapshot()
+		if eg.FailedDrops != rep.Dropped {
+			t.Fatalf("attribution: %d failed-drops of %d dropped", eg.FailedDrops, rep.Dropped)
+		}
+		if got := drops.Load(); got != int64(rep.Dropped) {
+			t.Fatalf("onDrop saw %d of %d drops", got, rep.Dropped)
+		}
+		if m.Len() != 0 {
+			t.Fatalf("Len = %d at quiescence", m.Len())
+		}
+	})
 }
 
 // gateSink blocks every Tx until the gate opens — the wedged TX queue
@@ -375,201 +398,47 @@ func (g *gateSink) Tx(ps []*pkt.Packet) {
 // flagged Stalled within a watchdog window, and the flag must clear once
 // the sink moves again.
 func TestServeWatchdogStall(t *testing.T) {
-	m := mkServeFront(1)
-	sink := &gateSink{gate: make(chan struct{})}
-	srv := m.ServeWith(func() int64 { return horizon }, []EgressSink{sink},
-		ServeOptions{StallWindow: 2 * time.Millisecond})
-	packets := EgressPackets(1, 2000, 100)
-	for _, p := range packets[0] {
-		m.TryEnqueue(p, 0)
-	}
-	waitUntil(t, 20*time.Second, func() bool {
-		return srv.Health()[0].Stalled
-	}, func() string {
-		h := srv.Health()[0]
-		return fmt.Sprintf("%s backlog=%d progress=%d", m.Egress().Snapshot(), h.Backlog, h.Progress)
+	forEachPreset(t, func(t *testing.T, c frontCase) {
+		m := c.mk(t, frontOpts{groups: 1})
+		sink := &gateSink{gate: make(chan struct{})}
+		srv := m.ServeWith(serveClock, []EgressSink{sink}, ServeOptions{StallWindow: 2 * time.Millisecond})
+		set := contractPackets(c)[0]
+		tryAll(t, m, set)
+		waitUntil(t, 20*time.Second, func() bool {
+			return srv.Health()[0].Stalled
+		}, func() string {
+			h := srv.Health()[0]
+			return fmt.Sprintf("%s backlog=%d progress=%d", m.Egress().Snapshot(), h.Backlog, h.Progress)
+		})
+		close(sink.gate) // un-wedge: traffic flows, the flag must clear
+		waitUntil(t, 20*time.Second, func() bool {
+			h := srv.Health()[0]
+			return sink.Count() >= int64(len(set)) && !h.Stalled
+		}, func() string { return m.Egress().Snapshot().String() })
+		rep := srv.Stop()
+		if !rep.Conserved() || rep.Dropped != 0 {
+			t.Fatalf("stall run broke conservation: %s", rep)
+		}
 	})
-	close(sink.gate) // un-wedge: traffic flows, the flag must clear
-	waitUntil(t, 20*time.Second, func() bool {
-		h := srv.Health()[0]
-		return sink.Count() >= int64(len(packets[0])) && !h.Stalled
-	}, func() string { return m.Egress().Snapshot().String() })
-	rep := srv.Stop()
-	if !rep.Conserved() || rep.Dropped != 0 {
-		t.Fatalf("stall run broke conservation: %s", rep)
-	}
-}
-
-// ---- lifecycle ------------------------------------------------------------
-
-// TestDrainDirect covers Drain without a Serve fleet: close, run the
-// backlog to the sinks inline, and refuse post-close admission.
-func TestDrainDirect(t *testing.T) {
-	m := mkServeFront(2)
-	packets := EgressPackets(1, 3000, 100)
-	for _, p := range packets[0] {
-		if !m.TryEnqueue(p, 0) {
-			t.Fatal("TryEnqueue refused while open")
-		}
-	}
-	if m.State() != StateRunning {
-		t.Fatalf("state = %v before close", m.State())
-	}
-	sinks := []*CountingSink{{}, {}}
-	rep := m.Drain([]EgressSink{sinks[0], sinks[1]}, ServeOptions{})
-	if !rep.Conserved() || rep.Txd != uint64(len(packets[0])) || rep.Drained != len(packets[0]) {
-		t.Fatalf("drain: %s", rep)
-	}
-	if m.State() != StateClosed || m.Len() != 0 {
-		t.Fatalf("state=%v len=%d after drain", m.State(), m.Len())
-	}
-	if got := sinks[0].Count() + sinks[1].Count(); got != int64(len(packets[0])) {
-		t.Fatalf("sinks saw %d of %d", got, len(packets[0]))
-	}
-	// Post-close admission refuses and does not disturb the accounting.
-	extra := EgressPackets(1, 4, 2)
-	for _, p := range extra[0] {
-		if m.TryEnqueue(p, 0) {
-			t.Fatal("TryEnqueue admitted after close")
-		}
-	}
-	if m.Admitted() != rep.Admitted {
-		t.Fatalf("post-close refusals moved admitted: %d vs %d", m.Admitted(), rep.Admitted)
-	}
-}
-
-// TestCloseForceReleasesBacklog covers the forced path: the backlog goes
-// back to the caller, counted as released, and conservation holds with
-// zero tx'd.
-func TestCloseForceReleasesBacklog(t *testing.T) {
-	m := mkServeFront(2)
-	packets := EgressPackets(1, 1000, 50)
-	for _, p := range packets[0] {
-		m.TryEnqueue(p, 0)
-	}
-	seen := map[uint64]bool{}
-	rep := m.CloseForce(func(p *pkt.Packet) {
-		if seen[p.ID] {
-			t.Fatalf("packet %d released twice", p.ID)
-		}
-		seen[p.ID] = true
-	})
-	if !rep.Conserved() || rep.Released != uint64(len(packets[0])) || rep.Txd != 0 {
-		t.Fatalf("force close: %s", rep)
-	}
-	if len(seen) != len(packets[0]) {
-		t.Fatalf("release saw %d of %d packets", len(seen), len(packets[0]))
-	}
-	if m.State() != StateClosed || m.Len() != 0 {
-		t.Fatalf("state=%v len=%d after force close", m.State(), m.Len())
-	}
-}
-
-// TestPolicyShardedCloseForceDrainsReleaseBuffer pins the policy front's
-// extra backlog stage: packets sitting in the single-consumer release
-// buffer (popped by Dequeue's batching but not yet returned) must be
-// released by CloseForce, not stranded.
-func TestPolicyShardedCloseForceDrainsReleaseBuffer(t *testing.T) {
-	q, err := NewPolicySharded(PolicyShardedOptions{Policy: PolicySpecPFabric, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	packets := PolicyPackets(1, 200, 10)
-	for _, p := range packets[0] {
-		if !q.TryEnqueue(p, 0) {
-			t.Fatal("TryEnqueue refused while open")
-		}
-	}
-	// One Dequeue pulls a batch into the release buffer and hands back a
-	// single packet — that one is the caller's; the buffered remainder
-	// must come back through release.
-	taken := q.Dequeue(0)
-	if taken == nil {
-		t.Fatal("Dequeue returned nil with backlog")
-	}
-	released := 0
-	rep := q.CloseForce(func(p *pkt.Packet) {
-		if p == taken {
-			t.Fatal("release handed back the packet Dequeue already returned")
-		}
-		released++
-	})
-	if released != len(packets[0])-1 || rep.Released != uint64(released) {
-		t.Fatalf("released %d (report %d), want %d", released, rep.Released, len(packets[0])-1)
-	}
-	if q.Len() != 0 || q.State() != StateClosed {
-		t.Fatalf("len=%d state=%v after force close", q.Len(), q.State())
-	}
 }
 
 // ---- exactly-once conservation property ----------------------------------
 
-// egressFront is the lifecycle surface the property test drives,
-// satisfied by all three parallel-egress fronts.
-type egressFront interface {
-	TryEnqueue(p *pkt.Packet, now int64) bool
-	ServeWith(clock func() int64, sinks []EgressSink, opt ServeOptions) *Server
-	Close()
-	State() LifecycleState
-	Admitted() uint64
-	NumGroups() int
-	Len() int
-}
-
 // TestEgressConservationProperty is the randomized exactly-once property
-// test: for each front (plain, shaped, policy) and G ∈ {1,2,4},
-// concurrent producers race a supervised Serve fleet, the front is
-// closed MID-REPLAY at a random point, and at quiescence the identity
-// admitted == tx'd + dropped + released must hold exactly — with the
-// producers' own success count agreeing with the front's admitted
-// counter and the sinks' count agreeing with tx'd.
+// test: for each preset and G ∈ {1,2,4}, concurrent producers race a
+// supervised Serve fleet, the front is closed MID-REPLAY at a random
+// point, and at quiescence the identity admitted == tx'd + dropped +
+// released must hold exactly — with the producers' own success count
+// agreeing with the front's admitted counter and the sinks' count agreeing
+// with tx'd.
 func TestEgressConservationProperty(t *testing.T) {
-	const producers, perProducer = 4, 3000
 	rng := rand.New(rand.NewSource(0xE1FFE1))
-
-	fronts := []struct {
-		name    string
-		mk      func(groups int) egressFront
-		packets func() [][]*pkt.Packet
-	}{
-		{"multi-sharded",
-			func(g int) egressFront { return mkServeFront(g) },
-			func() [][]*pkt.Packet { return EgressPackets(producers, perProducer, 300) }},
-		{"multi-shaped",
-			func(g int) egressFront {
-				return NewMultiShaped(MultiShapedOptions{
-					ShapedShardedOptions: ShapedShardedOptions{
-						Shards: 8, ShaperBuckets: 2048, HorizonNs: horizon,
-						SchedBuckets: 256, RankSpan: 1 << 20, RingBits: 10,
-					},
-					Groups: g,
-				})
-			},
-			func() [][]*pkt.Packet { return ShapedPackets(producers, perProducer, 1<<20) }},
-		{"policy-sharded",
-			func(g int) egressFront {
-				q, err := NewPolicySharded(PolicyShardedOptions{
-					Policy: PolicySpecPFabric, Shards: 8, Groups: g,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return q
-			},
-			func() [][]*pkt.Packet { return PolicyPackets(producers, perProducer, 64) }},
-	}
-
-	for _, front := range fronts {
+	for _, c := range servePresets() {
 		for _, G := range []int{1, 2, 4} {
-			m := front.mk(G)
-			packets := front.packets()
-			sinks := make([]EgressSink, m.NumGroups())
-			counts := make([]*CountingSink, m.NumGroups())
-			for g := range sinks {
-				counts[g] = &CountingSink{}
-				sinks[g] = counts[g]
-			}
-			srv := m.ServeWith(func() int64 { return horizon }, sinks, ServeOptions{})
+			m := c.mk(t, frontOpts{groups: G})
+			packets := contractPackets(c)
+			sinks, counts := countingSinks(m.NumGroups())
+			srv := m.ServeWith(serveClock, sinks, ServeOptions{})
 
 			var admitted atomic.Uint64
 			var wg sync.WaitGroup
@@ -587,33 +456,109 @@ func TestEgressConservationProperty(t *testing.T) {
 			// Close mid-replay at a random point: some producers are
 			// mid-flight, so part of the workload is refused — the property
 			// must hold for ANY cut.
-			time.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
+			time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
 			m.Close()
 			wg.Wait()
 			rep := srv.Stop()
 
 			if !rep.Conserved() {
-				t.Fatalf("%s G=%d: conservation broken: %s", front.name, G, rep)
+				t.Fatalf("%s G=%d: conservation broken: %s", c.name, G, rep)
 			}
 			if rep.Admitted != admitted.Load() || rep.Admitted != m.Admitted() {
-				t.Fatalf("%s G=%d: admitted %d, producers counted %d", front.name, G, rep.Admitted, admitted.Load())
+				t.Fatalf("%s G=%d: admitted %d, producers counted %d", c.name, G, rep.Admitted, admitted.Load())
 			}
-			var txd int64
-			for _, c := range counts {
-				txd += c.Count()
-			}
-			if uint64(txd) != rep.Txd {
-				t.Fatalf("%s G=%d: sinks saw %d, report txd=%d", front.name, G, txd, rep.Txd)
+			if txd := sinkTotal(counts); uint64(txd) != rep.Txd {
+				t.Fatalf("%s G=%d: sinks saw %d, report txd=%d", c.name, G, txd, rep.Txd)
 			}
 			if rep.Dropped != 0 || rep.Released != 0 {
-				t.Fatalf("%s G=%d: infallible sinks must not drop: %s", front.name, G, rep)
+				t.Fatalf("%s G=%d: infallible sinks must not drop: %s", c.name, G, rep)
 			}
 			if m.Len() != 0 || m.State() != StateClosed {
-				t.Fatalf("%s G=%d: len=%d state=%v at quiescence", front.name, G, m.Len(), m.State())
+				t.Fatalf("%s G=%d: len=%d state=%v at quiescence", c.name, G, m.Len(), m.State())
 			}
-			if admitted.Load() == uint64(producers*perProducer) {
-				t.Logf("%s G=%d: close raced after all admissions (weak run)", front.name, G)
+			if admitted.Load() == uint64(contractProds*contractPerProd) {
+				t.Logf("%s G=%d: close raced after all admissions (weak run)", c.name, G)
 			}
 		}
 	}
+}
+
+// ---- deterministic chaos, every preset -------------------------------------
+
+// TestChaosEveryPreset drives each preset's supervised fleet over
+// seed-driven fault sinks, one misbehavior profile per row (the chaos
+// experiment's eight): whatever fires, every admitted packet is tx'd
+// exactly once or dropped with an attributed reason, profiles that must
+// not drop do not, and Stop reaches the closed state.
+func TestChaosEveryPreset(t *testing.T) {
+	fast := RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: 16 * time.Microsecond, MaxAttempts: -1}
+	rows := []struct {
+		prof      fault.Profile
+		retry     RetryPolicy
+		restarts  int
+		wantDrops bool
+	}{
+		{prof: fault.Profile{Name: "clean"}},
+		{prof: fault.Profile{Name: "transient", Seed: 1, ErrRate: 0.30}, retry: fast},
+		{prof: fault.Profile{Name: "partial", Seed: 2, PartialRate: 0.60}, retry: fast},
+		{prof: fault.Profile{Name: "slow", Seed: 3, SlowRate: 0.30, SlowFor: 20 * time.Microsecond}},
+		{prof: fault.Profile{Name: "stall", Seed: 4, StallRate: 0.05, StallFor: 2 * time.Millisecond}},
+		{prof: fault.Profile{Name: "retry-budget", Seed: 5, ErrRate: 0.70},
+			retry:     RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Microsecond, MaxBackoff: 4 * time.Microsecond},
+			wantDrops: true},
+		{prof: fault.Profile{Name: "deadline", Seed: 6, ErrRate: 0.85},
+			retry: RetryPolicy{MaxAttempts: -1, Deadline: 20 * time.Microsecond,
+				BaseBackoff: time.Microsecond, MaxBackoff: 4 * time.Microsecond},
+			wantDrops: true},
+		{prof: fault.Profile{Name: "panic", Seed: 7, PanicRate: 0.05}, restarts: -1},
+	}
+	forEachPreset(t, func(t *testing.T, c frontCase) {
+		for _, row := range rows {
+			const groups = 2
+			m := c.mk(t, frontOpts{groups: groups})
+			packets := contractPackets(c)
+			// The sinks' exactly-once ledger needs globally unique IDs.
+			for w, set := range packets {
+				for i, p := range set {
+					p.ID = uint64(w*contractPerProd+i) + 1
+				}
+			}
+			sinks := make([]EgressSink, groups)
+			fsinks := make([]*fault.Sink, groups)
+			for g := range sinks {
+				prof := row.prof
+				prof.Seed += uint64(g) * 0x9E37
+				fsinks[g] = fault.NewSink(prof)
+				sinks[g] = fsinks[g]
+			}
+			srv := m.ServeWith(serveClock, sinks, ServeOptions{
+				Retry: row.retry, MaxRestarts: row.restarts, StallWindow: 5 * time.Millisecond,
+			})
+			admitted := publish(t, m, packets, modePerPacket)
+			rep := srv.Stop()
+
+			var unique, dups uint64
+			for _, fs := range fsinks {
+				unique += fs.Unique()
+				dups += fs.Dups()
+			}
+			eg := m.Egress().Snapshot()
+			if !rep.Conserved() || rep.Admitted != uint64(admitted) || rep.Released != 0 {
+				t.Fatalf("%s: conservation: %s", row.prof.Name, rep)
+			}
+			if unique != rep.Txd || dups != 0 {
+				t.Fatalf("%s: sink ledger: unique %d vs txd %d, dups %d", row.prof.Name, unique, rep.Txd, dups)
+			}
+			if eg.DeadlineDrops+eg.RetryDrops+eg.FailedDrops != rep.Dropped {
+				t.Fatalf("%s: drop attribution: %d+%d+%d reasons vs %d dropped",
+					row.prof.Name, eg.DeadlineDrops, eg.RetryDrops, eg.FailedDrops, rep.Dropped)
+			}
+			if row.wantDrops != (rep.Dropped > 0) {
+				t.Fatalf("%s: dropped %d, want drops: %v", row.prof.Name, rep.Dropped, row.wantDrops)
+			}
+			if m.State() != StateClosed || m.Len() != 0 {
+				t.Fatalf("%s: state=%v len=%d after Stop", row.prof.Name, m.State(), m.Len())
+			}
+		}
+	})
 }

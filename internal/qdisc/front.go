@@ -1,0 +1,508 @@
+package qdisc
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"eiffel/internal/pkt"
+	"eiffel/internal/shardq"
+)
+
+// This file is the one qdisc front over the sharded runtime
+// (shardq.Core): flows hash to one of N shards, each a lock-free MPSC ring
+// in front of an optional shaper stage and a per-shard Scheduler, and the
+// shards partition into G consumer groups — one drain worker per NIC TX
+// queue. Flow-hash confinement means a flow's shard — and therefore the
+// flow itself — belongs to exactly one group, so per-flow dequeue order is
+// identical to the single-consumer qdisc with ZERO cross-worker
+// synchronization on the hot path; only the interleaving across groups
+// (across TX queues, where ordering never held on the wire anyway) is
+// relaxed. Everything a configuration does NOT decide lives here exactly
+// once: batch admission through pooled producers, bounded-admission
+// accounting, the node→packet drain, the single-consumer release buffer,
+// and the Serve/Close/Drain/CloseForce lifecycle. What a configuration
+// DOES decide is its pubRule — which packet handle and which two key words
+// ride the ring — plus, for schedulers whose eligibility depends on a
+// clock, the ClockedScheduler list the front pushes its workers' clocks
+// into. The presets (NewMultiSharded, NewMultiShaped, NewPolicySharded,
+// NewHierSharded) pick a runtime, a rule, and nothing else.
+
+// pubRule is a configuration's publication rule: the (handle, k1, k2)
+// triple Enqueue publishes for a packet. It also fixes the drain bound —
+// the timer rule's scheduler ranks ARE release times, so its drains are
+// bounded by the worker's clock; every other rule drains unbounded and
+// leaves gating to a shaper stage or a clocked backend — and which handle
+// a drain hands back (the timer rule's TimerNode; everything else reaches
+// its scheduler on the SchedNode).
+type pubRule uint8
+
+const (
+	pubTimer        pubRule = iota // TimerNode, SendAt, 0 — per-shard timer queue
+	pubShaped                      // TimerNode, SendAt, Rank — shaper stage, then scheduler
+	pubPolicyDirect                // SchedNode, Rank, Flow — packet-free direct policy leaf
+	pubPolicyTree                  // SchedNode, now, 0 — policy tree; k1 feeds its transactions
+	pubHier                        // SchedNode, Rank, tenant(Class) — hClock engine
+)
+
+// drainChunk sizes the node→packet conversion scratch: GroupDequeueBatch
+// drains in chunks that stay cache-resident, so the conversion reads each
+// node's line right after the runtime's drain touched it, instead of
+// revisiting a large batch after its head has been evicted.
+const drainChunk = 256
+
+// frontGroup is one consumer group's qdisc-side drain state: the group's
+// last-propagated clock and its node→packet conversion scratch. Padded so
+// concurrent group workers never false-share.
+type frontGroup struct {
+	lastNow int64
+	scratch []*shardq.Node
+	_       [64]byte
+}
+
+// Front is the sharded qdisc. Enqueue, TryEnqueue, EnqueueBatch and
+// EnqueueBatchAdmit are safe from any number of producer goroutines and
+// lock-free in the common case. The consuming side has two surfaces over
+// the same drain: the group-worker surface (GroupDequeueBatch,
+// GroupNextTimer; what ServeWith's workers drive) is safe concurrently
+// across DISTINCT groups, one goroutine per group at a time, each passing
+// its own clock; the single-consumer Qdisc surface (Dequeue, DequeueBatch,
+// NextTimer — the softirq role) serves every group from the calling
+// goroutine and requires exclusive access to all of them. Do not mix the
+// two while group workers run.
+type Front struct {
+	rt      *shardq.Core
+	name    string
+	pub     pubRule
+	tenants int // pubHier: the tenant-table size Class maps into
+
+	// clocked lists shard i's backend when eligibility depends on the
+	// consumer clock (policy trees with shaper gates, hClock engines);
+	// nil otherwise. The front pushes each group worker's clock into that
+	// group's backends before every drain and peeks their next event when
+	// a backlogged group has nothing servable.
+	clocked []shardq.ClockedScheduler
+
+	groups []frontGroup
+
+	// Release buffer of the single-consumer surface: DequeueBatch pops
+	// ready packets in bulk; Dequeue hands them out one at a time.
+	// Everything buffered was already release-eligible when popped, so
+	// buffering never releases early.
+	buf     []*pkt.Packet
+	bufHead int
+	bufLen  int
+	bufN    atomic.Int64 // buffered count, readable from any goroutine for Len
+
+	// prodPool recycles runtime staging handles for EnqueueBatch, so batch
+	// admission is concurrent-producer-safe and allocation-free in steady
+	// state without threading per-goroutine handles through the Qdisc
+	// surface.
+	prodPool sync.Pool
+
+	admitState
+
+	// Lifecycle and conservation accounting (State/Egress/Admitted/
+	// Released promote from here); see lifecycle.go.
+	egressState
+}
+
+// newFront wraps rt. batch sizes the release buffer (default 64);
+// dropTenants sizes the per-tenant drop buckets.
+func newFront(rt *shardq.Core, name string, pub pubRule, batch int, pol AdmitPolicy, dropTenants int) *Front {
+	if batch <= 0 {
+		batch = 64
+	}
+	f := &Front{
+		rt: rt, name: name, pub: pub,
+		groups:     make([]frontGroup, rt.NumGroups()),
+		buf:        make([]*pkt.Packet, batch),
+		admitState: newAdmitState(pol, dropTenants),
+	}
+	for g := range f.groups {
+		f.groups[g].scratch = make([]*shardq.Node, drainChunk)
+	}
+	f.prodPool.New = func() any { return rt.NewProducer(0) }
+	return f
+}
+
+// Name implements Qdisc.
+func (f *Front) Name() string { return f.name }
+
+// Len implements Qdisc: packets published but not yet handed out, wherever
+// they sit — ring, shaper, scheduler, or the consumer's release buffer.
+// While producers and the consumer run concurrently Len may transiently
+// overcount by up to one in-flight batch (ring occupancy is published per
+// drain, not per element); it is exact whenever the qdisc is quiescent.
+// Callers that need an exact count must therefore read it with producers
+// and the consumer stopped — the contract the contention harness and the
+// concurrent tests rely on.
+//
+//eiffel:hotpath
+func (f *Front) Len() int { return f.rt.Len() + int(f.bufN.Load()) }
+
+// Stats returns the runtime's shard/migration/batch counters.
+func (f *Front) Stats() shardq.Snapshot { return f.rt.Stats() }
+
+// NumShards returns the shard count.
+func (f *Front) NumShards() int { return f.rt.NumShards() }
+
+// NumGroups returns the consumer-group count.
+func (f *Front) NumGroups() int { return f.rt.NumGroups() }
+
+// GroupFor returns the consumer group that drains flow's shard — the only
+// group whose worker ever releases that flow's packets.
+func (f *Front) GroupFor(flow uint64) int { return f.rt.GroupFor(flow) }
+
+// GroupLen returns consumer group g's queued-but-undrained packet count
+// (the watchdog's backlog signal; excludes the single-consumer release
+// buffer, which group workers never touch). Safe from any goroutine, same
+// transient-overcount contract as Len.
+func (f *Front) GroupLen(g int) int { return f.rt.GroupLen(g) }
+
+// key applies the publication rule: both key words are read here, while
+// the packet is the producer's hot cache line, so the consumer side never
+// loads packet memory on the enqueue path.
+//
+//eiffel:hotpath
+func (f *Front) key(p *pkt.Packet, now int64) (n *shardq.Node, k1, k2 uint64) {
+	switch f.pub {
+	case pubTimer:
+		return &p.TimerNode, uint64(p.SendAt), 0
+	case pubShaped:
+		return &p.TimerNode, uint64(p.SendAt), p.Rank
+	case pubPolicyDirect:
+		return &p.SchedNode, p.Rank, p.Flow
+	case pubPolicyTree:
+		return &p.SchedNode, uint64(now), 0
+	default: // pubHier
+		return &p.SchedNode, p.Rank, uint64(int(uint32(p.Class)) % f.tenants)
+	}
+}
+
+// Enqueue implements Qdisc: the packet publishes on its flow's shard (one
+// lock-free ring push); the shard's stages see it when the element is
+// flushed ring→backend by the consumer, or by a producer whose ring
+// filled. Safe for concurrent producers. now must be non-negative.
+// Infallible — it cannot refuse, so it must not be called after Close (use
+// TryEnqueue for producers that race the lifecycle).
+//
+//eiffel:hotpath
+func (f *Front) Enqueue(p *pkt.Packet, now int64) {
+	n, k1, k2 := f.key(p, now)
+	f.rt.Enqueue(p.Flow, n, k1, k2)
+	f.admit(1)
+}
+
+// TryEnqueue admits one packet unless the front is closed (or its shard
+// is at a configured occupancy bound) and reports the outcome. Safe for
+// concurrent producers; the refusal path is how producers observe Close.
+//
+//eiffel:hotpath
+func (f *Front) TryEnqueue(p *pkt.Packet, now int64) bool {
+	n, k1, k2 := f.key(p, now)
+	if !f.rt.TryEnqueue(p.Flow, n, k1, k2) {
+		return false
+	}
+	f.admit(1)
+	return true
+}
+
+// stage stages ps on a pooled producer under the publication rule.
+//
+//eiffel:hotpath
+func (f *Front) stage(ps []*pkt.Packet, now int64) *shardq.Producer {
+	b := f.prodPool.Get().(*shardq.Producer)
+	for _, p := range ps {
+		n, k1, k2 := f.key(p, now)
+		b.Enqueue(p.Flow, n, k1, k2)
+	}
+	return b
+}
+
+// EnqueueBatch admits a whole run of packets at once: packets stage into
+// per-shard buffers and each shard's run is published as one multi-slot
+// ring claim, amortizing the CAS, the publication barrier, and the flow
+// hash dispatch over the run. Safe for concurrent producers (each call
+// borrows its own staging handle from an internal pool) and equivalent to
+// enqueueing the packets one by one — everything is published on return.
+// Infallible, like Enqueue: not for use after Close.
+//
+//eiffel:hotpath
+func (f *Front) EnqueueBatch(ps []*pkt.Packet, now int64) {
+	b := f.stage(ps, now)
+	// FlushAdmit instead of Flush for the admitted count alone: with no
+	// bound and the front open nothing is ever refused, and a post-Close
+	// misuse at least keeps the conservation identity honest.
+	f.admit(b.FlushAdmit().Admitted)
+	f.prodPool.Put(b)
+}
+
+// EnqueueBatchAdmit implements AdmitQdisc: EnqueueBatch under the
+// configured shard bound, reporting refused packets instead of spilling.
+//
+//eiffel:hotpath
+func (f *Front) EnqueueBatchAdmit(ps []*pkt.Packet, now int64, rej []*pkt.Packet) (int, []*pkt.Packet) {
+	b := f.stage(ps, now)
+	res := b.FlushAdmit()
+	// Refused nodes are the handle the rule PUBLISHED, not the one a drain
+	// returns.
+	fromNode := pkt.FromSchedNode
+	if f.pub == pubTimer || f.pub == pubShaped {
+		fromNode = pkt.FromTimerNode
+	}
+	admitted, rej := f.settle(res, len(ps), fromNode, rej)
+	f.admit(admitted)
+	f.prodPool.Put(b)
+	return admitted, rej
+}
+
+// advanceGroupClock propagates group g's worker clock into that group's
+// clocked backends so dequeue-side eligibility (shaper gates inside a
+// policy program, hClock limit and reservation clocks) sees it. A backend
+// whose answer to Min the advance invalidated — it had stalled with
+// backlog parked behind a gate, or a reservation came due — says so, and
+// the group's cached merge heads are re-peeked. The backends' clocks are
+// atomics, so this costs a load-compare (and, when the clock moved, a
+// store pair) per shard — no shard locks, even though producers whose
+// rings filled read the same fields on their fallback flush paths.
+// Group-worker-side: each group's clock advances independently, and a
+// backend only ever belongs to one group.
+//
+//eiffel:hotpath
+func (f *Front) advanceGroupClock(g int, now int64) {
+	gs := &f.groups[g]
+	if f.clocked == nil || now == gs.lastNow {
+		return
+	}
+	gs.lastNow = now
+	lo, hi := f.rt.GroupShards(g)
+	repeek := false
+	for _, b := range f.clocked[lo:hi] {
+		if b.SetNow(now) {
+			repeek = true
+		}
+	}
+	if repeek {
+		f.rt.GroupFlush(g, uint64(now))
+	}
+}
+
+// GroupDequeueBatch pops up to len(out) release-eligible packets from
+// consumer group g's shards in the group's merged scheduler order and
+// returns how many it wrote: rings flush, due packets migrate
+// shaper→scheduler at now, and the group's schedulers merge by head rank.
+// Per-flow order (release gating, policy ranking, in-tenant order) is
+// EXACT — identical to the single-consumer qdisc — because a flow's whole
+// backlog lives in one shard of one group. Group-worker-side: distinct
+// groups concurrently, one goroutine per group at a time, each passing
+// its own clock.
+//
+//eiffel:hotpath
+func (f *Front) GroupDequeueBatch(g int, now int64, out []*pkt.Packet) int {
+	f.advanceGroupClock(g, now)
+	bound := ^uint64(0)
+	if f.pub == pubTimer {
+		bound = uint64(now)
+	}
+	scratch := f.groups[g].scratch
+	k := 0
+	for k < len(out) {
+		nodes := scratch[:min(len(out)-k, drainChunk)]
+		m := f.rt.GroupDequeueBatch(g, uint64(now), bound, nodes)
+		if f.pub == pubTimer {
+			for i := 0; i < m; i++ {
+				out[k+i] = pkt.FromTimerNode(nodes[i])
+			}
+		} else {
+			for i := 0; i < m; i++ {
+				out[k+i] = pkt.FromSchedNode(nodes[i])
+			}
+		}
+		k += m
+		clear(nodes[:m]) // drop the handles: scratch must not pin released packets
+		if m < len(nodes) {
+			break
+		}
+	}
+	return k
+}
+
+// GroupNextTimer returns when consumer group g next needs service: "now"
+// whenever a release-eligible packet already sits in one of the group's
+// schedulers — INCLUDING packets this very call's settle pass just made
+// eligible (a due packet parked in the shaper, or still in a ring, must
+// not wait behind a far-future "next release" answer) — otherwise the
+// group's soonest deadline (shaper release, timer-queue head, or a gated
+// backend's next event), clamped to now when it has already passed.
+// ok=false means the group holds nothing. Group-worker-side.
+func (f *Front) GroupNextTimer(g int, now int64) (int64, bool) {
+	f.advanceGroupClock(g, now)
+	r, inSched, ok := f.rt.GroupPeek(g, uint64(now))
+	switch {
+	case ok && inSched && f.pub != pubTimer:
+		return now, true
+	case ok:
+		// A release time: a shaper head, or a timer-queue head.
+		return max(int64(r), now), true
+	case f.clocked == nil || f.rt.GroupLen(g) == 0:
+		return 0, false
+	}
+	// Backlogged but nothing servable: every backend is gated. Peek each
+	// one's next event under its shard lock — a producer fallback may be
+	// enqueueing into the same backend concurrently.
+	t, ok := int64(0), false
+	lo, hi := f.rt.GroupShards(g)
+	for i := lo; i < hi; i++ {
+		b := f.clocked[i]
+		f.rt.WithShardLocked(i, func(shardq.Scheduler) {
+			if e, eok := b.NextEvent(); eok && (!ok || e < t) {
+				t, ok = e, true
+			}
+		})
+	}
+	if !ok {
+		return 0, false
+	}
+	return max(t, now), true
+}
+
+// pop is GroupDequeueBatch over every group from the calling goroutine —
+// the single-consumer surface's drain. With the default single group this
+// is the global cross-shard merge; with more groups the cross-group
+// concatenation relaxes global order to group granularity, exactly as
+// parallel group workers would.
+//
+//eiffel:hotpath
+func (f *Front) pop(now int64, out []*pkt.Packet) int {
+	k := 0
+	for g := range f.groups {
+		k += f.GroupDequeueBatch(g, now, out[k:])
+		if k == len(out) {
+			break
+		}
+	}
+	return k
+}
+
+// Dequeue implements Qdisc: the packet the scheduler serves next among
+// those whose release time has arrived, or nil. Refills the release buffer
+// with a cross-shard batch when empty.
+//
+//eiffel:hotpath
+func (f *Front) Dequeue(now int64) *pkt.Packet {
+	if f.bufHead == f.bufLen {
+		f.bufHead = 0
+		f.bufLen = f.pop(now, f.buf)
+		f.bufN.Store(int64(f.bufLen))
+		if f.bufLen == 0 {
+			return nil
+		}
+	}
+	p := f.buf[f.bufHead]
+	f.buf[f.bufHead] = nil
+	f.bufHead++
+	f.bufN.Add(-1)
+	return p
+}
+
+// DequeueBatch pops up to len(out) release-eligible packets in merged
+// scheduler order, draining the release buffer first. It returns how many
+// packets it wrote.
+//
+//eiffel:hotpath
+func (f *Front) DequeueBatch(now int64, out []*pkt.Packet) int {
+	k := 0
+	for f.bufHead < f.bufLen && k < len(out) {
+		out[k] = f.buf[f.bufHead]
+		f.buf[f.bufHead] = nil
+		f.bufHead++
+		f.bufN.Add(-1)
+		k++
+	}
+	if k < len(out) {
+		k += f.pop(now, out[k:])
+	}
+	return k
+}
+
+// NextTimer implements Qdisc: the soonest GroupNextTimer across every
+// group (buffered packets are already due, so a non-empty release buffer
+// means "now").
+func (f *Front) NextTimer(now int64) (int64, bool) {
+	if f.bufHead < f.bufLen {
+		return now, true
+	}
+	t, ok := int64(0), false
+	for g := range f.groups {
+		if gt, gok := f.GroupNextTimer(g, now); gok && (!ok || gt < t) {
+			t, ok = gt, true
+		}
+	}
+	return t, ok
+}
+
+// ServeWith starts one supervised drain worker per consumer group: worker
+// g loops GroupDequeueBatch at clock()'s current value and disposes every
+// non-empty batch through sinks[g] (len(sinks) must equal NumGroups).
+// Sinks that implement FallibleSink get the full retry/backoff/deadline
+// treatment. The returned Server reports per-group health (panic
+// restarts, stall flags, backlog) and owns the stop protocol: Stop halts
+// the workers, waits for them to exit, and then DRAINS the remaining
+// backlog to the same sinks through the graceful lifecycle — a stopped
+// fleet leaves the front closed and exactly conserved, never with
+// abandoned packets; StopForce releases the backlog instead of
+// transmitting it. See ServeOptions for the retry, restart, and watchdog
+// knobs.
+//
+// This is a POLLING front, the BESS/DPDK deployment style: an idle worker
+// naps serveIdleNap between polls rather than arming a timer, so a
+// drained group costs one wakeup per nap instead of a spinning core, and
+// clock stays a pure value source (it is never asked how a virtual
+// duration maps to wall time). Deployments that want timer-driven wakeups
+// should drive GroupDequeueBatch themselves, arming real timers from
+// GroupNextTimer — which is exactly what that method exists for.
+func (f *Front) ServeWith(clock func() int64, sinks []EgressSink, opt ServeOptions) *Server {
+	if len(sinks) != f.NumGroups() {
+		panic("qdisc: Serve needs one sink per consumer group")
+	}
+	s := &Server{
+		f: f, clock: clock,
+		sinks: append([]EgressSink(nil), sinks...), opt: opt.withDefaults(),
+		groups: make([]serverGroup, f.NumGroups()),
+	}
+	for g := range s.groups {
+		s.wg.Add(1)
+		go s.worker(g, s.sinks[g])
+	}
+	if s.opt.StallWindow > 0 {
+		s.wg.Add(1)
+		go s.watchdog()
+	}
+	return s
+}
+
+// Close quiesces admission: running → draining, and every subsequent
+// TryEnqueue and EnqueueBatchAdmit (and runtime-level FlushAdmit) refuses
+// with shardq.PushClosed, so producers drain to a stop while the queued
+// backlog stays intact for Drain or CloseForce. The infallible
+// Enqueue/EnqueueBatch paths are not gated. Idempotent; safe from any
+// goroutine.
+func (f *Front) Close() {
+	// The runtime closes regardless of the CAS outcome: Close must quiesce
+	// admission even when a concurrent closer won the transition.
+	f.state.CompareAndSwap(int32(StateRunning), int32(StateDraining))
+	f.rt.Close()
+}
+
+// drainBuf hands the single-consumer release buffer's packets (if that
+// surface was in use) to dispose. Exclusive access required (the
+// Drain/CloseForce contract).
+func (f *Front) drainBuf(dispose func([]*pkt.Packet)) {
+	if f.bufHead < f.bufLen {
+		ps := f.buf[f.bufHead:f.bufLen]
+		f.bufN.Add(-int64(len(ps)))
+		f.bufHead = f.bufLen
+		dispose(ps)
+		clear(ps)
+	}
+}

@@ -2,8 +2,6 @@ package qdisc
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"eiffel/internal/pkt"
 	"eiffel/internal/shardq"
@@ -25,26 +23,10 @@ import (
 // Packets route to a tenant by their Class annotation (modulo the tenant
 // count), and the ring carries (rank annotation, tenant id) resolved on
 // the producer — the consumer never loads packet memory on the enqueue
-// side, the same publication trick as the policy front's direct path.
-
-// hierGroup is one consumer group's qdisc-side drain state: the group's
-// last-propagated clock and its node→packet conversion scratch. Padded so
-// concurrent group workers never false-share.
-type hierGroup struct {
-	lastNow int64
-	scratch []*shardq.Node
-	_       [64]byte
-}
+// side, the same publication trick as the policy preset's direct path.
 
 // HierSharded runs per-tenant hierarchical QoS (reservations, limits,
-// proportional shares; hClock's three-tag rule) on the sharded
-// multi-producer runtime.
-//
-// Concurrency contract matches PolicySharded: Enqueue/EnqueueBatch from
-// any number of goroutines; the single-consumer surface (Dequeue,
-// DequeueBatch, NextTimer) from one goroutine with exclusive access to
-// every consumer group, or — with Options.Groups > 1 — one goroutine per
-// group on GroupDequeueBatch, never both at once.
+// proportional shares; hClock's three-tag rule) on the sharded front.
 //
 // Per-flow dequeue order is EXACT (identical to one locked whole-tree
 // hClock over the same spec): a flow's backlog is confined to one
@@ -53,26 +35,18 @@ type hierGroup struct {
 // packets leave in the same relative order no matter which other flows
 // interleave. Cross-tenant interleaving is approximate at share-tag
 // bucket granularity.
+//
+// The front pushes each group worker's clock into that group's engines
+// before every drain (limit parking and reservation eligibility read it);
+// an engine re-peeks the merge's cached head when the advance wakes it
+// from a stall — every tenant parked over its limit — or carries it across
+// a reservation's due time: the cached rank is a share tag computed before
+// the reservation came due, and left stale, a weight-poor reservation
+// holder starves behind heavy share tenants until their tags pass its own.
+// Everything but the tenant surface below is Front's.
 type HierSharded struct {
-	rt       *shardq.Q
+	*Front
 	backends []*shardq.HierSched
-	tenants  int
-	name     string
-
-	groups []hierGroup
-
-	// Release buffer, exactly as in PolicySharded.
-	buf     []*shardq.Node
-	bufHead int
-	bufLen  int
-	bufN    atomic.Int64
-
-	scratch []*shardq.Node // DequeueBatch conversion space
-
-	prodPool sync.Pool
-
-	admitState
-	egressState
 }
 
 // HierShardedOptions configures a HierSharded qdisc.
@@ -108,16 +82,13 @@ func NewHierSharded(opt HierShardedOptions) (*HierSharded, error) {
 	if err := opt.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Batch <= 0 {
-		opt.Batch = 64
-	}
 	if opt.Tenants <= 0 {
 		opt.Tenants = len(opt.Spec.Tenants)
 	}
-	// The factory below runs inside shardq.New, before s.rt exists, so the
-	// effective shard count (the rate renormalization divisor) is computed
-	// the way the runtime's own defaults do: default 8, rounded up to a
-	// power of two.
+	// The factory below runs inside shardq.New, before the runtime exists,
+	// so the effective shard count (the rate renormalization divisor) is
+	// computed the way the runtime's own defaults do: default 8, rounded up
+	// to a power of two.
 	shards := opt.Shards
 	if shards <= 0 {
 		shards = 8
@@ -125,13 +96,8 @@ func NewHierSharded(opt HierShardedOptions) (*HierSharded, error) {
 	if shards&(shards-1) != 0 {
 		shards = 1 << bits.Len(uint(shards))
 	}
-	s := &HierSharded{
-		name:       "Eiffel+hier-shards",
-		tenants:    len(opt.Spec.Tenants),
-		buf:        make([]*shardq.Node, opt.Batch),
-		admitState: newAdmitState(opt.Admit, opt.Tenants),
-	}
-	s.rt = shardq.New(shardq.Options{
+	s := &HierSharded{}
+	rt := shardq.New(shardq.Options{
 		NumShards:  shards,
 		NumGroups:  opt.Groups,
 		RingBits:   opt.RingBits,
@@ -147,49 +113,13 @@ func NewHierSharded(opt HierShardedOptions) (*HierSharded, error) {
 			return b
 		},
 	})
-	s.groups = make([]hierGroup, s.rt.NumGroups())
-	s.prodPool.New = func() any { return s.rt.NewProducer(0) }
+	s.Front = newFront(rt.Core, "Eiffel+hier-shards", pubHier, opt.Batch, opt.Admit, opt.Tenants)
+	s.tenants = len(opt.Spec.Tenants)
+	for _, b := range s.backends {
+		s.clocked = append(s.clocked, b)
+	}
 	return s, nil
 }
-
-// tenantFor resolves a packet's tenant id from its Class annotation.
-//
-//eiffel:hotpath
-func (s *HierSharded) tenantFor(p *pkt.Packet) uint64 {
-	return uint64(int(uint32(p.Class)) % s.tenants)
-}
-
-// Name implements Qdisc.
-func (s *HierSharded) Name() string { return s.name }
-
-// Len implements Qdisc: packets published but not yet handed out,
-// including the consumer's release buffer. Same transient-overcount
-// contract as Sharded.Len.
-//
-//eiffel:hotpath
-func (s *HierSharded) Len() int { return s.rt.Len() + int(s.bufN.Load()) }
-
-// AdmitIdle reports no refusable admission in flight; the lifecycle
-// drains gate quiescence on it.
-func (s *HierSharded) AdmitIdle() bool { return s.rt.AdmitIdle() }
-
-// Stats returns the runtime's shard/batch counters.
-func (s *HierSharded) Stats() shardq.Snapshot { return s.rt.Stats() }
-
-// NumShards returns the shard count.
-func (s *HierSharded) NumShards() int { return s.rt.NumShards() }
-
-// NumGroups returns the consumer-group count.
-func (s *HierSharded) NumGroups() int { return s.rt.NumGroups() }
-
-// NumTenants returns the tenant-table size.
-func (s *HierSharded) NumTenants() int { return s.tenants }
-
-// GroupFor returns the consumer group that drains flow's shard.
-func (s *HierSharded) GroupFor(flow uint64) int { return s.rt.GroupFor(flow) }
-
-// GroupLen returns consumer group g's queued-but-undrained packet count.
-func (s *HierSharded) GroupLen(g int) int { return s.rt.GroupLen(g) }
 
 // TenantBacklog sums tenant id's queued elements across every shard
 // engine. Takes each shard's lock; a diagnostic, not a hot path.
@@ -199,278 +129,6 @@ func (s *HierSharded) TenantBacklog(id int) int {
 		s.rt.WithShardLocked(i, func(shardq.Scheduler) { total += b.TenantLen(id) })
 	}
 	return total
-}
-
-// GroupDequeueBatch pops up to len(out) packets from consumer group g's
-// shards in the group's merged hClock order and returns how many it
-// wrote. Group-worker-side; see PolicySharded.GroupDequeueBatch for the
-// surface contract.
-//
-//eiffel:hotpath
-func (s *HierSharded) GroupDequeueBatch(g int, now int64, out []*pkt.Packet) int {
-	s.advanceGroupClock(g, now)
-	gs := &s.groups[g]
-	if cap(gs.scratch) < len(out) {
-		//eiffel:allow(hotpath) scratch sized to the widest out seen, then reused
-		gs.scratch = make([]*shardq.Node, len(out))
-	}
-	nodes := gs.scratch[:len(out)]
-	k := s.rt.GroupDequeueBatch(g, ^uint64(0), nodes)
-	for i := 0; i < k; i++ {
-		out[i] = pkt.FromSchedNode(nodes[i])
-	}
-	clear(nodes[:k]) // drop the handles: scratch must not pin released packets
-	return k
-}
-
-// Enqueue implements Qdisc: the packet publishes on its flow's shard with
-// (rank annotation, tenant id) resolved here, while the packet is the
-// producer's hot cache line. Safe for concurrent producers.
-//
-//eiffel:hotpath
-func (s *HierSharded) Enqueue(p *pkt.Packet, now int64) {
-	s.rt.EnqueueAux(p.Flow, &p.SchedNode, p.Rank, s.tenantFor(p))
-	s.admit(1)
-}
-
-// TryEnqueue admits one packet unless the front is closed (or its shard
-// is at a configured occupancy bound) and reports the outcome.
-//
-//eiffel:hotpath
-func (s *HierSharded) TryEnqueue(p *pkt.Packet, now int64) bool {
-	if !s.rt.TryEnqueueAux(p.Flow, &p.SchedNode, p.Rank, s.tenantFor(p)) {
-		return false
-	}
-	s.admit(1)
-	return true
-}
-
-// EnqueueBatch admits a whole run of packets at once, staging per shard
-// and publishing each shard's run as one multi-slot ring claim.
-//
-//eiffel:hotpath
-func (s *HierSharded) EnqueueBatch(ps []*pkt.Packet, now int64) {
-	b := s.prodPool.Get().(*shardq.Producer)
-	for _, p := range ps {
-		b.EnqueueAux(p.Flow, &p.SchedNode, p.Rank, s.tenantFor(p))
-	}
-	s.admit(b.FlushAdmit().Admitted)
-	s.prodPool.Put(b)
-}
-
-// EnqueueBatchAdmit implements AdmitQdisc: EnqueueBatch under the
-// configured shard bound, reporting refused packets instead of spilling.
-//
-//eiffel:hotpath
-func (s *HierSharded) EnqueueBatchAdmit(ps []*pkt.Packet, now int64, rej []*pkt.Packet) (int, []*pkt.Packet) {
-	b := s.prodPool.Get().(*shardq.Producer)
-	for _, p := range ps {
-		b.EnqueueAux(p.Flow, &p.SchedNode, p.Rank, s.tenantFor(p))
-	}
-	res := b.FlushAdmit()
-	admitted, rej := s.settle(res, len(ps), pkt.FromSchedNode, rej)
-	s.admit(admitted)
-	s.prodPool.Put(b)
-	return admitted, rej
-}
-
-// advanceGroupClock propagates group g's worker clock into that group's
-// shard engines so limit parking and reservation eligibility see it,
-// waking engines stalled with every tenant over its cap. Atomics only —
-// no shard locks on the clock path (see ClockedScheduler).
-//
-//eiffel:hotpath
-func (s *HierSharded) advanceGroupClock(g int, now int64) {
-	gs := &s.groups[g]
-	if now == gs.lastNow {
-		return
-	}
-	prev := gs.lastNow
-	gs.lastNow = now
-	lo, hi := s.rt.GroupShards(g)
-	repeek := false
-	for _, b := range s.backends[lo:hi] {
-		// Two events invalidate a shard's cached merge rank when the
-		// clock moves: a stalled engine (reported itself empty with
-		// backlog parked over limits), and a reservation-due crossing (the
-		// cached rank is a share tag computed before the reservation came
-		// due; left stale, a weight-poor reservation holder starves
-		// behind heavy share tenants until their tags pass its own).
-		repeek = repeek || b.Stalled()
-		if d := b.ResDue(); d > 0 && prev < d && d <= now {
-			repeek = true
-		}
-		b.SetNow(now)
-	}
-	if repeek {
-		// The engines reported pre-advance heads to the merge's cache;
-		// force a re-peek now that the clock moved.
-		s.rt.GroupFlush(g)
-	}
-}
-
-// advanceClock propagates the consumer's clock into every group's
-// engines — the single-consumer surface's clock rule.
-//
-//eiffel:hotpath
-func (s *HierSharded) advanceClock(now int64) {
-	for g := range s.groups {
-		s.advanceGroupClock(g, now)
-	}
-}
-
-// Dequeue implements Qdisc: the packet hClock serves next across every
-// shard, or nil when nothing is eligible at now. Refills the release
-// buffer with a cross-shard batch when empty.
-//
-//eiffel:hotpath
-func (s *HierSharded) Dequeue(now int64) *pkt.Packet {
-	if s.bufHead == s.bufLen {
-		s.advanceClock(now)
-		s.bufHead = 0
-		s.bufLen = s.rt.DequeueBatch(^uint64(0), s.buf)
-		s.bufN.Store(int64(s.bufLen))
-		if s.bufLen == 0 {
-			return nil
-		}
-	}
-	n := s.buf[s.bufHead]
-	s.buf[s.bufHead] = nil
-	s.bufHead++
-	s.bufN.Add(-1)
-	return pkt.FromSchedNode(n)
-}
-
-// DequeueBatch pops up to len(out) packets in merged cross-shard hClock
-// order, draining the internal buffer first.
-//
-//eiffel:hotpath
-func (s *HierSharded) DequeueBatch(now int64, out []*pkt.Packet) int {
-	k := 0
-	for s.bufHead < s.bufLen && k < len(out) {
-		out[k] = pkt.FromSchedNode(s.buf[s.bufHead])
-		s.buf[s.bufHead] = nil
-		s.bufHead++
-		s.bufN.Add(-1)
-		k++
-	}
-	if k == len(out) {
-		return k
-	}
-	s.advanceClock(now)
-	if cap(s.scratch) < len(out)-k {
-		//eiffel:allow(hotpath) scratch sized to the widest out seen, then reused
-		s.scratch = make([]*shardq.Node, len(out)-k)
-	}
-	nodes := s.scratch[:len(out)-k]
-	m := s.rt.DequeueBatch(^uint64(0), nodes)
-	for i := 0; i < m; i++ {
-		out[k] = pkt.FromSchedNode(nodes[i])
-		k++
-	}
-	clear(nodes[:m]) // drop the handles: scratch must not pin released packets
-	return k
-}
-
-// NextTimer implements Qdisc: "now" while any packet is eligible, the
-// soonest per-shard limit-clock release when every backlogged engine is
-// parked, ok=false when empty.
-func (s *HierSharded) NextTimer(now int64) (int64, bool) {
-	if s.bufHead < s.bufLen {
-		return now, true
-	}
-	s.advanceClock(now)
-	if _, ok := s.rt.MinRank(); ok {
-		return now, true
-	}
-	if s.Len() == 0 {
-		return 0, false
-	}
-	// Backlogged but nothing eligible: every engine parked its tenants.
-	// Peek each engine's release clock under its shard lock — a producer
-	// fallback may be enqueueing into the same engine concurrently.
-	min, ok := int64(0), false
-	for i, b := range s.backends {
-		s.rt.WithShardLocked(i, func(shardq.Scheduler) {
-			if t, tok := b.NextEvent(); tok && (!ok || t < min) {
-				min, ok = t, true
-			}
-		})
-	}
-	if !ok {
-		return 0, false
-	}
-	if min < now {
-		min = now
-	}
-	return min, true
-}
-
-// Serve starts one supervised drain worker per consumer group; identical
-// contract to MultiSharded.Serve.
-func (s *HierSharded) Serve(clock func() int64, sinks []EgressSink, batch int) (stop func()) {
-	srv := s.ServeWith(clock, sinks, ServeOptions{Batch: batch})
-	return func() { srv.Stop() }
-}
-
-// ServeWith is Serve with the full supervision surface.
-func (s *HierSharded) ServeWith(clock func() int64, sinks []EgressSink, opt ServeOptions) *Server {
-	return startServer(s, &s.egressState, s.rt.Close, clock, sinks, opt)
-}
-
-// Close quiesces admission; see MultiSharded.Close.
-func (s *HierSharded) Close() { lifecycleClose(&s.egressState, s.rt.Close) }
-
-// Drain closes the front and runs the remaining backlog to the sinks —
-// limit clocks open for the drain (the lifecycle drives the drain at the
-// far horizon). See MultiSharded.Drain for the contract.
-func (s *HierSharded) Drain(sinks []EgressSink, opt ServeOptions) DrainReport {
-	if len(sinks) == s.NumGroups() {
-		o := opt.withDefaults()
-		s.drainBuf(func(ps []*pkt.Packet) {
-			fs, _ := sinks[0].(FallibleSink)
-			idx, panics := 0, 0
-			for idx < len(ps) {
-				if txStep(sinks[0], fs, ps, &idx, &o.Retry, &s.eg, o.OnDrop) {
-					if panics++; o.MaxRestarts >= 0 && panics > o.MaxRestarts {
-						disposeFailed(ps[idx:], &s.eg, o.OnDrop)
-						idx = len(ps)
-					}
-				}
-			}
-		})
-	}
-	return lifecycleDrain(s, &s.egressState, s.rt.Close, sinks, opt)
-}
-
-// CloseForce closes the front and releases the remaining backlog —
-// release buffer included — to the caller.
-func (s *HierSharded) CloseForce(release func(*pkt.Packet)) DrainReport {
-	s.drainBuf(func(ps []*pkt.Packet) {
-		if release != nil {
-			for _, p := range ps {
-				release(p)
-			}
-		}
-		s.released.Add(uint64(len(ps)))
-	})
-	return lifecycleCloseForce(s, &s.egressState, s.rt.Close, release)
-}
-
-// drainBuf empties the single-consumer release buffer through dispose.
-// Exclusive access required (the Drain/CloseForce contract).
-func (s *HierSharded) drainBuf(dispose func([]*pkt.Packet)) {
-	if s.bufHead >= s.bufLen {
-		return
-	}
-	ps := make([]*pkt.Packet, 0, s.bufLen-s.bufHead)
-	for i := s.bufHead; i < s.bufLen; i++ {
-		ps = append(ps, pkt.FromSchedNode(s.buf[i]))
-		s.buf[i] = nil
-	}
-	s.bufN.Add(-int64(len(ps)))
-	s.bufHead = s.bufLen
-	dispose(ps)
 }
 
 // --- Single-threaded baseline: one locked whole-tree engine ---

@@ -251,107 +251,6 @@ func TestHierShardedShareError(t *testing.T) {
 	}
 }
 
-// TestHierShardedGroupDrain: parallel group workers release everything
-// with per-flow order intact.
-func TestHierShardedGroupDrain(t *testing.T) {
-	spec := hierTestSpec()
-	q, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 8, Groups: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	sets := hierRandomSets(rng, 4, 2000, 32, len(spec.Tenants))
-	var wg sync.WaitGroup
-	for w := range sets {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, p := range sets[w] {
-				q.Enqueue(p, 0)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	var mu sync.Mutex
-	orders := make(map[uint64][]uint64)
-	var dw sync.WaitGroup
-	for g := 0; g < q.NumGroups(); g++ {
-		dw.Add(1)
-		go func(g int) {
-			defer dw.Done()
-			out := make([]*pkt.Packet, 128)
-			local := make(map[uint64][]uint64)
-			for q.GroupLen(g) > 0 {
-				k := q.GroupDequeueBatch(g, int64(2e9), out)
-				for _, p := range out[:k] {
-					local[p.Flow] = append(local[p.Flow], p.ID)
-				}
-			}
-			mu.Lock()
-			for f, ids := range local {
-				orders[f] = append(orders[f], ids...)
-			}
-			mu.Unlock()
-		}(g)
-	}
-	dw.Wait()
-
-	released := 0
-	for f, ids := range orders {
-		for i, id := range ids {
-			if id != uint64(i) && int(f%4) != 3 {
-				// fifo tenants: IDs must come out sequentially. (The rank
-				// tenant's order is rank-major, checked by the locked
-				// equivalence test above.)
-				t.Fatalf("flow %d: ID %d at position %d", f, id, i)
-			}
-		}
-		released += len(ids)
-	}
-	if released != 4*2000 {
-		t.Fatalf("group workers released %d of %d", released, 4*2000)
-	}
-}
-
-// TestHierShardedAdmitAndLifecycle: the bounded-admission path conserves
-// (admitted + rejected == offered), and Drain runs every admitted packet
-// to the sinks with exact conservation.
-func TestHierShardedAdmitAndLifecycle(t *testing.T) {
-	spec := hierTestSpec()
-	q, err := NewHierSharded(HierShardedOptions{
-		Spec: spec, Shards: 4, ShardBound: 64, Admit: AdmitDropTail,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const offered = 2048
-	pool := pkt.NewPool(offered)
-	ps := make([]*pkt.Packet, offered)
-	for i := range ps {
-		p := pool.Get()
-		p.Flow = uint64(i % 16)
-		p.Size = 1500
-		p.Class = int32(i % 4)
-		ps[i] = p
-	}
-	admitted, rej := q.EnqueueBatchAdmit(ps, 0, nil)
-	if admitted+len(rej) != offered {
-		t.Fatalf("admitted %d + rejected %d != offered %d", admitted, len(rej), offered)
-	}
-	if len(rej) == 0 {
-		t.Fatal("shard bound 64 never refused: the bounded path is untested")
-	}
-	sink := &CountingSink{}
-	rep := q.Drain([]EgressSink{sink}, ServeOptions{})
-	if !rep.Conserved() {
-		t.Fatalf("drain not conserved: %+v", rep)
-	}
-	if int(sink.Count()) != admitted {
-		t.Fatalf("sink saw %d packets, admitted %d", sink.Count(), admitted)
-	}
-}
-
 // TestHierShardedNextTimer: with every tenant parked over its limit, the
 // front reports the earliest release instead of claiming readiness, and
 // serving resumes at that time.

@@ -10,8 +10,8 @@ import (
 	"eiffel/internal/stats"
 )
 
-// This file is the graceful-lifecycle layer of the parallel-egress
-// fronts: the state machine running → draining → closed, and the exact
+// This file is the graceful-lifecycle layer of the front: the state
+// machine running → draining → closed, and the exact
 // conservation accounting that makes "closed" checkable. Closing a front
 // quiesces producers (the runtime's refusable admission paths refuse
 // with shardq.PushClosed), then the backlog — rings, bucketed queues,
@@ -58,10 +58,9 @@ func (s LifecycleState) String() string {
 // headroom below MaxInt64 against downstream arithmetic.
 const drainHorizon = int64(1) << 62
 
-// egressState is the lifecycle and conservation block the parallel-
-// egress fronts embed: the close state machine plus the three counters
-// the egress side of the conservation identity needs (the fourth, tx'd
-// and dropped, live in the stats.Egress block).
+// egressState is the lifecycle and conservation block the front embeds:
+// the close state machine plus the counters the conservation identity
+// needs (tx'd and dropped live in the stats.Egress block).
 type egressState struct {
 	state    atomic.Int32
 	admitted stats.Counter
@@ -150,21 +149,6 @@ func (r DrainReport) String() string {
 		r.Admitted, r.Txd, r.Dropped, r.Released, r.Drained, r.Elapsed, r.Conserved())
 }
 
-// groupDrainer is the drain surface the lifecycle and serve machinery
-// runs over — satisfied by MultiSharded, MultiShaped, and PolicySharded.
-type groupDrainer interface {
-	NumGroups() int
-	Len() int
-	GroupLen(g int) int
-	GroupDequeueBatch(g int, now int64, out []*pkt.Packet) int
-	// AdmitIdle reports no refusable admission in flight between its
-	// closed check and its publication. The drains must check it BEFORE
-	// Len: once it holds post-close no straggler can still publish, so a
-	// subsequent empty Len is final — the other order lets a straggler
-	// publish between the two loads and strand a packet.
-	AdmitIdle() bool
-}
-
 // txStep offers ps[*idx:] to the sink once, recovering from a sink
 // panic: on the fallible path it runs the full retry loop (which
 // advances *idx incrementally, so the un-disposed remainder survives the
@@ -206,15 +190,12 @@ func disposeFailed(ps []*pkt.Packet, eg *stats.Egress, onDrop func(*pkt.Packet, 
 // backlog is disposed as failed drops so the drain terminates and
 // conservation holds. Returns how many packets it disposed. Exclusive
 // access to group g required.
-func drainGroup(d groupDrainer, g int, sink EgressSink, opt *ServeOptions,
-	eg *stats.Egress, out []*pkt.Packet) (disposed int) {
-	fs, _ := sink.(FallibleSink)
+func (f *Front) drainGroup(g int, sink EgressSink, opt *ServeOptions, out []*pkt.Packet) (disposed int) {
 	panics := 0
-	failed := false
 	for {
-		k := d.GroupDequeueBatch(g, drainHorizon, out)
+		k := f.GroupDequeueBatch(g, drainHorizon, out)
 		if k == 0 {
-			if d.GroupLen(g) == 0 {
+			if f.GroupLen(g) == 0 {
 				return disposed
 			}
 			// Published-but-not-yet-poppable is a transient (an admitter
@@ -222,100 +203,113 @@ func drainGroup(d groupDrainer, g int, sink EgressSink, opt *ServeOptions,
 			runtime.Gosched()
 			continue
 		}
-		idx := 0
-		for idx < k {
-			if failed {
-				disposeFailed(out[idx:k], eg, opt.OnDrop)
-				idx = k
-				break
-			}
-			if txStep(sink, fs, out[:k], &idx, &opt.Retry, eg, opt.OnDrop) {
-				panics++
-				if opt.MaxRestarts >= 0 && panics > opt.MaxRestarts {
-					failed = true
-				}
-			}
-		}
+		f.dispose(sink, out[:k], opt, &panics)
 		disposed += k
 		clear(out[:k])
 	}
 }
 
-// lifecycleClose moves running → draining and quiesces the runtime's
-// refusable admission paths. Idempotent.
-func lifecycleClose(es *egressState, rtClose func()) {
-	// The runtime closes regardless of the CAS outcome: Close must quiesce
-	// admission even when a concurrent closer won the transition.
-	es.state.CompareAndSwap(int32(StateRunning), int32(StateDraining))
-	rtClose()
+// dispose runs ps to sink to the end: every packet is tx'd, dropped under
+// the retry policy, or — once *panics exceeds the restart budget —
+// disposed as a failed drop.
+func (f *Front) dispose(sink EgressSink, ps []*pkt.Packet, opt *ServeOptions, panics *int) {
+	fs, _ := sink.(FallibleSink)
+	for idx := 0; idx < len(ps); {
+		if opt.MaxRestarts >= 0 && *panics > opt.MaxRestarts {
+			disposeFailed(ps[idx:], &f.eg, opt.OnDrop)
+			return
+		}
+		if txStep(sink, fs, ps, &idx, &opt.Retry, &f.eg, opt.OnDrop) {
+			*panics++
+		}
+	}
 }
 
-// lifecycleDrain is the shared body of the fronts' Drain: close, run
-// every group's backlog to the sinks, loop to exact quiescence (a racing
-// admitter's final claim is absorbed by re-passing), then mark closed
-// and report the conservation terms.
-func lifecycleDrain(d groupDrainer, es *egressState, rtClose func(),
-	sinks []EgressSink, opt ServeOptions) DrainReport {
-	if len(sinks) != d.NumGroups() {
+// quiesce closes the front and repeats pass (one sweep over every group's
+// backlog, returning how many packets it disposed) to exact quiescence —
+// a racing admitter's final claim is absorbed by re-passing — then marks
+// the front closed and reports the conservation terms. AdmitIdle is
+// checked BEFORE Len: once it holds post-close no straggler can still
+// publish, so a subsequent empty Len is final — the other order lets a
+// straggler publish between the two loads and strand a packet.
+func (f *Front) quiesce(pass func() int) DrainReport {
+	f.Close()
+	start := time.Now()
+	disposed := 0
+	for {
+		n := pass()
+		disposed += n
+		if n == 0 {
+			if f.rt.AdmitIdle() && f.Len() == 0 && !f.admitLagging() {
+				break
+			}
+			runtime.Gosched()
+		}
+	}
+	f.state.Store(int32(StateClosed))
+	return f.report(start, disposed)
+}
+
+// Drain closes the front and runs the entire remaining backlog to the
+// sinks (one per group, same contract as ServeWith), retrying fallible
+// sinks under opt.Retry and degrading by counted drops, then marks the
+// front closed and reports the conservation terms at quiescence. Every
+// gate opens for the drain — shaper release times, gates inside a policy
+// program, hClock limit clocks: a closing front prefers delivery over
+// pacing. Packets sitting in the single-consumer release buffer (if that
+// surface was in use) are disposed first, through sinks[0]. Requires
+// exclusive access to every group — stop Serve workers first (Server.Stop
+// does exactly this, in order).
+func (f *Front) Drain(sinks []EgressSink, opt ServeOptions) DrainReport {
+	if len(sinks) != f.NumGroups() {
 		panic("qdisc: Drain needs one sink per consumer group")
 	}
 	opt = opt.withDefaults()
-	lifecycleClose(es, rtClose)
-	start := time.Now()
 	out := make([]*pkt.Packet, opt.Batch)
-	disposed := 0
-	for {
-		pass := 0
-		for g := 0; g < d.NumGroups(); g++ {
-			pass += drainGroup(d, g, sinks[g], &opt, &es.eg, out)
+	return f.quiesce(func() (n int) {
+		f.drainBuf(func(ps []*pkt.Packet) {
+			panics := 0
+			f.dispose(sinks[0], ps, &opt, &panics)
+			n += len(ps)
+		})
+		for g := range sinks {
+			n += f.drainGroup(g, sinks[g], &opt, out)
 		}
-		disposed += pass
-		if pass == 0 && d.AdmitIdle() && d.Len() == 0 && !es.admitLagging() {
-			break
-		}
-		if pass == 0 {
-			runtime.Gosched()
-		}
-	}
-	es.state.Store(int32(StateClosed))
-	return es.report(start, disposed)
+		return n
+	})
 }
 
-// lifecycleCloseForce is the shared body of the fronts' CloseForce:
-// close, pop everything, and hand each packet to release (e.g. back to
-// its pool) instead of a sink, counting it Released.
-func lifecycleCloseForce(d groupDrainer, es *egressState, rtClose func(),
-	release func(*pkt.Packet)) DrainReport {
-	lifecycleClose(es, rtClose)
-	start := time.Now()
+// CloseForce closes the front and releases the remaining backlog —
+// release buffer included — to the caller instead of the sinks: release
+// (when non-nil) sees every queued packet, e.g. pool.Put. It runs on the
+// calling goroutine only, so a non-concurrent pkt.Pool is safe. Same
+// exclusivity contract as Drain.
+func (f *Front) CloseForce(release func(*pkt.Packet)) DrainReport {
 	out := make([]*pkt.Packet, 256)
-	disposed := 0
-	for {
-		pass := 0
-		for g := 0; g < d.NumGroups(); g++ {
+	free := func(ps []*pkt.Packet) {
+		if release != nil {
+			for _, p := range ps {
+				release(p)
+			}
+		}
+		f.released.Add(uint64(len(ps)))
+	}
+	return f.quiesce(func() (n int) {
+		f.drainBuf(func(ps []*pkt.Packet) {
+			free(ps)
+			n += len(ps)
+		})
+		for g := range f.groups {
 			for {
-				k := d.GroupDequeueBatch(g, drainHorizon, out)
+				k := f.GroupDequeueBatch(g, drainHorizon, out)
 				if k == 0 {
 					break
 				}
-				if release != nil {
-					for i := 0; i < k; i++ {
-						release(out[i])
-					}
-				}
-				es.released.Add(uint64(k))
+				free(out[:k])
 				clear(out[:k])
-				pass += k
+				n += k
 			}
 		}
-		disposed += pass
-		if pass == 0 && d.AdmitIdle() && d.Len() == 0 && !es.admitLagging() {
-			break
-		}
-		if pass == 0 {
-			runtime.Gosched()
-		}
-	}
-	es.state.Store(int32(StateClosed))
-	return es.report(start, disposed)
+		return n
+	})
 }

@@ -123,14 +123,14 @@ const contentionProducerBatch = 256
 // staging, multi-slot ring claims, bulk flushes — the configuration the
 // runtime is built for and the number README tracks.
 func BenchmarkShardedContention(b *testing.B) {
-	benchContention(b, func() Qdisc { return NewSharded(shardedContentionOpts) },
+	benchContention(b, func() Qdisc { return NewMultiSharded(MultiShardedOptions{ShardedOptions: shardedContentionOpts}) },
 		ContentionOptions{ProducerBatch: contentionProducerBatch})
 }
 
 // BenchmarkShardedContentionPerElement is the PR-2 admission path — one
 // Enqueue (one ring CAS) per packet — kept as the batching ablation.
 func BenchmarkShardedContentionPerElement(b *testing.B) {
-	benchContention(b, func() Qdisc { return NewSharded(shardedContentionOpts) }, ContentionOptions{})
+	benchContention(b, func() Qdisc { return NewMultiSharded(MultiShardedOptions{ShardedOptions: shardedContentionOpts}) }, ContentionOptions{})
 }
 
 func BenchmarkShardedContentionExact(b *testing.B) {
@@ -138,12 +138,12 @@ func BenchmarkShardedContentionExact(b *testing.B) {
 	// packet cycles through its shard's cFFS.
 	opts := shardedContentionOpts
 	opts.DirectDue = false
-	benchContention(b, func() Qdisc { return NewSharded(opts) },
+	benchContention(b, func() Qdisc { return NewMultiSharded(MultiShardedOptions{ShardedOptions: opts}) },
 		ContentionOptions{ProducerBatch: contentionProducerBatch})
 }
 
 func BenchmarkShardedContentionExactPerElement(b *testing.B) {
 	opts := shardedContentionOpts
 	opts.DirectDue = false
-	benchContention(b, func() Qdisc { return NewSharded(opts) }, ContentionOptions{})
+	benchContention(b, func() Qdisc { return NewMultiSharded(MultiShardedOptions{ShardedOptions: opts}) }, ContentionOptions{})
 }

@@ -12,8 +12,8 @@ import (
 	"eiffel/internal/pkt"
 )
 
-// TestMultiShardedGroupFidelity is the group-fidelity property test at
-// the qdisc level: concurrent batched producers, then one worker per
+// TestMultiShardedGroupFidelity drives the egress experiment's fidelity
+// harness (ReplayEgressFidelity) at the qdisc level, up to G=4: concurrent batched producers, then one worker per
 // group draining concurrently. Every flow must be released by exactly its
 // owning group and in exactly its publish order — the acceptance
 // invariant of the egress experiment, asserted here deterministically.
@@ -42,166 +42,6 @@ func TestMultiShardedGroupFidelity(t *testing.T) {
 	}
 }
 
-// TestMultiShardedMatchesShardedPerFlow publishes one packet stream into
-// the single-consumer Sharded qdisc and then into a four-group
-// MultiSharded, drains the latter with four concurrent workers, and
-// requires every flow's release order to be identical — parallel egress
-// relaxes only the cross-flow interleaving between groups.
-func TestMultiShardedMatchesSharedPerFlow(t *testing.T) {
-	packets := EgressPackets(1, 8000, 250)
-
-	single := NewSharded(ShardedOptions{Shards: 8, Buckets: 2048, HorizonNs: horizon, RingBits: 10})
-	for _, p := range packets[0] {
-		single.Enqueue(p, 0)
-	}
-	want := map[uint64][]uint64{}
-	for {
-		p := single.Dequeue(horizon)
-		if p == nil {
-			break
-		}
-		want[p.Flow] = append(want[p.Flow], p.ID)
-	}
-
-	m := NewMultiSharded(MultiShardedOptions{
-		ShardedOptions: ShardedOptions{Shards: 8, Buckets: 2048, HorizonNs: horizon, RingBits: 10},
-		Groups:         4,
-	})
-	for _, p := range packets[0] {
-		m.Enqueue(p, 0)
-	}
-	got := map[uint64][]uint64{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < m.NumGroups(); g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			out := make([]*pkt.Packet, 128)
-			local := map[uint64][]uint64{}
-			for {
-				k := m.GroupDequeueBatch(g, horizon, out)
-				if k == 0 {
-					break
-				}
-				for _, p := range out[:k] {
-					local[p.Flow] = append(local[p.Flow], p.ID)
-				}
-			}
-			mu.Lock()
-			for f, ids := range local {
-				got[f] = append(got[f], ids...)
-			}
-			mu.Unlock()
-		}(g)
-	}
-	wg.Wait()
-
-	if len(got) != len(want) {
-		t.Fatalf("flow sets differ: %d vs %d", len(got), len(want))
-	}
-	for f, ids := range want {
-		g := got[f]
-		if len(g) != len(ids) {
-			t.Fatalf("flow %d: %d packets under groups, %d under single consumer", f, len(g), len(ids))
-		}
-		for i := range ids {
-			if g[i] != ids[i] {
-				t.Fatalf("flow %d position %d: packet %d under groups, %d under single consumer",
-					f, i, g[i], ids[i])
-			}
-		}
-	}
-}
-
-// TestPolicyShardedGroupsMatchSingleConsumer is the policy half of the
-// group partition invariant: for pFabric, LQF, and flow-FIFO programs,
-// per-flow dequeue order under four concurrent group workers must be
-// IDENTICAL to the single-consumer qdisc — shard-confined policy
-// execution composes with consumer groups because a flow's whole policy
-// state lives in one shard of one group.
-func TestPolicyShardedGroupsMatchSingleConsumer(t *testing.T) {
-	const policyFIFO = `
-root ranker=strict
-leaf ff parent=root kind=flow policy=fifo buckets=4096 gran=64
-`
-	specs := map[string]string{
-		"pfabric": PolicySpecPFabric,
-		"lqf":     PolicySpecLQF,
-		"fifo":    policyFIFO,
-	}
-	for name, spec := range specs {
-		packets := PolicyPackets(4, 3000, 64)
-		mk := func(groups int) *PolicySharded {
-			q, err := NewPolicySharded(PolicyShardedOptions{Policy: spec, Shards: 8, Groups: groups})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return q
-		}
-
-		drain := func(q *PolicySharded, groups int) map[uint64][]uint64 {
-			for _, set := range packets {
-				for _, p := range set {
-					q.Enqueue(p, 0)
-				}
-			}
-			seq := map[uint64][]uint64{}
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for g := 0; g < groups; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					out := make([]*pkt.Packet, 64)
-					local := map[uint64][]uint64{}
-					for {
-						k := q.GroupDequeueBatch(g, 0, out)
-						if k == 0 {
-							break
-						}
-						for _, p := range out[:k] {
-							if q.GroupFor(p.Flow) != g {
-								panic("packet released by a group that does not own its flow")
-							}
-							local[p.Flow] = append(local[p.Flow], p.ID)
-						}
-					}
-					mu.Lock()
-					for f, ids := range local {
-						if len(seq[f]) > 0 {
-							mu.Unlock()
-							panic("flow drained by two groups")
-						}
-						seq[f] = ids
-					}
-					mu.Unlock()
-				}(g)
-			}
-			wg.Wait()
-			return seq
-		}
-
-		want := drain(mk(1), 1)
-		got := drain(mk(4), 4)
-		if len(got) != len(want) {
-			t.Fatalf("%s: flow sets differ: %d vs %d", name, len(got), len(want))
-		}
-		for f, ids := range want {
-			g := got[f]
-			if len(g) != len(ids) {
-				t.Fatalf("%s flow %d: %d packets under groups, %d under single consumer", name, f, len(g), len(ids))
-			}
-			for i := range ids {
-				if g[i] != ids[i] {
-					t.Fatalf("%s flow %d position %d: packet %d under groups, %d under single consumer",
-						name, f, i, g[i], ids[i])
-				}
-			}
-		}
-	}
-}
-
 // waitUntil polls cond until it holds, yielding between polls and
 // bounding the wait by wall clock — never by iteration count, which a
 // single-CPU machine can exhaust inside one scheduler quantum. On
@@ -220,7 +60,7 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, diag func(
 }
 
 // serveDiag renders the drain-side state waitUntil dumps on timeout.
-func serveDiag(m *MultiSharded, sinks []*CountingSink) func() string {
+func serveDiag(m *Front, sinks []*CountingSink) func() string {
 	return func() string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "front: len=%d admitted=%d egress=[%s]",
@@ -232,8 +72,8 @@ func serveDiag(m *MultiSharded, sinks []*CountingSink) func() string {
 	}
 }
 
-// TestMultiShardedServe exercises the worker-spawning front: Serve drains
-// every group into its sink until stopped.
+// TestMultiShardedServe exercises the worker-spawning front: ServeWith
+// drains every group into its sink until stopped.
 func TestMultiShardedServe(t *testing.T) {
 	m := NewMultiSharded(MultiShardedOptions{
 		ShardedOptions: ShardedOptions{Shards: 8, Buckets: 2048, HorizonNs: horizon, RingBits: 10},
@@ -241,12 +81,12 @@ func TestMultiShardedServe(t *testing.T) {
 	})
 	packets := EgressPackets(1, 6000, 100)
 	sinks := []*CountingSink{{}, {}}
-	stop := m.Serve(func() int64 { return horizon }, []EgressSink{sinks[0], sinks[1]}, 64)
+	srv := m.ServeWith(func() int64 { return horizon }, []EgressSink{sinks[0], sinks[1]}, ServeOptions{})
 	m.EnqueueBatch(packets[0], 0)
 	waitUntil(t, 20*time.Second, func() bool {
 		return sinks[0].Count()+sinks[1].Count() >= int64(len(packets[0]))
 	}, serveDiag(m, sinks))
-	stop()
+	srv.Stop()
 	if m.Len() != 0 {
 		t.Fatalf("Len = %d after serving everything", m.Len())
 	}
@@ -326,10 +166,10 @@ func TestMultiShardedServeStopMidTraffic(t *testing.T) {
 // answer "now" once the release buffer empties — not the far-future
 // answer a stale head cache would give.
 func TestShardedDirectDueNextTimerAfterDirectWindow(t *testing.T) {
-	q := NewSharded(ShardedOptions{
+	q := NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
 		Shards: 1, Buckets: 1024, HorizonNs: 1 << 20,
 		RingBits: 3, Batch: 4, DirectDue: true,
-	})
+	}})
 	pool := pkt.NewPool(32)
 	now := int64(1 << 16)
 	enq := func(sendAt int64) {
@@ -378,7 +218,7 @@ func TestShardedDirectDueNextTimerAfterDirectWindow(t *testing.T) {
 // remain undelivered — including right after a batch filled the release
 // buffer and was handed out.
 func TestShapedShardedNextTimerAfterDueDelivery(t *testing.T) {
-	q := NewShapedSharded(ShapedShardedOptions{
+	q := mkShapedFront(ShapedShardedOptions{
 		Shards: 2, ShaperBuckets: 1000, HorizonNs: 2000,
 		SchedBuckets: 512, RankSpan: 1024, Batch: 4,
 	})
@@ -471,13 +311,11 @@ func TestMultiShapedGroupNextTimer(t *testing.T) {
 // to scheduler-bucket granularity.
 func TestMultiShapedGroupFidelity(t *testing.T) {
 	const rankSpan = uint64(1) << 20
-	m := NewMultiShaped(MultiShapedOptions{
-		ShapedShardedOptions: ShapedShardedOptions{
-			Shards: 8, ShaperBuckets: 2048, HorizonNs: horizon,
-			SchedBuckets: 256, RankSpan: rankSpan, RingBits: 10,
-		},
-		Groups: 4,
-	})
+	opt := ShapedShardedOptions{
+		Shards: 8, ShaperBuckets: 2048, HorizonNs: horizon,
+		SchedBuckets: 256, RankSpan: rankSpan, RingBits: 10,
+	}
+	m := NewMultiShaped(MultiShapedOptions{ShapedShardedOptions: opt, Groups: 4})
 	packets := ShapedPackets(4, 3000, rankSpan)
 	var wg sync.WaitGroup
 	for w := range packets {
@@ -489,7 +327,7 @@ func TestMultiShapedGroupFidelity(t *testing.T) {
 	}
 	wg.Wait()
 
-	gran := m.RankGranularity()
+	gran := opt.schedGran()
 	G := m.NumGroups()
 	released := make([]int, G)
 	var cwg sync.WaitGroup

@@ -2,7 +2,6 @@ package qdisc
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"eiffel/internal/pifo"
@@ -65,7 +64,7 @@ type treeSched struct {
 	head   *pifo.Class   // merge-rank class (sole leaf, or the root)
 
 	// now is the consumer-set clock for dequeue-side transactions.
-	// Atomic because the consumer advances it (advanceClock) while a
+	// Atomic because the consumer advances it (SetNow) while a
 	// producer whose ring filled may be reading it under the shard lock
 	// on the fallback flush path — and atomics keep the clock
 	// propagation off the shard mutexes entirely (no per-drain lock
@@ -252,21 +251,27 @@ func (b *treeSched) Len() int {
 	return b.tree.Len()
 }
 
-// setNow advances the backend's dequeue-side clock, waking a stalled
-// tree. Safe from the consumer without the shard lock (atomics).
+// SetNow implements shardq.ClockedScheduler: advance the backend's
+// dequeue-side clock, waking a stalled tree (and reporting that it did, so
+// the owner re-peeks the merge head that had read empty). Safe from the
+// consumer without the shard lock (atomics).
 //
 //eiffel:hotpath
-func (b *treeSched) setNow(now int64) {
-	if now != b.now.Load() {
-		b.now.Store(now)
-		b.stalled.Store(false)
+func (b *treeSched) SetNow(now int64) bool {
+	if now == b.now.Load() {
+		return false
 	}
+	woke := b.stalled.Load()
+	b.now.Store(now)
+	b.stalled.Store(false)
+	return woke
 }
 
-// nextEvent returns the tree's earliest pending shaper release.
+// NextEvent implements shardq.ClockedScheduler: the tree's earliest
+// pending shaper release.
 //
 //eiffel:locked(shard)
-func (b *treeSched) nextEvent() (int64, bool) { return b.tree.NextEvent() }
+func (b *treeSched) NextEvent() (int64, bool) { return b.tree.NextEvent() }
 
 // compiledProgram is one compiled instance of a policy program plus the
 // leaf-routing and merge-head resolution PolicySharded needs per shard.
@@ -326,69 +331,27 @@ func compileProgram(spec, leafName string) (*compiledProgram, error) {
 	return cp, nil
 }
 
-// policyGroup is one consumer group's qdisc-side drain state: the group's
-// last-propagated clock and its node→packet conversion scratch. Padded so
-// concurrent group workers never false-share.
-type policyGroup struct {
-	lastNow int64
-	scratch []*shardq.Node
-	_       [64]byte
-}
-
 // PolicySharded runs an extended-PIFO policy program on the sharded
-// multi-producer runtime: flows hash to one of N shards, each owning a
-// private compiled pifo.Tree behind a lock-free MPSC ring, so pFabric,
-// LQF, and hierarchical WFQ programs scale past the global qdisc lock
-// while keeping per-flow dequeue order exactly as the locked tree would
-// produce it (flows never span shards). Cross-shard order is merged by
-// each tree's head rank and is approximate at that granularity; the
-// policysched experiment measures the residual fairness error.
-//
-// Concurrency contract matches Sharded: Enqueue/EnqueueBatch from any
-// number of goroutines. The single-consumer surface (Dequeue,
-// DequeueBatch, NextTimer) must be driven by one goroutine with exclusive
-// access to every consumer group; with Options.Groups > 1 the
-// group-worker surface (GroupDequeueBatch) may instead be driven by one
-// goroutine per group, distinct groups concurrently — do not mix the two
-// surfaces while group workers run.
+// front: flows hash to one of N shards, each owning a private compiled
+// pifo.Tree behind a lock-free MPSC ring, so pFabric, LQF, and
+// hierarchical WFQ programs scale past the global qdisc lock while keeping
+// per-flow dequeue order exactly as the locked tree would produce it
+// (flows never span shards). Cross-shard order is merged by each tree's
+// head rank and is approximate at that granularity; the policysched
+// experiment measures the residual fairness error. When the program is a
+// single packet-free flow leaf the ring carries (rank annotation, flow id)
+// and the consumer side never loads the packet; otherwise it carries the
+// enqueue timestamp for the tree's transactions.
 //
 // Rate limits inside the program apply PER SHARD (each shard runs its own
 // copy of the tree, shaper included), so a limited class's aggregate rate
 // is its configured rate times the number of shards its flows land on.
 // Work-conserving programs — the policies above — are unaffected.
+//
+// Everything but the flow-table surface below is Front's.
 type PolicySharded struct {
-	rt       *shardq.Q
+	*Front
 	backends []*treeSched
-	name     string
-
-	// groups holds per-consumer-group drain state; the single-consumer
-	// surface serves every group from the calling goroutine, the
-	// group-worker surface (GroupDequeueBatch) one group per goroutine.
-	groups []policyGroup
-
-	// direct mirrors the backends' fast-path selection and switches the
-	// publication format: (rank annotation, flow id) over the ring's
-	// (rank, aux) pair instead of the enqueue timestamp, so the consumer
-	// side runs packet-free.
-	direct bool
-
-	// Release buffer, exactly as in Sharded: Dequeue hands out packets
-	// popped in cross-shard batches.
-	buf     []*shardq.Node
-	bufHead int
-	bufLen  int
-	bufN    atomic.Int64
-
-	scratch []*shardq.Node // DequeueBatch conversion space
-
-	// prodPool recycles runtime staging handles for EnqueueBatch, as in
-	// Sharded.
-	prodPool sync.Pool
-
-	admitState
-
-	// Lifecycle and conservation accounting; see lifecycle.go.
-	egressState
 }
 
 // PolicyShardedOptions configures a PolicySharded qdisc.
@@ -434,22 +397,14 @@ type PolicyShardedOptions struct {
 // sharded policy qdisc, or an error when the program does not compile or
 // the leaf selection is ambiguous.
 func NewPolicySharded(opt PolicyShardedOptions) (*PolicySharded, error) {
-	if opt.Batch <= 0 {
-		opt.Batch = 64
-	}
 	// Validate the program (and the leaf resolution) once up front, so the
 	// per-shard factory below cannot fail.
 	probe, err := compileProgram(opt.Policy, opt.Leaf)
 	if err != nil {
 		return nil, err
 	}
-	s := &PolicySharded{
-		name:       "Eiffel+policy-shards",
-		direct:     probe.direct,
-		buf:        make([]*shardq.Node, opt.Batch),
-		admitState: newAdmitState(opt.Admit, opt.Tenants),
-	}
-	s.rt = shardq.New(shardq.Options{
+	s := &PolicySharded{}
+	rt := shardq.New(shardq.Options{
 		NumShards:  opt.Shards,
 		NumGroups:  opt.Groups,
 		RingBits:   opt.RingBits,
@@ -467,149 +422,15 @@ func NewPolicySharded(opt PolicyShardedOptions) (*PolicySharded, error) {
 			return b
 		},
 	})
-	s.groups = make([]policyGroup, s.rt.NumGroups())
-	s.prodPool.New = func() any { return s.rt.NewProducer(0) }
+	pub := pubPolicyTree
+	if probe.direct {
+		pub = pubPolicyDirect
+	}
+	s.Front = newFront(rt.Core, "Eiffel+policy-shards", pub, opt.Batch, opt.Admit, opt.Tenants)
+	for _, b := range s.backends {
+		s.clocked = append(s.clocked, b)
+	}
 	return s, nil
-}
-
-// Name implements Qdisc.
-func (s *PolicySharded) Name() string { return s.name }
-
-// Len implements Qdisc: packets published but not yet handed out,
-// including the consumer's release buffer. Same transient-overcount
-// contract as Sharded.Len.
-//
-//eiffel:hotpath
-func (s *PolicySharded) Len() int { return s.rt.Len() + int(s.bufN.Load()) }
-
-// AdmitIdle reports no refusable admission in flight (see
-// shardq.Q.AdmitIdle); the lifecycle drains gate quiescence on it.
-func (s *PolicySharded) AdmitIdle() bool { return s.rt.AdmitIdle() }
-
-// Stats returns the runtime's shard/batch counters.
-func (s *PolicySharded) Stats() shardq.Snapshot { return s.rt.Stats() }
-
-// NumShards returns the shard count.
-func (s *PolicySharded) NumShards() int { return s.rt.NumShards() }
-
-// NumGroups returns the consumer-group count.
-func (s *PolicySharded) NumGroups() int { return s.rt.NumGroups() }
-
-// GroupFor returns the consumer group that drains flow's shard — the only
-// group whose worker ever releases that flow's packets.
-func (s *PolicySharded) GroupFor(flow uint64) int { return s.rt.GroupFor(flow) }
-
-// GroupLen returns consumer group g's queued-but-undrained packet count
-// (excluding the single-consumer release buffer, which group workers
-// never touch). Safe from any goroutine, same transient-overcount
-// contract as Len.
-func (s *PolicySharded) GroupLen(g int) int { return s.rt.GroupLen(g) }
-
-// GroupDequeueBatch pops up to len(out) packets from consumer group g's
-// shards in the group's merged policy order and returns how many it
-// wrote. Group-worker-side: distinct groups may be driven concurrently,
-// each worker passing its own clock; per-flow policy order (pFabric
-// remaining-size, LQF re-ranking, flow FIFO) is EXACT — identical to the
-// single-consumer qdisc — because a flow's whole backlog lives in one
-// shard of one group. Do not mix with the single-consumer surface
-// (Dequeue/DequeueBatch/NextTimer) while group workers run: that surface
-// assumes exclusive access to every group.
-//
-//eiffel:hotpath
-func (s *PolicySharded) GroupDequeueBatch(g int, now int64, out []*pkt.Packet) int {
-	s.advanceGroupClock(g, now)
-	gs := &s.groups[g]
-	if cap(gs.scratch) < len(out) {
-		//eiffel:allow(hotpath) scratch sized to the widest out seen, then reused
-		gs.scratch = make([]*shardq.Node, len(out))
-	}
-	nodes := gs.scratch[:len(out)]
-	k := s.rt.GroupDequeueBatch(g, ^uint64(0), nodes)
-	for i := 0; i < k; i++ {
-		out[i] = pkt.FromSchedNode(nodes[i])
-	}
-	clear(nodes[:k]) // drop the handles: scratch must not pin released packets
-	return k
-}
-
-// Enqueue implements Qdisc: the packet publishes on its flow's shard; the
-// shard's program runs the enqueue transactions when the element is
-// flushed ring→backend (by the consumer, or by a producer whose ring
-// filled). In direct mode the ring carries (rank annotation, flow id) —
-// both read here, while the packet is the producer's hot cache line — so
-// the consumer side never loads the packet; otherwise it carries the
-// enqueue timestamp for the tree's transactions. Safe for concurrent
-// producers. now must be non-negative.
-//
-//eiffel:hotpath
-func (s *PolicySharded) Enqueue(p *pkt.Packet, now int64) {
-	if s.direct {
-		s.rt.EnqueueAux(p.Flow, &p.SchedNode, p.Rank, p.Flow)
-		s.admit(1)
-		return
-	}
-	s.rt.Enqueue(p.Flow, &p.SchedNode, uint64(now))
-	s.admit(1)
-}
-
-// TryEnqueue admits one packet unless the front is closed (or its shard
-// is at a configured occupancy bound) and reports the outcome. Safe for
-// concurrent producers.
-//
-//eiffel:hotpath
-func (s *PolicySharded) TryEnqueue(p *pkt.Packet, now int64) bool {
-	ok := false
-	if s.direct {
-		ok = s.rt.TryEnqueueAux(p.Flow, &p.SchedNode, p.Rank, p.Flow)
-	} else {
-		ok = s.rt.TryEnqueue(p.Flow, &p.SchedNode, uint64(now))
-	}
-	if ok {
-		s.admit(1)
-	}
-	return ok
-}
-
-// EnqueueBatch admits a whole run of packets at once, staging per shard
-// and publishing each shard's run as one multi-slot ring claim. Safe for
-// concurrent producers; everything is published on return.
-//
-//eiffel:hotpath
-func (s *PolicySharded) EnqueueBatch(ps []*pkt.Packet, now int64) {
-	b := s.prodPool.Get().(*shardq.Producer)
-	if s.direct {
-		for _, p := range ps {
-			b.EnqueueAux(p.Flow, &p.SchedNode, p.Rank, p.Flow)
-		}
-	} else {
-		for _, p := range ps {
-			b.Enqueue(p.Flow, &p.SchedNode, uint64(now))
-		}
-	}
-	s.admit(b.FlushAdmit().Admitted)
-	s.prodPool.Put(b)
-}
-
-// EnqueueBatchAdmit implements AdmitQdisc: EnqueueBatch under the
-// configured shard bound, reporting refused packets instead of spilling.
-//
-//eiffel:hotpath
-func (s *PolicySharded) EnqueueBatchAdmit(ps []*pkt.Packet, now int64, rej []*pkt.Packet) (int, []*pkt.Packet) {
-	b := s.prodPool.Get().(*shardq.Producer)
-	if s.direct {
-		for _, p := range ps {
-			b.EnqueueAux(p.Flow, &p.SchedNode, p.Rank, p.Flow)
-		}
-	} else {
-		for _, p := range ps {
-			b.Enqueue(p.Flow, &p.SchedNode, uint64(now))
-		}
-	}
-	res := b.FlushAdmit()
-	admitted, rej := s.settle(res, len(ps), pkt.FromSchedNode, rej)
-	s.admit(admitted)
-	s.prodPool.Put(b)
-	return admitted, rej
 }
 
 // AdvanceFlowEpoch advances every shard's direct-leaf eviction epoch (a
@@ -636,206 +457,6 @@ func (s *PolicySharded) FlowStats() (live, retained int, evicted uint64) {
 		})
 	}
 	return live, retained, evicted
-}
-
-// advanceGroupClock propagates group g's worker clock into that group's
-// shard backends so dequeue-side transactions see it, waking trees
-// stalled on shaper gates. The clock and stall flags are atomics, so this
-// costs one load-compare (and, when the clock moved, a store pair) per
-// shard — no shard locks, even though producers whose rings filled read
-// the same fields on their fallback flush paths. Group-worker-side: each
-// group's clock advances independently, and a backend only ever belongs
-// to one group.
-//
-//eiffel:hotpath
-func (s *PolicySharded) advanceGroupClock(g int, now int64) {
-	gs := &s.groups[g]
-	if now == gs.lastNow {
-		return
-	}
-	gs.lastNow = now
-	lo, hi := s.rt.GroupShards(g)
-	stalled := false
-	for _, b := range s.backends[lo:hi] {
-		stalled = stalled || b.stalled.Load()
-		b.setNow(now)
-	}
-	if stalled {
-		// A stalled backend reported itself empty to the merge's head
-		// cache; force a re-peek now that the clock moved.
-		s.rt.GroupFlush(g)
-	}
-}
-
-// advanceClock propagates the consumer's clock into every group's
-// backends — the single-consumer surface's clock rule.
-//
-//eiffel:hotpath
-func (s *PolicySharded) advanceClock(now int64) {
-	for g := range s.groups {
-		s.advanceGroupClock(g, now)
-	}
-}
-
-// Dequeue implements Qdisc: the packet the policy program serves next, or
-// nil when every shard is empty (or gated). Refills the release buffer
-// with a cross-shard batch when empty.
-//
-//eiffel:hotpath
-func (s *PolicySharded) Dequeue(now int64) *pkt.Packet {
-	if s.bufHead == s.bufLen {
-		s.advanceClock(now)
-		s.bufHead = 0
-		s.bufLen = s.rt.DequeueBatch(^uint64(0), s.buf)
-		s.bufN.Store(int64(s.bufLen))
-		if s.bufLen == 0 {
-			return nil
-		}
-	}
-	n := s.buf[s.bufHead]
-	s.buf[s.bufHead] = nil
-	s.bufHead++
-	s.bufN.Add(-1)
-	return pkt.FromSchedNode(n)
-}
-
-// DequeueBatch pops up to len(out) packets in merged cross-shard policy
-// order, draining the internal buffer first. It returns how many packets
-// it wrote.
-//
-//eiffel:hotpath
-func (s *PolicySharded) DequeueBatch(now int64, out []*pkt.Packet) int {
-	k := 0
-	for s.bufHead < s.bufLen && k < len(out) {
-		out[k] = pkt.FromSchedNode(s.buf[s.bufHead])
-		s.buf[s.bufHead] = nil
-		s.bufHead++
-		s.bufN.Add(-1)
-		k++
-	}
-	if k == len(out) {
-		return k
-	}
-	s.advanceClock(now)
-	if cap(s.scratch) < len(out)-k {
-		//eiffel:allow(hotpath) scratch sized to the widest out seen, then reused
-		s.scratch = make([]*shardq.Node, len(out)-k)
-	}
-	nodes := s.scratch[:len(out)-k]
-	m := s.rt.DequeueBatch(^uint64(0), nodes)
-	for i := 0; i < m; i++ {
-		out[k] = pkt.FromSchedNode(nodes[i])
-		k++
-	}
-	clear(nodes[:m]) // drop the handles: scratch must not pin released packets
-	return k
-}
-
-// NextTimer implements Qdisc: "now" while any packet is servable, the
-// soonest per-shard shaper release when every backlogged tree is gated,
-// ok=false when empty.
-func (s *PolicySharded) NextTimer(now int64) (int64, bool) {
-	if s.bufHead < s.bufLen {
-		return now, true
-	}
-	s.advanceClock(now)
-	if _, ok := s.rt.MinRank(); ok {
-		return now, true
-	}
-	if s.Len() == 0 {
-		return 0, false
-	}
-	// Backlogged but nothing servable: every tree is shaper-gated. Peek
-	// each tree's shaper under its shard lock — a producer fallback may
-	// be enqueueing into the same tree concurrently.
-	min, ok := int64(0), false
-	for i, b := range s.backends {
-		s.rt.WithShardLocked(i, func(shardq.Scheduler) {
-			if t, tok := b.nextEvent(); tok && (!ok || t < min) {
-				min, ok = t, true
-			}
-		})
-	}
-	if !ok {
-		return 0, false
-	}
-	if min < now {
-		min = now
-	}
-	return min, true
-}
-
-// Serve starts one supervised drain worker per consumer group; identical
-// contract to MultiSharded.Serve. Do not mix with the single-consumer
-// surface while the fleet runs.
-func (s *PolicySharded) Serve(clock func() int64, sinks []EgressSink, batch int) (stop func()) {
-	srv := s.ServeWith(clock, sinks, ServeOptions{Batch: batch})
-	return func() { srv.Stop() }
-}
-
-// ServeWith is Serve with the full supervision surface; see
-// MultiSharded.ServeWith.
-func (s *PolicySharded) ServeWith(clock func() int64, sinks []EgressSink, opt ServeOptions) *Server {
-	return startServer(s, &s.egressState, s.rt.Close, clock, sinks, opt)
-}
-
-// Close quiesces admission; see MultiSharded.Close. The infallible
-// Enqueue/EnqueueBatch paths are not gated; EnqueueBatchAdmit and
-// TryEnqueue refuse (PushClosed, accounted under the admission policy).
-func (s *PolicySharded) Close() { lifecycleClose(&s.egressState, s.rt.Close) }
-
-// Drain closes the front and runs the remaining backlog to the sinks —
-// shaper gates inside the program open for the drain. Packets sitting in
-// the single-consumer release buffer (if that surface was in use) are
-// disposed first, through sinks[0]. See MultiSharded.Drain for the
-// contract.
-func (s *PolicySharded) Drain(sinks []EgressSink, opt ServeOptions) DrainReport {
-	if len(sinks) == s.NumGroups() {
-		o := opt.withDefaults()
-		s.drainBuf(func(ps []*pkt.Packet) {
-			fs, _ := sinks[0].(FallibleSink)
-			idx, panics := 0, 0
-			for idx < len(ps) {
-				if txStep(sinks[0], fs, ps, &idx, &o.Retry, &s.eg, o.OnDrop) {
-					if panics++; o.MaxRestarts >= 0 && panics > o.MaxRestarts {
-						disposeFailed(ps[idx:], &s.eg, o.OnDrop)
-						idx = len(ps)
-					}
-				}
-			}
-		})
-	}
-	return lifecycleDrain(s, &s.egressState, s.rt.Close, sinks, opt)
-}
-
-// CloseForce closes the front and releases the remaining backlog —
-// release buffer included — to the caller; see MultiSharded.CloseForce.
-func (s *PolicySharded) CloseForce(release func(*pkt.Packet)) DrainReport {
-	s.drainBuf(func(ps []*pkt.Packet) {
-		if release != nil {
-			for _, p := range ps {
-				release(p)
-			}
-		}
-		s.released.Add(uint64(len(ps)))
-	})
-	return lifecycleCloseForce(s, &s.egressState, s.rt.Close, release)
-}
-
-// drainBuf empties the single-consumer release buffer through dispose.
-// Exclusive access required (the Drain/CloseForce contract).
-func (s *PolicySharded) drainBuf(dispose func([]*pkt.Packet)) {
-	if s.bufHead >= s.bufLen {
-		return
-	}
-	ps := make([]*pkt.Packet, 0, s.bufLen-s.bufHead)
-	for i := s.bufHead; i < s.bufLen; i++ {
-		ps = append(ps, pkt.FromSchedNode(s.buf[i]))
-		s.buf[i] = nil
-	}
-	s.bufN.Add(-int64(len(ps)))
-	s.bufHead = s.bufLen
-	dispose(ps)
 }
 
 // --- Single-threaded baseline: one locked tree, same program ---

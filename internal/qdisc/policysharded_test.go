@@ -179,87 +179,6 @@ func TestPolicyShardedWFQShareError(t *testing.T) {
 	}
 }
 
-// TestPolicyShardedConcurrentProducers drives the lock-free admission path
-// from many goroutines (disjoint flow sets, so per-flow order stays
-// deterministic) against a concurrently draining consumer, and asserts
-// nothing is lost, nothing duplicates, and every flow still releases in
-// its producer's enqueue order.
-func TestPolicyShardedConcurrentProducers(t *testing.T) {
-	const (
-		producers = 4
-		flowsEach = 16
-		perFlow   = 64
-	)
-	sh, err := qdisc.NewPolicySharded(qdisc.PolicyShardedOptions{
-		Policy: pfabricSpec, Shards: 4, RingBits: 6, // small rings: exercise fallback
-	})
-	if err != nil {
-		t.Fatalf("NewPolicySharded: %v", err)
-	}
-
-	sets := make([][]*pkt.Packet, producers)
-	want := map[uint64][]uint64{}
-	for w := range sets {
-		rng := rand.New(rand.NewSource(int64(100 + w)))
-		ps := policyWorkload(t, rng, flowsEach, perFlow)
-		for _, p := range ps {
-			p.Flow += uint64(w * flowsEach) // disjoint flow ranges per producer
-			want[p.Flow] = append(want[p.Flow], p.ID)
-		}
-		sets[w] = ps
-	}
-	total := producers * flowsEach * perFlow
-
-	var wg sync.WaitGroup
-	for w := range sets {
-		wg.Add(1)
-		go func(set []*pkt.Packet) {
-			defer wg.Done()
-			for i, p := range set {
-				if i%3 == 0 {
-					sh.EnqueueBatch(set[i:i+1], 0)
-					continue
-				}
-				sh.Enqueue(p, 0)
-			}
-		}(sets[w])
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	got := map[uint64][]uint64{}
-	released := 0
-	out := make([]*pkt.Packet, 256)
-	for released < total {
-		k := sh.DequeueBatch(0, out)
-		if k == 0 {
-			select {
-			case <-done:
-				if sh.Len() == 0 && released < total {
-					t.Fatalf("lost packets: released %d of %d", released, total)
-				}
-			default:
-			}
-			continue
-		}
-		for _, p := range out[:k] {
-			got[p.Flow] = append(got[p.Flow], p.ID)
-			released++
-		}
-	}
-	for f, ids := range want {
-		g := got[f]
-		if len(g) != len(ids) {
-			t.Fatalf("flow %d: released %d packets, want %d", f, len(g), len(ids))
-		}
-		for i := range ids {
-			if g[i] != ids[i] {
-				t.Fatalf("flow %d position %d: packet %d, want %d", f, i, g[i], ids[i])
-			}
-		}
-	}
-}
-
 // TestNewPolicyShardedErrors covers the construction error surface: bad
 // programs and bad leaf selections must fail loudly, not at first packet.
 func TestNewPolicyShardedErrors(t *testing.T) {

@@ -92,16 +92,14 @@ type GroupHealth struct {
 	Failed bool
 }
 
-// Server is a running supervised egress fleet (see the fronts' Serve and
-// ServeWith). Stop and StopForce are idempotent and safe from any
-// goroutine; everything else is read-only.
+// Server is a running supervised egress fleet (see Front.ServeWith). Stop
+// and StopForce are idempotent and safe from any goroutine; everything
+// else is read-only.
 type Server struct {
-	d       groupDrainer
-	es      *egressState
-	rtClose func()
-	clock   func() int64
-	sinks   []EgressSink
-	opt     ServeOptions
+	f     *Front
+	clock func() int64
+	sinks []EgressSink
+	opt   ServeOptions
 
 	halt     atomic.Bool
 	wg       sync.WaitGroup
@@ -110,28 +108,12 @@ type Server struct {
 	rep      DrainReport
 }
 
-// startServer spins up one supervised worker per consumer group plus the
-// stall watchdog.
-func startServer(d groupDrainer, es *egressState, rtClose func(),
-	clock func() int64, sinks []EgressSink, opt ServeOptions) *Server {
-	if len(sinks) != d.NumGroups() {
-		panic("qdisc: Serve needs one sink per consumer group")
-	}
-	s := &Server{
-		d: d, es: es, rtClose: rtClose, clock: clock,
-		sinks: append([]EgressSink(nil), sinks...), opt: opt.withDefaults(),
-		groups: make([]serverGroup, d.NumGroups()),
-	}
-	for g := 0; g < d.NumGroups(); g++ {
-		s.wg.Add(1)
-		go s.worker(g, s.sinks[g])
-	}
-	if s.opt.StallWindow > 0 {
-		s.wg.Add(1)
-		go s.watchdog()
-	}
-	return s
-}
+// serveIdleNap is how long a Serve worker sleeps when its group has
+// nothing to drain: long enough that an idle group costs ~zero CPU (the
+// poll itself settles to a few atomic loads once the head cache is
+// warm), short enough that a fresh burst waits at most tens of
+// microseconds.
+const serveIdleNap = 50 * time.Microsecond
 
 // worker is group g's drain loop: poll, dispose, recover. On halt it
 // still disposes the batch it already popped — a popped packet is
@@ -150,13 +132,13 @@ func (s *Server) worker(g int, sink EgressSink) {
 			if s.halt.Load() {
 				return
 			}
-			if k = s.d.GroupDequeueBatch(g, s.clock(), out); k == 0 {
+			if k = s.f.GroupDequeueBatch(g, s.clock(), out); k == 0 {
 				time.Sleep(serveIdleNap)
 				continue
 			}
 		}
 		before := idx
-		panicked := txStep(sink, fs, out[:k], &idx, &s.opt.Retry, &s.es.eg, s.opt.OnDrop)
+		panicked := txStep(sink, fs, out[:k], &idx, &s.opt.Retry, &s.f.eg, s.opt.OnDrop)
 		if d := idx - before; d > 0 {
 			gr.progress.Add(uint64(d))
 		}
@@ -165,7 +147,7 @@ func (s *Server) worker(g int, sink EgressSink) {
 			if s.opt.MaxRestarts >= 0 && gr.restarts.Load() >= uint64(s.opt.MaxRestarts) {
 				// Budget exhausted: dispose the remainder as failed drops so
 				// nothing in scratch is lost, mark the group, retire.
-				disposeFailed(out[idx:k], &s.es.eg, s.opt.OnDrop)
+				disposeFailed(out[idx:k], &s.f.eg, s.opt.OnDrop)
 				gr.progress.Add(uint64(k - idx))
 				clear(out[:k])
 				gr.failed.Store(true)
@@ -192,7 +174,7 @@ func (s *Server) watchdog() {
 		for g := range s.groups {
 			gr := &s.groups[g]
 			cur := gr.progress.Load()
-			stuck := cur == gr.lastSeen && s.d.GroupLen(g) > 0 && !gr.failed.Load()
+			stuck := cur == gr.lastSeen && s.f.GroupLen(g) > 0 && !gr.failed.Load()
 			gr.stalled.Store(stuck)
 			gr.lastSeen = cur
 		}
@@ -207,7 +189,7 @@ func (s *Server) Health() []GroupHealth {
 		gr := &s.groups[g]
 		out[g] = GroupHealth{
 			Group:    g,
-			Backlog:  s.d.GroupLen(g),
+			Backlog:  s.f.GroupLen(g),
 			Progress: gr.progress.Load(),
 			Restarts: gr.restarts.Load(),
 			Panics:   gr.panics.Load(),
@@ -227,7 +209,7 @@ func (s *Server) Stop() DrainReport {
 	s.stopOnce.Do(func() {
 		s.halt.Store(true)
 		s.wg.Wait()
-		s.rep = lifecycleDrain(s.d, s.es, s.rtClose, s.sinks, s.opt)
+		s.rep = s.f.Drain(s.sinks, s.opt)
 	})
 	return s.rep
 }
@@ -241,7 +223,7 @@ func (s *Server) StopForce(release func(*pkt.Packet)) DrainReport {
 	s.stopOnce.Do(func() {
 		s.halt.Store(true)
 		s.wg.Wait()
-		s.rep = lifecycleCloseForce(s.d, s.es, s.rtClose, release)
+		s.rep = s.f.CloseForce(release)
 	})
 	return s.rep
 }

@@ -1,9 +1,6 @@
 package qdisc
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"eiffel/internal/pifo"
 	"eiffel/internal/pkt"
 	"eiffel/internal/policy"
@@ -11,42 +8,8 @@ import (
 	"eiffel/internal/shardq"
 )
 
-// ShapedSharded is the shaped-and-scheduled sharded qdisc: the multi-
-// producer form of the paper's decoupled shaping (§3.2.2, Figure 8). Each
-// packet carries two keys — SendAt (when it may leave) and Rank (where it
-// goes once it may) — through the two intrusive handles pkt.Packet was
-// built with: TimerNode rides the per-shard time-indexed shaper cFFS,
-// SchedNode the per-shard priority-indexed scheduler (FFS-indexed vector
-// buckets over the fixed RankSpan; see shardq.ShapedOptions). Producers
-// publish (TimerNode, SendAt, Rank) triples over lock-free rings; the
-// single consumer migrates due packets shaper→scheduler and drains the
-// schedulers in merged cross-shard priority order.
-//
-// Concurrency contract matches Sharded: Enqueue from any number of
-// goroutines; Dequeue, DequeueBatch and NextTimer from one consumer
-// goroutine (the softirq role).
-type ShapedSharded struct {
-	rt       *shardq.Shaped
-	name     string
-	rankGran uint64
-
-	// Release buffer, exactly as in Sharded: everything buffered was
-	// already release-eligible when popped.
-	buf     []*shardq.Node
-	bufHead int
-	bufLen  int
-	bufN    atomic.Int64
-
-	scratch []*shardq.Node // DequeueBatch conversion space
-
-	// prodPool recycles runtime staging handles for EnqueueBatch, as in
-	// Sharded.
-	prodPool sync.Pool
-
-	admitState
-}
-
-// ShapedShardedOptions sizes a ShapedSharded qdisc.
+// ShapedShardedOptions sizes the shaped front (NewMultiShaped) and its
+// single-threaded ShapedTree baseline.
 type ShapedShardedOptions struct {
 	// Shards is the shard count, rounded up to a power of two (default 8).
 	Shards int
@@ -172,9 +135,6 @@ func (o ShapedShardedOptions) SchedInversionBound() uint64 {
 // withDefaults fills the queue-geometry defaults shared by the sharded
 // qdisc and its single-threaded tree baseline.
 func (o ShapedShardedOptions) withDefaults() ShapedShardedOptions {
-	if o.Batch <= 0 {
-		o.Batch = 64
-	}
 	if o.ShaperBuckets <= 0 {
 		o.ShaperBuckets = 4096
 	}
@@ -195,169 +155,44 @@ func (o ShapedShardedOptions) schedGran() uint64 {
 	return 1
 }
 
-// NewShapedSharded returns a ShapedSharded qdisc with the given geometry.
-func NewShapedSharded(opt ShapedShardedOptions) *ShapedSharded {
-	opt = opt.withDefaults()
-	schedGran := opt.schedGran()
-	s := &ShapedSharded{
-		rt: shardq.NewShaped(shardq.ShapedOptions{
-			NumShards: opt.Shards,
-			RingBits:  opt.RingBits,
-			Shaper:    eiffelCfg(opt.ShaperBuckets, opt.HorizonNs, opt.Start),
-			Sched:     opt.schedCfg(),
-			Pair: func(n *shardq.Node) *shardq.Node {
-				return &pkt.FromTimerNode(n).SchedNode
-			},
-			ShardBound:   opt.ShardBound,
-			SchedBackend: opt.schedFactory(),
-		}),
-		name:       "Eiffel+shaped-shards",
-		rankGran:   schedGran,
-		buf:        make([]*shardq.Node, opt.Batch),
-		admitState: newAdmitState(opt.Admit, opt.Tenants),
-	}
-	if opt.SchedBackend != SchedVec {
-		s.name += "/" + opt.SchedBackend.String()
-	}
-	s.prodPool.New = func() any { return s.rt.NewProducer(0) }
-	return s
+// MultiShapedOptions sizes the shaped front.
+type MultiShapedOptions struct {
+	ShapedShardedOptions
+	// Groups is the consumer-group count (default 1), as in
+	// MultiShardedOptions.
+	Groups int
 }
 
-// Name implements Qdisc.
-func (s *ShapedSharded) Name() string { return s.name }
-
-// Len implements Qdisc: packets published but not yet handed out —
-// whether still in a ring, waiting in a shaper, migrated into a
-// scheduler, or sitting in the consumer's release buffer. Like
-// Sharded.Len it may transiently overcount by up to one in-flight batch
-// while producers and the consumer run concurrently; it is exact at
-// quiescence.
-func (s *ShapedSharded) Len() int { return s.rt.Len() + int(s.bufN.Load()) }
-
-// Stats returns the runtime's shard/migration/batch counters.
-func (s *ShapedSharded) Stats() shardq.Snapshot { return s.rt.Stats() }
-
-// NumShards returns the shard count.
-func (s *ShapedSharded) NumShards() int { return s.rt.NumShards() }
-
-// RankGranularity returns the scheduler bucket width: priority order among
-// released packets is exact to this granularity (ranks within one bucket
-// release FIFO).
-func (s *ShapedSharded) RankGranularity() uint64 { return s.rankGran }
-
-// Enqueue implements Qdisc. Safe for concurrent producers.
-func (s *ShapedSharded) Enqueue(p *pkt.Packet, _ int64) {
-	s.rt.Enqueue(p.Flow, &p.TimerNode, uint64(p.SendAt), p.Rank)
-}
-
-// EnqueueBatch admits a whole run of packets at once, staging per shard
-// and publishing each shard's run as one multi-slot ring claim carrying
-// both scheduling dimensions. Safe for concurrent producers; equivalent to
-// enqueueing the packets one by one — everything is published on return.
-func (s *ShapedSharded) EnqueueBatch(ps []*pkt.Packet, _ int64) {
-	b := s.prodPool.Get().(*shardq.ShapedProducer)
-	for _, p := range ps {
-		b.Enqueue(p.Flow, &p.TimerNode, uint64(p.SendAt), p.Rank)
+// NewMultiShaped returns the shaped front: the multi-producer form of the
+// paper's decoupled shaping (§3.2.2, Figure 8). Each packet carries two
+// keys — SendAt (when it may leave) and Rank (where it goes once it may) —
+// through the two intrusive handles pkt.Packet was built with: TimerNode
+// rides the per-shard time-indexed shaper cFFS, SchedNode the per-shard
+// priority-indexed scheduler (FFS-indexed vector buckets over the fixed
+// RankSpan by default; see SchedBackend). Producers publish (TimerNode,
+// SendAt, Rank) triples over lock-free rings; each group's worker migrates
+// due packets shaper→scheduler on its own clock and drains the schedulers
+// in merged cross-shard priority order, exact to the scheduler bucket
+// width RankSpan/(2*SchedBuckets) (ranks within one bucket release FIFO).
+func NewMultiShaped(opt MultiShapedOptions) *Front {
+	base := opt.ShapedShardedOptions.withDefaults()
+	rt := shardq.NewShaped(shardq.ShapedOptions{
+		NumShards: base.Shards,
+		NumGroups: opt.Groups,
+		RingBits:  base.RingBits,
+		Shaper:    eiffelCfg(base.ShaperBuckets, base.HorizonNs, base.Start),
+		Sched:     base.schedCfg(),
+		Pair: func(n *shardq.Node) *shardq.Node {
+			return &pkt.FromTimerNode(n).SchedNode
+		},
+		ShardBound:   base.ShardBound,
+		SchedBackend: base.schedFactory(),
+	})
+	name := "Eiffel+shaped-shards"
+	if base.SchedBackend != SchedVec {
+		name += "/" + base.SchedBackend.String()
 	}
-	b.Flush()
-	s.prodPool.Put(b)
-}
-
-// EnqueueBatchAdmit implements AdmitQdisc: EnqueueBatch under the
-// configured shard bound, reporting refused packets instead of spilling.
-func (s *ShapedSharded) EnqueueBatchAdmit(ps []*pkt.Packet, _ int64, rej []*pkt.Packet) (int, []*pkt.Packet) {
-	b := s.prodPool.Get().(*shardq.ShapedProducer)
-	for _, p := range ps {
-		b.Enqueue(p.Flow, &p.TimerNode, uint64(p.SendAt), p.Rank)
-	}
-	res := b.FlushAdmit()
-	admitted, rej := s.settle(res, len(ps), pkt.FromTimerNode, rej)
-	s.prodPool.Put(b)
-	return admitted, rej
-}
-
-// Dequeue implements Qdisc: the highest-priority packet whose release time
-// has arrived, or nil. Refills the release buffer with a cross-shard batch
-// when empty.
-func (s *ShapedSharded) Dequeue(now int64) *pkt.Packet {
-	if s.bufHead == s.bufLen {
-		s.bufHead = 0
-		s.bufLen = s.rt.DequeueBatch(uint64(now), ^uint64(0), s.buf)
-		s.bufN.Store(int64(s.bufLen))
-		if s.bufLen == 0 {
-			return nil
-		}
-	}
-	n := s.buf[s.bufHead]
-	s.buf[s.bufHead] = nil
-	s.bufHead++
-	s.bufN.Add(-1)
-	return pkt.FromSchedNode(n)
-}
-
-// DequeueBatch pops up to len(out) release-eligible packets in merged
-// priority order, draining the internal buffer first. It returns how many
-// packets it wrote.
-func (s *ShapedSharded) DequeueBatch(now int64, out []*pkt.Packet) int {
-	k := 0
-	for s.bufHead < s.bufLen && k < len(out) {
-		out[k] = pkt.FromSchedNode(s.buf[s.bufHead])
-		s.buf[s.bufHead] = nil
-		s.bufHead++
-		s.bufN.Add(-1)
-		k++
-	}
-	if k == len(out) {
-		return k
-	}
-	// Drain in chunks sized to stay cache-resident: the conversion reads
-	// each node's line right after the runtime's drain touched it, instead
-	// of revisiting a large batch after its head has been evicted.
-	const chunk = 256
-	if cap(s.scratch) < chunk {
-		s.scratch = make([]*shardq.Node, chunk)
-	}
-	for k < len(out) {
-		want := len(out) - k
-		if want > chunk {
-			want = chunk
-		}
-		nodes := s.scratch[:want]
-		m := s.rt.DequeueBatch(uint64(now), ^uint64(0), nodes)
-		for i := 0; i < m; i++ {
-			out[k] = pkt.FromSchedNode(nodes[i])
-			k++
-		}
-		clear(nodes[:m]) // release the popped nodes: scratch must not pin packets
-		if m < want {
-			break
-		}
-	}
-	return k
-}
-
-// NextTimer implements Qdisc: "now" whenever a release-eligible packet is
-// already buffered or migrated into a scheduler, otherwise the soonest
-// shaper deadline across every shard.
-func (s *ShapedSharded) NextTimer(now int64) (int64, bool) {
-	if s.bufHead < s.bufLen || s.rt.SchedLen() > 0 {
-		return now, true
-	}
-	r, ok := s.rt.NextRelease(uint64(now))
-	if s.rt.SchedLen() > 0 {
-		// NextRelease's migration pass just moved due packets into the
-		// schedulers: they are eligible NOW, regardless of how far off the
-		// next still-shaped deadline is.
-		return now, true
-	}
-	if !ok {
-		return 0, false
-	}
-	t := int64(r)
-	if t < now {
-		t = now
-	}
-	return t, true
+	return newFront(rt.Core, name, pubShaped, base.Batch, base.Admit, base.Tenants)
 }
 
 // --- Single-threaded baseline: pifo.Tree behind the decoupled shaper ---
@@ -367,8 +202,8 @@ func (s *ShapedSharded) NextTimer(now int64) (int64, bool) {
 // is in the future park in a single time-indexed shaper cFFS (TimerNode);
 // once due they migrate into the tree, whose leaf ranks them by the Rank
 // annotation (SchedNode). Wrapped in Locked, this is the kernel-style
-// global-lock deployment the shapedsched experiment measures
-// ShapedSharded against.
+// global-lock deployment the shapedsched experiment measures the shaped
+// front against.
 type ShapedTree struct {
 	tree   *pifo.Tree
 	leaf   *pifo.Class
@@ -376,7 +211,7 @@ type ShapedTree struct {
 }
 
 // NewShapedTree returns a ShapedTree whose shaper and scheduler use the
-// same geometry as a ShapedSharded shard, so the comparison isolates the
+// same geometry as a shaped-front shard, so the comparison isolates the
 // runtime, not the queues.
 func NewShapedTree(opt ShapedShardedOptions) *ShapedTree {
 	opt = opt.withDefaults()

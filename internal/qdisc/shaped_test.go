@@ -15,9 +15,14 @@ func mkShaped(pool *pkt.Pool, flow uint64, sendAt int64, rank uint64) *pkt.Packe
 	return p
 }
 
-// shapedPair returns a small ShapedSharded and its single-threaded
+// mkShapedFront is the shaped preset at G=1.
+func mkShapedFront(opt ShapedShardedOptions) *Front {
+	return NewMultiShaped(MultiShapedOptions{ShapedShardedOptions: opt})
+}
+
+// shapedPair returns a small shaped front and its single-threaded
 // ShapedTree reference with identical queue geometry.
-func shapedPair() (*ShapedSharded, *ShapedTree) {
+func shapedPair() (*Front, *ShapedTree) {
 	opt := ShapedShardedOptions{
 		Shards:        4,
 		ShaperBuckets: 1000,
@@ -25,7 +30,7 @@ func shapedPair() (*ShapedSharded, *ShapedTree) {
 		SchedBuckets:  512,
 		RankSpan:      1024, // sched granularity 1: exact priorities
 	}
-	return NewShapedSharded(opt), NewShapedTree(opt)
+	return mkShapedFront(opt), NewShapedTree(opt)
 }
 
 // TestShapedShardedDecoupling is the qdisc-level Figure 8 contract: no
@@ -80,7 +85,7 @@ func TestShapedShardedDecoupling(t *testing.T) {
 // eligible packets sat in the schedulers (the same overdue-idling class
 // of bug as Carousel's NextTimer).
 func TestShapedShardedNextTimerAfterMigration(t *testing.T) {
-	q := NewShapedSharded(ShapedShardedOptions{
+	q := mkShapedFront(ShapedShardedOptions{
 		Shards: 2, ShaperBuckets: 1000, HorizonNs: 2000,
 		SchedBuckets: 512, RankSpan: 1024,
 	})
@@ -100,69 +105,34 @@ func TestShapedShardedNextTimerAfterMigration(t *testing.T) {
 	}
 }
 
-// TestShapedShardedBatchAndBuffer mirrors the Sharded buffer tests on the
-// shaped variant: buffered packets keep Len/NextTimer honest and
-// DequeueBatch drains buffer-then-runtime in priority order.
-func TestShapedShardedBatchAndBuffer(t *testing.T) {
-	q := NewShapedSharded(ShapedShardedOptions{
-		Shards: 2, ShaperBuckets: 1000, HorizonNs: 2000,
-		SchedBuckets: 512, RankSpan: 1024, Batch: 8,
-	})
-	pool := pkt.NewPool(32)
-	for i := 0; i < 20; i++ {
-		q.Enqueue(mkShaped(pool, uint64(i), 10, uint64(i)), 0)
-	}
-	first := q.Dequeue(100)
-	if first == nil || first.Rank != 0 {
-		t.Fatalf("first = %+v, want rank 0", first)
-	}
-	if got := q.Len(); got != 19 {
-		t.Fatalf("Len = %d with buffered packets, want 19", got)
-	}
-	if next, ok := q.NextTimer(100); !ok || next != 100 {
-		t.Fatalf("NextTimer = (%d,%v), want (100,true) with buffered packets", next, ok)
-	}
-	out := make([]*pkt.Packet, 32)
-	k := q.DequeueBatch(100, out)
-	if k != 19 {
-		t.Fatalf("DequeueBatch = %d, want 19", k)
-	}
-	for i, p := range out[:k] {
-		if p.Rank != uint64(i+1) {
-			t.Fatalf("position %d: rank %d, want %d", i, p.Rank, i+1)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after drain", q.Len())
-	}
-	// The conversion scratch must not pin released packets (same contract
-	// as Sharded.DequeueBatch).
-	for i, n := range q.scratch {
-		if n != nil {
-			t.Fatalf("scratch[%d] still pins a node after DequeueBatch", i)
-		}
-	}
-}
-
 // TestShapedShardedPriorityFidelity is the acceptance assertion: 8
 // concurrent producers publish packets with horizon-spread release times
 // and uncorrelated priorities; the post-publication drain must show ZERO
-// priority inversions beyond the scheduler bucket granularity.
+// priority inversions beyond the scheduler bucket granularity — through
+// per-packet admission and through the batched path alike (staging and
+// multi-slot ring claims must not cost a single inversion).
 func TestShapedShardedPriorityFidelity(t *testing.T) {
-	q := NewShapedSharded(ShapedShardedOptions{
+	opt := ShapedShardedOptions{
 		Shards: 8, ShaperBuckets: 2500, HorizonNs: 2e9,
 		SchedBuckets: 2048, RankSpan: 1 << 20, RingBits: 10,
-	})
-	packets := ShapedPackets(8, 2000, 1<<20)
-	released, inversions := ReplayPriorityFidelity(q, packets, q.RankGranularity())
-	if released != 16000 {
-		t.Fatalf("released %d of 16000", released)
 	}
-	if inversions != 0 {
-		t.Fatalf("%d priority inversions beyond bucket granularity", inversions)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after drain", q.Len())
+	for _, batch := range []int{0, 128} {
+		q := mkShapedFront(opt)
+		packets := ShapedPackets(8, 2000, 1<<20)
+		released, inversions := ReplayPriorityFidelityOpts(q, packets, opt.schedGran(),
+			ContentionOptions{ProducerBatch: batch})
+		if released != 16000 {
+			t.Fatalf("batch=%d: released %d of 16000", batch, released)
+		}
+		if inversions != 0 {
+			t.Fatalf("batch=%d: %d priority inversions beyond bucket granularity", batch, inversions)
+		}
+		if q.Len() != 0 {
+			t.Fatalf("batch=%d: Len = %d after drain", batch, q.Len())
+		}
+		if st := q.Stats(); batch > 0 && st.BulkClaims == 0 {
+			t.Fatal("batched admission performed no bulk claims")
+		}
 	}
 }
 
@@ -187,7 +157,7 @@ func TestShapedTreeFidelity(t *testing.T) {
 // TestShapedShardedContention smoke-tests the throughput harness path the
 // shapedsched experiment uses.
 func TestShapedShardedContention(t *testing.T) {
-	q := NewShapedSharded(ShapedShardedOptions{
+	q := mkShapedFront(ShapedShardedOptions{
 		Shards: 4, ShaperBuckets: 1000, HorizonNs: 2e9, SchedBuckets: 1024,
 	})
 	res := ReplayContention(q, ShapedPackets(4, 500, 1<<20))
@@ -199,30 +169,5 @@ func TestShapedShardedContention(t *testing.T) {
 	}
 	if q.Stats().Migrated == 0 {
 		t.Fatal("no packets migrated shaper→scheduler")
-	}
-}
-
-// TestShapedShardedPriorityFidelityBatched re-runs the acceptance
-// assertion through the batched admission path: staging and multi-slot
-// ring claims must not cost a single inversion beyond bucket granularity.
-func TestShapedShardedPriorityFidelityBatched(t *testing.T) {
-	q := NewShapedSharded(ShapedShardedOptions{
-		Shards: 8, ShaperBuckets: 2500, HorizonNs: 2e9,
-		SchedBuckets: 2048, RankSpan: 1 << 20, RingBits: 10,
-	})
-	packets := ShapedPackets(8, 2000, 1<<20)
-	released, inversions := ReplayPriorityFidelityOpts(q, packets, q.RankGranularity(),
-		ContentionOptions{ProducerBatch: 128})
-	if released != 16000 {
-		t.Fatalf("released %d of 16000", released)
-	}
-	if inversions != 0 {
-		t.Fatalf("%d priority inversions beyond bucket granularity", inversions)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after drain", q.Len())
-	}
-	if st := q.Stats(); st.BulkClaims == 0 {
-		t.Fatal("batched admission performed no bulk claims")
 	}
 }

@@ -1,47 +1,12 @@
 package qdisc
 
 import (
-	"sync"
-	"sync/atomic"
-
-	"eiffel/internal/pkt"
 	"eiffel/internal/queue"
 	"eiffel/internal/shardq"
 )
 
-// Sharded replaces the global qdisc lock with the shardq runtime: flows
-// hash to one of N shards, each owning its own Eiffel cFFS shaper behind a
-// lock-free MPSC ring. Enqueue is safe from any number of producer
-// goroutines and is lock-free in the common case; Dequeue, DequeueBatch
-// and NextTimer must be driven by a single consumer goroutine (the softirq
-// role), which drains shards in batches picking the minimum-head shard.
-//
-// This is the scaling answer to Locked: same Qdisc surface, same cFFS per
-// shard, no serialization of senders behind one mutex.
-type Sharded struct {
-	rt   *shardq.Q
-	name string
-
-	// Release buffer: DequeueBatch pops ready packets in bulk; Dequeue
-	// hands them out one at a time. Everything buffered was already
-	// release-eligible when popped, so buffering never releases early.
-	buf     []*shardq.Node
-	bufHead int
-	bufLen  int
-	bufN    atomic.Int64 // buffered count, readable from any goroutine for Len
-
-	scratch []*shardq.Node // DequeueBatch conversion space
-
-	// prodPool recycles runtime staging handles for EnqueueBatch, so
-	// batch admission is concurrent-producer-safe and allocation-free in
-	// steady state without threading per-goroutine handles through the
-	// Qdisc surface.
-	prodPool sync.Pool
-
-	admitState
-}
-
-// ShardedOptions sizes a Sharded qdisc.
+// ShardedOptions sizes the timer front (NewMultiSharded): per-shard Eiffel
+// cFFS timer queues, packets released at their SendAt.
 type ShardedOptions struct {
 	// Shards is the shard count, rounded up to a power of two (default 8).
 	Shards int
@@ -66,7 +31,7 @@ type ShardedOptions struct {
 	// the Locked Eiffel baseline's quantized behavior.
 	DirectDue bool
 	// ShardBound caps each shard's occupancy for the bounded-admission
-	// surface (EnqueueBatchAdmit); 0 keeps the legacy unbounded spill.
+	// surface (TryEnqueue, EnqueueBatchAdmit); 0 keeps the legacy unbounded spill.
 	// See shardq.Options.ShardBound.
 	ShardBound int
 	// Admit selects what EnqueueBatchAdmit does with refused packets
@@ -77,143 +42,32 @@ type ShardedOptions struct {
 	Tenants int
 }
 
-// NewSharded returns a Sharded qdisc whose shards each run an Eiffel cFFS
-// with the given geometry.
-func NewSharded(opt ShardedOptions) *Sharded {
-	if opt.Batch <= 0 {
-		opt.Batch = 64
-	}
+// MultiShardedOptions sizes the timer front.
+type MultiShardedOptions struct {
+	ShardedOptions
+	// Groups is the consumer-group count, rounded up to a power of two and
+	// clamped to the shard count (default 1 — the single-consumer
+	// topology).
+	Groups int
+}
+
+// NewMultiSharded returns the timer front: the scaling answer to Locked —
+// flows hash to one of N shards, each owning its own Eiffel cFFS shaper
+// with the given geometry behind a lock-free MPSC ring, partitioned into
+// opt.Groups consumer groups; no serialization of senders behind one
+// mutex.
+func NewMultiSharded(opt MultiShardedOptions) *Front {
 	if opt.Buckets <= 0 {
 		opt.Buckets = 4096
 	}
-	s := &Sharded{
-		rt: shardq.New(shardq.Options{
-			NumShards:  opt.Shards,
-			RingBits:   opt.RingBits,
-			Kind:       queue.KindCFFS,
-			Queue:      eiffelCfg(opt.Buckets, opt.HorizonNs, opt.Start),
-			DirectDue:  opt.DirectDue,
-			ShardBound: opt.ShardBound,
-		}),
-		name:       "Eiffel+shards",
-		buf:        make([]*shardq.Node, opt.Batch),
-		admitState: newAdmitState(opt.Admit, opt.Tenants),
-	}
-	s.prodPool.New = func() any { return s.rt.NewProducer(0) }
-	return s
-}
-
-// Name implements Qdisc.
-func (s *Sharded) Name() string { return s.name }
-
-// Len implements Qdisc: packets published but not yet handed out,
-// including any sitting in the consumer's release buffer. While producers
-// and the consumer run concurrently Len may transiently overcount by up
-// to one in-flight batch (ring occupancy is published per drain, not per
-// element); it is exact whenever the qdisc is quiescent. Callers that
-// need an exact count must therefore read it with producers and the
-// consumer stopped — the contract the contention harness and the
-// concurrent tests rely on.
-func (s *Sharded) Len() int { return s.rt.Len() + int(s.bufN.Load()) }
-
-// Stats returns the runtime's shard/batch counters.
-func (s *Sharded) Stats() shardq.Snapshot { return s.rt.Stats() }
-
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return s.rt.NumShards() }
-
-// Enqueue implements Qdisc. Safe for concurrent producers.
-func (s *Sharded) Enqueue(p *pkt.Packet, _ int64) {
-	s.rt.Enqueue(p.Flow, &p.TimerNode, uint64(p.SendAt))
-}
-
-// EnqueueBatch admits a whole run of packets at once: packets stage into
-// per-shard buffers and each shard's run is published as one multi-slot
-// ring claim, amortizing the CAS, the publication barrier, and the flow
-// hash dispatch over the run. Safe for concurrent producers (each call
-// borrows its own staging handle from an internal pool) and equivalent to
-// enqueueing the packets one by one — everything is published on return.
-func (s *Sharded) EnqueueBatch(ps []*pkt.Packet, _ int64) {
-	b := s.prodPool.Get().(*shardq.Producer)
-	for _, p := range ps {
-		b.Enqueue(p.Flow, &p.TimerNode, uint64(p.SendAt))
-	}
-	b.Flush()
-	s.prodPool.Put(b)
-}
-
-// EnqueueBatchAdmit implements AdmitQdisc: EnqueueBatch under the
-// configured shard bound, reporting refused packets instead of spilling.
-func (s *Sharded) EnqueueBatchAdmit(ps []*pkt.Packet, _ int64, rej []*pkt.Packet) (int, []*pkt.Packet) {
-	b := s.prodPool.Get().(*shardq.Producer)
-	for _, p := range ps {
-		b.Enqueue(p.Flow, &p.TimerNode, uint64(p.SendAt))
-	}
-	res := b.FlushAdmit()
-	admitted, rej := s.settle(res, len(ps), pkt.FromTimerNode, rej)
-	s.prodPool.Put(b)
-	return admitted, rej
-}
-
-// Dequeue implements Qdisc: one packet whose release time has arrived, or
-// nil. Refills the release buffer with a cross-shard batch when empty.
-func (s *Sharded) Dequeue(now int64) *pkt.Packet {
-	if s.bufHead == s.bufLen {
-		s.bufHead = 0
-		s.bufLen = s.rt.DequeueBatch(uint64(now), s.buf)
-		s.bufN.Store(int64(s.bufLen))
-		if s.bufLen == 0 {
-			return nil
-		}
-	}
-	n := s.buf[s.bufHead]
-	s.buf[s.bufHead] = nil
-	s.bufHead++
-	s.bufN.Add(-1)
-	return pkt.FromTimerNode(n)
-}
-
-// DequeueBatch pops up to len(out) release-eligible packets in merged
-// priority order, draining the internal buffer first. It returns how many
-// packets it wrote.
-func (s *Sharded) DequeueBatch(now int64, out []*pkt.Packet) int {
-	k := 0
-	for s.bufHead < s.bufLen && k < len(out) {
-		out[k] = pkt.FromTimerNode(s.buf[s.bufHead])
-		s.buf[s.bufHead] = nil
-		s.bufHead++
-		s.bufN.Add(-1)
-		k++
-	}
-	if k == len(out) {
-		return k
-	}
-	if cap(s.scratch) < len(out)-k {
-		s.scratch = make([]*shardq.Node, len(out)-k)
-	}
-	nodes := s.scratch[:len(out)-k]
-	m := s.rt.DequeueBatch(uint64(now), nodes)
-	for i := 0; i < m; i++ {
-		out[k] = pkt.FromTimerNode(nodes[i])
-		k++
-	}
-	clear(nodes[:m]) // drop the handles: scratch must not pin released packets
-	return k
-}
-
-// NextTimer implements Qdisc: the soonest deadline across every shard
-// (buffered packets are already due, so a non-empty buffer means "now").
-func (s *Sharded) NextTimer(now int64) (int64, bool) {
-	if s.bufHead < s.bufLen {
-		return now, true
-	}
-	r, ok := s.rt.MinRank()
-	if !ok {
-		return 0, false
-	}
-	t := int64(r)
-	if t < now {
-		t = now
-	}
-	return t, true
+	rt := shardq.New(shardq.Options{
+		NumShards:  opt.Shards,
+		NumGroups:  opt.Groups,
+		RingBits:   opt.RingBits,
+		Kind:       queue.KindCFFS,
+		Queue:      eiffelCfg(opt.Buckets, opt.HorizonNs, opt.Start),
+		DirectDue:  opt.DirectDue,
+		ShardBound: opt.ShardBound,
+	})
+	return newFront(rt.Core, "Eiffel+shards", pubTimer, opt.Batch, opt.Admit, opt.Tenants)
 }

@@ -1,28 +1,17 @@
 package qdisc
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
 	"eiffel/internal/pkt"
 )
 
-func TestShardedName(t *testing.T) {
-	q := NewSharded(ShardedOptions{Shards: 4, Buckets: 1024, HorizonNs: 2e9})
-	if q.Name() != "Eiffel+shards" {
-		t.Fatalf("Name = %q", q.Name())
-	}
-	if q.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", q.NumShards())
-	}
-}
-
 // TestShardedShaping checks Qdisc shaping semantics: packets do not come
 // out before their release bucket, empty means (0, false) timers, and
 // NextTimer reports the soonest deadline across shards.
 func TestShardedShaping(t *testing.T) {
-	q := NewSharded(ShardedOptions{Shards: 4, Buckets: 1000, HorizonNs: 2000, Start: 0})
+	q := NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{Shards: 4, Buckets: 1000, HorizonNs: 2000, Start: 0}})
 	// Granularity = 2000/(2*1000) = 1 ns per bucket: exact ranks.
 	if _, ok := q.NextTimer(0); ok {
 		t.Fatal("NextTimer ok on empty qdisc")
@@ -58,141 +47,13 @@ func TestShardedShaping(t *testing.T) {
 	}
 }
 
-// TestShardedBufferedTimer checks that packets sitting in the release
-// buffer keep NextTimer and Len honest.
-func TestShardedBufferedTimer(t *testing.T) {
-	q := NewSharded(ShardedOptions{Shards: 2, Buckets: 1000, HorizonNs: 2000, Batch: 8})
-	pool := pkt.NewPool(8)
-	for i := 0; i < 4; i++ {
-		p := pool.Get()
-		p.Flow = uint64(i)
-		p.SendAt = 10
-		q.Enqueue(p, 0)
-	}
-	// First Dequeue batches all four eligible packets; three stay buffered.
-	if p := q.Dequeue(100); p == nil {
-		t.Fatal("Dequeue(100) = nil")
-	}
-	if got := q.Len(); got != 3 {
-		t.Fatalf("Len = %d with 3 buffered, want 3", got)
-	}
-	if next, ok := q.NextTimer(100); !ok || next != 100 {
-		t.Fatalf("NextTimer with buffered packets = (%d, %v), want (100, true)", next, ok)
-	}
-}
-
-func TestShardedDequeueBatch(t *testing.T) {
-	q := NewSharded(ShardedOptions{Shards: 4, Buckets: 1000, HorizonNs: 2000, Batch: 4})
-	pool := pkt.NewPool(32)
-	for i := 0; i < 20; i++ {
-		p := pool.Get()
-		p.Flow = uint64(i)
-		p.SendAt = int64(i)
-		q.Enqueue(p, 0)
-	}
-	// Prime the internal buffer through Dequeue, then drain the rest in
-	// one batch call: order must stay globally ascending across both
-	// paths.
-	first := q.Dequeue(1000)
-	if first == nil || first.SendAt != 0 {
-		t.Fatalf("first = %v", first)
-	}
-	out := make([]*pkt.Packet, 32)
-	k := q.DequeueBatch(1000, out)
-	if k != 19 {
-		t.Fatalf("DequeueBatch = %d, want 19", k)
-	}
-	for i, p := range out[:k] {
-		if p.SendAt != int64(i+1) {
-			t.Fatalf("position %d: SendAt %d, want %d", i, p.SendAt, i+1)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after drain", q.Len())
-	}
-}
-
-// TestShardedDequeueBatchReleasesScratch is the regression test for the
-// scratch GC pin: DequeueBatch used to leave the popped *shardq.Node
-// pointers behind in s.scratch after converting them to packets, keeping
-// every released packet reachable from the qdisc and defeating pool
-// reuse/GC until the slots happened to be overwritten.
-func TestShardedDequeueBatchReleasesScratch(t *testing.T) {
-	q := NewSharded(ShardedOptions{Shards: 2, Buckets: 1000, HorizonNs: 2000})
-	pool := pkt.NewPool(16)
-	for i := 0; i < 10; i++ {
-		p := pool.Get()
-		p.Flow = uint64(i)
-		p.SendAt = int64(i)
-		q.Enqueue(p, 0)
-	}
-	out := make([]*pkt.Packet, 16)
-	if k := q.DequeueBatch(1000, out); k != 10 {
-		t.Fatalf("DequeueBatch = %d, want 10", k)
-	}
-	for i, n := range q.scratch {
-		if n != nil {
-			t.Fatalf("scratch[%d] still pins a released packet's node", i)
-		}
-	}
-}
-
-// TestShardedConcurrentProducers is the sharded twin of the Locked
-// regression test: 8 producers, one consumer, all packets accounted for.
-func TestShardedConcurrentProducers(t *testing.T) {
-	q := NewSharded(ShardedOptions{Shards: 8, Buckets: 4096, HorizonNs: 2e9})
-	const producers = 8
-	const perProducer = 2000
-
-	var wg sync.WaitGroup
-	for w := 0; w < producers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool := pkt.NewPool(perProducer)
-			for i := 0; i < perProducer; i++ {
-				p := pool.Get()
-				p.Flow = uint64(w*perProducer + i)
-				p.Size = 1500
-				p.SendAt = int64(i) * 1000
-				q.Enqueue(p, 0)
-			}
-		}(w)
-	}
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	out := make([]*pkt.Packet, 128)
-	consumed := 0
-	producersDone := false
-	for consumed < producers*perProducer {
-		k := q.DequeueBatch(int64(2e9), out)
-		consumed += k
-		if k > 0 {
-			continue
-		}
-		if producersDone {
-			t.Fatalf("consumed %d of %d with producers done", consumed, producers*perProducer)
-		}
-		select {
-		case <-done:
-			producersDone = true
-		default:
-		}
-		runtime.Gosched()
-	}
-	wg.Wait()
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after drain", q.Len())
-	}
-}
-
 // TestRunContention smoke-tests the shared harness on both qdiscs.
 func TestRunContention(t *testing.T) {
 	for _, mk := range []func() Qdisc{
 		func() Qdisc { return NewLocked(NewEiffel(4096, 2e9, 0)) },
-		func() Qdisc { return NewSharded(ShardedOptions{Shards: 4, Buckets: 4096, HorizonNs: 2e9}) },
+		func() Qdisc {
+			return NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{Shards: 4, Buckets: 4096, HorizonNs: 2e9}})
+		},
 	} {
 		q := mk()
 		res := RunContention(q, 4, 500)
@@ -208,65 +69,15 @@ func TestRunContention(t *testing.T) {
 	}
 }
 
-// TestShardedEnqueueBatchEquivalent is the qdisc half of the batching
-// property: the same packet workload admitted per packet and via
-// EnqueueBatch must drain in exactly the same order from exact-mode
-// sharded qdiscs (batch admission is a transport optimization, never a
-// reordering).
-func TestShardedEnqueueBatchEquivalent(t *testing.T) {
-	opts := ShardedOptions{Shards: 4, Buckets: 2048, HorizonNs: 2e9, RingBits: 12}
-	sets := ContentionPackets(1, 5000)
-
-	drainIDs := func(q *Sharded) []uint64 {
-		out := make([]*pkt.Packet, 97)
-		var ids []uint64
-		for {
-			k := q.DequeueBatch(horizon, out)
-			if k == 0 {
-				return ids
-			}
-			for _, p := range out[:k] {
-				ids = append(ids, p.ID)
-			}
-		}
-	}
-
-	ref := NewSharded(opts)
-	for _, p := range sets[0] {
-		ref.Enqueue(p, 0)
-	}
-	want := drainIDs(ref)
-	if len(want) != 5000 {
-		t.Fatalf("reference drained %d of 5000", len(want))
-	}
-
-	bq := NewSharded(opts)
-	for i := 0; i < len(sets[0]); i += 192 {
-		j := i + 192
-		if j > len(sets[0]) {
-			j = len(sets[0])
-		}
-		bq.EnqueueBatch(sets[0][i:j], 0)
-	}
-	if st := bq.Stats(); st.BulkClaims == 0 {
-		t.Fatal("EnqueueBatch performed no bulk claims")
-	}
-	got := drainIDs(bq)
-	if len(got) != len(want) {
-		t.Fatalf("batched drained %d, reference %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("position %d: batched released packet %d, reference %d", i, got[i], want[i])
-		}
-	}
-}
-
 // TestShardedEnqueueBatchConcurrent hammers batch admission from many
-// goroutines at once — each call borrows a pooled staging handle, so
-// concurrent batches must neither lose nor duplicate packets.
+// goroutines at once on a DirectDue front (the one mode the front contract
+// table cannot hold to per-flow order) — each call borrows a pooled
+// staging handle, so concurrent batches must neither lose nor duplicate
+// packets.
 func TestShardedEnqueueBatchConcurrent(t *testing.T) {
-	q := NewSharded(ShardedOptions{Shards: 4, Buckets: 2048, HorizonNs: 2e9, RingBits: 8, DirectDue: true})
+	q := NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
+		Shards: 4, Buckets: 2048, HorizonNs: 2e9, RingBits: 8, DirectDue: true,
+	}})
 	const producers = 8
 	const perProducer = 3000
 	sets := ContentionPackets(producers, perProducer)

@@ -1,6 +1,6 @@
 package shardq
 
-// This file is the bounded-admission surface of both runtimes. The default
+// This file is the bounded-admission surface of the runtime. The default
 // overload behavior of the sharded pipeline is to ADMIT EVERYTHING: a full
 // ring spills into the bucketed queue under the shard lock, and the
 // backend grows without bound. That is the right default for a closed
@@ -59,10 +59,10 @@ type Admit struct {
 	Reason PushReason
 }
 
-// admitState is the per-producer refusal bookkeeping shared by Producer
-// and ShapedProducer. The rej buffer is reused across flush cycles: it is
-// reset lazily on the first refusal after a FlushAdmit handed it out, so
-// the returned Admit stays readable until the handle is used again.
+// admitState is a Producer's refusal bookkeeping. The rej buffer is reused
+// across flush cycles: it is reset lazily on the first refusal after a
+// FlushAdmit handed it out, so the returned Admit stays readable until the
+// handle is used again.
 type admitState struct {
 	adm      int
 	rej      []*Node
@@ -104,100 +104,52 @@ func (a *admitState) take() Admit {
 	return res
 }
 
-// TryEnqueue is Enqueue under the configured shard bound: it publishes n
-// unless flow's shard is at its occupancy cap — or the runtime is closed
-// (see Close) — and reports whether the element was admitted. With no
-// bound configured and the runtime open it never refuses.
+// TryEnqueue is Enqueue under the configured shard bound: it publishes
+// (n, k1, k2) unless flow's shard is at its occupancy cap — or the runtime
+// is closed (see Close) — and reports whether the element was admitted.
+// With no bound configured and the runtime open it never refuses.
 //
 //eiffel:hotpath
-func (q *Q) TryEnqueue(flow uint64, n *Node, rank uint64) bool {
-	return q.TryEnqueueAux(flow, n, rank, 0)
-}
-
-// TryEnqueueAux is TryEnqueue carrying the ring's second payload word.
-//
-//eiffel:hotpath
-func (q *Q) TryEnqueueAux(flow uint64, n *Node, rank, aux uint64) bool {
+func (c *Core) TryEnqueue(flow uint64, n *Node, k1, k2 uint64) bool {
 	// The admitting increment must precede the closed load (both are
 	// sequentially consistent): either this producer observes Close, or
 	// the closing drain observes the in-flight admission and waits for
 	// the publication (AdmitIdle) — never neither.
-	q.admitting.Add(1)
-	if q.closed.Load() {
-		q.admitting.Add(-1)
-		q.rejected.Inc()
+	c.admitting.Add(1)
+	s := &c.shards[c.ShardFor(flow)]
+	if c.closed.Load() || (c.bound > 0 && s.qlen.Load()+s.ring.occupancy() >= c.bound) {
+		c.admitting.Add(-1)
+		c.rejected.Inc()
 		return false
 	}
-	s := &q.shards[q.ShardFor(flow)]
-	if q.bound > 0 && s.qlen.Load()+s.ring.occupancy() >= q.bound {
-		q.admitting.Add(-1)
-		q.rejected.Inc()
-		return false
-	}
-	q.enqueueShard(s, n, rank, aux)
-	q.admitting.Add(-1)
-	return true
-}
-
-// TryEnqueue is Shaped.Enqueue under the configured shard bound; see
-// Q.TryEnqueue.
-//
-//eiffel:hotpath
-func (q *Shaped) TryEnqueue(flow uint64, n *Node, sendAt, rank uint64) bool {
-	q.admitting.Add(1) // before the closed load; see Q.TryEnqueueAux
-	if q.closed.Load() {
-		q.admitting.Add(-1)
-		q.rejected.Inc()
-		return false
-	}
-	s := &q.shards[q.ShardFor(flow)]
-	if q.bound > 0 && s.qlen.Load()+s.ring.occupancy() >= q.bound {
-		q.admitting.Add(-1)
-		q.rejected.Inc()
-		return false
-	}
-	q.enqueueShard(s, n, sendAt, rank)
-	q.admitting.Add(-1)
+	c.enqueueShard(s, n, k1, k2)
+	c.admitting.Add(-1)
 	return true
 }
 
 // Bound returns the per-shard occupancy bound (0 = unbounded).
-func (q *Q) Bound() int { return int(q.bound) }
-
-// Bound returns the per-shard occupancy bound (0 = unbounded).
-func (q *Shaped) Bound() int { return int(q.bound) }
+func (c *Core) Bound() int { return int(c.bound) }
 
 // Close quiesces admission: every subsequent refusable enqueue
-// (TryEnqueue, TryEnqueueAux, Producer.FlushAdmit) refuses with
-// PushClosed, so producers driving those paths drain to a stop and the
-// consumer side can run the backlog down to exact quiescence. Close does
-// NOT gate the infallible paths (Enqueue, EnqueueBatch, Flush) — they
-// have no refusal channel; callers that keep using them after Close are
-// outside the lifecycle contract and own the consequences. Idempotent;
-// safe from any goroutine. A producer that raced Close may still publish
-// the claim it had already passed the closed check for — drains absorb
-// that window by re-passing until AdmitIdle reports the stragglers done.
-func (q *Q) Close() { q.closed.Store(true) }
+// (TryEnqueue, Producer.FlushAdmit) refuses with PushClosed, so producers
+// driving those paths drain to a stop and the consumer side can run the
+// backlog down to exact quiescence. Close does NOT gate the infallible
+// paths (Enqueue, EnqueueBatch, Flush) — they have no refusal channel;
+// callers that keep using them after Close are outside the lifecycle
+// contract and own the consequences. Idempotent; safe from any goroutine.
+// A producer that raced Close may still publish the claim it had already
+// passed the closed check for — drains absorb that window by re-passing
+// until AdmitIdle reports the stragglers done.
+func (c *Core) Close() { c.closed.Store(true) }
 
 // Closed reports whether Close has been called.
 //
 //eiffel:hotpath
-func (q *Q) Closed() bool { return q.closed.Load() }
+func (c *Core) Closed() bool { return c.closed.Load() }
 
 // AdmitIdle reports that no refusable admission is in flight between its
 // closed check and its publication. After Close, once AdmitIdle returns
 // true no straggler can still publish (new attempts refuse), so a drain
 // that THEN sees an empty runtime has reached true quiescence — checking
 // in the other order readmits the race this exists to close.
-func (q *Q) AdmitIdle() bool { return q.admitting.Load() == 0 }
-
-// Close quiesces admission for the shaped runtime; see Q.Close.
-func (q *Shaped) Close() { q.closed.Store(true) }
-
-// Closed reports whether Close has been called.
-//
-//eiffel:hotpath
-func (q *Shaped) Closed() bool { return q.closed.Load() }
-
-// AdmitIdle reports no in-flight refusable admission; see Q.AdmitIdle.
-func (q *Shaped) AdmitIdle() bool { return q.admitting.Load() == 0 }
+func (c *Core) AdmitIdle() bool { return c.admitting.Load() == 0 }

@@ -81,16 +81,17 @@ type AuxScheduler interface {
 // backend: limit clocks park tenants until a future time, reservation
 // clocks come due at a time). The runtime itself never calls these — the
 // OWNER of the backend (the qdisc front) propagates each consumer
-// group's clock into the group's backends before draining, mirroring how
-// the policy front propagates `now` into its shard trees:
+// group's clock into the group's backends before draining:
 //
 //   - SetNow advances the backend's clock and wakes a backend that had
 //     reported itself empty because nothing was eligible at the old
 //     clock (the stall contract: a backend with backlog but no eligible
 //     element must answer Min() with ok=false so the cross-shard merge's
 //     progress argument holds, and must start answering again once the
-//     clock moves). SetNow is safe WITHOUT the shard lock — it must be
-//     implemented with atomics, because producers whose rings filled
+//     clock moves). It returns whether the advance changed what Min would
+//     answer — the owner then re-peeks the group's cached heads
+//     (Core.GroupFlush). SetNow is safe WITHOUT the shard lock — it must
+//     be implemented with atomics, because producers whose rings filled
 //     read the clock under the lock on their fallback flush paths.
 //   - NextEvent reports the earliest time an ineligible element becomes
 //     eligible (ok=false when empty or when work is ready now), for the
@@ -98,7 +99,7 @@ type AuxScheduler interface {
 type ClockedScheduler interface {
 	Scheduler
 	// SetNow advances the consumer clock; see above for the contract.
-	SetNow(now int64)
+	SetNow(now int64) (repeek bool)
 	// NextEvent returns the earliest pending eligibility time.
 	NextEvent() (int64, bool)
 }

@@ -283,14 +283,6 @@ func (b *HierSched) noteResDue() {
 	}
 }
 
-// ResDue returns the published earliest ready reservation clock (0 =
-// none): when the owner's consumer clock crosses it, the owner must
-// force a head re-peek (GroupFlush) — the shard's cached merge rank
-// predates the reservation coming due. Lock-free read.
-//
-//eiffel:hotpath
-func (b *HierSched) ResDue() int64 { return b.resDue.Load() }
-
 // Enqueue implements Scheduler: the keyless surface loads the packet to
 // resolve its tenant (Class annotation) — the slow-but-correct form of
 // the aux path, used by spill paths that lost the aux word.
@@ -415,14 +407,25 @@ func (b *HierSched) Min() (uint64, bool) {
 func (b *HierSched) Len() int { return b.backlog }
 
 // SetNow implements ClockedScheduler: advance the eligibility clock,
-// waking a stalled engine. Safe without the shard lock (atomics).
+// waking a stalled engine. Two events make the advance invalidate what Min
+// last answered: the engine had stalled (reported itself empty with
+// backlog parked over limits), or the clock crossed a reservation's due
+// time (the owner's cached rank is a share tag computed before the
+// reservation came due; left stale, a weight-poor reservation holder
+// starves behind heavy share tenants until their tags pass its own). Safe
+// without the shard lock (atomics).
 //
 //eiffel:hotpath
-func (b *HierSched) SetNow(now int64) {
-	if now != b.now.Load() {
-		b.now.Store(now)
-		b.stalled.Store(false)
+func (b *HierSched) SetNow(now int64) (repeek bool) {
+	prev := b.now.Load()
+	if now == prev {
+		return false
 	}
+	d := b.resDue.Load()
+	repeek = b.stalled.Load() || (d > 0 && prev < d && d <= now)
+	b.now.Store(now)
+	b.stalled.Store(false)
+	return repeek
 }
 
 // Stalled reports whether the backend declared itself unservable at the

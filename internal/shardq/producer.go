@@ -7,90 +7,83 @@ package shardq
 // each shard's run as ONE multi-slot ring claim (ring.pushN), so k
 // same-shard elements cost one CAS and one atomic store instead of k of
 // each. When a ring fills mid-flush the remainder of the run moves
-// straight into the bucketed queue under the shard lock through one
+// straight into the shard's front stage under the shard lock through one
 // backend EnqueueBatch call — the batched form of Enqueue's ring-full
 // fallback, with the same backpressure semantics.
 
-// stage is the flat per-shard staging store shared by Producer and
-// ShapedProducer: shard i's pending run occupies pubs[i*per : i*per+cnt[i]].
-// Like the ring, consumed segments retain their node pointers until
-// overwritten — a bounded retention of elements that are live in the
-// runtime anyway.
-type stage struct {
+// Producer is a per-goroutine batched enqueue handle for a Core. Enqueue
+// stages an element on its shard's buffer and flushes that shard
+// automatically when the buffer fills; Flush publishes every pending
+// element. A staged element is NOT yet published: it is invisible to Len
+// and the consumer until its shard flushes. Each Producer must be driven
+// by a single goroutine at a time; any number of Producers (and plain
+// Enqueue callers) may feed one runtime concurrently.
+type Producer struct {
+	c *Core
+
+	// Shard i's pending run occupies pubs[i*per : i*per+cnt[i]]. Like the
+	// ring, consumed segments retain their node pointers until overwritten
+	// — a bounded retention of elements that are live in the runtime
+	// anyway.
 	per    int
 	staged int
 	cnt    []int32
 	pubs   []pub
-}
 
-func newStage(shards, per int) stage {
-	if per <= 0 {
-		per = 64
-	}
-	return stage{
-		per:  per,
-		cnt:  make([]int32, shards),
-		pubs: make([]pub, shards*per),
-	}
-}
-
-// Producer is a per-goroutine batched enqueue handle for Q. Enqueue stages
-// an element on its shard's buffer and flushes that shard automatically
-// when the buffer fills; Flush publishes every pending element. A staged
-// element is NOT yet published: it is invisible to Len and the consumer
-// until its shard flushes. Each Producer must be driven by a single
-// goroutine at a time; any number of Producers (and plain Enqueue callers)
-// may feed one Q concurrently.
-type Producer struct {
-	q  *Q
-	st stage
 	ad admitState
 }
 
 // NewProducer returns a staging handle whose per-shard buffers hold batch
 // elements each (default 64). Larger batches amortize the ring claim
 // further but delay publication until Flush.
-func (q *Q) NewProducer(batch int) *Producer {
-	return &Producer{q: q, st: newStage(len(q.shards), batch)}
+func (c *Core) NewProducer(batch int) *Producer {
+	if batch <= 0 {
+		batch = 64
+	}
+	return &Producer{
+		c: c, per: batch,
+		cnt:  make([]int32, len(c.shards)),
+		pubs: make([]pub, len(c.shards)*batch),
+	}
 }
 
 // Staged returns how many elements are staged but not yet published.
-func (p *Producer) Staged() int { return p.st.staged }
+func (p *Producer) Staged() int { return p.staged }
 
-// Enqueue stages n with the given rank on flow's shard, flushing the shard
-// if its staging buffer is full. The hot path is a hash and a handful of
-// plain stores — no shared-memory traffic at all until the flush.
+// Enqueue stages (n, k1, k2) on flow's shard — the same triple
+// Core.Enqueue publishes — flushing the shard if its staging buffer is
+// full. The hot path is a hash and a handful of plain stores — no
+// shared-memory traffic at all until the flush.
 //
 //eiffel:hotpath
-func (p *Producer) Enqueue(flow uint64, n *Node, rank uint64) {
-	p.EnqueueAux(flow, n, rank, 0)
-}
-
-// EnqueueAux is Enqueue carrying the ring's second payload word for
-// AuxScheduler backends (see Q.EnqueueAux).
-//
-//eiffel:hotpath
-func (p *Producer) EnqueueAux(flow uint64, n *Node, rank, aux uint64) {
-	i := p.q.ShardFor(flow)
-	c := p.st.cnt[i]
-	p.st.pubs[i*p.st.per+int(c)] = pub{n: n, rank: rank, aux: aux}
-	p.st.cnt[i] = c + 1
-	p.st.staged++
-	if int(c)+1 == p.st.per {
+func (p *Producer) Enqueue(flow uint64, n *Node, k1, k2 uint64) {
+	i := p.c.ShardFor(flow)
+	c := p.cnt[i]
+	p.pubs[i*p.per+int(c)] = pub{n: n, rank: k1, aux: k2}
+	p.cnt[i] = c + 1
+	p.staged++
+	if int(c)+1 == p.per {
 		p.flushShard(i)
 	}
 }
 
+// EnqueueAux is Enqueue under the name it carries on a runtime with no
+// shaper stage, where the triple reads (n, rank, aux); see Q.EnqueueAux.
+//
+//eiffel:hotpath
+func (p *Producer) EnqueueAux(flow uint64, n *Node, rank, aux uint64) {
+	p.Enqueue(flow, n, rank, aux)
+}
+
 // Flush publishes every staged element. Call it when the producer's burst
 // ends — after it, everything previously enqueued is visible to the
-// consumer, exactly as if published through Q.Enqueue. Under a shard
-// bound (Options.ShardBound), elements a full shard refuses are counted
-// in Snapshot.Rejected and dropped; callers that want them back use
-// FlushAdmit.
+// consumer, exactly as if published through Core.Enqueue. Under a shard
+// bound, elements a full shard refuses are counted in Snapshot.Rejected
+// and dropped; callers that want them back use FlushAdmit.
 //
 //eiffel:hotpath
 func (p *Producer) Flush() {
-	if p.st.staged == 0 && p.ad.adm == 0 {
+	if p.staged == 0 && p.ad.adm == 0 {
 		return
 	}
 	p.FlushAdmit()
@@ -106,7 +99,7 @@ func (p *Producer) Flush() {
 //
 //eiffel:hotpath
 func (p *Producer) FlushAdmit() Admit {
-	for i, c := range p.st.cnt {
+	for i, c := range p.cnt {
 		if c > 0 {
 			p.flushShard(i)
 		}
@@ -115,37 +108,34 @@ func (p *Producer) FlushAdmit() Admit {
 }
 
 // flushShard publishes shard i's staged run: multi-slot ring claims while
-// the ring has room, then the locked queue fallback for any remainder —
-// bounded by the shard occupancy cap when one is configured.
+// the ring has room, then the locked front-stage fallback for any
+// remainder — bounded by the shard occupancy cap when one is configured.
 //
 //eiffel:hotpath
 func (p *Producer) flushShard(i int) {
-	c := int(p.st.cnt[i])
-	pubs := p.st.pubs[i*p.st.per : i*p.st.per+c]
-	s := &p.q.shards[i]
-	p.q.admitting.Add(1) // before the closed load; see Q.TryEnqueueAux
-	if p.q.closed.Load() {
+	q := p.c
+	c := int(p.cnt[i])
+	pubs := p.pubs[i*p.per : i*p.per+c]
+	s := &q.shards[i]
+	q.admitting.Add(1) // before the closed load; see Core.TryEnqueue
+	if q.closed.Load() {
 		// Closed runtime: the whole staged run refuses, independent of the
 		// occupancy bound — admission is quiesced for the drain.
-		p.q.admitting.Add(-1)
+		q.admitting.Add(-1)
 		p.ad.refuse(pubs, PushClosed)
-		p.q.rejected.Add(uint64(c))
-		p.st.cnt[i] = 0
-		p.st.staged -= c
+		q.rejected.Add(uint64(c))
+		p.cnt[i] = 0
+		p.staged -= c
 		return
 	}
 	done, refused := 0, 0
 	for done < c {
 		lim := c
-		if p.q.bound > 0 {
+		if q.bound > 0 {
 			// Budget against published occupancy; refused elements are
 			// recorded for FlushAdmit and counted runtime-wide.
-			budget := p.q.bound - (s.qlen.Load() + s.ring.occupancy())
+			budget := q.bound - (s.qlen.Load() + s.ring.occupancy())
 			if budget <= 0 {
-				p.ad.refuse(pubs[done:], PushShardFull)
-				p.q.rejected.Add(uint64(c - done))
-				refused += c - done
-				done = c
 				break
 			}
 			if int64(c-done) > budget {
@@ -154,183 +144,44 @@ func (p *Producer) flushShard(i int) {
 		}
 		k := s.ring.pushN(pubs[done:lim])
 		if k > 0 {
-			p.q.bulkClaims.Inc()
-			p.q.bulkClaimed.Add(uint64(k))
+			q.bulkClaims.Inc()
+			q.bulkClaimed.Add(uint64(k))
 			done += k
 			continue
 		}
 		// Ring full: drain it and move the rest of the run straight into
-		// the bucketed queue, all under one lock acquisition. Under a
-		// bound, admit only up to the remaining budget (re-checked under
-		// the lock, after the drain settled qlen).
+		// the front stage, all under one lock acquisition. Under a bound,
+		// admit only up to the remaining budget (re-checked under the lock,
+		// after the drain settled qlen).
 		s.mu.Lock()
-		drained := s.flushLocked()
+		drained := s.flushLocked(q.pair)
 		take := c - done
-		if p.q.bound > 0 {
-			budget := p.q.bound - (s.qlen.Load() + s.ring.occupancy())
+		if q.bound > 0 {
+			budget := q.bound - (s.qlen.Load() + s.ring.occupancy())
 			if budget < int64(take) {
 				take = int(max(budget, 0))
 			}
 		}
 		if take > 0 {
-			s.enqueuePubsLocked(pubs[done : done+take])
+			s.enqueuePubsLocked(q.pair, pubs[done:done+take])
 			s.qlen.Add(int64(take))
 		}
-		s.fallbackGen.Add(1) // tell the consumer its cached head is stale
+		s.fallbackGen.Add(1) // tell the consumer its cached heads are stale
 		s.mu.Unlock()
-		p.q.ringFull.Inc()
-		if drained > 0 {
-			p.q.flushes.Inc()
-			p.q.flushed.Add(uint64(drained))
-		}
+		q.ringFull.Inc()
+		q.noteFlush(drained)
 		done += take
 		if done < c {
-			p.ad.refuse(pubs[done:], PushShardFull)
-			p.q.rejected.Add(uint64(c - done))
-			refused += c - done
-			done = c
+			break
 		}
 	}
-	p.q.admitting.Add(-1)
+	if done < c {
+		p.ad.refuse(pubs[done:], PushShardFull)
+		q.rejected.Add(uint64(c - done))
+		refused = c - done
+	}
+	q.admitting.Add(-1)
 	p.ad.adm += c - refused
-	p.st.cnt[i] = 0
-	p.st.staged -= c
-}
-
-// ShapedProducer is the Producer analogue for the shaped runtime: each
-// staged element carries a release time and a priority, and a shard flush
-// publishes (node, sendAt, rank) triples as one multi-slot ring claim.
-// Same contract: one goroutine per handle, any number of handles per
-// Shaped, staged elements invisible until flushed.
-type ShapedProducer struct {
-	q  *Shaped
-	st stage
-	ad admitState
-}
-
-// NewProducer returns a staging handle for the shaped runtime whose
-// per-shard buffers hold batch elements each (default 64).
-func (q *Shaped) NewProducer(batch int) *ShapedProducer {
-	return &ShapedProducer{q: q, st: newStage(len(q.shards), batch)}
-}
-
-// Staged returns how many elements are staged but not yet published.
-func (p *ShapedProducer) Staged() int { return p.st.staged }
-
-// Enqueue stages n (the element's shaper handle) with the given release
-// time and priority on flow's shard, flushing the shard if its staging
-// buffer is full.
-//
-//eiffel:hotpath
-func (p *ShapedProducer) Enqueue(flow uint64, n *Node, sendAt, rank uint64) {
-	i := p.q.ShardFor(flow)
-	c := p.st.cnt[i]
-	p.st.pubs[i*p.st.per+int(c)] = pub{n: n, rank: sendAt, aux: rank}
-	p.st.cnt[i] = c + 1
-	p.st.staged++
-	if int(c)+1 == p.st.per {
-		p.flushShard(i)
-	}
-}
-
-// Flush publishes every staged element. Under a shard bound, refused
-// elements are counted and dropped; use FlushAdmit to get them back.
-//
-//eiffel:hotpath
-func (p *ShapedProducer) Flush() {
-	if p.st.staged == 0 && p.ad.adm == 0 {
-		return
-	}
-	p.FlushAdmit()
-}
-
-// FlushAdmit publishes every staged element under the configured shard
-// bound and reports the outcome; see Producer.FlushAdmit for the buffer-
-// reuse contract.
-//
-//eiffel:hotpath
-func (p *ShapedProducer) FlushAdmit() Admit {
-	for i, c := range p.st.cnt {
-		if c > 0 {
-			p.flushShard(i)
-		}
-	}
-	return p.ad.take()
-}
-
-//eiffel:hotpath
-func (p *ShapedProducer) flushShard(i int) {
-	c := int(p.st.cnt[i])
-	pubs := p.st.pubs[i*p.st.per : i*p.st.per+c]
-	s := &p.q.shards[i]
-	p.q.admitting.Add(1) // before the closed load; see Q.TryEnqueueAux
-	if p.q.closed.Load() {
-		// Closed runtime: the whole staged run refuses (see
-		// Producer.flushShard).
-		p.q.admitting.Add(-1)
-		p.ad.refuse(pubs, PushClosed)
-		p.q.rejected.Add(uint64(c))
-		p.st.cnt[i] = 0
-		p.st.staged -= c
-		return
-	}
-	done, refused := 0, 0
-	for done < c {
-		lim := c
-		if p.q.bound > 0 {
-			budget := p.q.bound - (s.qlen.Load() + s.ring.occupancy())
-			if budget <= 0 {
-				p.ad.refuse(pubs[done:], PushShardFull)
-				p.q.rejected.Add(uint64(c - done))
-				refused += c - done
-				done = c
-				break
-			}
-			if int64(c-done) > budget {
-				lim = done + int(budget)
-			}
-		}
-		k := s.ring.pushN(pubs[done:lim])
-		if k > 0 {
-			p.q.bulkClaims.Inc()
-			p.q.bulkClaimed.Add(uint64(k))
-			done += k
-			continue
-		}
-		// Ring full: park the rest of the run in the shaper directly,
-		// stashing each element's priority on its scheduler handle as the
-		// per-element fallback does — bounded by the remaining budget when
-		// a cap is configured.
-		s.mu.Lock()
-		drained := s.flushLocked(p.q.pair)
-		take := c - done
-		if p.q.bound > 0 {
-			budget := p.q.bound - (s.qlen.Load() + s.ring.occupancy())
-			if budget < int64(take) {
-				take = int(max(budget, 0))
-			}
-		}
-		if take > 0 {
-			s.enqueuePubsLocked(p.q.pair, pubs[done:done+take])
-			s.qlen.Add(int64(take))
-		}
-		s.fallbackGen.Add(1)
-		s.mu.Unlock()
-		p.q.ringFull.Inc()
-		if drained > 0 {
-			p.q.flushes.Inc()
-			p.q.flushed.Add(uint64(drained))
-		}
-		done += take
-		if done < c {
-			p.ad.refuse(pubs[done:], PushShardFull)
-			p.q.rejected.Add(uint64(c - done))
-			refused += c - done
-			done = c
-		}
-	}
-	p.q.admitting.Add(-1)
-	p.ad.adm += c - refused
-	p.st.cnt[i] = 0
-	p.st.staged -= c
+	p.cnt[i] = 0
+	p.staged -= c
 }

@@ -6,94 +6,85 @@ import (
 	"testing"
 
 	"eiffel/internal/bucket"
-	"eiffel/internal/queue"
 )
 
-func newExactQ(shards int, ringBits uint) *Q {
-	return New(Options{
-		NumShards: shards,
-		RingBits:  ringBits,
-		Queue:     queue.Config{NumBuckets: 1 << 12, Granularity: 1},
-	})
-}
-
 func TestProducerStagesUntilFlush(t *testing.T) {
-	q := newExactQ(4, 10)
-	p := q.NewProducer(16)
-	nodes := make([]bucket.Node, 10)
-	for i := range nodes {
-		p.Enqueue(uint64(i), &nodes[i], uint64(i))
-	}
-	if got := p.Staged(); got != 10 {
-		t.Fatalf("Staged = %d, want 10", got)
-	}
-	if got := q.Len(); got != 0 {
-		t.Fatalf("Len = %d before Flush, want 0 (staged elements are unpublished)", got)
-	}
-	p.Flush()
-	if got := p.Staged(); got != 0 {
-		t.Fatalf("Staged = %d after Flush, want 0", got)
-	}
-	if got := q.Len(); got != 10 {
-		t.Fatalf("Len = %d after Flush, want 10", got)
-	}
-	st := q.Stats()
-	if st.BulkClaims == 0 || st.BulkClaimed != 10 {
-		t.Fatalf("bulk counters = %d claims / %d claimed, want >0 / 10", st.BulkClaims, st.BulkClaimed)
-	}
-	out := make([]*bucket.Node, 16)
-	if got := q.DequeueBatch(^uint64(0), out); got != 10 {
-		t.Fatalf("DequeueBatch = %d, want 10", got)
-	}
+	forEachView(t, func(t *testing.T, v view) {
+		c := v.mk(viewOpts{shards: 4, ringBits: 10})
+		p := c.NewProducer(16)
+		for i, e := range mkElems(10) {
+			v.stage(p, uint64(i), e, uint64(i))
+		}
+		if got := p.Staged(); got != 10 {
+			t.Fatalf("Staged = %d, want 10", got)
+		}
+		if got := c.Len(); got != 0 {
+			t.Fatalf("Len = %d before Flush, want 0 (staged elements are unpublished)", got)
+		}
+		p.Flush()
+		if got := p.Staged(); got != 0 {
+			t.Fatalf("Staged = %d after Flush, want 0", got)
+		}
+		if got := c.Len(); got != 10 {
+			t.Fatalf("Len = %d after Flush, want 10", got)
+		}
+		st := c.Stats()
+		if st.BulkClaims == 0 || st.BulkClaimed != 10 {
+			t.Fatalf("bulk counters = %d claims / %d claimed, want >0 / 10", st.BulkClaims, st.BulkClaimed)
+		}
+		if got := len(drainIDs(c, 16)); got != 10 {
+			t.Fatalf("drained %d, want 10", got)
+		}
+	})
 }
 
 // TestProducerAutoFlushAtCapacity checks that a shard's staging buffer
 // publishes itself when it fills, without an explicit Flush.
 func TestProducerAutoFlushAtCapacity(t *testing.T) {
-	q := newExactQ(1, 10) // one shard: every element stages on the same buffer
-	p := q.NewProducer(8)
-	nodes := make([]bucket.Node, 8)
-	for i := range nodes {
-		p.Enqueue(0, &nodes[i], uint64(i))
-	}
-	if got := p.Staged(); got != 0 {
-		t.Fatalf("Staged = %d after filling the buffer, want 0 (auto-flush)", got)
-	}
-	if got := q.Len(); got != 8 {
-		t.Fatalf("Len = %d after auto-flush, want 8", got)
-	}
+	forEachView(t, func(t *testing.T, v view) {
+		c := v.mk(viewOpts{shards: 1, ringBits: 10}) // one shard: every element stages on the same buffer
+		p := c.NewProducer(8)
+		for i, e := range mkElems(8) {
+			v.stage(p, 0, e, uint64(i))
+		}
+		if got := p.Staged(); got != 0 {
+			t.Fatalf("Staged = %d after filling the buffer, want 0 (auto-flush)", got)
+		}
+		if got := c.Len(); got != 8 {
+			t.Fatalf("Len = %d after auto-flush, want 8", got)
+		}
+	})
 }
 
 // TestProducerRingFullFallback forces staged runs through the locked
 // fallback: a ring much smaller than the staged batch must spill the
-// remainder straight into the bucketed queue, losing nothing and keeping
+// remainder straight into the front stage, losing nothing and keeping
 // per-shard FIFO order.
 func TestProducerRingFullFallback(t *testing.T) {
-	q := newExactQ(1, 2) // 4-slot ring
-	p := q.NewProducer(64)
-	const n = 40
-	nodes := make([]bucket.Node, n)
-	for i := range nodes {
-		nodes[i].Data = i
-		p.Enqueue(0, &nodes[i], 7) // same rank: drain order is pure FIFO
-	}
-	p.Flush()
-	if got := q.Len(); got != n {
-		t.Fatalf("Len = %d, want %d", got, n)
-	}
-	st := q.Stats()
-	if st.RingFull == 0 {
-		t.Fatalf("RingFull = 0, want >0 (ring has 4 slots, %d staged)", n)
-	}
-	out := make([]*bucket.Node, n)
-	if got := q.DequeueBatch(^uint64(0), out); got != n {
-		t.Fatalf("DequeueBatch = %d, want %d", got, n)
-	}
-	for i, nd := range out {
-		if nd.Data.(int) != i {
-			t.Fatalf("position %d: element %d — fallback broke FIFO order", i, nd.Data.(int))
+	forEachView(t, func(t *testing.T, v view) {
+		c := v.mk(viewOpts{shards: 1, ringBits: 2}) // 4-slot ring
+		p := c.NewProducer(64)
+		const n = 40
+		for _, e := range mkElems(n) {
+			v.stage(p, 0, e, 7) // same rank: drain order is pure FIFO
 		}
-	}
+		p.Flush()
+		if got := c.Len(); got != n {
+			t.Fatalf("Len = %d, want %d", got, n)
+		}
+		if st := c.Stats(); st.RingFull == 0 {
+			t.Fatalf("RingFull = 0, want >0 (ring has 4 slots, %d staged)", n)
+		}
+		got := drainIDs(c, n)
+		if len(got) != n {
+			t.Fatalf("drained %d, want %d", len(got), n)
+		}
+		for i, id := range got {
+			if id != i {
+				t.Fatalf("position %d: element %d — fallback broke FIFO order", i, id)
+			}
+		}
+	})
 }
 
 func TestSnapshotStringBulkCounters(t *testing.T) {
@@ -103,22 +94,6 @@ func TestSnapshotStringBulkCounters(t *testing.T) {
 	}
 	if got := (Snapshot{RingPushes: 3}).String(); strings.Contains(got, "bulk") {
 		t.Fatalf("String() = %q: bulk counters rendered despite no bulk claims", got)
-	}
-}
-
-// drainAll drains q completely in exact mode, returning the elements'
-// Data annotations in release order.
-func drainAll(q *Q, chunk int) []int {
-	out := make([]*bucket.Node, chunk)
-	var got []int
-	for {
-		k := q.DequeueBatch(^uint64(0), out)
-		if k == 0 {
-			return got
-		}
-		for _, n := range out[:k] {
-			got = append(got, n.Data.(int))
-		}
 	}
 }
 
@@ -134,73 +109,66 @@ func TestBatchVsPerElementEquivalence(t *testing.T) {
 		seeds = append(seeds, 1001, 90210)
 		size = 20000
 	}
-	for _, seed := range seeds {
-		rng := rand.New(rand.NewSource(seed))
-		flows := make([]uint64, size)
-		ranks := make([]uint64, size)
-		for i := range flows {
-			flows[i] = uint64(rng.Intn(97))
-			ranks[i] = uint64(rng.Intn(1 << 11))
-		}
-		mkNodes := func() []bucket.Node {
-			nodes := make([]bucket.Node, size)
-			for i := range nodes {
-				nodes[i].Data = i
+	forEachView(t, func(t *testing.T, v view) {
+		for _, seed := range seeds {
+			rng := rand.New(rand.NewSource(seed))
+			flows := make([]uint64, size)
+			ranks := make([]uint64, size)
+			for i := range flows {
+				flows[i] = uint64(rng.Intn(97))
+				ranks[i] = uint64(rng.Intn(1 << 11))
 			}
-			return nodes
-		}
+			opts := viewOpts{shards: 4, ringBits: 8}
 
-		// Per-element reference.
-		ref := newExactQ(4, 8)
-		refNodes := mkNodes()
-		for i := range refNodes {
-			ref.Enqueue(flows[i], &refNodes[i], ranks[i])
-		}
-		want := drainAll(ref, 37)
-		if len(want) != size {
-			t.Fatalf("seed %d: reference drained %d of %d", seed, len(want), size)
-		}
+			// Per-element reference.
+			ref := v.mk(opts)
+			for i, e := range mkElems(size) {
+				v.enq(ref, flows[i], e, ranks[i])
+			}
+			want := drainIDs(ref, 37)
+			if len(want) != size {
+				t.Fatalf("seed %d: reference drained %d of %d", seed, len(want), size)
+			}
 
-		// Staging Producer with random flush points and a small ring, so
-		// partial claims and fallbacks interleave with clean bulk claims.
-		pq := newExactQ(4, 8)
-		pqNodes := mkNodes()
-		prod := pq.NewProducer(1 + rng.Intn(100))
-		for i := range pqNodes {
-			prod.Enqueue(flows[i], &pqNodes[i], ranks[i])
-			if rng.Intn(200) == 0 {
-				prod.Flush()
+			// Staging Producer with random flush points and a small ring, so
+			// partial claims and fallbacks interleave with clean bulk claims.
+			pq := v.mk(opts)
+			prod := pq.NewProducer(1 + rng.Intn(100))
+			for i, e := range mkElems(size) {
+				v.stage(prod, flows[i], e, ranks[i])
+				if rng.Intn(200) == 0 {
+					prod.Flush()
+				}
+			}
+			prod.Flush()
+			if got := drainIDs(pq, 37); !equalInts(got, want) {
+				t.Fatalf("seed %d: Producer admission reordered the drain", seed)
+			}
+
+			// EnqueueBatch in random run lengths.
+			bq := v.mk(opts)
+			ns, k1s, k2s := make([]*Node, size), make([]uint64, size), make([]uint64, size)
+			for i, e := range mkElems(size) {
+				ns[i], k1s[i], k2s[i] = v.keys(e, ranks[i])
+			}
+			for i := 0; i < size; {
+				j := i + 1 + rng.Intn(500)
+				if j > size {
+					j = size
+				}
+				bq.EnqueueBatch(flows[i:j], ns[i:j], k1s[i:j], k2s[i:j])
+				i = j
+			}
+			if got := drainIDs(bq, 37); !equalInts(got, want) {
+				t.Fatalf("seed %d: EnqueueBatch admission reordered the drain", seed)
 			}
 		}
-		prod.Flush()
-		if got := drainAll(pq, 37); !equalInts(got, want) {
-			t.Fatalf("seed %d: Producer admission reordered the drain", seed)
-		}
-
-		// EnqueueBatch in random run lengths.
-		bq := newExactQ(4, 8)
-		bqNodes := mkNodes()
-		ns := make([]*Node, size)
-		for i := range bqNodes {
-			ns[i] = &bqNodes[i]
-		}
-		for i := 0; i < size; {
-			j := i + 1 + rng.Intn(500)
-			if j > size {
-				j = size
-			}
-			bq.EnqueueBatch(flows[i:j], ns[i:j], ranks[i:j])
-			i = j
-		}
-		if got := drainAll(bq, 37); !equalInts(got, want) {
-			t.Fatalf("seed %d: EnqueueBatch admission reordered the drain", seed)
-		}
-	}
+	})
 }
 
 // TestShapedBatchVsPerElementEquivalence is the shaped variant: random
 // (flow, sendAt, rank) workloads admitted per element and through a
-// ShapedProducer must release identically across a rising now sweep —
+// Producer must release identically across a rising now sweep —
 // batching must disturb neither the release gating nor the priority
 // merge. Rings are sized to absorb the whole burst (asserted below):
 // a ring-full fallback detours elements through the shaper, whose

@@ -1,22 +1,6 @@
 package shardq
 
-import (
-	"math/bits"
-	"sync"
-	"sync/atomic"
-
-	"eiffel/internal/bucket"
-	"eiffel/internal/queue"
-	"eiffel/internal/stats"
-)
-
-// PairFunc maps the node a producer published (the element's handle in the
-// time-indexed shaper) to the element's second handle, used by the
-// priority-indexed scheduler. The two handles must belong to the same
-// element and the scheduler handle must be detached while the element sits
-// in the shaper — exactly the contract pkt.Packet's TimerNode/SchedNode
-// pair is built for (Figure 8's decoupling).
-type PairFunc func(*bucket.Node) *bucket.Node
+import "eiffel/internal/queue"
 
 // ShapedOptions sizes a shaped-and-scheduled sharded runtime.
 type ShapedOptions struct {
@@ -40,8 +24,8 @@ type ShapedOptions struct {
 	// goroutine, and flows never span groups.
 	NumGroups int
 	// ShardBound caps each shard's published occupancy for the bounded-
-	// admission paths (TryEnqueue, ShapedProducer.FlushAdmit); 0 keeps
-	// the legacy unbounded spill. See Options.ShardBound and admit.go.
+	// admission paths (TryEnqueue, Producer.FlushAdmit); 0 keeps the
+	// legacy unbounded spill. See Options.ShardBound and admit.go.
 	ShardBound int
 	// SchedMoving selects a circular cFFS for the scheduler side, for
 	// priority domains that move forward without bound (virtual finish
@@ -64,245 +48,13 @@ type ShapedOptions struct {
 	Pair PairFunc
 }
 
-func (o ShapedOptions) withDefaults() ShapedOptions {
-	base := Options{NumShards: o.NumShards, RingBits: o.RingBits, NumGroups: o.NumGroups}.withDefaults()
-	o.NumShards, o.RingBits, o.NumGroups = base.NumShards, base.RingBits, base.NumGroups
-	return o
-}
-
-// shapedShard is one partition of the shaped runtime: the same lock-free
-// publication ring as the plain runtime, in front of TWO mutex-protected
-// Scheduler backends — a shaper keyed by release time and a scheduler
-// keyed by priority. Producers only ever feed the shaper side; the
-// consumer migrates due elements shaper→scheduler and drains the
-// scheduler.
-type shapedShard struct {
-	ring *ring
-	mu   sync.Mutex
-
-	shaper Scheduler
-	sched  Scheduler
-
-	// Flush staging (guarded by mu): ring pops partition into a
-	// scheduler-bound run and a shaper-bound run, and each run lands as
-	// one backend EnqueueBatch call instead of one interface dispatch per
-	// element. Retains its last run of node pointers until overwritten,
-	// like the ring — bounded, and the nodes are live in the queues.
-	//
-	//eiffel:guarded(mu)
-	dueNs []*bucket.Node // scheduler-bound (already due)
-	//eiffel:guarded(mu)
-	dueRanks []uint64
-	//eiffel:guarded(mu)
-	parkNs []*bucket.Node // shaper-bound (still shaped)
-	//eiffel:guarded(mu)
-	parkSendAts []uint64
-
-	// qlen mirrors shaper.Len()+sched.Len() so Len readers need no lock;
-	// migration moves elements between the two without changing it.
-	qlen atomic.Int64
-
-	// fallbackGen counts producer-side fallback flushes, as in shard.
-	fallbackGen atomic.Uint32
-
-	_ [64]byte // keep one shard's lock traffic off the next's cache lines
-}
-
-// enqueuePubsLocked parks a staged run that never made it into the ring (a
-// ShapedProducer's ring-full fallback) in the shaper, stashing each
-// element's priority on its paired handle and converting through the flush
-// scratch so the backend still sees whole runs. Callers hold mu and settle
-// qlen themselves.
-//
-//eiffel:locked(mu)
-//eiffel:hotpath
-func (s *shapedShard) enqueuePubsLocked(pair PairFunc, pubs []pub) {
-	for len(pubs) > 0 {
-		k := len(s.parkNs)
-		if k > len(pubs) {
-			k = len(pubs)
-		}
-		for j := 0; j < k; j++ {
-			pair(pubs[j].n).SetRank(pubs[j].aux)
-			s.parkNs[j], s.parkSendAts[j] = pubs[j].n, pubs[j].rank
-		}
-		s.shaper.EnqueueBatch(s.parkNs[:k], s.parkSendAts[:k])
-		pubs = pubs[k:]
-	}
-}
-
-// flushLocked drains the ring into the shaper in staged runs, stashing
-// each element's priority on its scheduler handle for the later migration.
-// Producer-side fallback path: producers know no drain bound and must
-// never touch the scheduler (the consumer's merge caches scheduler heads).
-// Callers hold mu.
-//
-//eiffel:locked(mu)
-//eiffel:hotpath
-func (s *shapedShard) flushLocked(pair PairFunc) (drained int) {
-	for {
-		k := 0
-		for k < len(s.parkNs) {
-			n, sendAt, rank, ok := s.ring.pop()
-			if !ok {
-				break
-			}
-			pair(n).SetRank(rank)
-			s.parkNs[k], s.parkSendAts[k] = n, sendAt
-			k++
-		}
-		if k == 0 {
-			break
-		}
-		s.shaper.EnqueueBatch(s.parkNs[:k], s.parkSendAts[:k])
-		drained += k
-		if k < len(s.parkNs) {
-			break
-		}
-	}
-	if drained > 0 {
-		s.qlen.Add(int64(drained))
-		s.ring.publish()
-	}
-	return drained
-}
-
-// flushDueLocked is the consumer's flush: elements already due at the
-// drain bound skip the shaper entirely and land straight in the scheduler
-// — they would migrate in this same pass anyway, so the detour through the
-// time-indexed queue is pure wasted work (the shaped analogue of the plain
-// runtime's DirectDue, except nothing is reordered: the scheduler still
-// merges by priority). The due path converts to the PAIRED scheduler
-// handle immediately (for the qdisc pairing this is pure pointer
-// arithmetic), so every element the scheduler ever holds — and therefore
-// every node a drain returns — is its scheduler handle; consumers convert
-// back without consulting the node's memory. Elements that actually wait
-// in the shaper stash their priority on the paired handle for the later
-// migration. Not-yet-due elements park in the shaper as usual. Each
-// destination receives whole staged runs, FIFO order within each
-// preserved. Callers hold mu; consumer-side only.
-//
-//eiffel:locked(mu)
-//eiffel:hotpath
-func (s *shapedShard) flushDueLocked(pair PairFunc, due uint64) (drained, direct int) {
-	for {
-		dd, pp := 0, 0
-		for dd < len(s.dueNs) && pp < len(s.parkNs) {
-			n, sendAt, rank, ok := s.ring.pop()
-			if !ok {
-				break
-			}
-			if sendAt <= due {
-				s.dueNs[dd], s.dueRanks[dd] = pair(n), rank
-				dd++
-			} else {
-				pair(n).SetRank(rank)
-				s.parkNs[pp], s.parkSendAts[pp] = n, sendAt
-				pp++
-			}
-		}
-		if dd == 0 && pp == 0 {
-			break
-		}
-		if dd > 0 {
-			s.sched.EnqueueBatch(s.dueNs[:dd], s.dueRanks[:dd])
-			direct += dd
-		}
-		if pp > 0 {
-			s.shaper.EnqueueBatch(s.parkNs[:pp], s.parkSendAts[:pp])
-		}
-		drained += dd + pp
-		if dd < len(s.dueNs) && pp < len(s.parkNs) {
-			break
-		}
-	}
-	if drained > 0 {
-		s.qlen.Add(int64(drained))
-		s.ring.publish()
-	}
-	return drained, direct
-}
-
-// Shaped is the shaped-and-scheduled sharded runtime: the multi-producer
-// scaling of the paper's decoupled shaping (§3.2.2, Figure 8). Each
-// element carries two keys — a release time (sendAt) and a priority
-// (rank). Producers publish (node, sendAt, rank) triples over lock-free
-// rings; the consumer first migrates elements whose release time has
-// arrived from the per-shard shapers into the per-shard schedulers, then
-// drains the schedulers in merged cross-shard priority order. An element
-// is therefore never released before its release bucket, and among
-// released elements global priority order holds to scheduler-bucket
-// granularity — the combination hardware PIFOs cannot express.
-//
-// Concurrency contract matches Q: Enqueue from any number of goroutines;
-// each consumer group's drain surface (GroupDequeueBatch, GroupNextRelease,
-// GroupFlush) from one goroutine per group, distinct groups concurrently;
-// the group-less surface (DequeueBatch, DequeueMin, NextRelease, Flush)
-// requires exclusive access to every group. Each group worker passes its
-// own clock value — groups migrate and drain on independent clocks, and
-// because flows never span groups, per-flow shaping and priority order
-// stay exactly the single-consumer order regardless of clock skew between
-// workers.
-type Shaped struct {
-	shards    []shapedShard
-	shardBits uint
-	pair      PairFunc
-
-	// bound is ShapedOptions.ShardBound (0 = unbounded); rejected counts
-	// bounded-admission refusals.
-	bound    int64
-	rejected stats.Counter
-
-	// closed quiesces the refusable admission paths (see Close).
-	closed atomic.Bool
-
-	// admitting counts refusable admissions in flight between their closed
-	// check and their publication; see Q.admitting.
-	admitting atomic.Int64
-
-	// groups holds each consumer group's private drain state (cached
-	// heads, migration scratch); groupShift maps shard→group.
-	groups     []shapedGroup
-	groupShift uint
-
-	// prodPool recycles staging ShapedProducers for the one-shot
-	// EnqueueBatch surface (see Q.prodPool).
-	prodPool sync.Pool
-
-	ringFull    stats.Counter
-	flushes     stats.Counter
-	flushed     stats.Counter
-	migrated    stats.Counter
-	batches     stats.Counter
-	batched     stats.Counter
-	bulkClaims  stats.Counter
-	bulkClaimed stats.Counter
-}
-
-// shapedGroup is one consumer group's private drain state for the shaped
-// runtime: cached shaper/scheduler heads for its shards, the group's own
-// migration scratch (group workers migrate concurrently, so the scratch
-// cannot be shared), and the group's count of scheduler-resident
-// elements. Padded like groupState.
-type shapedGroup struct {
-	lo, hi int
-
-	// shaperHeads caches each owned shard's soonest release time;
-	// schedHeads caches each owned shard's minimum priority. Both indexed
-	// by shard-lo.
-	shaperHeads []headState
-	schedHeads  []headState
-
-	migScratch []*bucket.Node // migration conversion space
-	migNs      []*bucket.Node // paired-handle staging for batched migration
-	migRanks   []uint64
-
-	// schedN counts this group's elements currently sitting in scheduler
-	// queues (migrated but not yet drained), readable from any goroutine.
-	schedN atomic.Int64
-
-	_ [64]byte
-}
+// Shaped is the typed view of a Core WITH a shaper stage — the shaped-and-
+// scheduled runtime. Each element carries two keys: producers publish
+// (shaper handle, sendAt, rank), every drain call takes the worker's clock
+// and first migrates what that clock made due, and drains return the
+// element's paired scheduler handle. Core's uniform surface is exactly
+// this view's, so it adds no methods.
+type Shaped struct{ *Core }
 
 // NewShaped returns a shaped-and-scheduled runtime whose shards each own a
 // shaper and a scheduler built from opt.
@@ -310,392 +62,16 @@ func NewShaped(opt ShapedOptions) *Shaped {
 	if opt.Pair == nil {
 		panic("shardq: NewShaped needs a Pair function")
 	}
-	opt = opt.withDefaults()
-	q := &Shaped{
-		shards:    make([]shapedShard, opt.NumShards),
-		shardBits: uint(bits.TrailingZeros(uint(opt.NumShards))),
-		pair:      opt.Pair,
-		bound:     int64(opt.ShardBound),
-	}
-	per := opt.NumShards / opt.NumGroups
-	q.groupShift = uint(bits.TrailingZeros(uint(per)))
-	q.groups = make([]shapedGroup, opt.NumGroups)
-	for g := range q.groups {
-		q.groups[g] = shapedGroup{
-			lo: g * per, hi: (g + 1) * per,
-			shaperHeads: make([]headState, per),
-			schedHeads:  make([]headState, per),
-			migScratch:  make([]*bucket.Node, flushChunk),
-			migNs:       make([]*bucket.Node, flushChunk),
-			migRanks:    make([]uint64, flushChunk),
+	sched := opt.SchedBackend
+	if sched == nil {
+		sched = func(int) Scheduler { return newVecSched(opt.Sched) }
+		if opt.SchedMoving {
+			sched = func(int) Scheduler { return wrapPQ(queue.New(queue.KindCFFS, opt.Sched)) }
 		}
 	}
-	for i := range q.shards {
-		s := &q.shards[i]
-		s.ring = newRing(opt.RingBits)
-		s.shaper = wrapPQ(queue.New(queue.KindCFFS, opt.Shaper))
-		if opt.SchedBackend != nil {
-			s.sched = opt.SchedBackend(i)
-		} else if opt.SchedMoving {
-			s.sched = wrapPQ(queue.New(queue.KindCFFS, opt.Sched))
-		} else {
-			s.sched = newVecSched(opt.Sched)
-		}
-		//eiffel:allow(lockcheck) construction: the shard is not shared until NewShaped returns
-		s.dueNs = make([]*bucket.Node, flushChunk)
-		//eiffel:allow(lockcheck) construction: the shard is not shared until NewShaped returns
-		s.dueRanks = make([]uint64, flushChunk)
-		//eiffel:allow(lockcheck) construction: the shard is not shared until NewShaped returns
-		s.parkNs = make([]*bucket.Node, flushChunk)
-		//eiffel:allow(lockcheck) construction: the shard is not shared until NewShaped returns
-		s.parkSendAts = make([]uint64, flushChunk)
-	}
-	q.prodPool.New = func() any { return q.NewProducer(0) }
-	return q
-}
-
-// NumShards returns the shard count.
-func (q *Shaped) NumShards() int { return len(q.shards) }
-
-// NumGroups returns the consumer-group count.
-func (q *Shaped) NumGroups() int { return len(q.groups) }
-
-// GroupShards returns the half-open shard index range consumer group g
-// owns.
-func (q *Shaped) GroupShards(g int) (lo, hi int) { return q.groups[g].lo, q.groups[g].hi }
-
-// GroupFor returns the consumer group that drains flow's shard.
-func (q *Shaped) GroupFor(flow uint64) int { return q.ShardFor(flow) >> q.groupShift }
-
-// Len returns the number of queued elements (published but not yet
-// dequeued), wherever they sit: ring, shaper, or scheduler. Safe from any
-// goroutine; while producers and the consumer run it may transiently
-// overcount by up to one in-flight batch, and it is exact at quiescence.
-func (q *Shaped) Len() int {
-	var n int64
-	for i := range q.shards {
-		s := &q.shards[i]
-		n += s.ring.occupancy() + s.qlen.Load()
-	}
-	return int(n)
-}
-
-// SchedLen returns how many elements have migrated into scheduler queues
-// but not yet been drained — i.e. elements that are release-eligible right
-// now. Safe from any goroutine, same transient-overcount caveat as Len.
-func (q *Shaped) SchedLen() int {
-	var n int64
-	for g := range q.groups {
-		n += q.groups[g].schedN.Load()
-	}
-	return int(n)
-}
-
-// GroupSchedLen is SchedLen restricted to consumer group g's shards. Safe
-// from any goroutine.
-func (q *Shaped) GroupSchedLen(g int) int { return int(q.groups[g].schedN.Load()) }
-
-// GroupLen is Len restricted to consumer group g's shards: elements
-// published into the group but not yet dequeued, wherever they sit —
-// ring, shaper, or scheduler. Safe from any goroutine, same transient-
-// overcount contract as Len.
-//
-//eiffel:hotpath
-func (q *Shaped) GroupLen(g int) int {
-	gr := &q.groups[g]
-	var n int64
-	for i := gr.lo; i < gr.hi; i++ {
-		s := &q.shards[i]
-		n += s.ring.occupancy() + s.qlen.Load()
-	}
-	return int(n)
-}
-
-// Stats returns a snapshot of the operational counters.
-func (q *Shaped) Stats() Snapshot {
-	var pushes uint64
-	for i := range q.shards {
-		pushes += q.shards[i].ring.pushes()
-	}
-	return Snapshot{
-		RingPushes:  pushes,
-		RingFull:    q.ringFull.Load(),
-		BulkClaims:  q.bulkClaims.Load(),
-		BulkClaimed: q.bulkClaimed.Load(),
-		Flushes:     q.flushes.Load(),
-		Flushed:     q.flushed.Load(),
-		Migrated:    q.migrated.Load(),
-		Batches:     q.batches.Load(),
-		Batched:     q.batched.Load(),
-		Rejected:    q.rejected.Load(),
-	}
-}
-
-// ShardFor returns the shard index flow hashes to (same Fibonacci hash as
-// the plain runtime, so a flow lands on the same shard under either).
-//
-//eiffel:hotpath
-func (q *Shaped) ShardFor(flow uint64) int {
-	return int((flow * 0x9E3779B97F4A7C15) >> (64 - q.shardBits))
-}
-
-// Enqueue publishes n (the element's shaper handle) with the given release
-// time and priority on flow's shard. The fast path is one lock-free ring
-// push; a full ring falls back to flushing under the shard lock, exactly
-// as in Q.Enqueue.
-//
-//eiffel:hotpath
-func (q *Shaped) Enqueue(flow uint64, n *bucket.Node, sendAt, rank uint64) {
-	q.enqueueShard(&q.shards[q.ShardFor(flow)], n, sendAt, rank)
-}
-
-// enqueueShard is the shard-resolved body of Enqueue, shared with the
-// bounded TryEnqueue path.
-//
-//eiffel:hotpath
-func (q *Shaped) enqueueShard(s *shapedShard, n *bucket.Node, sendAt, rank uint64) {
-	if s.ring.push(n, sendAt, rank) {
-		return
-	}
-	s.mu.Lock()
-	drained := s.flushLocked(q.pair)
-	q.pair(n).SetRank(rank)
-	s.shaper.Enqueue(n, sendAt)
-	s.qlen.Add(1)
-	s.fallbackGen.Add(1)
-	s.mu.Unlock()
-	q.ringFull.Inc()
-	if drained > 0 {
-		q.flushes.Inc()
-		q.flushed.Add(uint64(drained))
-	}
-}
-
-// EnqueueBatch publishes ns[i] (each element's shaper handle) with release
-// time sendAts[i] and priority ranks[i] on flows[i]'s shard, grouping
-// elements per shard so each group lands as one multi-slot ring claim.
-// Safe from any number of goroutines concurrently and allocation-free in
-// steady state; everything is published by the time it returns. Producers
-// with a batch stream of their own should hold a NewProducer handle.
-//
-//eiffel:hotpath
-func (q *Shaped) EnqueueBatch(flows []uint64, ns []*Node, sendAts, ranks []uint64) {
-	p := q.prodPool.Get().(*ShapedProducer)
-	for i, n := range ns {
-		p.Enqueue(flows[i], n, sendAts[i], ranks[i])
-	}
-	p.Flush()
-	q.prodPool.Put(p)
-}
-
-// migrate flushes shard i's ring and moves every element whose release
-// time is at or below now from the shaper into the scheduler, refreshing
-// both cached heads in gr (shard i's owning group). Group-worker-side.
-// The whole move runs under one lock acquisition and uses whole-bucket
-// batch pops on the shaper side.
-//
-//eiffel:hotpath
-func (q *Shaped) migrate(gr *shapedGroup, i int, now uint64) {
-	s := &q.shards[i]
-	sh, sc := &gr.shaperHeads[i-gr.lo], &gr.schedHeads[i-gr.lo]
-	// Idle fast path: nothing new in the ring, no fallback since the last
-	// look, and the cached shaper head is not yet due — the shard cannot
-	// contribute anything, so skip the lock entirely.
-	if sh.valid && sc.valid && s.ring.empty() && sh.gen == s.fallbackGen.Load() &&
-		(!sh.ok || sh.rank > now) {
-		return
-	}
-	s.mu.Lock()
-	drained, moved := s.flushDueLocked(q.pair, now)
-	for {
-		k := s.shaper.DequeueBatch(now, gr.migScratch)
-		if k == 0 {
-			break
-		}
-		// Convert to the paired scheduler handles and hand the whole run
-		// over in one backend call.
-		for j := 0; j < k; j++ {
-			sn := q.pair(gr.migScratch[j])
-			gr.migNs[j], gr.migRanks[j] = sn, sn.Rank()
-			gr.migScratch[j] = nil // do not pin migrated elements against GC
-		}
-		s.sched.EnqueueBatch(gr.migNs[:k], gr.migRanks[:k])
-		moved += k
-	}
-	sh.rank, sh.ok = s.shaper.Min()
-	sh.gen = s.fallbackGen.Load()
-	sh.valid = true
-	sc.rank, sc.ok = s.sched.Min()
-	sc.valid = true
-	s.mu.Unlock()
-	if moved > 0 {
-		gr.schedN.Add(int64(moved))
-		q.migrated.Add(uint64(moved))
-	}
-	if drained > 0 {
-		q.flushes.Inc()
-		q.flushed.Add(uint64(drained))
-	}
-}
-
-// GroupFlush drains every ring in group g into its shaper and migrates
-// everything due at now, refreshing the group's cached heads.
-// Group-worker-side.
-//
-//eiffel:hotpath
-func (q *Shaped) GroupFlush(g int, now uint64) {
-	gr := &q.groups[g]
-	for i := gr.lo; i < gr.hi; i++ {
-		q.migrate(gr, i, now)
-	}
-}
-
-// Flush drains every shard's ring into its shaper and migrates everything
-// due at now, refreshing every group's cached heads. Single-consumer
-// surface.
-//
-//eiffel:hotpath
-func (q *Shaped) Flush(now uint64) {
-	for g := range q.groups {
-		q.GroupFlush(g, now)
-	}
-}
-
-// GroupNextRelease flushes group g's pending rings and returns the
-// minimum bucket-quantized release time across the group's shapers, or
-// ok=false if none of them holds an element waiting on time. Elements
-// already migrated into scheduler queues are release-eligible immediately
-// and are NOT covered here — check GroupSchedLen first (the migration
-// pass this call runs may itself have made elements eligible NOW).
-// Group-worker-side; this is the group's SoonestDeadline for arming its
-// worker's timer.
-//
-//eiffel:hotpath
-func (q *Shaped) GroupNextRelease(g int, now uint64) (uint64, bool) {
-	gr := &q.groups[g]
-	min, ok := uint64(0), false
-	for i := gr.lo; i < gr.hi; i++ {
-		q.migrate(gr, i, now)
-		if h := &gr.shaperHeads[i-gr.lo]; h.ok && (!ok || h.rank < min) {
-			min, ok = h.rank, true
-		}
-	}
-	return min, ok
-}
-
-// NextRelease flushes pending rings and returns the minimum
-// bucket-quantized release time across every shard's shaper, or ok=false
-// if no element is waiting on time. Elements already migrated into
-// scheduler queues are release-eligible immediately and are NOT covered
-// here — check SchedLen first. Single-consumer surface; this is the
-// aggregate SoonestDeadline for arming the host timer.
-//
-//eiffel:hotpath
-func (q *Shaped) NextRelease(now uint64) (uint64, bool) {
-	min, ok := uint64(0), false
-	for g := range q.groups {
-		if r, rok := q.GroupNextRelease(g, now); rok && (!ok || r < min) {
-			min, ok = r, true
-		}
-	}
-	return min, ok
-}
-
-// GroupDequeueBatch migrates every element due at now shaper→scheduler
-// within consumer group g, then pops up to len(out) elements whose
-// bucket-quantized priority is at most maxRank from the group's
-// schedulers, merged across the group's shards exactly as
-// Q.GroupDequeueBatch merges (minimum-head runs bounded by the runner-up
-// head). It returns how many nodes it wrote to out; a returned node is
-// always the element's PAIRED scheduler handle (see DequeueBatch).
-//
-// Group-worker-side: distinct groups may call this concurrently, each
-// with its own clock value. Flows never span groups, so per-flow release
-// gating and priority order are exactly the single-consumer order.
-//
-//eiffel:hotpath
-func (q *Shaped) GroupDequeueBatch(g int, now, maxRank uint64, out []*bucket.Node) int {
-	if len(out) == 0 {
-		return 0
-	}
-	gr := &q.groups[g]
-	for i := gr.lo; i < gr.hi; i++ {
-		q.migrate(gr, i, now)
-	}
-
-	// Producers cannot disturb the merge — they only ever publish into
-	// shapers, and this batch's migration pass is done — so the cached
-	// scheduler heads are exact for the whole drain.
-	total := mergeRuns(gr.schedHeads, maxRank, out, func(best int, limit uint64, out []*bucket.Node) int {
-		s := &q.shards[gr.lo+best]
-		s.mu.Lock()
-		popped := s.sched.DequeueBatch(limit, out)
-		s.qlen.Add(int64(-popped))
-		r, ok := s.sched.Min()
-		gr.schedHeads[best].rank, gr.schedHeads[best].ok = r, ok
-		s.mu.Unlock()
-		return popped
-	})
-	if total > 0 {
-		gr.schedN.Add(int64(-total))
-		q.batches.Inc()
-		q.batched.Add(uint64(total))
-	}
-	return total
-}
-
-// DequeueBatch migrates every element due at now shaper→scheduler, then
-// pops up to len(out) elements whose bucket-quantized priority is at most
-// maxRank from the schedulers, serving every consumer group from the
-// calling goroutine. With the default single group the merge spans all
-// shards in global priority order exactly as before groups existed; with
-// more groups the cross-group concatenation relaxes global order to group
-// granularity. A returned node is always the element's PAIRED scheduler
-// handle (elements reach a scheduler only through Pair — at migration, or
-// directly when flushed already due); recover the element through Data,
-// which both handles share, or by the handle's owner offset when the
-// pairing is an embedded field. Single-consumer surface.
-//
-//eiffel:hotpath
-func (q *Shaped) DequeueBatch(now, maxRank uint64, out []*bucket.Node) int {
-	total := 0
-	for g := range q.groups {
-		total += q.GroupDequeueBatch(g, now, maxRank, out[total:])
-		if total == len(out) {
-			break
-		}
-	}
-	return total
-}
-
-// DequeueMin migrates due elements and pops the single highest-priority
-// release-eligible element (its scheduler handle), or nil if nothing is
-// eligible at now. With multiple consumer groups it migrates every group
-// first and serves the group whose scheduler head has the minimum
-// priority, so the answer stays global. Single-consumer surface; batch
-// callers should prefer DequeueBatch.
-func (q *Shaped) DequeueMin(now uint64) *bucket.Node {
-	g := 0
-	if len(q.groups) > 1 {
-		bestRank, ok := uint64(0), false
-		for gi := range q.groups {
-			gr := &q.groups[gi]
-			for i := gr.lo; i < gr.hi; i++ {
-				q.migrate(gr, i, now)
-			}
-			for i := range gr.schedHeads {
-				if h := &gr.schedHeads[i]; h.ok && (!ok || h.rank < bestRank) {
-					g, bestRank, ok = gi, h.rank, true
-				}
-			}
-		}
-		if !ok {
-			return nil
-		}
-	}
-	var one [1]*bucket.Node
-	if q.GroupDequeueBatch(g, now, ^uint64(0), one[:]) == 0 {
-		return nil
-	}
-	return one[0]
+	return &Shaped{newCore(config{
+		shards: opt.NumShards, groups: opt.NumGroups, ringBits: opt.RingBits,
+		bound: opt.ShardBound, sched: sched, pair: opt.Pair,
+		shaper: func(int) Scheduler { return wrapPQ(queue.New(queue.KindCFFS, opt.Shaper)) },
+	})}
 }

@@ -10,22 +10,6 @@ import (
 	"eiffel/internal/queue"
 )
 
-// elem is a two-handle test element, the shape pkt.Packet has: one node
-// for the time-indexed shaper, one for the priority-indexed scheduler.
-type elem struct {
-	timer, sched bucket.Node
-	sendAt, rank uint64
-}
-
-func newElem(sendAt, rank uint64) *elem {
-	e := &elem{sendAt: sendAt, rank: rank}
-	e.timer.Data = e
-	e.sched.Data = e
-	return e
-}
-
-func pairElem(n *bucket.Node) *bucket.Node { return &n.Data.(*elem).sched }
-
 func newShapedQ(shards int, ringBits uint) *Shaped {
 	return NewShaped(ShapedOptions{
 		NumShards: shards,
@@ -65,8 +49,8 @@ func TestShapedGatesOnSendAt(t *testing.T) {
 	if n := q.DequeueMin(50); n != nil {
 		t.Fatalf("DequeueMin(50) released rank %d before any sendAt", n.Rank())
 	}
-	if r, ok := q.NextRelease(50); !ok || r != 100 {
-		t.Fatalf("NextRelease(50) = (%d,%v), want (100,true)", r, ok)
+	if r, inSched, ok := q.GroupPeek(0, 50); !ok || inSched || r != 100 {
+		t.Fatalf("GroupPeek(50) = (%d,%v,%v), want the shaper release (100,false,true)", r, inSched, ok)
 	}
 
 	// At t=150 only a is eligible, despite its low priority.
@@ -138,8 +122,8 @@ func testShapedMergedPriorityOrder(t *testing.T, moving bool) {
 	if got != n {
 		t.Fatalf("drained %d, want %d", got, n)
 	}
-	if q.Len() != 0 || q.SchedLen() != 0 {
-		t.Fatalf("Len=%d SchedLen=%d after drain", q.Len(), q.SchedLen())
+	if _, _, ok := q.GroupPeek(0, 1000); q.Len() != 0 || ok {
+		t.Fatalf("Len=%d, head reported=%v after drain", q.Len(), ok)
 	}
 }
 
@@ -155,8 +139,8 @@ func TestShapedMaxRankBound(t *testing.T) {
 	if k := q.DequeueBatch(10, 49, out); k != 50 {
 		t.Fatalf("DequeueBatch(maxRank=49) = %d, want 50", k)
 	}
-	if q.SchedLen() != 50 {
-		t.Fatalf("SchedLen = %d, want 50 still scheduled", q.SchedLen())
+	if r, inSched, ok := q.GroupPeek(0, 10); !ok || !inSched || r != 50 || q.Len() != 50 {
+		t.Fatalf("GroupPeek = (%d,%v,%v) Len = %d, want rank 50 heading 50 still scheduled", r, inSched, ok, q.Len())
 	}
 	if k := q.DequeueBatch(10, ^uint64(0), out); k != 50 {
 		t.Fatalf("second DequeueBatch = %d, want 50", k)

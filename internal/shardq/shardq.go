@@ -1,27 +1,11 @@
 package shardq
 
 import (
-	"fmt"
-	"math/bits"
-	"sync"
-	"sync/atomic"
-
 	"eiffel/internal/bucket"
 	"eiffel/internal/queue"
-	"eiffel/internal/stats"
 )
 
-// flushChunk is how many ring elements a locked flush moves per backend
-// call: big enough to amortize the interface dispatch away, small enough
-// to stay cache-resident.
-const flushChunk = 256
-
-// Node is the intrusive handle the runtime moves around — the same
-// bucket.Node every queue in this repository shares, so callers can point
-// an existing packet or flow handle at a sharded runtime unchanged.
-type Node = bucket.Node
-
-// Options sizes a sharded runtime.
+// Options sizes a sharded runtime with no shaper stage.
 type Options struct {
 	// NumShards is the shard count, rounded up to a power of two
 	// (default 8). Each shard owns an independent queue backend.
@@ -71,639 +55,72 @@ type Options struct {
 	DirectDue bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.NumShards <= 0 {
-		o.NumShards = 8
-	}
-	if o.NumShards&(o.NumShards-1) != 0 {
-		o.NumShards = 1 << bits.Len(uint(o.NumShards))
-	}
-	if o.RingBits == 0 {
-		o.RingBits = 10
-	}
-	if o.NumGroups <= 0 {
-		o.NumGroups = 1
-	}
-	if o.NumGroups&(o.NumGroups-1) != 0 {
-		o.NumGroups = 1 << bits.Len(uint(o.NumGroups))
-	}
-	if o.NumGroups > o.NumShards {
-		o.NumGroups = o.NumShards
-	}
-	return o
-}
-
-// shard is one partition: a lock-free publication ring in front of a
-// mutex-protected Scheduler backend. The mutex is uncontended in steady
-// state — producers only take it when their ring fills, and the consumer
-// amortizes it over whole batches.
-type shard struct {
-	ring *ring
-	mu   sync.Mutex
-	q    Scheduler
-	qa   AuxScheduler // q, if it consumes the ring's aux word
-
-	// qlen mirrors q.Len() so Len readers need no lock: updated under mu
-	// (fallback path) or by the consumer, amortized per batch.
-	qlen atomic.Int64
-
-	// fallbackGen counts producer-side fallback flushes (bumped under
-	// mu). The consumer caches each shard's head rank between batches and
-	// only re-peeks when this generation moves or its ring is non-empty.
-	fallbackGen atomic.Uint32
-
-	// flushNs/flushRanks/flushAux stage ring pops so a locked flush hands
-	// the backend whole runs through one EnqueueBatch call instead of one
-	// interface dispatch per element. Guarded by mu. Like the ring, the
-	// staging retains its last run of node pointers until overwritten —
-	// bounded, and the nodes live on in the bucketed queue anyway.
-	//
-	//eiffel:guarded(mu)
-	flushNs []*bucket.Node
-	//eiffel:guarded(mu)
-	flushRanks []uint64
-	//eiffel:guarded(mu)
-	flushAux []uint64 // staged only for AuxScheduler backends
-
-	_ [64]byte // one shard's lock traffic must not false-share the next's
-}
-
-// flushLocked drains the ring into the bucketed queue in staged runs.
-// Aux-aware backends receive the full (rank, aux) payload. Callers hold
-// mu.
-//
-//eiffel:locked(mu)
-//eiffel:hotpath
-func (s *shard) flushLocked() (drained int) {
-	for {
-		k := 0
-		if s.qa != nil {
-			for k < len(s.flushNs) {
-				n, rank, aux, ok := s.ring.pop()
-				if !ok {
-					break
-				}
-				s.flushNs[k], s.flushRanks[k], s.flushAux[k] = n, rank, aux
-				k++
-			}
-		} else {
-			for k < len(s.flushNs) {
-				n, rank, _, ok := s.ring.pop()
-				if !ok {
-					break
-				}
-				s.flushNs[k], s.flushRanks[k] = n, rank
-				k++
-			}
-		}
-		if k == 0 {
-			break
-		}
-		s.enqueueRunLocked(k)
-		drained += k
-		if k < len(s.flushNs) {
-			break
-		}
-	}
-	if drained > 0 {
-		s.qlen.Add(int64(drained))
-		s.ring.publish()
-	}
-	return drained
-}
-
-// enqueueRunLocked hands the first k staged elements to the backend in
-// one call. Callers hold mu.
-//
-//eiffel:locked(mu)
-//eiffel:hotpath
-func (s *shard) enqueueRunLocked(k int) {
-	if s.qa != nil {
-		s.qa.EnqueueBatchAux(s.flushNs[:k], s.flushRanks[:k], s.flushAux[:k])
-		return
-	}
-	s.q.EnqueueBatch(s.flushNs[:k], s.flushRanks[:k])
-}
-
-// enqueuePubsLocked moves a staged run that never made it into the ring
-// (a Producer's ring-full fallback) into the backend, converting through
-// the flush scratch so the backend still sees whole runs. Callers hold mu
-// and settle qlen themselves.
-//
-//eiffel:locked(mu)
-//eiffel:hotpath
-func (s *shard) enqueuePubsLocked(pubs []pub) {
-	for len(pubs) > 0 {
-		k := len(s.flushNs)
-		if k > len(pubs) {
-			k = len(pubs)
-		}
-		for j := 0; j < k; j++ {
-			s.flushNs[j], s.flushRanks[j] = pubs[j].n, pubs[j].rank
-			if s.qa != nil {
-				s.flushAux[j] = pubs[j].aux
-			}
-		}
-		s.enqueueRunLocked(k)
-		pubs = pubs[k:]
-	}
-}
-
-// Snapshot is a point-in-time copy of the runtime's operational counters.
-type Snapshot struct {
-	// RingPushes counts enqueues that took the lock-free fast path
-	// (slots claimed, whether one at a time or in bulk).
-	RingPushes uint64
-	// RingFull counts enqueues that found their ring full and flushed it
-	// into the bucketed queue themselves, under the shard lock.
-	RingFull uint64
-	// BulkClaims counts pushN calls that claimed at least one slot — the
-	// number of tail CASes the batched producer path performed.
-	BulkClaims uint64
-	// BulkClaimed counts slots claimed through pushN. BulkClaimed /
-	// BulkClaims is the producer-side amortization factor: how many
-	// enqueues each CAS carried.
-	BulkClaimed uint64
-	// Flushes counts ring drains that moved at least one element into a
-	// bucketed queue (producer fallback and consumer side).
-	Flushes uint64
-	// Flushed counts elements moved from rings into bucketed queues.
-	Flushed uint64
-	// Direct counts elements delivered straight from rings to the
-	// consumer by DirectDue, never touching a bucketed queue.
-	Direct uint64
-	// Migrated counts elements moved shaper→scheduler by the shaped
-	// runtime when their release time arrived (zero for plain runtimes).
-	Migrated uint64
-	// Batches counts DequeueBatch calls that returned at least one node.
-	Batches uint64
-	// Batched counts nodes returned by DequeueBatch.
-	Batched uint64
-	// Rejected counts elements refused by the bounded-admission paths
-	// (zero unless Options.ShardBound is set).
-	Rejected uint64
-}
-
-// String renders the counters compactly for experiment tables.
-func (s Snapshot) String() string {
-	avg := 0.0
-	if s.Batches > 0 {
-		avg = float64(s.Batched) / float64(s.Batches)
-	}
-	out := fmt.Sprintf("pushes=%d ringfull=%d flushes=%d flushed=%d direct=%d batches=%d avg-batch=%.1f",
-		s.RingPushes, s.RingFull, s.Flushes, s.Flushed, s.Direct, s.Batches, avg)
-	if s.BulkClaims > 0 {
-		out += fmt.Sprintf(" bulk-claims=%d avg-claim=%.1f",
-			s.BulkClaims, float64(s.BulkClaimed)/float64(s.BulkClaims))
-	}
-	if s.Migrated > 0 {
-		out += fmt.Sprintf(" migrated=%d", s.Migrated)
-	}
-	if s.Rejected > 0 {
-		out += fmt.Sprintf(" rejected=%d", s.Rejected)
-	}
-	return out
-}
-
-// Q is the sharded multi-producer runtime. Enqueue is safe from any number
-// of goroutines concurrently. The consuming side is partitioned into
-// consumer groups (Options.NumGroups, default 1): each group owns a
-// disjoint contiguous slice of the shards, and each group's drain surface
-// (GroupDequeueBatch, GroupMinRank, GroupFlush) must be driven by a single
-// goroutine at a time — one drain worker per group, exactly like one NIC
-// TX queue's softirq. Distinct groups may be driven concurrently with no
-// synchronization between their workers beyond the per-shard state they
-// never share. The group-less surface (DequeueBatch, DequeueMin, MinRank,
-// Flush) serves every group from the calling goroutine and requires
-// exclusive access to ALL of them — the single-consumer deployment,
-// unchanged (and with the default single group, byte-for-byte the same
-// drain behavior as before groups existed).
-type Q struct {
-	shards    []shard
-	shardBits uint
-	directDue bool
-
-	// bound is Options.ShardBound (0 = unbounded); rejected counts
-	// refusals runtime-wide. Both are dead weight unless a bound is set.
-	bound    int64
-	rejected stats.Counter
-
-	// closed quiesces the refusable admission paths (see Close): once set,
-	// TryEnqueue and FlushAdmit refuse everything with PushClosed.
-	closed atomic.Bool
-
-	// admitting counts refusable admissions in flight between their closed
-	// check and their publication (or refusal). A closing drain waits for
-	// it to reach zero (AdmitIdle) before trusting Len: a producer that
-	// passed the closed check pre-Close may publish arbitrarily late, and
-	// a drain that exited on Len()==0 alone would strand that packet in a
-	// closed front.
-	admitting atomic.Int64
-
-	// groups holds each consumer group's private drain state; groupShift
-	// maps a shard index to its owning group (shard >> groupShift).
-	groups     []groupState
-	groupShift uint
-
-	// prodPool recycles staging Producers for the one-shot EnqueueBatch
-	// surface, so batch admission stays allocation-free in steady state
-	// without a per-goroutine handle.
-	prodPool sync.Pool
-
-	// Consumer-side and amortized batch counters; the per-element
-	// producer fast path is kept free of bookkeeping atomics (pushes are
-	// derived from the ring cursors), and the batched path bumps the bulk
-	// counters once per claim, not per element.
-	ringFull    stats.Counter
-	flushes     stats.Counter
-	flushed     stats.Counter
-	direct      stats.Counter
-	batches     stats.Counter
-	batched     stats.Counter
-	bulkClaims  stats.Counter
-	bulkClaimed stats.Counter
-}
-
-type headState struct {
-	rank  uint64
-	ok    bool
-	gen   uint32
-	valid bool
-}
-
-// groupState is one consumer group's private drain state: the cached head
-// ranks for the shards it owns and the DirectDue rotation cursor. Each
-// group is driven by (at most) one worker goroutine, and workers for
-// distinct groups run concurrently, so the struct is padded to keep one
-// worker's cache traffic off its neighbors' lines.
-type groupState struct {
-	lo, hi int         // the half-open shard index range this group owns
-	heads  []headState // heads[i-lo] caches shard i's head rank
-	rr     int         // DirectDue rotation cursor, relative to lo
-
-	_ [64]byte
-}
-
-// mergeRuns is the cross-shard priority merge both runtimes share: it
-// repeatedly serves a run from the shard whose cached head rank is the
-// minimum, bounded by the runner-up shard's head (up to there no other
-// shard can hold a smaller element) and by maxRank, until out fills or
-// nothing at or below maxRank remains. The best shard and the runner-up
-// bound come out of ONE pass over the heads, tracking the minimum and
-// second-minimum together. serve pops from shard i up to limit, writes
-// into out, returns how many it popped, and MUST refresh heads[i] before
-// returning — the loop's progress argument: a run that pops nothing still
-// raises the shard's cached head past limit.
-//
-//eiffel:hotpath
-func mergeRuns(heads []headState, maxRank uint64, out []*bucket.Node,
-	serve func(i int, limit uint64, out []*bucket.Node) int) int {
-	total := 0
-	for total < len(out) {
-		best, second := -1, ^uint64(0)
-		for i := range heads {
-			if !heads[i].ok {
-				continue
-			}
-			if best < 0 || heads[i].rank < heads[best].rank {
-				if best >= 0 {
-					second = heads[best].rank // displaced minimum becomes runner-up
-				}
-				best = i
-			} else if heads[i].rank < second {
-				second = heads[i].rank
-			}
-		}
-		if best < 0 || heads[best].rank > maxRank {
-			break
-		}
-		limit := maxRank
-		if second < limit {
-			limit = second
-		}
-		total += serve(best, limit, out[total:])
-	}
-	return total
-}
+// Q is the typed view of a Core with no shaper stage: every element
+// carries one rank (plus the aux word an AuxScheduler backend receives),
+// and nothing on the drain side depends on a clock, so its methods drop
+// the uniform surface's now argument. Concurrency contract as Core's.
+type Q struct{ *Core }
 
 // New returns a sharded runtime whose shards each own a backend built from
-// opt.Kind and opt.Queue.
+// opt.Kind and opt.Queue (or opt.Backend).
 func New(opt Options) *Q {
-	opt = opt.withDefaults()
-	q := &Q{
-		shards:    make([]shard, opt.NumShards),
-		shardBits: uint(bits.TrailingZeros(uint(opt.NumShards))),
-		directDue: opt.DirectDue,
-		bound:     int64(opt.ShardBound),
+	sched := opt.Backend
+	if sched == nil {
+		sched = func(int) Scheduler { return wrapPQ(queue.New(opt.Kind, opt.Queue)) }
 	}
-	per := opt.NumShards / opt.NumGroups
-	q.groupShift = uint(bits.TrailingZeros(uint(per)))
-	q.groups = make([]groupState, opt.NumGroups)
-	for g := range q.groups {
-		q.groups[g] = groupState{lo: g * per, hi: (g + 1) * per, heads: make([]headState, per)}
-	}
-	for i := range q.shards {
-		q.shards[i].ring = newRing(opt.RingBits)
-		if opt.Backend != nil {
-			q.shards[i].q = opt.Backend(i)
-			q.shards[i].qa, _ = q.shards[i].q.(AuxScheduler)
-		} else {
-			q.shards[i].q = wrapPQ(queue.New(opt.Kind, opt.Queue))
-		}
-		//eiffel:allow(lockcheck) construction: the shard is not shared until New returns
-		q.shards[i].flushNs = make([]*bucket.Node, flushChunk)
-		//eiffel:allow(lockcheck) construction: the shard is not shared until New returns
-		q.shards[i].flushRanks = make([]uint64, flushChunk)
-		if q.shards[i].qa != nil {
-			//eiffel:allow(lockcheck) construction: the shard is not shared until New returns
-			q.shards[i].flushAux = make([]uint64, flushChunk)
-		}
-	}
-	q.prodPool.New = func() any { return q.NewProducer(0) }
-	return q
+	return &Q{newCore(config{
+		shards: opt.NumShards, groups: opt.NumGroups, ringBits: opt.RingBits,
+		bound: opt.ShardBound, directDue: opt.DirectDue, sched: sched,
+	})}
 }
 
-// NumShards returns the shard count.
-func (q *Q) NumShards() int { return len(q.shards) }
-
-// NumGroups returns the consumer-group count.
-func (q *Q) NumGroups() int { return len(q.groups) }
-
-// GroupShards returns the half-open shard index range consumer group g
-// owns. Groups partition the shards contiguously and evenly.
+// Enqueue publishes n with the given rank on flow's shard; see
+// Core.Enqueue.
 //
 //eiffel:hotpath
-func (q *Q) GroupShards(g int) (lo, hi int) { return q.groups[g].lo, q.groups[g].hi }
-
-// GroupFor returns the consumer group that drains flow's shard. Flows
-// never span shards, so a flow's packets are only ever drained by this
-// one group's worker.
-func (q *Q) GroupFor(flow uint64) int { return q.ShardFor(flow) >> q.groupShift }
-
-// WithShardLocked runs fn on shard i's backend under that shard's lock —
-// the synchronization context every backend method normally runs in.
-// Backend owners (the policy qdisc) use it to touch backend state outside
-// the runtime's own locked paths (clock propagation, timer peeks), which
-// would otherwise race a producer's ring-full fallback flush into the
-// same backend. fn must not call back into q.
-//
-//eiffel:acquires(shard)
-func (q *Q) WithShardLocked(i int, fn func(Scheduler)) {
-	s := &q.shards[i]
-	s.mu.Lock()
-	fn(s.q)
-	s.mu.Unlock()
-}
-
-// Len returns the number of queued elements (published but not yet
-// dequeued). Safe from any goroutine; while producers and the consumer
-// are running it may transiently overcount by up to one in-flight batch,
-// and it is exact whenever the runtime is quiescent.
-//
-//eiffel:hotpath
-func (q *Q) Len() int {
-	var n int64
-	for i := range q.shards {
-		s := &q.shards[i]
-		n += s.ring.occupancy() + s.qlen.Load()
-	}
-	return int(n)
-}
-
-// GroupLen is Len restricted to consumer group g's shards: elements
-// published into the group but not yet dequeued, wherever they sit (ring
-// or bucketed queue). Safe from any goroutine, same transient-overcount
-// contract as Len; the stall watchdog reads it as the group's backlog.
-//
-//eiffel:hotpath
-func (q *Q) GroupLen(g int) int {
-	gr := &q.groups[g]
-	var n int64
-	for i := gr.lo; i < gr.hi; i++ {
-		s := &q.shards[i]
-		n += s.ring.occupancy() + s.qlen.Load()
-	}
-	return int(n)
-}
-
-// Stats returns a snapshot of the operational counters.
-func (q *Q) Stats() Snapshot {
-	var pushes uint64
-	for i := range q.shards {
-		pushes += q.shards[i].ring.pushes()
-	}
-	return Snapshot{
-		RingPushes:  pushes,
-		RingFull:    q.ringFull.Load(),
-		BulkClaims:  q.bulkClaims.Load(),
-		BulkClaimed: q.bulkClaimed.Load(),
-		Flushes:     q.flushes.Load(),
-		Flushed:     q.flushed.Load(),
-		Direct:      q.direct.Load(),
-		Batches:     q.batches.Load(),
-		Batched:     q.batched.Load(),
-		Rejected:    q.rejected.Load(),
-	}
-}
-
-// ShardFor returns the shard index flow hashes to.
-//
-//eiffel:hotpath
-func (q *Q) ShardFor(flow uint64) int {
-	// Fibonacci hashing spreads clustered flow ids (sequential allocation
-	// is the common case) uniformly over the shard bits.
-	return int((flow * 0x9E3779B97F4A7C15) >> (64 - q.shardBits))
-}
-
-// Enqueue publishes n with the given rank on flow's shard. The fast path
-// is one lock-free ring push and no other shared-memory writes. When the
-// shard's ring is full the producer drains it into the bucketed queue
-// itself — backpressure that keeps the ring bounded without dropping or
-// blocking.
-//
-//eiffel:hotpath
-func (q *Q) Enqueue(flow uint64, n *bucket.Node, rank uint64) {
-	q.EnqueueAux(flow, n, rank, 0)
-}
+func (q *Q) Enqueue(flow uint64, n *bucket.Node, rank uint64) { q.Core.Enqueue(flow, n, rank, 0) }
 
 // EnqueueAux is Enqueue carrying the ring's second payload word: aux is
-// delivered to AuxScheduler backends (and dropped by plain ones). This is
-// the producer half of the packet-free policy pipeline — the producer
-// resolves both keys while the element is cache-hot and the consumer
-// never has to.
+// delivered to AuxScheduler backends (and dropped by plain ones).
 //
 //eiffel:hotpath
 func (q *Q) EnqueueAux(flow uint64, n *bucket.Node, rank, aux uint64) {
-	q.enqueueShard(&q.shards[q.ShardFor(flow)], n, rank, aux)
+	q.Core.Enqueue(flow, n, rank, aux)
 }
 
-// enqueueShard is the shard-resolved body of EnqueueAux, shared with the
-// bounded TryEnqueue path so the bound check does not hash twice.
+// TryEnqueue is Enqueue under the configured shard bound; see
+// Core.TryEnqueue.
 //
 //eiffel:hotpath
-func (q *Q) enqueueShard(s *shard, n *bucket.Node, rank, aux uint64) {
-	if s.ring.push(n, rank, aux) {
-		return
-	}
-	s.mu.Lock()
-	drained := s.flushLocked()
-	if s.qa != nil {
-		s.qa.EnqueueAux(n, rank, aux)
-	} else {
-		s.q.Enqueue(n, rank)
-	}
-	s.qlen.Add(1)
-	s.fallbackGen.Add(1) // tell the consumer its cached head is stale
-	s.mu.Unlock()
-	q.ringFull.Inc()
-	if drained > 0 {
-		q.flushes.Inc()
-		q.flushed.Add(uint64(drained))
-	}
+func (q *Q) TryEnqueue(flow uint64, n *bucket.Node, rank uint64) bool {
+	return q.Core.TryEnqueue(flow, n, rank, 0)
 }
 
-// EnqueueBatch publishes ns[i] with ranks[i] on flows[i]'s shard, for every
-// i, through a pooled staging Producer: elements are grouped per shard and
-// each group lands as one multi-slot ring claim (a single CAS) instead of
-// len(ns) independent pushes. Safe from any number of goroutines
-// concurrently, and allocation-free in steady state. Everything is
-// published by the time it returns — the post-condition matches a loop of
-// Enqueue calls. Producers with a batch stream of their own should hold a
-// NewProducer handle instead and flush on their own schedule.
+// EnqueueBatch publishes ns[i] with ranks[i] on flows[i]'s shard; see
+// Core.EnqueueBatch.
 //
 //eiffel:hotpath
 func (q *Q) EnqueueBatch(flows []uint64, ns []*Node, ranks []uint64) {
-	p := q.prodPool.Get().(*Producer)
-	for i, n := range ns {
-		p.Enqueue(flows[i], n, ranks[i])
-	}
-	p.Flush()
-	q.prodPool.Put(p)
-}
-
-// refreshHead re-peeks shard i's head rank into h (the owning group's
-// cache slot) if anything could have changed since the cached value: a
-// non-empty ring, a producer fallback flush, or an invalidation by the
-// consumer's own pops. Group-worker-side.
-//
-//eiffel:hotpath
-func (q *Q) refreshHead(h *headState, i int) {
-	s := &q.shards[i]
-	if h.valid && s.ring.empty() && h.gen == s.fallbackGen.Load() {
-		return
-	}
-	s.mu.Lock()
-	drained := s.flushLocked()
-	h.rank, h.ok = s.q.Min()
-	h.gen = s.fallbackGen.Load() // exact: fallbacks also hold mu
-	s.mu.Unlock()
-	h.valid = true
-	if drained > 0 {
-		q.flushes.Inc()
-		q.flushed.Add(uint64(drained))
-	}
-}
-
-// drainRingDirect pops shard i's ring, delivering elements already at or
-// below maxRank straight to out (the DirectDue virtual bucket) and
-// spilling not-yet-due elements into the bucketed queue. It stops as soon
-// as out is full — due elements beyond the batch stay in the ring for the
-// next batch rather than taking the slow path. Group-worker-side (h is
-// the owning group's cache slot for shard i); returns how many elements
-// it wrote to out.
-//
-//eiffel:hotpath
-func (q *Q) drainRingDirect(h *headState, i int, maxRank uint64, out []*bucket.Node) int {
-	s := &q.shards[i]
-	if s.ring.empty() {
-		return 0
-	}
-	s.mu.Lock()
-	wrote, spilled := 0, 0
-	for wrote < len(out) {
-		n, rank, aux, ok := s.ring.pop()
-		if !ok {
-			break
-		}
-		if rank <= maxRank {
-			out[wrote] = n
-			wrote++
-		} else if s.qa != nil {
-			s.qa.EnqueueAux(n, rank, aux)
-			spilled++
-		} else {
-			s.q.Enqueue(n, rank)
-			spilled++
-		}
-	}
-	// qlen is credited before the ring consumption is published, as in
-	// flushLocked, so concurrent Len readers only ever overcount.
-	if spilled > 0 {
-		s.qlen.Add(int64(spilled))
-	}
-	if wrote+spilled > 0 {
-		s.ring.publish()
-	}
-	s.mu.Unlock()
-	if spilled > 0 {
-		// Spilled elements may sit ahead of the cached queue head.
-		h.valid = false
-		q.flushes.Inc()
-		q.flushed.Add(uint64(spilled))
-	}
-	if wrote > 0 {
-		q.direct.Add(uint64(wrote))
-	}
-	return wrote
+	q.Core.EnqueueBatch(flows, ns, ranks, nil)
 }
 
 // GroupFlush drains every ring in group g into its bucketed queue and
-// refreshes the group's cached head ranks. Group-worker-side: safe
-// concurrently with other groups' workers.
+// re-peeks the group's cached head ranks. Group-worker-side.
 //
 //eiffel:hotpath
-func (q *Q) GroupFlush(g int) {
-	gr := &q.groups[g]
-	for i := gr.lo; i < gr.hi; i++ {
-		gr.heads[i-gr.lo].valid = false
-		q.refreshHead(&gr.heads[i-gr.lo], i)
-	}
-}
-
-// Flush drains every shard's ring into its bucketed queue and refreshes
-// every group's cached head ranks. Single-consumer surface: requires
-// exclusive access to every group.
-//
-//eiffel:hotpath
-func (q *Q) Flush() {
-	for g := range q.groups {
-		q.GroupFlush(g)
-	}
-}
+func (q *Q) GroupFlush(g int) { q.Core.GroupFlush(g, 0) }
 
 // GroupMinRank flushes group g's pending rings and returns the minimum
 // bucket-quantized head rank across the group's shards, or ok=false if
-// nothing is queued in its bucketed queues. Group-worker-side; this is
-// the group's aggregate NextTimer (the soonest deadline any of its shards
-// holds).
+// nothing is queued in its bucketed queues. Group-worker-side.
 //
 //eiffel:hotpath
 func (q *Q) GroupMinRank(g int) (uint64, bool) {
-	gr := &q.groups[g]
-	min, ok := uint64(0), false
-	for i := gr.lo; i < gr.hi; i++ {
-		h := &gr.heads[i-gr.lo]
-		q.refreshHead(h, i)
-		if h.ok && (!ok || h.rank < min) {
-			min, ok = h.rank, true
-		}
-	}
-	return min, ok
+	r, _, ok := q.GroupPeek(g, 0)
+	return r, ok
 }
 
-// MinRank flushes any pending rings and returns the minimum
-// bucket-quantized head rank across every shard, or ok=false if nothing
-// is queued in the bucketed queues. Single-consumer surface.
+// MinRank is GroupMinRank over every group. Single-consumer surface.
 //
 //eiffel:hotpath
 func (q *Q) MinRank() (uint64, bool) {
@@ -717,126 +134,22 @@ func (q *Q) MinRank() (uint64, bool) {
 }
 
 // GroupDequeueBatch pops up to len(out) elements whose bucket-quantized
-// rank is <= maxRank from consumer group g's shards and returns how many
-// it wrote. In the default (exact) mode it flushes the group's rings
-// first, then repeatedly serves a run from the group shard with the
-// minimum head rank — the run ends when that shard's head climbs past the
-// runner-up shard's head, so the merged sequence preserves the group's
-// priority order to bucket granularity. In DirectDue mode, due elements
-// coming off the group's rings are delivered first, in ring order (see
-// Options.DirectDue); the bucketed queues are then merged exactly as in
-// the default mode.
-//
-// Group-worker-side: distinct groups may call this concurrently. Because
-// a flow's shard belongs to exactly one group, the per-flow dequeue order
-// each worker observes is identical to the single-consumer runtime's;
-// only the interleaving ACROSS groups is scheduling-dependent.
+// rank is <= maxRank from consumer group g's shards; see
+// Core.GroupDequeueBatch.
 //
 //eiffel:hotpath
 func (q *Q) GroupDequeueBatch(g int, maxRank uint64, out []*bucket.Node) int {
-	if len(out) == 0 {
-		return 0
-	}
-	gr := &q.groups[g]
-	total := 0
-	if q.directDue {
-		// Cap the direct fill below the full batch whenever a bucketed
-		// queue holds backlog: under sustained ring pressure every batch
-		// would otherwise fill from the rings alone and elements spilled
-		// into the queues (producer ring-full fallbacks, earlier not-yet-
-		// due spills) would starve indefinitely behind arbitrarily newer
-		// ring traffic. Reserving a quarter of each batch bounds their
-		// wait at a few batches.
-		limit := len(out)
-		if reserve := len(out) / 4; reserve > 0 {
-			for i := gr.lo; i < gr.hi; i++ {
-				if q.shards[i].qlen.Load() > 0 {
-					limit = len(out) - reserve
-					break
-				}
-			}
-		}
-		// Rotate the starting shard so no producer's shard gets standing
-		// priority when every batch fills before the scan completes.
-		n := gr.hi - gr.lo
-		for k := 0; k < n && total < limit; k++ {
-			rel := (gr.rr + k) & (n - 1)
-			total += q.drainRingDirect(&gr.heads[rel], gr.lo+rel, maxRank, out[total:limit])
-		}
-		gr.rr = (gr.rr + 1) & (n - 1)
-		if total == len(out) {
-			q.batches.Inc()
-			q.batched.Add(uint64(total))
-			return total
-		}
-	}
-	for i := gr.lo; i < gr.hi; i++ {
-		q.refreshHead(&gr.heads[i-gr.lo], i)
-	}
-	total += mergeRuns(gr.heads, maxRank, out[total:], func(best int, limit uint64, out []*bucket.Node) int {
-		s := &q.shards[gr.lo+best]
-		s.mu.Lock()
-		popped := s.q.DequeueBatch(limit, out)
-		s.qlen.Add(int64(-popped))
-		r, ok := s.q.Min()
-		gr.heads[best].rank, gr.heads[best].ok = r, ok
-		s.mu.Unlock()
-		return popped
-	})
-	if total > 0 {
-		q.batches.Inc()
-		q.batched.Add(uint64(total))
-	}
-	return total
+	return q.Core.GroupDequeueBatch(g, 0, maxRank, out)
 }
 
-// DequeueBatch pops up to len(out) elements whose bucket-quantized rank is
-// <= maxRank and returns how many it wrote, serving every consumer group
-// from the calling goroutine (group by group, each group merged exactly as
-// GroupDequeueBatch merges). With the default single group this IS the
-// global cross-shard priority merge; with more groups the cross-group
-// concatenation relaxes global order to group granularity, exactly as
-// parallel group workers would. Single-consumer surface: requires
-// exclusive access to every group.
+// DequeueBatch is GroupDequeueBatch over every group; see
+// Core.DequeueBatch. Single-consumer surface.
 //
 //eiffel:hotpath
 func (q *Q) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
-	total := 0
-	for g := range q.groups {
-		total += q.GroupDequeueBatch(g, maxRank, out[total:])
-		if total == len(out) {
-			break
-		}
-	}
-	return total
+	return q.Core.DequeueBatch(0, maxRank, out)
 }
 
 // DequeueMin pops the single globally minimum element (to bucket
-// granularity), or nil if nothing is queued after a flush. With multiple
-// consumer groups it first compares every group's flushed head rank and
-// serves the winning group — the one place the group-less surface still
-// pays for a true global answer. Single-consumer surface; batch callers
-// should prefer DequeueBatch, which amortizes the shard scan. In
-// DirectDue mode (single group) the returned element is the ring-order
-// head of the due set, not necessarily the global minimum (see
-// Options.DirectDue); with multiple groups the min scan has already
-// flushed the rings, so the bucketed-queue head wins.
-func (q *Q) DequeueMin() *bucket.Node {
-	g := 0
-	if len(q.groups) > 1 {
-		bestRank, ok := uint64(0), false
-		for gi := range q.groups {
-			if r, rok := q.GroupMinRank(gi); rok && (!ok || r < bestRank) {
-				g, bestRank, ok = gi, r, true
-			}
-		}
-		if !ok {
-			return nil
-		}
-	}
-	var one [1]*bucket.Node
-	if q.GroupDequeueBatch(g, ^uint64(0), one[:]) == 0 {
-		return nil
-	}
-	return one[0]
-}
+// granularity), or nil if nothing is queued; see Core.DequeueMin.
+func (q *Q) DequeueMin() *bucket.Node { return q.Core.DequeueMin(0) }
