@@ -317,7 +317,8 @@ func (s *tryCountSink) TryTx(ps []*eiffel.Packet) (int, error) {
 // entry (progress cursor, egress accounting: two atomic adds per batch)
 // without ever touching the failure path (no clock reads, no backoff,
 // no drops). Any allocation is a regression in the admission path, the
-// group drain, or the retry wrapper itself.
+// group drain — both halves of the timer rule's: ring bypass and staged
+// park — or the retry wrapper itself.
 func BenchmarkHotPathEgressTx(b *testing.B) {
 	var opt eiffel.MultiShardedOptions
 	opt.Shards = 8
@@ -342,13 +343,19 @@ func BenchmarkHotPathEgressTx(b *testing.B) {
 				b.Fatal("TryEnqueue refused on an open unbounded front")
 			}
 		}
-		for g := 0; g < q.NumGroups(); g++ {
-			for {
-				k := q.GroupDequeueBatch(g, 1<<20, out)
-				if k == 0 {
-					break
+		// Two clocks: at the first, half the burst is overdue on first sight
+		// and leaves straight off the rings (the timer front's due-bypass)
+		// while the other half parks in the cFFS in staged runs; the second
+		// releases those.
+		for _, at := range [...]int64{1 << 17, 1 << 20} {
+			for g := 0; g < q.NumGroups(); g++ {
+				for {
+					k := q.GroupDequeueBatch(g, at, out)
+					if k == 0 {
+						break
+					}
+					sink.Tx(out[:k])
 				}
-				sink.Tx(out[:k])
 			}
 		}
 		if q.Len() != 0 {

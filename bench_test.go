@@ -100,12 +100,12 @@ func BenchmarkFig20Choose(b *testing.B) { runExp(b, "fig20") }
 
 // BenchmarkContention runs the locked-vs-sharded qdisc scaling experiment
 // (8 producers, one consumer; see internal/exp/contention.go). The
-// reported metric is the batched direct-due sharded runtime's throughput
-// gain over the kernel-style global-lock deployment.
+// reported metric is the batched sharded timer front's throughput gain over
+// the kernel-style global-lock deployment.
 func BenchmarkContention(b *testing.B) {
 	res := runExp(b, "contention")
 	rows := res.Tables[0].Rows
-	last := rows[len(rows)-1] // the batched direct-due sharded configuration
+	last := rows[len(rows)-1] // Eiffel+shards (batched)
 	if v, err := strconv.ParseFloat(strings.TrimSuffix(last[4], "x"), 64); err == nil {
 		b.ReportMetric(v, "sharded-vs-lock")
 	}

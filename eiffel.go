@@ -255,7 +255,10 @@ type (
 )
 
 // NewMultiSharded constructs the timer preset: per-shard Eiffel cFFS timer
-// queues, packets released at their SendAt.
+// queues, packets released at their SendAt. A packet that is overdue when
+// the consumer first sees it is released straight off its ring, behind
+// everything already queued and in per-flow order, without touching the
+// cFFS (ShardedStats.Direct counts them); see ARCHITECTURE.md, Due-bypass.
 func NewMultiSharded(opt MultiShardedOptions) *Front {
 	return qdisc.NewMultiSharded(opt)
 }

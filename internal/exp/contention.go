@@ -11,9 +11,9 @@ import (
 // Contention is the repo's locked-vs-sharded scaling experiment (not a
 // paper figure): it replays the §4 many-senders scenario — 8 producer
 // goroutines behind one qdisc — against the kernel-style global-lock
-// deployment and against the sharded multi-producer runtime, in both its
-// exact-merge and DirectDue configurations. The headline column is the
-// sharded/locked throughput ratio; the counters column shows how the
+// deployment and against the sharded multi-producer timer front, per-packet
+// and batched admission. The headline column is the sharded/locked
+// throughput ratio; the counters column shows how the
 // traffic actually moved (ring fast path vs fallback, average drain batch).
 func Contention(o Options) *Result {
 	res := &Result{ID: "contention"}
@@ -28,14 +28,9 @@ func Contention(o Options) *Result {
 	// call — the harness's producer-batch-size knob.
 	const producerBatch = 256
 
-	exact := func() qdisc.Qdisc {
+	sharded := func() qdisc.Qdisc {
 		return qdisc.NewMultiSharded(qdisc.MultiShardedOptions{ShardedOptions: qdisc.ShardedOptions{
 			Shards: 8, Buckets: 2500, HorizonNs: 2e9, RingBits: 15,
-		}})
-	}
-	directDue := func() qdisc.Qdisc {
-		return qdisc.NewMultiSharded(qdisc.MultiShardedOptions{ShardedOptions: qdisc.ShardedOptions{
-			Shards: 8, Buckets: 2500, HorizonNs: 2e9, RingBits: 15, DirectDue: true,
 		}})
 	}
 	entries := []struct {
@@ -44,10 +39,8 @@ func Contention(o Options) *Result {
 		opt  qdisc.ContentionOptions
 	}{
 		{"Eiffel+lock", func() qdisc.Qdisc { return qdisc.NewLocked(qdisc.NewEiffel(20000, 2e9, 0)) }, qdisc.ContentionOptions{}},
-		{"Eiffel+shards (exact)", exact, qdisc.ContentionOptions{}},
-		{"Eiffel+shards (exact, batched)", exact, qdisc.ContentionOptions{ProducerBatch: producerBatch}},
-		{"Eiffel+shards (direct-due)", directDue, qdisc.ContentionOptions{}},
-		{"Eiffel+shards (direct-due, batched)", directDue, qdisc.ContentionOptions{ProducerBatch: producerBatch}},
+		{"Eiffel+shards", sharded, qdisc.ContentionOptions{}},
+		{"Eiffel+shards (batched)", sharded, qdisc.ContentionOptions{ProducerBatch: producerBatch}},
 	}
 
 	t := &stats.Table{

@@ -65,10 +65,15 @@ func mkPolicyCase(name, spec string) frontCase {
 	}
 }
 
-var frontCases = []frontCase{
-	{
-		name: "timer", wantName: "Eiffel+shards", shaped: true,
+// mkTimerCase is the timer preset; a non-zero ringBits overrides the
+// contract's ring size.
+func mkTimerCase(name string, ringBits uint) frontCase {
+	return frontCase{
+		name: name, wantName: "Eiffel+shards", shaped: true,
 		mk: func(t *testing.T, o frontOpts) *Front {
+			if ringBits != 0 {
+				o.ringBits = ringBits
+			}
 			return NewMultiSharded(MultiShardedOptions{
 				ShardedOptions: ShardedOptions{
 					Shards: 4, Buckets: contractBuckets, HorizonNs: contractHorizon,
@@ -78,7 +83,11 @@ var frontCases = []frontCase{
 			})
 		},
 		stamp: func(*pkt.Packet, int, int) {},
-	},
+	}
+}
+
+var frontCases = []frontCase{
+	mkTimerCase("timer", 0),
 	{
 		name: "shaped", wantName: "Eiffel+shaped-shards", shaped: true,
 		mk: func(t *testing.T, o frontOpts) *Front {
@@ -115,6 +124,10 @@ leaf ff parent=root kind=flow policy=fifo buckets=4096 gran=64
 			p.Rank = (p.Flow * 7919) % (1 << 16)
 		},
 	},
+	// 16-slot rings: most packets settle into the cFFS through the
+	// producers' ring-full fallback, so the due-bypass finds due packets in
+	// the queues AND in the rings and must serve the former first.
+	mkTimerCase("timer-small-ring", 4),
 }
 
 // contractPackets builds one packet set per producer over disjoint flow
@@ -529,6 +542,7 @@ func TestFrontConcurrentProducersAndConsumer(t *testing.T) {
 			if f.Len() != 0 {
 				t.Fatalf("Len = %d after drain", f.Len())
 			}
+			t.Logf("paths taken: %s", f.Stats())
 		})
 	}
 }
@@ -537,33 +551,85 @@ func TestFrontConcurrentProducersAndConsumer(t *testing.T) {
 // release buffer; the DequeueBatch that follows hands the buffered
 // remainder out first and continues the cross-shard merge where the batch
 // stopped, so the scheduler's global order (release time on the timer
-// preset, rank on the shaped one) is ascending across both paths.
+// preset, rank on the shaped one) is ascending across both paths. On the
+// timer preset that order belongs to packets the consumer saw BEFORE they
+// were due (one drain at t=0 parks them); packets it first sees overdue
+// follow every parked due packet, in arrival order — the "now slot".
 func TestFrontBufferKeepsMergeOrder(t *testing.T) {
 	for _, c := range frontCases[:2] { // timer, shaped
 		t.Run(c.name, func(t *testing.T) {
 			timer := c.name == "timer"
 			f := c.mk(t, frontOpts{groups: 1})
-			pool := pkt.NewPool(20)
+			pool := pkt.NewPool(30)
 			for i := 19; i >= 0; i-- { // worst key first
 				p := pool.Get()
 				p.Flow, p.SendAt, p.Rank = uint64(i), 10, uint64(i)<<8 // one key per scheduler bucket
 				if timer {
-					p.SendAt = int64(i) * contractGranule
+					p.SendAt = int64(i+1) * contractGranule
 				}
 				f.Enqueue(p, 0)
 			}
+			want := 20
+			if timer {
+				if p := f.Dequeue(0); p != nil {
+					t.Fatalf("flow %d (SendAt %d) released at t=0", p.Flow, p.SendAt)
+				}
+				for i := 0; i < 10; i++ { // first seen at the horizon, latest release time first
+					p := pool.Get()
+					p.Flow, p.SendAt = uint64(20+i), int64(10-i)
+					f.Enqueue(p, 0)
+				}
+				want = 30
+			}
 			order := []*pkt.Packet{f.Dequeue(contractHorizon)} // Batch 8: seven stay buffered
 			out := make([]*pkt.Packet, 32)
-			if k := f.DequeueBatch(contractHorizon, out); k != 19 {
-				t.Fatalf("DequeueBatch = %d after one Dequeue of 20, want 19", k)
+			if k := f.DequeueBatch(contractHorizon, out); k != want-1 {
+				t.Fatalf("DequeueBatch = %d after one Dequeue of %d, want %d", k, want, want-1)
 			}
-			for i, p := range append(order, out[:19]...) {
-				if p.Flow != uint64(i) {
+			lastOfShard := map[int]uint64{}
+			for i, p := range append(order, out[:want-1]...) {
+				if i >= 20 { // the now slot: arrival order, which is per ring
+					sh := f.rt.ShardFor(p.Flow)
+					if p.Flow < 20 || p.Flow < lastOfShard[sh] {
+						t.Fatalf("position %d: flow %d after flow %d of shard %d — want arrival order behind every parked packet",
+							i, p.Flow, lastOfShard[sh], sh)
+					}
+					lastOfShard[sh] = p.Flow
+				} else if p.Flow != uint64(i) {
 					t.Fatalf("position %d: flow %d (SendAt %d, rank %d) — merge order broken across the buffer",
 						i, p.Flow, p.SendAt, p.Rank)
 				}
 			}
+			if timer && f.Stats().Direct != 10 {
+				t.Fatalf("Direct = %d, want the 10 packets first seen overdue", f.Stats().Direct)
+			}
 		})
+	}
+}
+
+// TestTimerBypassKeepsFlowOrder is TestMigrateKeepsFlowOrder's scenario on
+// the timer front: p1 parks in the cFFS before its release time, p2 of the
+// same flow is still in the ring when both are due. Ring-first release (the
+// retired DirectDue mode) hands out p2, p1; the due-bypass serves what is
+// settled first.
+func TestTimerBypassKeepsFlowOrder(t *testing.T) {
+	f := NewMultiSharded(MultiShardedOptions{
+		ShardedOptions: ShardedOptions{Shards: 1, HorizonNs: 1 << 30},
+		Groups:         1,
+	})
+	pool := pkt.NewPool(2)
+	p1, p2 := pool.Get(), pool.Get()
+	p1.Flow, p1.Seq, p1.SendAt = 7, 1, 1_000_000
+	p2.Flow, p2.Seq, p2.SendAt = 7, 2, 1_200_000
+	out := make([]*pkt.Packet, 4)
+
+	f.Enqueue(p1, 0)
+	if k := f.GroupDequeueBatch(0, 500_000, out); k != 0 { // nothing due: p1 parks in the cFFS
+		t.Fatalf("released %d packets before any release time", k)
+	}
+	f.Enqueue(p2, 0)
+	if k := f.GroupDequeueBatch(0, 2_000_000, out); k != 2 || out[0] != p1 || out[1] != p2 {
+		t.Fatalf("released %d packets, seq order %d,%d — want p1 then p2", k, out[0].Seq, out[1].Seq)
 	}
 }
 

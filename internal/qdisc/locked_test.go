@@ -109,10 +109,11 @@ func BenchmarkLockedContention(b *testing.B) {
 // shardedContentionOpts is the throughput configuration README documents:
 // 8 shards x 2500 buckets (the same total bucket memory as the Locked
 // baseline's single 20000-bucket cFFS), rings sized to absorb the offered
-// burst — as Carousel sizes its wheel to the horizon — and DirectDue
-// coalescing already-due packets into one FIFO bucket.
+// burst — as Carousel sizes its wheel to the horizon. The consumer drains
+// at the horizon, so every packet is overdue on arrival and takes the
+// timer rule's due-bypass.
 var shardedContentionOpts = ShardedOptions{
-	Shards: 8, Buckets: 2500, HorizonNs: 2e9, RingBits: 15, DirectDue: true,
+	Shards: 8, Buckets: 2500, HorizonNs: 2e9, RingBits: 15,
 }
 
 // contentionProducerBatch is the producer-side run length the batched
@@ -131,19 +132,4 @@ func BenchmarkShardedContention(b *testing.B) {
 // Enqueue (one ring CAS) per packet — kept as the batching ablation.
 func BenchmarkShardedContentionPerElement(b *testing.B) {
 	benchContention(b, func() Qdisc { return NewMultiSharded(MultiShardedOptions{ShardedOptions: shardedContentionOpts}) }, ContentionOptions{})
-}
-
-func BenchmarkShardedContentionExact(b *testing.B) {
-	// Same geometry with exact cross-shard merge order preserved: every
-	// packet cycles through its shard's cFFS.
-	opts := shardedContentionOpts
-	opts.DirectDue = false
-	benchContention(b, func() Qdisc { return NewMultiSharded(MultiShardedOptions{ShardedOptions: opts}) },
-		ContentionOptions{ProducerBatch: contentionProducerBatch})
-}
-
-func BenchmarkShardedContentionExactPerElement(b *testing.B) {
-	opts := shardedContentionOpts
-	opts.DirectDue = false
-	benchContention(b, func() Qdisc { return NewMultiSharded(MultiShardedOptions{ShardedOptions: opts}) }, ContentionOptions{})
 }

@@ -159,60 +159,68 @@ func TestMultiShardedServeStopMidTraffic(t *testing.T) {
 	}
 }
 
-// TestShardedDirectDueNextTimerAfterDirectWindow is the satellite
-// regression test for the DirectDue delivery-window edge: a batch that
-// fills straight off the rings leaves due packets parked in the bucketed
-// queue (the fallback spill) AND in the rings, and NextTimer must still
-// answer "now" once the release buffer empties — not the far-future
-// answer a stale head cache would give.
-func TestShardedDirectDueNextTimerAfterDirectWindow(t *testing.T) {
+// TestTimerNextTimerWhileDueRemain pins what survives of the direct-due
+// delivery-window regression on the timer front: after a batch leaves due
+// packets both settled in the bucketed queue (the producer's ring-full
+// fallback) AND in the rings, NextTimer must answer "now" once the release
+// buffer empties — not the far-future answer a stale head cache would give
+// — the settled packets come out before the ring's (one flow: exact order),
+// and everything drains.
+func TestTimerNextTimerWhileDueRemain(t *testing.T) {
 	q := NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
 		Shards: 1, Buckets: 1024, HorizonNs: 1 << 20,
-		RingBits: 3, Batch: 4, DirectDue: true,
+		RingBits: 3, Batch: 4,
 	}})
 	pool := pkt.NewPool(32)
 	now := int64(1 << 16)
+	seq := uint32(0)
 	enq := func(sendAt int64) {
 		p := pool.Get()
-		p.Flow = 1
-		p.SendAt = sendAt
+		seq++
+		p.Flow, p.Seq, p.SendAt = 1, seq, sendAt
 		q.Enqueue(p, 0)
 	}
-	// Nine due packets: the ninth finds the 8-slot ring full and spills
+	// Nine due packets: the ninth finds the 8-slot ring full and settles
 	// everything into the cFFS via the producer fallback...
 	for i := 0; i < 9; i++ {
 		enq(int64(i))
 	}
-	// ...then refill the ring with eight more due packets, so the next
-	// batch's direct window can fill from ring traffic.
+	// ...then refill the ring with eight more due packets, so a batch
+	// could fill from ring traffic alone.
 	for i := 100; i < 108; i++ {
 		enq(int64(i))
 	}
+	next := uint32(1)
+	deq := func() {
+		t.Helper()
+		p := q.Dequeue(now)
+		if p == nil || p.Seq != next {
+			t.Fatalf("Dequeue = %v, want seq %d of the one flow", p, next)
+		}
+		next++
+	}
 	// Drain exactly one release-buffer fill (Batch=4) packet by packet.
 	for i := 0; i < 4; i++ {
-		if p := q.Dequeue(now); p == nil {
-			t.Fatalf("Dequeue %d returned nil with a due backlog", i)
-		}
+		deq()
 	}
 	// 13 due packets remain, split between ring and bucketed queue; the
 	// buffer is empty. The very next service moment is NOW.
-	if next, ok := q.NextTimer(now); !ok || next != now {
+	if at, ok := q.NextTimer(now); !ok || at != now {
 		t.Fatalf("NextTimer = (%d,%v) with %d due packets queued, want (%d,true)",
-			next, ok, q.Len(), now)
+			at, ok, q.Len(), now)
 	}
-	// And the remaining backlog must drain completely at now.
-	got := 0
-	for q.Dequeue(now) != nil {
-		got++
+	// And the remaining backlog must drain completely at now, in order.
+	for i := 0; i < 13; i++ {
+		deq()
 	}
-	if got != 13 {
-		t.Fatalf("drained %d after the direct window, want 13", got)
+	if p := q.Dequeue(now); p != nil || q.Len() != 0 {
+		t.Fatalf("Dequeue = %v, Len = %d after the whole backlog drained", p, q.Len())
 	}
 }
 
 // TestShapedShardedNextTimerAfterDueDelivery pins the shaped analogue of
-// the DirectDue delivery-window edge (the class of bug PR 2's NextRelease
-// fix covered): packets that were still in the RINGS when they became due
+// the timer front's delivery-window edge (the class of bug PR 2's
+// NextRelease fix covered): packets that were still in the RINGS when they became due
 // are routed straight into the schedulers by the delivery pass
 // (flushDueLocked), and NextTimer must answer "now" while any of them
 // remain undelivered — including right after a batch filled the release

@@ -108,11 +108,14 @@ type Server struct {
 	rep      DrainReport
 }
 
-// serveIdleNap is how long a Serve worker sleeps when its group has
-// nothing to drain: long enough that an idle group costs ~zero CPU (the
-// poll itself settles to a few atomic loads once the head cache is
-// warm), short enough that a fresh burst waits at most tens of
-// microseconds.
+// serveIdleNap is how long a Serve worker ASKS to sleep when its group has
+// nothing to drain; an idle group then costs ~zero CPU (the poll itself
+// settles to a few atomic loads once the head cache is warm). What it gets
+// is 0.5–1.1 ms: Go rounds an idle thread's epoll_wait up to a whole
+// millisecond (benchmark/README.md, finding 3), so this nap — not any
+// queue — sets a paced workload's sojourn at half a nap (p50) to a nap plus
+// the burst (p99). ROADMAP's measurement item has what a true 50 µs nap and
+// a doorbell cost and buy.
 const serveIdleNap = 50 * time.Microsecond
 
 // worker is group g's drain loop: poll, dispose, recover. On halt it

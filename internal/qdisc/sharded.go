@@ -22,14 +22,6 @@ type ShardedOptions struct {
 	// RingBits sizes each shard's MPSC ring at 1<<RingBits slots
 	// (default 10).
 	RingBits uint
-	// DirectDue releases already-due packets in arrival order straight
-	// off the producer rings instead of cycling them through the cFFS —
-	// the coalesced-bucket fast path; see shardq.Options.DirectDue.
-	// Either way a packet is never released before its release bucket:
-	// DirectDue gates on the exact SendAt, while the cFFS path releases
-	// at bucket-start granularity (up to one granule early), matching
-	// the Locked Eiffel baseline's quantized behavior.
-	DirectDue bool
 	// ShardBound caps each shard's occupancy for the bounded-admission
 	// surface (TryEnqueue, EnqueueBatchAdmit); 0 keeps the legacy unbounded spill.
 	// See shardq.Options.ShardBound.
@@ -60,13 +52,12 @@ func NewMultiSharded(opt MultiShardedOptions) *Front {
 	if opt.Buckets <= 0 {
 		opt.Buckets = 4096
 	}
-	rt := shardq.New(shardq.Options{
+	rt := shardq.NewTimer(shardq.Options{
 		NumShards:  opt.Shards,
 		NumGroups:  opt.Groups,
 		RingBits:   opt.RingBits,
 		Kind:       queue.KindCFFS,
 		Queue:      eiffelCfg(opt.Buckets, opt.HorizonNs, opt.Start),
-		DirectDue:  opt.DirectDue,
 		ShardBound: opt.ShardBound,
 	})
 	return newFront(rt.Core, "Eiffel+shards", pubTimer, opt.Batch, opt.Admit, opt.Tenants)

@@ -70,13 +70,12 @@ func TestRunContention(t *testing.T) {
 }
 
 // TestShardedEnqueueBatchConcurrent hammers batch admission from many
-// goroutines at once on a DirectDue front (the one mode the front contract
-// table cannot hold to per-flow order) — each call borrows a pooled
+// goroutines at once on the timer front — each call borrows a pooled
 // staging handle, so concurrent batches must neither lose nor duplicate
 // packets.
 func TestShardedEnqueueBatchConcurrent(t *testing.T) {
 	q := NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
-		Shards: 4, Buckets: 2048, HorizonNs: 2e9, RingBits: 8, DirectDue: true,
+		Shards: 4, Buckets: 2048, HorizonNs: 2e9, RingBits: 8,
 	}})
 	const producers = 8
 	const perProducer = 3000

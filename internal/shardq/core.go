@@ -34,7 +34,7 @@ type config struct {
 	shards, groups int
 	ringBits       uint
 	bound          int
-	directDue      bool
+	timer          bool // ranks are release times (NewTimer): see drainTimer
 	// sched builds shard i's scheduler; shaper, when non-nil, builds the
 	// shaper stage in front of it, and pair (set iff shaper is) maps shaper
 	// handles to scheduler handles.
@@ -88,6 +88,17 @@ type shard struct {
 	//eiffel:guarded(mu)
 	dueRanks []uint64
 
+	// timer marks a shard of a timer runtime (see Core.drainTimer). Its
+	// queue can hold an element PAST its release time: a cFFS whose window
+	// ran ahead of the clock (it rotates on a peek, and anchors an idle
+	// window at a far arrival) clamps an earlier release time arriving behind
+	// the window start into the window's first bucket. lateUntil is that
+	// bucket's start as of the last such park: until the drain bound reaches
+	// it, the queue may be sitting on due elements.
+	timer bool
+	//eiffel:guarded(mu)
+	lateUntil uint64
+
 	_ [64]byte // one shard's lock traffic must not false-share the next's
 }
 
@@ -110,23 +121,18 @@ func (s *shard) parkRunLocked(pair PairFunc, k int) {
 		s.qa.EnqueueBatchAux(s.parkNs[:k], s.parkK1[:k], s.parkK2[:k])
 	default:
 		s.q.EnqueueBatch(s.parkNs[:k], s.parkK1[:k])
-	}
-}
-
-// parkOneLocked is the single-element form of parkRunLocked, for the
-// per-element ring-full fallback and the DirectDue spill. Callers hold mu.
-//
-//eiffel:locked(mu)
-//eiffel:hotpath
-func (s *shard) parkOneLocked(pair PairFunc, n *bucket.Node, k1, k2 uint64) {
-	switch {
-	case s.shaper != nil:
-		pair(n).SetRank(k2)
-		s.shaper.Enqueue(n, k1)
-	case s.qa != nil:
-		s.qa.EnqueueAux(n, k1, k2)
-	default:
-		s.q.Enqueue(n, k1)
+		if !s.timer {
+			return
+		}
+		// A head later than a release time just parked means the queue
+		// clamped it: placed by its own time it would have lowered the head.
+		head, _ := s.q.Min()
+		for _, k1 := range s.parkK1[:k] {
+			if k1 < head {
+				s.lateUntil = head
+				break
+			}
+		}
 	}
 }
 
@@ -165,57 +171,69 @@ func (s *shard) flushLocked(pair PairFunc) (drained int) {
 	return drained
 }
 
-// flushDueLocked is the consumer's flush behind a shaper stage: elements
-// already due at the drain bound skip the shaper entirely and land
-// straight in the scheduler — they would migrate in this same pass anyway,
-// so the detour through the time-indexed queue is pure wasted work (and
-// nothing is reordered: the scheduler still merges by priority). The due
-// path converts to the PAIRED scheduler handle immediately (for the qdisc
-// pairing this is pure pointer arithmetic), so every element the scheduler
-// ever holds — and therefore every node a drain returns — is its scheduler
-// handle. Not-yet-due elements park in the shaper as usual. Each
-// destination receives whole staged runs, FIFO order within each
-// preserved. Callers hold mu, consumer-side only, and must have moved the
-// shaper's own due elements into the scheduler FIRST (see settle).
+// flushDueLocked is the consumer's ring drain wherever k1 is a release
+// time: elements already due at the drain bound skip the time-indexed
+// queue, the rest park in it in whole staged runs exactly as flushLocked
+// parks them. Behind a shaper stage (out nil) the due ones land in the
+// scheduler — they would migrate in this same pass anyway, and nothing is
+// reordered: the scheduler still merges by priority — converted to their
+// PAIRED scheduler handle on the way (for the qdisc pairing pure pointer
+// arithmetic), so every element a scheduler ever holds, and every node a
+// drain returns, is its scheduler handle. On a timer runtime they go
+// straight into the caller's out, in ring order, and the pass stops when
+// out is full: the rest waits in the ring for the next batch. queued is how
+// many elements entered a queue of this shard, direct how many were due.
+// Callers hold mu, consumer-side only, and must FIRST have served or moved
+// everything due the time-indexed queue already holds (settle, drainTimer).
 //
 //eiffel:locked(mu)
 //eiffel:hotpath
-func (s *shard) flushDueLocked(pair PairFunc, due uint64) (drained, direct int) {
-	for {
+func (s *shard) flushDueLocked(pair PairFunc, due uint64, out []*bucket.Node) (queued, direct int) {
+	dst := out
+	if out == nil {
+		dst = s.dueNs
+	}
+	for len(dst) > 0 {
 		dd, pp := 0, 0
-		for dd < len(s.dueNs) && pp < len(s.parkNs) {
-			n, sendAt, rank, ok := s.ring.pop()
+		for dd < len(dst) && pp < len(s.parkNs) {
+			n, k1, k2, ok := s.ring.pop()
 			if !ok {
 				break
 			}
-			if sendAt <= due {
-				s.dueNs[dd], s.dueRanks[dd] = pair(n), rank
-				dd++
-			} else {
-				s.parkNs[pp], s.parkK1[pp], s.parkK2[pp] = n, sendAt, rank
+			if k1 > due {
+				s.parkNs[pp], s.parkK1[pp], s.parkK2[pp] = n, k1, k2
 				pp++
+				continue
 			}
-		}
-		if dd == 0 && pp == 0 {
-			break
-		}
-		if dd > 0 {
-			s.q.EnqueueBatch(s.dueNs[:dd], s.dueRanks[:dd])
-			direct += dd
+			if out == nil {
+				n, s.dueRanks[dd] = pair(n), k2
+			}
+			dst[dd] = n
+			dd++
 		}
 		if pp > 0 {
 			s.parkRunLocked(pair, pp)
 		}
-		drained += dd + pp
-		if dd < len(s.dueNs) && pp < len(s.parkNs) {
+		queued += pp
+		direct += dd
+		ringEmpty := dd < len(dst) && pp < len(s.parkNs)
+		if out != nil {
+			dst = dst[dd:]
+		} else if dd > 0 {
+			s.q.EnqueueBatch(dst[:dd], s.dueRanks[:dd])
+			queued += dd
+		}
+		if ringEmpty {
 			break
 		}
 	}
-	if drained > 0 {
-		s.qlen.Add(int64(drained))
+	if queued+direct > 0 {
+		// qlen is credited before the ring consumption is published, so
+		// concurrent Len readers only ever overcount.
+		s.qlen.Add(int64(queued))
 		s.ring.publish()
 	}
-	return drained, direct
+	return queued, direct
 }
 
 // enqueuePubsLocked moves a staged run that never made it into the ring
@@ -259,8 +277,8 @@ type Snapshot struct {
 	Flushes uint64
 	// Flushed counts elements moved from rings into bucketed queues.
 	Flushed uint64
-	// Direct counts elements delivered straight from rings to the
-	// consumer by DirectDue, never touching a bucketed queue.
+	// Direct counts elements released straight from a ring by the timer
+	// rule's due-bypass, never touching a bucketed queue.
 	Direct uint64
 	// Migrated counts elements that entered a scheduler behind a shaper
 	// stage when their release time arrived (zero with no shaper stage).
@@ -324,7 +342,7 @@ type Core struct {
 	shards    []shard
 	shardBits uint
 	pair      PairFunc // non-nil iff the shards carry a shaper stage
-	directDue bool
+	timer     bool     // ranks are release times: drains take the due-bypass
 
 	// bound is the per-shard occupancy cap (0 = unbounded); rejected counts
 	// refusals runtime-wide. Both are dead weight unless a bound is set.
@@ -376,12 +394,11 @@ type headState struct {
 }
 
 // groupState is one consumer group's private drain state: the cached head
-// ranks for the shards it owns, the DirectDue rotation cursor, and — with
-// a shaper stage — the group's own migration scratch (group workers
-// migrate concurrently, so the scratch cannot be shared). Each group is
-// driven by (at most) one worker goroutine, and workers for distinct
-// groups run concurrently, so the struct is padded to keep one worker's
-// cache traffic off its neighbors' lines.
+// ranks for the shards it owns and — with a shaper stage — the group's own
+// migration scratch (group workers migrate concurrently, so the scratch
+// cannot be shared). Each group is driven by (at most) one worker
+// goroutine, and workers for distinct groups run concurrently, so the
+// struct is padded to keep one worker's cache traffic off its neighbors'.
 type groupState struct {
 	lo, hi int // the half-open shard index range this group owns
 
@@ -391,8 +408,6 @@ type groupState struct {
 	// without a shaper stage.
 	heads   []headState
 	release []headState
-
-	rr int // DirectDue rotation cursor, relative to lo
 
 	migScratch []*bucket.Node // migration conversion space
 	migNs      []*bucket.Node // paired-handle staging for batched migration
@@ -426,7 +441,7 @@ func newCore(cfg config) *Core {
 		shards:    make([]shard, cfg.shards),
 		shardBits: uint(bits.TrailingZeros(uint(cfg.shards))),
 		pair:      cfg.pair,
-		directDue: cfg.directDue,
+		timer:     cfg.timer,
 		bound:     int64(cfg.bound),
 	}
 	per := cfg.shards / cfg.groups
@@ -446,6 +461,7 @@ func newCore(cfg config) *Core {
 		s := &c.shards[i]
 		s.ring = newRing(cfg.ringBits)
 		s.q = cfg.sched(i)
+		s.timer = cfg.timer
 		//eiffel:allow(lockcheck) construction: the shard is not shared until newCore returns
 		s.parkNs = make([]*bucket.Node, flushChunk)
 		//eiffel:allow(lockcheck) construction: the shard is not shared until newCore returns
@@ -576,7 +592,8 @@ func (c *Core) enqueueShard(s *shard, n *bucket.Node, k1, k2 uint64) {
 	}
 	s.mu.Lock()
 	drained := s.flushLocked(c.pair)
-	s.parkOneLocked(c.pair, n, k1, k2)
+	s.parkNs[0], s.parkK1[0], s.parkK2[0] = n, k1, k2
+	s.parkRunLocked(c.pair, 1)
 	s.qlen.Add(1)
 	s.fallbackGen.Add(1) // tell the consumer its cached heads are stale
 	s.mu.Unlock()
@@ -663,7 +680,7 @@ func (c *Core) settle(gr *groupState, i int, now uint64) {
 			moved += k
 		}
 		var direct int
-		drained, direct = s.flushDueLocked(c.pair, now)
+		drained, direct = s.flushDueLocked(c.pair, now, nil)
 		moved += direct
 		rel.rank, rel.ok = s.shaper.Min()
 	}
@@ -677,53 +694,65 @@ func (c *Core) settle(gr *groupState, i int, now uint64) {
 	c.noteFlush(drained)
 }
 
-// drainRingDirect pops shard i's ring, delivering elements already at or
-// below maxRank straight to out (the DirectDue virtual bucket) and
-// spilling not-yet-due elements into the scheduler. It stops as soon as
-// out is full — due elements beyond the batch stay in the ring for the
-// next batch rather than taking the slow path. Group-worker-side (h is
-// the owning group's cache slot for shard i); returns how many elements
-// it wrote to out.
+// drainTimer is a timer runtime's drain, the ordered due-bypass: serve
+// everything due that is already settled in the group's queues (the
+// cross-shard merge, heads refreshed, rings untouched), and only then pop
+// the rings — entries already due go straight into out and never touch a
+// queue, the rest park in staged runs. Settled-first is the whole ordering
+// argument: a flow's release times never decrease and a shard's queue is
+// older than its ring, so once the queue holds nothing due, no due ring
+// entry has a queued predecessor — per-flow order is exact, and a settled
+// element is never starved by ring traffic. (A queue that may be sitting on
+// a due element all the same — shard.lateUntil — gets the ring settled in
+// behind it instead, as every entry was before the bypass existed.) Across
+// flows, elements first seen overdue come out in arrival order behind every
+// settled one: Carousel's "now slot", which among release times already
+// past carries no policy meaning. They are gated on the exact release time,
+// stricter than a queue's bucket start. A ring its neighbours starve fills,
+// its producers settle it into the queue, and settled-first serves it: the
+// wait is bounded by the ring size. Group-worker-side.
 //
 //eiffel:hotpath
-func (c *Core) drainRingDirect(h *headState, i int, maxRank uint64, out []*bucket.Node) int {
-	s := &c.shards[i]
-	if s.ring.empty() {
-		return 0
-	}
-	s.mu.Lock()
-	wrote, spilled := 0, 0
-	for wrote < len(out) {
-		n, rank, aux, ok := s.ring.pop()
-		if !ok {
-			break
+func (c *Core) drainTimer(gr *groupState, due uint64, out []*bucket.Node) int {
+	total := 0
+	for again := true; again && total < len(out); {
+		for i := gr.lo; i < gr.hi; i++ {
+			if s, h := &c.shards[i], &gr.heads[i-gr.lo]; !h.valid || h.gen != s.fallbackGen.Load() {
+				s.mu.Lock()
+				h.rank, h.ok = s.q.Min()
+				h.gen, h.valid = s.fallbackGen.Load(), true // exact: fallbacks also hold mu
+				s.mu.Unlock()
+			}
 		}
-		if rank <= maxRank {
-			out[wrote] = n
-			wrote++
-		} else {
-			s.parkOneLocked(nil, n, rank, aux)
-			spilled++
+		total += c.mergeRuns(gr, due, out[total:])
+		again = false
+		for i := gr.lo; i < gr.hi && total < len(out); i++ {
+			s, h := &c.shards[i], &gr.heads[i-gr.lo]
+			if s.ring.empty() {
+				continue
+			}
+			s.mu.Lock()
+			queued, direct := 0, 0
+			switch {
+			case h.gen != s.fallbackGen.Load():
+				// A producer's fallback settled elements since the merge
+				// looked: they are older than the ring's and come first.
+				again = true
+			case due < s.lateUntil:
+				queued = s.flushLocked(nil)
+			default:
+				queued, direct = s.flushDueLocked(nil, due, out[total:])
+			}
+			if queued > 0 {
+				h.rank, h.ok = s.q.Min()
+			}
+			s.mu.Unlock()
+			total += direct
+			c.direct.Add(uint64(direct))
+			c.noteFlush(queued)
 		}
 	}
-	// qlen is credited before the ring consumption is published, as in
-	// flushLocked, so concurrent Len readers only ever overcount.
-	if spilled > 0 {
-		s.qlen.Add(int64(spilled))
-	}
-	if wrote+spilled > 0 {
-		s.ring.publish()
-	}
-	s.mu.Unlock()
-	if spilled > 0 {
-		// Spilled elements may sit ahead of the cached queue head.
-		h.valid = false
-		c.noteFlush(spilled)
-	}
-	if wrote > 0 {
-		c.direct.Add(uint64(wrote))
-	}
-	return wrote
+	return total
 }
 
 // GroupFlush drains every ring in group g into its front stage, migrates
@@ -778,14 +807,13 @@ func minHead(heads []headState) (min uint64, ok bool) {
 // shards and returns how many it wrote. It repeatedly serves a run from
 // the group shard with the minimum head rank — the run ends when that
 // shard's head climbs past the runner-up shard's head, so the merged
-// sequence preserves the group's priority order to bucket granularity.
-// In DirectDue mode (no shaper stage), due elements coming off the
-// group's rings are delivered first, in ring order; the bucketed queues
-// are then merged as above. Behind a shaper stage a returned node is
-// always the element's PAIRED scheduler handle (elements reach a scheduler
-// only through the pairing); recover the element through Data, which both
-// handles share, or by the handle's owner offset when the pairing is an
-// embedded field.
+// sequence preserves the group's priority order to bucket granularity. A
+// timer runtime merges what its queues hold the same way and then releases
+// ring entries at or below maxRank directly (drainTimer). Behind a shaper
+// stage a returned node is always the element's PAIRED scheduler handle
+// (elements reach a scheduler only through the pairing); recover the
+// element through Data, which both handles share, or by the handle's owner
+// offset when the pairing is an embedded field.
 //
 // Group-worker-side: distinct groups may call this concurrently, each
 // with its own clock value. Because a flow's shard belongs to exactly one
@@ -799,38 +827,14 @@ func (c *Core) GroupDequeueBatch(g int, now, maxRank uint64, out []*bucket.Node)
 		return 0
 	}
 	gr := &c.groups[g]
-	total := 0
-	if c.directDue {
-		// Cap the direct fill below the full batch whenever a bucketed
-		// queue holds backlog: under sustained ring pressure every batch
-		// would otherwise fill from the rings alone and elements spilled
-		// into the queues (producer ring-full fallbacks, earlier not-yet-
-		// due spills) would starve indefinitely behind arbitrarily newer
-		// ring traffic. Reserving a quarter of each batch bounds their
-		// wait at a few batches.
-		limit := len(out)
-		if reserve := len(out) / 4; reserve > 0 {
-			for i := gr.lo; i < gr.hi; i++ {
-				if c.shards[i].qlen.Load() > 0 {
-					limit = len(out) - reserve
-					break
-				}
-			}
-		}
-		// Rotate the starting shard so no producer's shard gets standing
-		// priority when every batch fills before the scan completes.
-		n := gr.hi - gr.lo
-		for k := 0; k < n && total < limit; k++ {
-			rel := (gr.rr + k) & (n - 1)
-			total += c.drainRingDirect(&gr.heads[rel], gr.lo+rel, maxRank, out[total:limit])
-		}
-		gr.rr = (gr.rr + 1) & (n - 1)
-	}
-	if total < len(out) {
+	var total int
+	if c.timer {
+		total = c.drainTimer(gr, maxRank, out)
+	} else {
 		for i := gr.lo; i < gr.hi; i++ {
 			c.settle(gr, i, now)
 		}
-		total += c.mergeRuns(gr, maxRank, out[total:])
+		total = c.mergeRuns(gr, maxRank, out)
 	}
 	if total > 0 {
 		c.batches.Inc()
@@ -915,11 +919,10 @@ func (c *Core) DequeueBatch(now, maxRank uint64, out []*bucket.Node) int {
 // groups it first compares every group's settled scheduler head and
 // serves the winning group — the one place the group-less surface still
 // pays for a true global answer. Single-consumer surface; batch callers
-// should prefer DequeueBatch, which amortizes the shard scan. In
-// DirectDue mode with a single group the returned element is the
-// ring-order head of the due set, not necessarily the global minimum;
-// with multiple groups the head scan has already flushed the rings, so
-// the bucketed-queue head wins.
+// should prefer DequeueBatch, which amortizes the shard scan. On a timer
+// runtime with a single group an element still in a ring comes out in ring
+// order once the queues hold nothing; with multiple groups the head scan
+// has already flushed the rings, so the bucketed-queue head wins.
 func (c *Core) DequeueMin(now uint64) *bucket.Node {
 	g := 0
 	if len(c.groups) > 1 {

@@ -43,16 +43,6 @@ type Options struct {
 	// locked fallback queue. 0 (the default) keeps the legacy unbounded
 	// spill behavior. See admit.go for the exactness contract.
 	ShardBound int
-	// DirectDue coalesces every already-due element (rank <= the drain
-	// bound) into one virtual FIFO bucket: the consumer delivers such
-	// elements straight off the rings, skipping the bucketed queue
-	// entirely. This is the limiting case of the paper's bucket
-	// quantization — elements within one bucket already release in FIFO
-	// rather than rank order, and DirectDue treats the whole overdue
-	// range as that bucket. Elements ahead of the bound are still shaped
-	// exactly. Trades release order among late elements for a large cut
-	// in per-element work.
-	DirectDue bool
 }
 
 // Q is the typed view of a Core with no shaper stage: every element
@@ -63,14 +53,25 @@ type Q struct{ *Core }
 
 // New returns a sharded runtime whose shards each own a backend built from
 // opt.Kind and opt.Queue (or opt.Backend).
-func New(opt Options) *Q {
+func New(opt Options) *Q { return newQ(opt, false) }
+
+// NewTimer is New for a runtime whose ranks are release times and whose
+// drain bound is the consumer's clock — a sharded timer queue. What that
+// tells the runtime is that an element at or below the drain bound is
+// simply overdue, and overdue elements have no order among themselves
+// beyond each flow's own: drains release them straight off the rings
+// (Core.drainTimer) instead of cycling them through a backend. Elements
+// ahead of the bound are shaped exactly as on New's runtime.
+func NewTimer(opt Options) *Q { return newQ(opt, true) }
+
+func newQ(opt Options, timer bool) *Q {
 	sched := opt.Backend
 	if sched == nil {
 		sched = func(int) Scheduler { return wrapPQ(queue.New(opt.Kind, opt.Queue)) }
 	}
 	return &Q{newCore(config{
 		shards: opt.NumShards, groups: opt.NumGroups, ringBits: opt.RingBits,
-		bound: opt.ShardBound, directDue: opt.DirectDue, sched: sched,
+		bound: opt.ShardBound, timer: timer, sched: sched,
 	})}
 }
 

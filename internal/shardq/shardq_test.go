@@ -2,6 +2,7 @@ package shardq
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -156,20 +157,22 @@ func TestRingFullFallback(t *testing.T) {
 	}
 }
 
-// TestDirectDueReservesForQueueBacklog is the regression test for
-// direct-due starvation: with the bucketed queues backlogged, a batch
-// that could fill entirely from ring traffic must still hand part of
-// itself to the queues, or fallback-spilled elements wait forever behind
-// newer ring arrivals.
-func TestDirectDueReservesForQueueBacklog(t *testing.T) {
-	q := New(Options{
+// TestTimerServesSettledBeforeRing pins what survives of the direct-due
+// starvation regression on the timer runtime: a settled due element is
+// never starved (or overtaken) by ring traffic — a batch that could fill
+// entirely from the ring hands out the queue's due backlog first — due ring
+// entries then come out in ring order without touching the queue, the
+// not-yet-due one parks, and everything drains. (MinRank between batches
+// would settle the ring into the queue; the front-level twin of this test,
+// TestTimerNextTimerWhileDueRemain, covers that answer.)
+func TestTimerServesSettledBeforeRing(t *testing.T) {
+	q := NewTimer(Options{
 		NumShards: 1,
 		RingBits:  3, // 8 slots
 		Kind:      queue.KindCFFS,
 		Queue:     queue.Config{NumBuckets: 1 << 10, Granularity: 1},
-		DirectDue: true,
 	})
-	// Pre-stamp each node's rank: DirectDue delivers nodes straight off
+	// Pre-stamp each node's rank: the bypass delivers nodes straight off
 	// the ring, where the rank travels in the ring entry and is never
 	// written back to the node.
 	enq := func(rank uint64) {
@@ -177,7 +180,7 @@ func TestDirectDueReservesForQueueBacklog(t *testing.T) {
 		n.SetRank(rank)
 		q.Enqueue(0, n, rank)
 	}
-	// Nine enqueues: the ninth finds the ring full and spills everything
+	// Nine enqueues: the ninth finds the ring full and settles everything
 	// (ranks 0..8) into the bucketed queue via the producer fallback,
 	// leaving the ring empty...
 	for i := 0; i < 9; i++ {
@@ -187,23 +190,35 @@ func TestDirectDueReservesForQueueBacklog(t *testing.T) {
 		t.Fatalf("setup: RingFull = %d, want exactly 1", st.RingFull)
 	}
 	// ...then exactly refill the ring with strictly newer elements, so a
-	// ring-sized batch could be satisfied from the ring alone.
+	// ring-sized batch could be satisfied from the ring alone. The last one
+	// is not due at the drain bound.
 	for i := 100; i < 108; i++ {
 		enq(uint64(i))
 	}
+	const due = 106
+	want := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 100, 101, 102, 103, 104, 105, 106}
 	out := make([]*bucket.Node, 8)
-	k := q.DequeueBatch(^uint64(0), out)
-	if k != 8 {
-		t.Fatalf("DequeueBatch = %d, want a full batch", k)
-	}
-	minRank := out[0].Rank()
-	for _, n := range out[:k] {
-		if n.Rank() < minRank {
-			minRank = n.Rank()
+	var got []uint64
+	for {
+		k := q.DequeueBatch(due, out)
+		if k == 0 {
+			break
+		}
+		for _, n := range out[:k] {
+			got = append(got, n.Rank())
 		}
 	}
-	if minRank >= 100 {
-		t.Fatalf("batch served only ring arrivals (min rank %d); queue backlog starved", minRank)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("drained %v at bound %d, want %v (settled first, then the ring in order)", got, due, want)
+	}
+	if st := q.Stats(); st.Direct != 7 {
+		t.Fatalf("Direct = %d, want the 7 due ring entries", st.Direct)
+	}
+	if r, ok := q.MinRank(); !ok || r != 107 || q.Len() != 1 {
+		t.Fatalf("MinRank = (%d,%v), Len = %d: want the one parked element at 107", r, ok, q.Len())
+	}
+	if k := q.DequeueBatch(107, out); k != 1 || out[0].Rank() != 107 || q.Len() != 0 {
+		t.Fatalf("drained %d at 107 (Len %d), want the parked element", k, q.Len())
 	}
 }
 
