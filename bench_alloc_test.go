@@ -254,7 +254,9 @@ func BenchmarkHotPathPolicyBatched(b *testing.B) {
 // tenant, a reservation holder, and a ranked-policy tenant (so the lap
 // covers the three-tag charge cycle, the timed migrate/reservation
 // checks, the FIFO and rank-queue in-tenant paths, and the cross-shard
-// share-time merge) and drains it back out through DequeueBatch.
+// share-time merge) and drains it back out through DequeueBatch. The burst
+// cycles two packet sizes, so the length slot that rides the aux word into
+// the tenant FIFOs (and is what the drain charges) is on the lap too.
 func BenchmarkHotPathHierSched(b *testing.B) {
 	q, err := eiffel.NewHierSharded(eiffel.HierShardedOptions{
 		Spec: eiffel.HierSpec{
@@ -274,7 +276,7 @@ func BenchmarkHotPathHierSched(b *testing.B) {
 	for i := range ps {
 		p := pool.Get()
 		p.Flow = uint64(i % 64)
-		p.Size = 1500
+		p.Size = [2]uint32{1500, 64}[i/3%2]
 		p.Class = int32(i % 3)
 		p.Rank = uint64((hotBurst - i) * 1500 % (1 << 18))
 		ps[i] = p

@@ -186,8 +186,9 @@ func (s *Scheduler) Dequeue(now int64) *pkt.Packet {
 	if s.backlog == 0 {
 		return nil
 	}
-	t, ok := s.h.Pick(now)
-	if !ok {
+	s.h.Migrate(now)
+	t, res := s.h.Pick(now, NoBound)
+	if res != Picked {
 		return nil
 	}
 	f := t.Self.(*Flow)

@@ -12,10 +12,18 @@ import (
 // flow FIFO, an in-tenant rank queue) and drive the engine through the
 // pick/charge/requeue cycle:
 //
-//	t, ok := h.Pick(now)        // two-phase hClock selection, detaches t
-//	...pop one packet from t's queue...
-//	h.Charge(t, size, now)      // advance r/l/s tags (and the aggregate gate)
+//	h.Migrate(now)                 // once per clock value: release parked tenants
+//	t, res := h.Pick(now, bound)   // two-phase hClock selection, detaches t
+//	...pop one packet (and its size) from t's queue...
+//	h.Charge(t, size, now)         // advance r/l/s tags (and the aggregate gate)
 //	if backlogged { h.Requeue(t, now) } else { h.Idle(t) }
+//
+// Pick is the cycle's ONE index pass: at most one reservation-index peek,
+// one share-index peek and one dequeue. It does not migrate — a Requeue
+// that parks a tenant parks it beyond now, so nothing parked can release
+// while the clock stands still, and a caller serving many picks at one
+// clock value migrates once. The size charged is whatever the caller kept
+// beside its queue entry; the engine never sees a packet.
 //
 // Between Pick and Requeue/Idle the tenant is attached to no index; the
 // caller must complete the cycle before the next Pick. All methods are
@@ -72,6 +80,7 @@ type Hier struct {
 	parked  queue.PQ // limit tags of tenants over their cap
 	vnow    uint64   // share-tag virtual time
 	nActive int
+	hasRes  bool // some tenant was Init'ed with a reservation: readyR can be non-empty
 
 	// pickedRes records whether the in-flight pick came from the
 	// reservation phase. Service rendered under a reservation must not
@@ -144,6 +153,7 @@ func (h *Hier) Init(t *Tenant, resBps, limitBps, weight uint64) {
 		}
 	}
 	t.ResBps, t.LimitBps, t.Weight = resBps, limitBps, weight
+	h.hasRes = h.hasRes || resBps > 0
 	t.rNode.Data = t
 	t.sNode.Data = t
 	t.lNode.Data = t
@@ -214,8 +224,8 @@ func (h *Hier) Deactivate(t *Tenant) {
 }
 
 // Migrate moves tenants whose limit clock has arrived from parked to
-// ready. Pick migrates on its own; the method is exported for callers
-// that need a fresh MinShare without picking.
+// ready. Pick does NOT migrate: callers run this whenever their clock has
+// moved, before picking or reading MinShare/DueReservation.
 //
 //eiffel:hotpath
 func (h *Hier) Migrate(now int64) {
@@ -234,47 +244,71 @@ func (h *Hier) Migrate(now int64) {
 	}
 }
 
+// PickResult is what Pick found.
+type PickResult uint8
+
+// Pick outcomes.
+const (
+	// Picked: the returned tenant is detached and must be charged and
+	// requeued (or idled) before the next Pick.
+	Picked PickResult = iota
+	// PickBeyond: no reservation is due and the smallest ready share tag
+	// lies beyond the caller's bound; nothing was detached.
+	PickBeyond
+	// PickNone: nothing is eligible — every active tenant is parked over
+	// its limit, the aggregate gate is closed, or nothing is active.
+	PickNone
+)
+
+// NoBound is the share bound of a caller that serves whatever hClock
+// picks (the single-engine Scheduler).
+const NoBound = ^uint64(0)
+
 // Pick detaches and returns the tenant hClock serves next — the smallest
-// reservation clock among due reservations, else the smallest share tag
-// among tenants under their limit — and advances the share virtual time
-// to the winner's tag. ok is false when every active tenant is parked
-// over its limit, the aggregate gate is closed, or nothing is active. The
-// caller must finish the cycle with Requeue or Idle before picking again.
+// reservation clock among due reservations (regardless of maxShare), else
+// the smallest share tag among tenants under their limit provided its
+// (quantized) tag is at most maxShare — and advances the share virtual
+// time to a share-phase winner's tag. Tenants whose limit clock arrived
+// must already have been migrated at now; see the cycle sketch above.
 //
 //eiffel:hotpath
-func (h *Hier) Pick(now int64) (*Tenant, bool) {
+func (h *Hier) Pick(now int64, maxShare uint64) (*Tenant, PickResult) {
 	if h.nActive == 0 {
-		return nil, false
+		return nil, PickNone
 	}
 	if h.cfg.AggregateLimitBps > 0 && h.aggNextFree > uint64(now) {
-		return nil, false
+		return nil, PickNone
 	}
-	h.Migrate(now)
-
-	var t *Tenant
-	if r, ok := h.readyR.PeekMin(); ok && r <= uint64(now) {
-		// Reservation phase: a reservation clock is due.
-		t = h.readyR.DequeueMin().Data.(*Tenant)
-		h.readyS.Remove(&t.sNode)
-		h.pickedRes = true
-	} else if h.readyS.Len() > 0 {
-		// Share phase: proportional fairness among ready tenants. Only
-		// this phase advances the share virtual time — a reservation
-		// pick is outside the proportional schedule.
-		t = h.readyS.DequeueMin().Data.(*Tenant)
-		if t.ResBps > 0 {
-			// Static membership, as in Deactivate: a ready reservation
-			// holder is always indexed in readyR.
-			h.readyR.Remove(&t.rNode)
+	if h.hasRes {
+		if r, ok := h.readyR.PeekMin(); ok && r <= uint64(now) {
+			// Reservation phase: a reservation clock is due.
+			t := h.readyR.DequeueMin().Data.(*Tenant)
+			h.readyS.Remove(&t.sNode)
+			h.pickedRes = true
+			return t, Picked
 		}
-		h.pickedRes = false
-		if t.sTag > h.vnow {
-			h.vnow = t.sTag
-		}
-	} else {
-		return nil, false // every active tenant is over its limit
 	}
-	return t, true
+	r, ok := h.readyS.PeekMin()
+	if !ok {
+		return nil, PickNone // every active tenant is over its limit
+	}
+	if r > maxShare {
+		return nil, PickBeyond
+	}
+	// Share phase: proportional fairness among ready tenants. Only this
+	// phase advances the share virtual time — a reservation pick is
+	// outside the proportional schedule.
+	t := h.readyS.DequeueMin().Data.(*Tenant)
+	if t.ResBps > 0 {
+		// Static membership, as in Deactivate: a ready reservation holder
+		// is always indexed in readyR.
+		h.readyR.Remove(&t.rNode)
+	}
+	h.pickedRes = false
+	if t.sTag > h.vnow {
+		h.vnow = t.sTag
+	}
+	return t, Picked
 }
 
 // Charge advances the picked tenant's three tags for size bytes of

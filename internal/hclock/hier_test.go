@@ -36,8 +36,9 @@ func (hh *hierHarness) fill(tenant, n int, now int64) {
 // serve runs one pick/charge/requeue cycle and returns the served tenant
 // index, or -1 when the engine refuses.
 func (hh *hierHarness) serve(now int64, size uint64) int {
-	t, ok := hh.h.Pick(now)
-	if !ok {
+	hh.h.Migrate(now)
+	t, res := hh.h.Pick(now, NoBound)
+	if res != Picked {
 		return -1
 	}
 	i := t.Self.(int)
@@ -166,7 +167,7 @@ func TestHierDeactivate(t *testing.T) {
 	if hh.h.NumActive() != 0 {
 		t.Fatalf("NumActive = %d after deactivating everyone", hh.h.NumActive())
 	}
-	if _, ok := hh.h.Pick(1 << 40); ok {
+	if _, res := hh.h.Pick(1<<40, NoBound); res != PickNone {
 		t.Fatal("picked from an engine with no active tenants")
 	}
 }

@@ -21,6 +21,8 @@ type Flow struct {
 	// U0 and U1 are extra policy scratch registers.
 	U0, U1 uint64
 
+	// ring (and rring below) hold 8·2^k slots — grow and growRanked are the
+	// only places either is sized — so indexes wrap with a mask, not a DIV.
 	ring []*pkt.Packet
 	head int
 	n    int
@@ -62,7 +64,7 @@ func (f *Flow) push(p *pkt.Packet) {
 		//eiffel:allow(hotpath) amortized ring doubling; capacity is retained across the flow's life
 		f.grow()
 	}
-	f.ring[(f.head+f.n)%len(f.ring)] = p
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = p
 	f.n++
 	f.Bytes += int64(p.Size)
 }
@@ -74,20 +76,16 @@ func (f *Flow) pop() *pkt.Packet {
 	}
 	p := f.ring[f.head]
 	f.ring[f.head] = nil
-	f.head = (f.head + 1) % len(f.ring)
+	f.head = (f.head + 1) & (len(f.ring) - 1)
 	f.n--
 	f.Bytes -= int64(p.Size)
 	return p
 }
 
 func (f *Flow) grow() {
-	size := len(f.ring) * 2
-	if size == 0 {
-		size = 8
-	}
-	ring := make([]*pkt.Packet, size)
+	ring := make([]*pkt.Packet, max(8, len(f.ring)*2)) // a power of two: see ring
 	for i := 0; i < f.n; i++ {
-		ring[i] = f.ring[(f.head+i)%len(f.ring)]
+		ring[i] = f.ring[(f.head+i)&(len(f.ring)-1)]
 	}
 	f.ring = ring
 	f.head = 0
@@ -104,7 +102,7 @@ func (f *Flow) pushRanked(p *pkt.Packet, rank uint64) {
 		//eiffel:allow(hotpath) amortized ring doubling; capacity is retained across the flow's life
 		f.growRanked()
 	}
-	f.rring[(f.head+f.n)%len(f.rring)] = rankedSlot{p: p, rank: rank}
+	f.rring[(f.head+f.n)&(len(f.rring)-1)] = rankedSlot{p: p, rank: rank}
 	f.n++
 }
 
@@ -115,7 +113,7 @@ func (f *Flow) pushRanked(p *pkt.Packet, rank uint64) {
 func (f *Flow) popRanked() (*pkt.Packet, uint64) {
 	s := f.rring[f.head]
 	f.rring[f.head].p = nil
-	f.head = (f.head + 1) % len(f.rring)
+	f.head = (f.head + 1) & (len(f.rring) - 1)
 	f.n--
 	return s.p, s.rank
 }
@@ -127,13 +125,9 @@ func (f *Flow) popRanked() (*pkt.Packet, uint64) {
 func (f *Flow) frontRank() uint64 { return f.rring[f.head].rank }
 
 func (f *Flow) growRanked() {
-	size := len(f.rring) * 2
-	if size == 0 {
-		size = 8
-	}
-	rring := make([]rankedSlot, size)
+	rring := make([]rankedSlot, max(8, len(f.rring)*2)) // a power of two: see ring
 	for i := 0; i < f.n; i++ {
-		rring[i] = f.rring[(f.head+i)%len(f.rring)]
+		rring[i] = f.rring[(f.head+i)&(len(f.rring)-1)]
 	}
 	f.rring = rring
 	f.head = 0

@@ -41,7 +41,7 @@ const (
 	pubShaped                      // TimerNode, SendAt, Rank — shaper stage, then scheduler
 	pubPolicyDirect                // SchedNode, Rank, Flow — packet-free direct policy leaf
 	pubPolicyTree                  // SchedNode, now, 0 — policy tree; k1 feeds its transactions
-	pubHier                        // SchedNode, Rank, tenant(Class) — hClock engine
+	pubHier                        // SchedNode, Rank, tenant(Class)|Size<<32 — hClock engine (shardq.HierAux)
 )
 
 // drainChunk sizes the node→packet conversion scratch: GroupDequeueBatch
@@ -70,10 +70,9 @@ type frontGroup struct {
 // goroutine and requires exclusive access to all of them. Do not mix the
 // two while group workers run.
 type Front struct {
-	rt      *shardq.Core
-	name    string
-	pub     pubRule
-	tenants int // pubHier: the tenant-table size Class maps into
+	rt   *shardq.Core
+	name string
+	pub  pubRule
 
 	// clocked lists shard i's backend when eligibility depends on the
 	// consumer clock (policy trees with shaper gates, hClock engines);
@@ -159,9 +158,9 @@ func (f *Front) GroupFor(flow uint64) int { return f.rt.GroupFor(flow) }
 // transient-overcount contract as Len.
 func (f *Front) GroupLen(g int) int { return f.rt.GroupLen(g) }
 
-// key applies the publication rule: both key words are read here, while
-// the packet is the producer's hot cache line, so the consumer side never
-// loads packet memory on the enqueue path.
+// key applies the publication rule: every word the consumer will need is
+// read here, while the packet is the producer's hot cache line, so the
+// consumer loads no packet memory to enqueue — nor, under pubHier, to drain.
 //
 //eiffel:hotpath
 func (f *Front) key(p *pkt.Packet, now int64) (n *shardq.Node, k1, k2 uint64) {
@@ -175,7 +174,7 @@ func (f *Front) key(p *pkt.Packet, now int64) (n *shardq.Node, k1, k2 uint64) {
 	case pubPolicyTree:
 		return &p.SchedNode, uint64(now), 0
 	default: // pubHier
-		return &p.SchedNode, p.Rank, uint64(int(uint32(p.Class)) % f.tenants)
+		return &p.SchedNode, p.Rank, shardq.HierAux(uint32(p.Class), p.Size)
 	}
 }
 

@@ -21,9 +21,14 @@ import (
 // policysched experiment bounds the WFQ gold share (±0.10).
 //
 // Packets route to a tenant by their Class annotation (modulo the tenant
-// count), and the ring carries (rank annotation, tenant id) resolved on
-// the producer — the consumer never loads packet memory on the enqueue
-// side, the same publication trick as the policy preset's direct path.
+// count), and the ring carries (rank annotation, Class | Size<<32 —
+// shardq.HierAux) read on the producer: the consumer never loads packet
+// memory, on the enqueue side OR at the drain — the policy preset's
+// direct-path publication trick taken to its end. The engine charges the
+// PUBLISHED length, because a backlogged packet's lines were last written
+// by the producer and a ring's worth of them outgrows the cache: reading
+// Size at the drain cost more (2.7 s of a 9.8 s hier_qos profile) than
+// the engine's six index operations per pop together (1.8 s).
 
 // HierSharded runs per-tenant hierarchical QoS (reservations, limits,
 // proportional shares; hClock's three-tag rule) on the sharded front.
@@ -37,12 +42,9 @@ import (
 // bucket granularity.
 //
 // The front pushes each group worker's clock into that group's engines
-// before every drain (limit parking and reservation eligibility read it);
-// an engine re-peeks the merge's cached head when the advance wakes it
-// from a stall — every tenant parked over its limit — or carries it across
-// a reservation's due time: the cached rank is a share tag computed before
-// the reservation came due, and left stale, a weight-poor reservation
-// holder starves behind heavy share tenants until their tags pass its own.
+// before every drain (limit parking and reservation eligibility read it)
+// and re-peeks the merge's cached heads when an engine says the advance
+// invalidated its answer (shardq.HierSched.SetNow says when, and why).
 // Everything but the tenant surface below is Front's.
 type HierSharded struct {
 	*Front
@@ -114,7 +116,6 @@ func NewHierSharded(opt HierShardedOptions) (*HierSharded, error) {
 		},
 	})
 	s.Front = newFront(rt.Core, "Eiffel+hier-shards", pubHier, opt.Batch, opt.Admit, opt.Tenants)
-	s.tenants = len(opt.Spec.Tenants)
 	for _, b := range s.backends {
 		s.clocked = append(s.clocked, b)
 	}
@@ -139,9 +140,8 @@ func (s *HierSharded) TenantBacklog(id int) int {
 // exact same shardq.HierSched code as each shard does, with RateDiv 1, so
 // the locked-vs-sharded comparison isolates the runtime, not the engine.
 type HierTree struct {
-	b       *shardq.HierSched
-	tenants int
-	name    string
+	b    *shardq.HierSched
+	name string
 }
 
 // NewHierTree compiles spec (RateDiv forced to 1 — a single engine owns
@@ -152,7 +152,7 @@ func NewHierTree(spec shardq.HierSpec) (*HierTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HierTree{b: b, tenants: len(spec.Tenants), name: "Eiffel tree(hclock)"}, nil
+	return &HierTree{b: b, name: "Eiffel tree(hclock)"}, nil
 }
 
 // Name implements Qdisc.
@@ -164,7 +164,7 @@ func (q *HierTree) Len() int { return q.b.Len() }
 // Enqueue implements Qdisc.
 func (q *HierTree) Enqueue(p *pkt.Packet, now int64) {
 	q.b.SetNow(now)
-	q.b.EnqueueAux(&p.SchedNode, p.Rank, uint64(int(uint32(p.Class))%q.tenants))
+	q.b.EnqueueAux(&p.SchedNode, p.Rank, shardq.HierAux(uint32(p.Class), p.Size))
 }
 
 // Dequeue implements Qdisc.

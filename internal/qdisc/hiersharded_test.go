@@ -283,3 +283,137 @@ func TestHierShardedNextTimer(t *testing.T) {
 		t.Fatal("parked tenant not served at its release time")
 	}
 }
+
+// TestHierChargesPublishedSize: the engine charges the length a packet
+// PUBLISHED (the ring's aux word), not whatever its memory holds at the
+// drain. Two fifo tenants at 1:1 both publish 1500 B packets; shrinking
+// tenant 0's packets afterwards must not buy it a single extra turn. (A
+// drain that re-reads the packet charges tenant 0 64 B a turn and serves
+// it ~23 packets for each of tenant 1's.)
+func TestHierChargesPublishedSize(t *testing.T) {
+	spec := shardq.HierSpec{Tenants: []shardq.HierTenant{{Weight: 1}, {Weight: 1}}}
+	q, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const per = 400
+	pool := pkt.NewPool(2 * per)
+	var shrunk []*pkt.Packet
+	for i := 0; i < per; i++ {
+		for tn := 0; tn < 2; tn++ {
+			p := pool.Get()
+			p.Flow, p.Class, p.Size = uint64(tn), int32(tn), 1500
+			q.Enqueue(p, 0)
+			if tn == 0 {
+				shrunk = append(shrunk, p)
+			}
+		}
+	}
+	for _, p := range shrunk {
+		p.Size = 64
+	}
+	served := [2]int{}
+	for i := 0; i < per; i++ { // both tenants stay backlogged throughout
+		p := q.Dequeue(0)
+		if p == nil {
+			t.Fatalf("drain stalled at %d", i)
+		}
+		served[p.Class]++
+		if d := served[0] - served[1]; d < -1 || d > 1 {
+			t.Fatalf("after %d packets tenant 0 was served %d times, tenant 1 %d times: equal weights and equal PUBLISHED sizes must alternate",
+				i+1, served[0], served[1])
+		}
+	}
+}
+
+// TestHierMixedSizesMatchLocked: 64 / 1500 / 9000 B packets, weights 1:4
+// and a binding reservation. The sharded front and the locked tree release
+// every flow in the same order, both split the two share tenants' BYTES
+// within 0.10 of 4:1, and both give the reservation holder its rate — the
+// published lengths reach the engine intact on both deployments.
+func TestHierMixedSizesMatchLocked(t *testing.T) {
+	spec := shardq.HierSpec{Tenants: []shardq.HierTenant{
+		{Weight: 1},
+		{Weight: 4},
+		{ResBps: 300e6, Weight: 1}, // weights alone would give it 1/6 of the 1 Gbps drain
+	}}
+	sizes := [3]uint32{64, 1500, 9000}
+	const flows, per = 48, 400
+	build := func() []*pkt.Packet {
+		rng := rand.New(rand.NewSource(11))
+		pool := pkt.NewPool(flows * per)
+		ps := make([]*pkt.Packet, 0, flows*per)
+		for i := 0; i < per; i++ {
+			for f := 0; f < flows; f++ {
+				p := pool.Get()
+				p.Flow, p.Class, p.ID = uint64(f), int32(f%3), uint64(i)
+				p.Size = sizes[rng.Intn(3)]
+				ps = append(ps, p)
+			}
+		}
+		return ps
+	}
+	// run drains q at a 1 Gbps pace and returns each flow's release order
+	// plus the per-tenant bytes served while every tenant was backlogged.
+	run := func(q Qdisc) (map[uint64][]uint64, [3]float64) {
+		ps := build()
+		var offered [3]uint64
+		for _, p := range ps {
+			q.Enqueue(p, 0)
+			offered[p.Class] += uint64(p.Size)
+		}
+		orders := make(map[uint64][]uint64)
+		var bytes [3]uint64
+		window := true
+		now := int64(0)
+		for got := 0; got < len(ps); {
+			p := q.Dequeue(now)
+			if p == nil {
+				now += 1 << 16
+				continue
+			}
+			got++
+			orders[p.Flow] = append(orders[p.Flow], p.ID)
+			// The contention window closes when the first tenant is half
+			// drained: until then every shard still holds all three.
+			if window {
+				bytes[p.Class] += uint64(p.Size)
+				window = bytes[p.Class] < offered[p.Class]/2
+			}
+			now += int64(p.Size) * 8
+		}
+		total := float64(bytes[0] + bytes[1] + bytes[2])
+		return orders, [3]float64{float64(bytes[0]) / total, float64(bytes[1]) / total, float64(bytes[2]) / total}
+	}
+
+	tree, err := NewHierTree(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOrder, treeShare := run(NewLocked(tree))
+	sharded, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOrder, shardShare := run(sharded)
+
+	for f, w := range wantOrder {
+		g := gotOrder[f]
+		if len(g) != len(w) {
+			t.Fatalf("flow %d: sharded released %d packets, locked %d", f, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("flow %d position %d: sharded ID %d, locked ID %d", f, i, g[i], w[i])
+			}
+		}
+	}
+	for name, s := range map[string][3]float64{"locked tree": treeShare, "sharded": shardShare} {
+		if heavy := s[1] / (s[0] + s[1]); heavy < 0.70 || heavy > 0.90 {
+			t.Fatalf("%s: weight-4 tenant took %.3f of the share tenants' bytes, want 0.80 +/- 0.10", name, heavy)
+		}
+		if s[2] < 0.30*0.9 {
+			t.Fatalf("%s: reservation holder took %.3f of the link's bytes, reservation needs >= 0.30 (-10%% bound)", name, s[2])
+		}
+	}
+}

@@ -63,11 +63,11 @@ type batchPusher interface {
 // ring carries a (rank, aux) pair per element (the same wire format the
 // shaped runtime uses for (sendAt, rank)), and a backend that implements
 // AuxScheduler receives both words. This is how a policy backend gets the
-// producer-resolved keys — e.g. (rank annotation, flow id) — without ever
-// loading packet memory on the consumer: the producer reads the packet
-// once, when it is cache-hot, and the keys ride the ring. Elements
-// published without an aux (plain Enqueue/EnqueueBatch surfaces) deliver
-// aux = 0.
+// producer-resolved keys — (rank annotation, flow id), or the hier
+// backend's (in-tenant rank, tenant | size<<32) — without ever loading
+// packet memory on the consumer: the producer reads the packet once, when
+// it is cache-hot, and the keys ride the ring. Elements published without
+// an aux (plain Enqueue/EnqueueBatch surfaces) deliver aux = 0.
 type AuxScheduler interface {
 	Scheduler
 	// EnqueueAux inserts one element with the full ring payload.

@@ -19,11 +19,13 @@ import (
 // (hclock.Config.RateDiv) so a tenant whose flows spread across every
 // shard still aggregates to its configured reservation and limit.
 //
-// The ring payload is (rank, aux) = (in-tenant key, tenant id): the
-// producer resolves the tenant once, while the packet is cache-hot, and
-// the consumer routes by the aux word without loading packet memory on
-// the enqueue side. The cross-shard merge rank is the engine's share
-// virtual time — every shard's tenants advance their share tags at
+// The ring payload is (rank, aux) = (in-tenant key, tenant | size<<32 —
+// HierAux): the producer resolves the tenant and reads the length once,
+// while the packet is cache-hot; the consumer routes by the low half,
+// keeps the high half beside the node in the tenant's FIFO and charges it
+// at the drain, loading no packet memory on either side (hiersharded.go
+// says what that load cost). The cross-shard merge rank is the engine's
+// share virtual time — every shard's tenants advance their share tags at
 // size/weight, so comparing MinShare across shards approximates the
 // global weighted order at tag-bucket granularity (the same shard-local
 // approximation the policy backend's wfq root accepts) — except that a
@@ -56,8 +58,8 @@ type HierTenant struct {
 
 // HierSpec compiles into one hierarchical engine per shard.
 type HierSpec struct {
-	// Tenants is the tenant table; the enqueue aux word indexes it
-	// (modulo its length). Required.
+	// Tenants is the tenant table; the enqueue aux word's low half
+	// indexes it (modulo its length). Required.
 	Tenants []HierTenant
 	// Backend picks the tag-index implementation (Eiffel FFS queues,
 	// binary heaps, approximate gradient queues).
@@ -115,52 +117,66 @@ func (sp HierSpec) Validate() error {
 	return nil
 }
 
+// HierAux packs the hier rule's aux word: tenant id low, the length the
+// drain will charge high. A high half of 0 (a bare tenant id, or a
+// zero-length packet, which charges nothing either way) makes the backend
+// read the length from the packet at enqueue — the same schedule.
+//
+//eiffel:hotpath
+func HierAux(tenant, size uint32) uint64 { return uint64(tenant) | uint64(size)<<32 }
+
 // hierTenant is one tenant's shard-local state: the engine tags plus the
-// in-tenant packet queue (a FIFO ring, or an FFS-indexed rank queue).
+// in-tenant packet queue (a FIFO ring of (node, published length), or an
+// FFS-indexed rank queue).
 type hierTenant struct {
 	t    hclock.Tenant
 	rank Scheduler // non-nil: "rank" policy in-tenant queue
 
+	// One ring in two arrays (lengths stay pointer-free); capacity 8·2^k.
 	fifo []*bucket.Node
+	size []uint32
 	head int
 	n    int // queued elements, both policies
 }
 
 //eiffel:hotpath
-func (ht *hierTenant) push(n *bucket.Node, rank uint64) {
+func (ht *hierTenant) push(n *bucket.Node, rank uint64, size uint32) {
 	ht.n++
 	if ht.rank != nil {
 		ht.rank.Enqueue(n, rank)
 		return
 	}
-	if ht.n > len(ht.fifo) {
-		size := len(ht.fifo) * 2
-		if size == 0 {
-			size = 8
-		}
-		//eiffel:allow(hotpath) amortized FIFO ring growth, doubling to the tenant's high-water backlog
-		ring := make([]*bucket.Node, size)
-		for i := 0; i < ht.n-1; i++ {
-			ring[i] = ht.fifo[(ht.head+i)%len(ht.fifo)]
-		}
-		ht.fifo, ht.head = ring, 0
+	if size == 0 {
+		// Aux fallback: the publisher carried no length (see HierAux).
+		size = pkt.FromSchedNode(n).Size
 	}
-	ht.fifo[(ht.head+ht.n-1)%len(ht.fifo)] = n
+	if ht.n > len(ht.fifo) {
+		c := max(8, len(ht.fifo)*2) // power of two: the masks below rely on it
+		//eiffel:allow(hotpath) amortized FIFO ring growth, doubling to the tenant's high-water backlog
+		fifo, sz := make([]*bucket.Node, c), make([]uint32, c)
+		for i := 0; i < ht.n-1; i++ {
+			j := (ht.head + i) & (len(ht.fifo) - 1)
+			fifo[i], sz[i] = ht.fifo[j], ht.size[j]
+		}
+		ht.fifo, ht.size, ht.head = fifo, sz, 0
+	}
+	i := (ht.head + ht.n - 1) & (len(ht.fifo) - 1)
+	ht.fifo[i], ht.size[i] = n, size
 }
 
 //eiffel:hotpath
-func (ht *hierTenant) pop(one *[1]*bucket.Node) *bucket.Node {
+func (ht *hierTenant) pop(one *[1]*bucket.Node) (*bucket.Node, uint32) {
 	ht.n--
 	if ht.rank != nil {
-		if ht.rank.DequeueBatch(^uint64(0), one[:]) == 0 {
-			return nil
-		}
-		return one[0]
+		// The one packet load left on the drain: vecSched has no slot for
+		// a length, and no measured path builds a rank tenant to carry one.
+		ht.rank.DequeueBatch(^uint64(0), one[:])
+		return one[0], pkt.FromSchedNode(one[0]).Size
 	}
-	n := ht.fifo[ht.head]
+	n, size := ht.fifo[ht.head], ht.size[ht.head]
 	ht.fifo[ht.head] = nil
-	ht.head = (ht.head + 1) % len(ht.fifo)
-	return n
+	ht.head = (ht.head + 1) & (len(ht.fifo) - 1)
+	return n, size
 }
 
 // HierSched is one shard's hierarchical QoS backend; see the file
@@ -189,7 +205,7 @@ type HierSched struct {
 	mergeShift uint // share-tag >> mergeShift is the merge-rank domain
 
 	// timed is whether any tenant carries a reservation or limit; a pure
-	// weighted-share tree skips the per-pop migrate/reservation checks.
+	// weighted-share tree skips the per-call migrate and resDue upkeep.
 	timed bool
 
 	// resDue publishes the earliest ready reservation clock (0 = none)
@@ -247,19 +263,20 @@ func NewHierSched(spec HierSpec) (*HierSched, error) {
 	return b, nil
 }
 
-// NumTenants returns the tenant-table size.
-func (b *HierSched) NumTenants() int { return len(b.tenants) }
-
 // TenantLen returns tenant i's queued-element count on this shard.
 // Callers hold the shard lock (WithShardLocked).
 //
 //eiffel:locked(shard)
 func (b *HierSched) TenantLen(i int) int { return b.tenants[i].n }
 
+// EnqueueAux implements AuxScheduler: aux carries the producer-resolved
+// tenant id and packet length (HierAux), rank the in-tenant key — neither
+// this side nor the drain loads the packet.
+//
 //eiffel:hotpath
-func (b *HierSched) enq(n *bucket.Node, rank, tenant uint64) {
-	ht := &b.tenants[int(tenant)%len(b.tenants)]
-	ht.push(n, rank)
+func (b *HierSched) EnqueueAux(n *bucket.Node, rank, aux uint64) {
+	ht := &b.tenants[int(uint32(aux))%len(b.tenants)]
+	ht.push(n, rank, uint32(aux>>32))
 	b.backlog++
 	if !ht.t.Active() {
 		b.h.Activate(&ht.t, b.now.Load())
@@ -267,7 +284,9 @@ func (b *HierSched) enq(n *bucket.Node, rank, tenant uint64) {
 			b.noteResDue()
 		}
 	}
-	b.stalled.Store(false)
+	if b.stalled.Load() { // a load per packet, not an XCHG
+		b.stalled.Store(false)
+	}
 }
 
 // noteResDue publishes the earliest ready reservation clock for the
@@ -284,12 +303,13 @@ func (b *HierSched) noteResDue() {
 }
 
 // Enqueue implements Scheduler: the keyless surface loads the packet to
-// resolve its tenant (Class annotation) — the slow-but-correct form of
-// the aux path, used by spill paths that lost the aux word.
+// resolve its tenant (Class annotation) and length — the slow-but-correct
+// form of the aux path, used by spill paths that lost the aux word.
 //
 //eiffel:hotpath
 func (b *HierSched) Enqueue(n *bucket.Node, rank uint64) {
-	b.enq(n, rank, uint64(uint32(pkt.FromSchedNode(n).Class)))
+	p := pkt.FromSchedNode(n)
+	b.EnqueueAux(n, rank, HierAux(uint32(p.Class), p.Size))
 }
 
 // EnqueueBatch implements Scheduler.
@@ -301,33 +321,24 @@ func (b *HierSched) EnqueueBatch(ns []*bucket.Node, ranks []uint64) {
 	}
 }
 
-// EnqueueAux implements AuxScheduler: aux carries the producer-resolved
-// tenant id, rank the in-tenant key — the enqueue side never loads the
-// packet.
-//
-//eiffel:hotpath
-func (b *HierSched) EnqueueAux(n *bucket.Node, rank, aux uint64) {
-	b.enq(n, rank, aux)
-}
-
 // EnqueueBatchAux implements AuxScheduler.
 //
 //eiffel:hotpath
 func (b *HierSched) EnqueueBatchAux(ns []*bucket.Node, ranks, auxes []uint64) {
 	for i, n := range ns {
-		b.enq(n, ranks[i], auxes[i])
+		b.EnqueueAux(n, ranks[i], auxes[i])
 	}
 }
 
 // DequeueBatch implements Scheduler: serve the engine's two-phase
 // preference while the merge rank stays within maxRank. A due reservation
 // serves regardless of the bound (its merge rank is 0 — see Min); the
-// share phase stops at the bound. Each pop charges the served tenant's
-// tags, so the head is re-read every iteration.
+// share phase stops at the bound. Each pop is one engine pick (one index
+// pass) charged with the length stored beside the node; every charge moves
+// the served tenant's tags, so the head is re-picked every iteration.
 //
 //eiffel:hotpath
 func (b *HierSched) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
-	popped := 0
 	now := b.now.Load()
 	if b.timed {
 		// now is constant for the whole call, so one migration suffices:
@@ -335,29 +346,24 @@ func (b *HierSched) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
 		// tenant parks it beyond now by construction.
 		b.h.Migrate(now)
 	}
+	// maxRank is in the shifted merge domain; the engine compares raw tags.
+	bound := hclock.NoBound
+	if maxRank < hclock.NoBound>>b.mergeShift {
+		bound = (maxRank+1)<<b.mergeShift - 1
+	}
+	popped := 0
 	for popped < len(out) && b.backlog > 0 {
-		if !b.timed || !b.h.DueReservation(now) {
-			r, ok := b.h.MinShare()
-			if !ok {
-				// Backlogged but every active tenant is parked over its
-				// limit: report empty from Min until the clock moves —
-				// mergeRuns' progress argument.
-				b.stalled.Store(true)
-				break
+		t, res := b.h.Pick(now, bound)
+		if res != hclock.Picked {
+			if res == hclock.PickNone {
+				b.stalled.Store(true) // backlog, all of it parked: see stalled
 			}
-			if r>>b.mergeShift > maxRank {
-				break
-			}
-		}
-		t, ok := b.h.Pick(now)
-		if !ok {
-			b.stalled.Store(true)
 			break
 		}
 		ht := t.Self.(*hierTenant)
-		n := ht.pop(&b.one)
+		n, size := ht.pop(&b.one)
 		b.backlog--
-		b.h.Charge(t, uint64(pkt.FromSchedNode(n).Size), now)
+		b.h.Charge(t, uint64(size), now)
 		if ht.n > 0 {
 			b.h.Requeue(t, now)
 		} else {
@@ -429,8 +435,7 @@ func (b *HierSched) SetNow(now int64) (repeek bool) {
 }
 
 // Stalled reports whether the backend declared itself unservable at the
-// current clock; the owner checks it before advancing the clock to know
-// whether a head re-peek (GroupFlush) is needed.
+// current clock (what SetNow's result tells an owner that advances it).
 //
 //eiffel:hotpath
 func (b *HierSched) Stalled() bool { return b.stalled.Load() }
