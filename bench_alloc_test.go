@@ -116,6 +116,13 @@ func BenchmarkHotPathGroupDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathShapedEnqueueBatched holds the whole shaped pipeline to
+// the bar, the shaper stage included: every lap admits its burst AHEAD of
+// the release times, polls once so the burst parks in the per-shard shaper
+// stores, and drains once the last packet is due — park, migrate and merged
+// drain all run. Laps step through time, so the stores' windows rotate
+// under the gate too; their chunk pools reach the burst's size on the
+// warming lap.
 func BenchmarkHotPathShapedEnqueueBatched(b *testing.B) {
 	q := eiffel.NewMultiShaped(eiffel.MultiShapedOptions{ShapedShardedOptions: eiffel.ShapedShardedOptions{
 		Shards: 8, HorizonNs: 1 << 20, RankSpan: 1 << 20,
@@ -125,16 +132,23 @@ func BenchmarkHotPathShapedEnqueueBatched(b *testing.B) {
 	for i := range ps {
 		p := pool.Get()
 		p.Flow = uint64(i)
-		p.SendAt = int64(i % (1 << 18))
 		p.Rank = uint64((i * 131) % (1 << 20))
 		ps[i] = p
 	}
 	out := make([]*eiffel.Packet, 256)
-	now := int64(1 << 19)
+	const lapNs = 1 << 18
+	now := int64(0)
 	lap := func() {
+		for i, p := range ps {
+			p.SendAt = now + lapNs/2 + int64((i*257)%(lapNs/2)) // whole buckets ahead
+		}
 		q.EnqueueBatch(ps, now)
+		if next, ok := q.NextTimer(now); !ok || next <= now {
+			b.Fatalf("NextTimer(%d) = (%d,%v): the burst did not park", now, next, ok)
+		}
+		now += lapNs
 		for q.Len() > 0 {
-			if q.DequeueBatch(1<<20, out) == 0 {
+			if q.DequeueBatch(now, out) == 0 {
 				b.Fatal("drain stalled with packets queued")
 			}
 		}

@@ -13,7 +13,7 @@ import (
 type ShapedShardedOptions struct {
 	// Shards is the shard count, rounded up to a power of two (default 8).
 	Shards int
-	// ShaperBuckets is the per-shard time-indexed cFFS bucket count
+	// ShaperBuckets is the per-shard time-indexed shaper's bucket count
 	// (default 4096); shaping granularity = HorizonNs/(2*ShaperBuckets).
 	ShaperBuckets int
 	// HorizonNs is the shaping horizon covered without overflow.
@@ -166,14 +166,17 @@ type MultiShapedOptions struct {
 // NewMultiShaped returns the shaped front: the multi-producer form of the
 // paper's decoupled shaping (§3.2.2, Figure 8). Each packet carries two
 // keys — SendAt (when it may leave) and Rank (where it goes once it may) —
-// through the two intrusive handles pkt.Packet was built with: TimerNode
-// rides the per-shard time-indexed shaper cFFS, SchedNode the per-shard
-// priority-indexed scheduler (FFS-indexed vector buckets over the fixed
-// RankSpan by default; see SchedBackend). Producers publish (TimerNode,
-// SendAt, Rank) triples over lock-free rings; each group's worker migrates
-// due packets shaper→scheduler on its own clock and drains the schedulers
-// in merged cross-shard priority order, exact to the scheduler bucket
-// width RankSpan/(2*SchedBuckets) (ranks within one bucket release FIFO).
+// and the two handles pkt.Packet was built with name it in the two stages:
+// the TimerNode address is what the per-shard time-indexed shaper store
+// (ffsq.ShaperStore) holds, by value beside both keys, and SchedNode is
+// what the per-shard priority-indexed scheduler takes (FFS-indexed vector
+// buckets over the fixed RankSpan by default; see SchedBackend). Producers
+// publish (TimerNode, SendAt, Rank) triples over lock-free rings; each
+// group's worker migrates due packets shaper→scheduler on its own clock —
+// a copy of (handle, Rank) runs with Pair applied, a constant offset; no
+// packet is loaded or stored on the way — and drains the schedulers in
+// merged cross-shard priority order, exact to the scheduler bucket width
+// RankSpan/(2*SchedBuckets) (ranks within one bucket release FIFO).
 func NewMultiShaped(opt MultiShapedOptions) *Front {
 	base := opt.ShapedShardedOptions.withDefaults()
 	rt := shardq.NewShaped(shardq.ShapedOptions{

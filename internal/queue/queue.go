@@ -96,7 +96,8 @@ type Config struct {
 	Alpha float64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the zero fields New would fill.
+func (c Config) WithDefaults() Config {
 	if c.NumBuckets == 0 {
 		c.NumBuckets = 1 << 14
 	}
@@ -108,7 +109,7 @@ func (c Config) withDefaults() Config {
 
 // New constructs a backend of the given kind.
 func New(k Kind, cfg Config) PQ {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	switch k {
 	case KindCFFS:
 		return ffsq.NewCFFS(ffsq.CFFSOptions{

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 
 	"eiffel/internal/bucket"
+	"eiffel/internal/ffsq"
+	"eiffel/internal/queue"
 	"eiffel/internal/stats"
 )
 
@@ -20,12 +22,13 @@ const flushChunk = 256
 // an existing packet or flow handle at a sharded runtime unchanged.
 type Node = bucket.Node
 
-// PairFunc maps the node a producer published (the element's handle in the
-// time-indexed shaper) to the element's second handle, used by the
-// priority-indexed scheduler. The two handles must belong to the same
-// element and the scheduler handle must be detached while the element sits
-// in the shaper — exactly the contract pkt.Packet's TimerNode/SchedNode
-// pair is built for (Figure 8's decoupling).
+// PairFunc maps the handle a producer published with a release time to the
+// handle the element's scheduler takes — pkt.Packet's TimerNode/SchedNode
+// pair (Figure 8's decoupling). The shaper stage stores the published
+// handle by value and never dereferences it; the runtime applies the
+// mapping once, on the way into the scheduler, so it must be a pure
+// function of the handle's address (for an embedded pair, a constant
+// offset) if the consumer is to stay off packet memory.
 type PairFunc func(*bucket.Node) *bucket.Node
 
 // config is everything the runtime core is parameterised by; Options and
@@ -35,11 +38,11 @@ type config struct {
 	ringBits       uint
 	bound          int
 	timer          bool // ranks are release times (NewTimer): see drainTimer
-	// sched builds shard i's scheduler; shaper, when non-nil, builds the
-	// shaper stage in front of it, and pair (set iff shaper is) maps shaper
-	// handles to scheduler handles.
+	// sched builds shard i's scheduler. A non-nil pair puts a shaper stage
+	// sized by shaper in front of it, and maps published handles to
+	// scheduler handles.
 	sched  func(shard int) Scheduler
-	shaper func(shard int) Scheduler
+	shaper queue.Config
 	pair   PairFunc
 }
 
@@ -54,9 +57,9 @@ type config struct {
 type shard struct {
 	ring   *ring
 	mu     sync.Mutex
-	shaper Scheduler    // nil: no shaper stage
-	q      Scheduler    // the scheduler the merged drain pops
-	qa     AuxScheduler // q, if it consumes the ring's second key (no shaper stage only)
+	shaper *ffsq.ShaperStore // nil: no shaper stage
+	q      Scheduler         // the scheduler the merged drain pops
+	qa     AuxScheduler      // q, if it consumes the ring's second key (no shaper stage only)
 
 	// qlen mirrors shaper.Len()+q.Len() so Len readers need no lock:
 	// updated under mu (fallback path) or by the consumer, amortized per
@@ -103,20 +106,16 @@ type shard struct {
 }
 
 // parkRunLocked hands the first k staged elements to the front stage in
-// one backend call. A shaper takes (node, k1 = release time) and the
-// priority k2 is stashed on the paired scheduler handle for the later
-// migration; without a shaper the scheduler takes (k1, k2) if it is
-// aux-aware, else k1 alone. Callers hold mu.
+// one backend call. A shaper takes the whole triple (node, k1 = release
+// time, k2 = scheduler priority) by value; without a shaper the scheduler
+// takes (k1, k2) if it is aux-aware, else k1 alone. Callers hold mu.
 //
 //eiffel:locked(mu)
 //eiffel:hotpath
-func (s *shard) parkRunLocked(pair PairFunc, k int) {
+func (s *shard) parkRunLocked(k int) {
 	switch {
 	case s.shaper != nil:
-		for j := 0; j < k; j++ {
-			pair(s.parkNs[j]).SetRank(s.parkK2[j])
-		}
-		s.shaper.EnqueueBatch(s.parkNs[:k], s.parkK1[:k])
+		s.shaper.EnqueueBatch(s.parkNs[:k], s.parkK1[:k], s.parkK2[:k])
 	case s.qa != nil:
 		s.qa.EnqueueBatchAux(s.parkNs[:k], s.parkK1[:k], s.parkK2[:k])
 	default:
@@ -144,7 +143,7 @@ func (s *shard) parkRunLocked(pair PairFunc, k int) {
 //
 //eiffel:locked(mu)
 //eiffel:hotpath
-func (s *shard) flushLocked(pair PairFunc) (drained int) {
+func (s *shard) flushLocked() (drained int) {
 	for {
 		k := 0
 		for k < len(s.parkNs) {
@@ -158,7 +157,7 @@ func (s *shard) flushLocked(pair PairFunc) (drained int) {
 		if k == 0 {
 			break
 		}
-		s.parkRunLocked(pair, k)
+		s.parkRunLocked(k)
 		drained += k
 		if k < len(s.parkNs) {
 			break
@@ -212,7 +211,7 @@ func (s *shard) flushDueLocked(pair PairFunc, due uint64, out []*bucket.Node) (q
 			dd++
 		}
 		if pp > 0 {
-			s.parkRunLocked(pair, pp)
+			s.parkRunLocked(pp)
 		}
 		queued += pp
 		direct += dd
@@ -243,7 +242,7 @@ func (s *shard) flushDueLocked(pair PairFunc, due uint64, out []*bucket.Node) (q
 //
 //eiffel:locked(mu)
 //eiffel:hotpath
-func (s *shard) enqueuePubsLocked(pair PairFunc, pubs []pub) {
+func (s *shard) enqueuePubsLocked(pubs []pub) {
 	for len(pubs) > 0 {
 		k := len(s.parkNs)
 		if k > len(pubs) {
@@ -252,7 +251,7 @@ func (s *shard) enqueuePubsLocked(pair PairFunc, pubs []pub) {
 		for j := 0; j < k; j++ {
 			s.parkNs[j], s.parkK1[j], s.parkK2[j] = pubs[j].n, pubs[j].rank, pubs[j].aux
 		}
-		s.parkRunLocked(pair, k)
+		s.parkRunLocked(k)
 		pubs = pubs[k:]
 	}
 }
@@ -409,9 +408,8 @@ type groupState struct {
 	heads   []headState
 	release []headState
 
-	migScratch []*bucket.Node // migration conversion space
-	migNs      []*bucket.Node // paired-handle staging for batched migration
-	migRanks   []uint64
+	migNs    []*bucket.Node // migration staging: a due run's handles and
+	migRanks []uint64       // scheduler ranks, as the shaper copied them out
 
 	_ [64]byte
 }
@@ -450,9 +448,8 @@ func newCore(cfg config) *Core {
 	for g := range c.groups {
 		gr := &c.groups[g]
 		gr.lo, gr.hi, gr.heads = g*per, (g+1)*per, make([]headState, per)
-		if cfg.shaper != nil {
+		if cfg.pair != nil {
 			gr.release = make([]headState, per)
-			gr.migScratch = make([]*bucket.Node, flushChunk)
 			gr.migNs = make([]*bucket.Node, flushChunk)
 			gr.migRanks = make([]uint64, flushChunk)
 		}
@@ -468,11 +465,11 @@ func newCore(cfg config) *Core {
 		s.parkK1 = make([]uint64, flushChunk)
 		//eiffel:allow(lockcheck) construction: the shard is not shared until newCore returns
 		s.parkK2 = make([]uint64, flushChunk)
-		if cfg.shaper == nil {
+		if cfg.pair == nil {
 			s.qa, _ = s.q.(AuxScheduler)
 			continue
 		}
-		s.shaper = cfg.shaper(i)
+		s.shaper = ffsq.NewShaperStore(cfg.shaper.NumBuckets, cfg.shaper.Granularity, cfg.shaper.Start)
 		//eiffel:allow(lockcheck) construction: the shard is not shared until newCore returns
 		s.dueNs = make([]*bucket.Node, flushChunk)
 		//eiffel:allow(lockcheck) construction: the shard is not shared until newCore returns
@@ -591,9 +588,9 @@ func (c *Core) enqueueShard(s *shard, n *bucket.Node, k1, k2 uint64) {
 		return
 	}
 	s.mu.Lock()
-	drained := s.flushLocked(c.pair)
+	drained := s.flushLocked()
 	s.parkNs[0], s.parkK1[0], s.parkK2[0] = n, k1, k2
-	s.parkRunLocked(c.pair, 1)
+	s.parkRunLocked(1)
 	s.qlen.Add(1)
 	s.fallbackGen.Add(1) // tell the consumer its cached heads are stale
 	s.mu.Unlock()
@@ -662,19 +659,17 @@ func (c *Core) settle(gr *groupState, i int, now uint64) {
 	s.mu.Lock()
 	drained, moved := 0, 0
 	if rel == nil {
-		drained = s.flushLocked(nil)
+		drained = s.flushLocked()
 	} else {
 		for {
-			k := s.shaper.DequeueBatch(now, gr.migScratch)
+			k := s.shaper.DequeueBatch(now, gr.migNs, gr.migRanks)
 			if k == 0 {
 				break
 			}
-			// Convert to the paired scheduler handles and hand the whole run
-			// over in one backend call.
-			for j := 0; j < k; j++ {
-				sn := c.pair(gr.migScratch[j])
-				gr.migNs[j], gr.migRanks[j] = sn, sn.Rank()
-				gr.migScratch[j] = nil // do not pin migrated elements against GC
+			// The run is already (handle, rank) by value: re-address each
+			// handle to its scheduler twin and hand it over in one call.
+			for j, n := range gr.migNs[:k] {
+				gr.migNs[j] = c.pair(n)
 			}
 			s.q.EnqueueBatch(gr.migNs[:k], gr.migRanks[:k])
 			moved += k
@@ -739,7 +734,7 @@ func (c *Core) drainTimer(gr *groupState, due uint64, out []*bucket.Node) int {
 				// looked: they are older than the ring's and come first.
 				again = true
 			case due < s.lateUntil:
-				queued = s.flushLocked(nil)
+				queued = s.flushLocked()
 			default:
 				queued, direct = s.flushDueLocked(nil, due, out[total:])
 			}

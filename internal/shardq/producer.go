@@ -154,7 +154,7 @@ func (p *Producer) flushShard(i int) {
 		// admit only up to the remaining budget (re-checked under the lock,
 		// after the drain settled qlen).
 		s.mu.Lock()
-		drained := s.flushLocked(q.pair)
+		drained := s.flushLocked()
 		take := c - done
 		if q.bound > 0 {
 			budget := q.bound - (s.qlen.Load() + s.ring.occupancy())
@@ -163,7 +163,7 @@ func (p *Producer) flushShard(i int) {
 			}
 		}
 		if take > 0 {
-			s.enqueuePubsLocked(q.pair, pubs[done:done+take])
+			s.enqueuePubsLocked(pubs[done : done+take])
 			s.qlen.Add(int64(take))
 		}
 		s.fallbackGen.Add(1) // tell the consumer its cached heads are stale

@@ -10,8 +10,8 @@ type ShapedOptions struct {
 	// RingBits sizes each shard's MPSC ring at 1<<RingBits slots
 	// (default 10).
 	RingBits uint
-	// Shaper sizes each shard's time-indexed cFFS (ranks are release
-	// timestamps; granularity is the shaping precision).
+	// Shaper sizes each shard's time-indexed store, an ffsq.ShaperStore
+	// (ranks are release timestamps; granularity is the shaping precision).
 	Shaper queue.Config
 	// Sched sizes each shard's priority-indexed scheduler (ranks are
 	// scheduling priorities; granularity is the priority resolution). The
@@ -27,24 +27,19 @@ type ShapedOptions struct {
 	// admission paths (TryEnqueue, Producer.FlushAdmit); 0 keeps the
 	// legacy unbounded spill. See Options.ShardBound and admit.go.
 	ShardBound int
-	// SchedMoving selects a circular cFFS for the scheduler side, for
-	// priority domains that move forward without bound (virtual finish
-	// times). The default is a fixed-range FFS-indexed vector-bucket store
-	// with identical ordering semantics over the configured span (ranks
-	// outside it clamp to the edge buckets) and a cheaper hot path: slice
-	// appends and sequential whole-bucket copies instead of intrusive
-	// list links and pointer chases.
-	SchedMoving bool
 	// SchedBackend overrides the scheduler-side backend, called once per
-	// shard — the shaped twin of Options.Backend. This is how the
-	// approximate family (NewGradSched, NewRIFOSched) drops in: the
-	// factory's Scheduler replaces the SchedMoving selection above, which
-	// applies when SchedBackend is nil. Approximate backends relax global
-	// priority order within their documented inversion bound; the merge
-	// machinery only needs the Scheduler progress rule, which every
-	// backend honors.
+	// shard — the shaped twin of Options.Backend. The default (nil) is the
+	// fixed-range FFS-indexed vector-bucket store over Sched's span (ranks
+	// outside it clamp to the edge buckets); a priority domain that moves
+	// forward without bound (virtual finish times) passes a circular queue
+	// (ffsq.NewCFFS is a Scheduler as it stands), and the approximate family
+	// (NewGradSched, NewRIFOSched) drops in the same way. Approximate
+	// backends relax global priority order within their documented
+	// inversion bound; the merge machinery only needs the Scheduler
+	// progress rule, which every backend honors.
 	SchedBackend func(shard int) Scheduler
-	// Pair maps a shaper handle to its scheduler twin. Required.
+	// Pair maps the published handle to the handle the scheduler takes.
+	// Required; see PairFunc.
 	Pair PairFunc
 }
 
@@ -65,13 +60,9 @@ func NewShaped(opt ShapedOptions) *Shaped {
 	sched := opt.SchedBackend
 	if sched == nil {
 		sched = func(int) Scheduler { return newVecSched(opt.Sched) }
-		if opt.SchedMoving {
-			sched = func(int) Scheduler { return wrapPQ(queue.New(queue.KindCFFS, opt.Sched)) }
-		}
 	}
 	return &Shaped{newCore(config{
 		shards: opt.NumShards, groups: opt.NumGroups, ringBits: opt.RingBits,
-		bound: opt.ShardBound, sched: sched, pair: opt.Pair,
-		shaper: func(int) Scheduler { return wrapPQ(queue.New(queue.KindCFFS, opt.Shaper)) },
+		bound: opt.ShardBound, sched: sched, shaper: opt.Shaper.WithDefaults(), pair: opt.Pair,
 	})}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"eiffel/internal/bucket"
+	"eiffel/internal/ffsq"
 	"eiffel/internal/queue"
 )
 
@@ -75,7 +76,7 @@ func TestShapedGatesOnSendAt(t *testing.T) {
 // TestShapedMergedPriorityOrder fills many shards single-threaded with
 // everything already due and checks the merged drain is globally sorted by
 // priority — under both scheduler stores (the default fixed-range vector
-// buckets and the SchedMoving cFFS).
+// buckets and a circular cFFS handed in as SchedBackend).
 func TestShapedMergedPriorityOrder(t *testing.T) {
 	for _, moving := range []bool{false, true} {
 		t.Run(map[bool]string{false: "vec", true: "cffs"}[moving], func(t *testing.T) {
@@ -85,14 +86,19 @@ func TestShapedMergedPriorityOrder(t *testing.T) {
 }
 
 func testShapedMergedPriorityOrder(t *testing.T, moving bool) {
-	q := NewShaped(ShapedOptions{
-		NumShards:   4,
-		RingBits:    6,
-		Shaper:      queue.Config{NumBuckets: 1 << 12, Granularity: 1},
-		Sched:       queue.Config{NumBuckets: 1 << 12, Granularity: 1},
-		SchedMoving: moving,
-		Pair:        pairElem,
-	})
+	opt := ShapedOptions{
+		NumShards: 4,
+		RingBits:  6,
+		Shaper:    queue.Config{NumBuckets: 1 << 12, Granularity: 1},
+		Sched:     queue.Config{NumBuckets: 1 << 12, Granularity: 1},
+		Pair:      pairElem,
+	}
+	if moving {
+		opt.SchedBackend = func(int) Scheduler {
+			return ffsq.NewCFFS(ffsq.CFFSOptions{NumBuckets: 1 << 12, Granularity: 1})
+		}
+	}
+	q := NewShaped(opt)
 	rng := rand.New(rand.NewSource(11))
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -148,7 +154,7 @@ func TestShapedMaxRankBound(t *testing.T) {
 }
 
 // TestShapedRingFullFallback forces the producer fallback with a tiny ring
-// and no consumer: priorities stashed on the scheduler handles must
+// and no consumer: priorities parked beside the handles in the shaper must
 // survive the detour through the shard lock.
 func TestShapedRingFullFallback(t *testing.T) {
 	q := NewShaped(ShapedOptions{

@@ -6,6 +6,9 @@
 # The set covers both consumer topologies: the single-consumer drains and
 # the parallel consumer-group drain (BenchmarkHotPathGroupDrain, four
 # persistent workers), so neither side of the egress split may regress,
+# the shaped pipeline with its shaper stage really parking and migrating
+# (BenchmarkHotPathShapedEnqueueBatched: ffsq.ShaperStore's chunk pool
+# refills only on the warming lap),
 # plus the fault-free lap of the resilient egress wrapper
 # (BenchmarkHotPathEgressTx): retry machinery on the path, never firing,
 # the approximate scheduler backends behind the sharded runtime
@@ -46,7 +49,7 @@ if [ -n "$failed" ]; then
 		# substrate packages (bucket, ffsq) sit under every lap.
 		case "$bench" in
 		BenchmarkHotPathShapedEnqueueBatched)
-			pkgs="internal/shardq internal/bucket internal/ffsq" ;;
+			pkgs="internal/qdisc internal/pkt internal/shardq internal/bucket internal/ffsq" ;;
 		BenchmarkHotPathApproxGrad | BenchmarkHotPathApproxRIFO)
 			pkgs="internal/shardq internal/gradq internal/bucket internal/ffsq" ;;
 		BenchmarkHotPathEnqueue* | BenchmarkHotPathGroupDrain)
