@@ -259,9 +259,6 @@ func BenchmarkHierSched(b *testing.B) {
 // BenchmarkAblationHierVsFlat compares hierarchical vs flat FFS indexes.
 func BenchmarkAblationHierVsFlat(b *testing.B) { runExp(b, "ablation-hier-vs-flat") }
 
-// BenchmarkAblationRedistribution ablates cFFS overflow redistribution.
-func BenchmarkAblationRedistribution(b *testing.B) { runExp(b, "ablation-redistribute") }
-
 // BenchmarkAblationAlpha sweeps the approximate queue's alpha.
 func BenchmarkAblationAlpha(b *testing.B) { runExp(b, "ablation-alpha") }
 

@@ -90,6 +90,8 @@ func NewArray(n int) *Array {
 func (a *Array) NumBuckets() int { return len(a.buckets) }
 
 // Len returns the total number of queued nodes.
+//
+//eiffel:hotpath
 func (a *Array) Len() int { return a.count }
 
 // BucketLen returns the number of nodes in bucket i.

@@ -74,7 +74,6 @@ var Registry = map[string]Runner{
 	"fig19":                 Figure19,
 	"fig20":                 Figure20,
 	"ablation-hier-vs-flat": AblationHierVsFlat,
-	"ablation-redistribute": AblationRedistribution,
 	"ablation-alpha":        AblationAlpha,
 	"ablation-backends":     AblationComparisonQueues,
 	"ablation-shaper":       AblationShaperBackend,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"eiffel/internal/bucket"
-	"eiffel/internal/ffsq"
 	"eiffel/internal/gradq"
 	"eiffel/internal/queue"
 	"eiffel/internal/stats"
@@ -130,60 +129,6 @@ func AblationHierVsFlat(o Options) *Result {
 		h := drainRate(mkKind(queue.KindFFS, buckets), occupied, fill, budget)
 		f := drainRate(mkKind(queue.KindFFSFlat, buckets), occupied, fill, budget)
 		t.AddRow(fmt.Sprintf("%d", buckets), fmt.Sprintf("%.2f", h), fmt.Sprintf("%.2f", f))
-	}
-	res.Tables = append(res.Tables, t)
-	return res
-}
-
-// AblationRedistribution measures the cFFS overflow-redistribution choice:
-// ordering fidelity and throughput with and without it under ranks that
-// frequently exceed the window.
-func AblationRedistribution(o Options) *Result {
-	res := &Result{ID: "ablation-redistribute"}
-	t := &stats.Table{
-		Title:   "Ablation — cFFS overflow redistribution (far-jumping ranks)",
-		Headers: []string{"variant", "Mpps", "out-of-order frac"},
-	}
-	budget := o.budget()
-	for _, redis := range []bool{true, false} {
-		mk := func() microQueue {
-			return ffsq.NewCFFS(ffsq.CFFSOptions{
-				NumBuckets:     256,
-				Granularity:    1,
-				NoRedistribute: !redis,
-			})
-		}
-		// Ranks spanning 8x the window force constant overflow.
-		rng := newRng(o.Seed)
-		ranks := func(i int) uint64 { return uint64(rng.Intn(8 * 512)) }
-		mpps := drainRate(mk, 4096, ranks, budget)
-
-		// Ordering fidelity on a fixed batch.
-		q := mk()
-		nodes := make([]*bucket.Node, 4096)
-		rng2 := newRng(o.Seed)
-		for i := range nodes {
-			nodes[i] = &bucket.Node{}
-			q.Enqueue(nodes[i], uint64(rng2.Intn(8*512)))
-		}
-		inversions, total := 0, 0
-		last := uint64(0)
-		for {
-			n := q.DequeueMin()
-			if n == nil {
-				break
-			}
-			if n.Rank() < last {
-				inversions++
-			}
-			last = n.Rank()
-			total++
-		}
-		name := "with redistribution"
-		if !redis {
-			name = "without (paper base)"
-		}
-		t.AddRow(name, fmt.Sprintf("%.2f", mpps), fmt.Sprintf("%.4f", float64(inversions)/float64(total)))
 	}
 	res.Tables = append(res.Tables, t)
 	return res

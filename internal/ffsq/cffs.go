@@ -5,52 +5,20 @@ import "eiffel/internal/bucket"
 // CFFS is the circular hierarchical FFS-based queue of §3.1.1 — the core
 // Eiffel data structure. It serves rank ranges that move forward over time
 // (transmission timestamps, virtual finish times) with O(1) amortized
-// enqueue and dequeue.
-//
-// Two fixed halves of numBuckets buckets each cover the window
-//
-//	[hIndex, hIndex+2*numBuckets) (in bucket units, bucket = rank/gran)
-//
-// The primary half serves [hIndex, hIndex+nb); the secondary buffers the
-// following nb buckets. Elements beyond the whole window land, unsorted, in
-// the secondary's last bucket (the overflow bucket). When the primary
-// drains, the halves swap by pointer — the "circulation" — hIndex advances
-// by nb, and the overflow bucket is re-distributed by true rank so ordering
-// degrades only transiently, never permanently.
-//
-// Ranks below hIndex (stragglers, e.g. a timestamp already in the past) are
-// clamped to the front of the primary so they are served immediately.
-//
-// An empty queue re-anchors the window at whatever rank arrives first —
-// backward for ranks behind the window, forward (with nb-1 buckets of
-// backward headroom) for ranks beyond it — since with nothing queued no
-// other position can matter. Eager anchoring keeps idle→burst transitions
-// on the O(1) path: without it, a burst landing past the window of an idle
-// queue piles unsorted into the overflow bucket and forces a fast-forward
-// plus full redistribution on the next dequeue.
+// enqueue and dequeue: a Window (which see, for where an element goes and
+// when the window moves) over two halves of intrusive FIFO buckets, each
+// indexed by a hierarchical bitmap, and an intrusive overflow list that
+// every window move re-places by true rank, so ordering degrades only
+// transiently, never permanently.
 type CFFS struct {
-	prim, sec *half
-	hIndex    uint64 // lowest bucket number served by the primary half
-	nb        uint64
-	gran      uint64
-	count     int
-
-	redistribute bool
-	scratch      []*bucket.Node
-
-	rotations    uint64
-	overflows    uint64
-	fastForwards uint64
-	clampedLow   uint64
+	w    Window
+	h    [2]half
+	over *bucket.Array // one bucket: the overflow list
 }
 
 type half struct {
 	idx *Hier
 	arr *bucket.Array
-}
-
-func newHalf(nb int) *half {
-	return &half{idx: NewHier(nb), arr: bucket.NewArray(nb)}
 }
 
 // CFFSOptions configures a circular FFS queue.
@@ -64,53 +32,35 @@ type CFFSOptions struct {
 	// Start positions the initial window so that Start falls in the first
 	// primary bucket.
 	Start uint64
-	// NoRedistribute disables re-sorting of the overflow bucket on
-	// rotation. The paper's base design leaves overflowed elements
-	// unsorted; redistribution (the default here) restores exact bucket
-	// ordering at amortized O(1) per element and is ablated in the
-	// benchmarks.
-	NoRedistribute bool
 }
 
 // NewCFFS returns a circular hierarchical FFS queue.
 func NewCFFS(opt CFFSOptions) *CFFS {
-	if opt.NumBuckets <= 0 {
-		panic("ffsq: NewCFFS needs a positive bucket count")
+	c := &CFFS{
+		w:    NewWindow(opt.NumBuckets, opt.Granularity, opt.Start),
+		over: bucket.NewArray(1),
 	}
-	if opt.Granularity == 0 {
-		panic("ffsq: NewCFFS needs a positive granularity")
+	for i := range c.h {
+		c.h[i] = half{NewHier(opt.NumBuckets), bucket.NewArray(opt.NumBuckets)}
 	}
-	return &CFFS{
-		prim:         newHalf(opt.NumBuckets),
-		sec:          newHalf(opt.NumBuckets),
-		hIndex:       opt.Start / opt.Granularity,
-		nb:           uint64(opt.NumBuckets),
-		gran:         opt.Granularity,
-		redistribute: !opt.NoRedistribute,
-	}
+	return c
 }
 
 // Len returns the number of queued elements.
 //
 //eiffel:hotpath
-func (c *CFFS) Len() int { return c.count }
-
-// NumBuckets returns the per-half bucket count.
-func (c *CFFS) NumBuckets() int { return int(c.nb) }
+func (c *CFFS) Len() int { return c.w.Len() }
 
 // Granularity returns the rank width of one bucket.
 //
 //eiffel:hotpath
-func (c *CFFS) Granularity() uint64 { return c.gran }
+func (c *CFFS) Granularity() uint64 { return c.w.Granularity() }
 
-// Horizon returns the rank span covered without overflow: 2*nb*gran.
-func (c *CFFS) Horizon() uint64 { return 2 * c.nb * c.gran }
-
-// Stats returns operational counters: half rotations, enqueues that landed
-// in the overflow bucket, far-jump fast-forwards, and enqueues clamped
-// below the window.
+// Stats returns the window's operational counters: half rotations,
+// enqueues that landed on the overflow list, jumps to the overflow minimum,
+// and enqueues clamped from behind the window.
 func (c *CFFS) Stats() (rotations, overflows, fastForwards, clampedLow uint64) {
-	return c.rotations, c.overflows, c.fastForwards, c.clampedLow
+	return c.w.Stats()
 }
 
 // Enqueue inserts n with the given rank. O(1) plus the constant-depth index
@@ -118,38 +68,21 @@ func (c *CFFS) Stats() (rotations, overflows, fastForwards, clampedLow uint64) {
 //
 //eiffel:hotpath
 func (c *CFFS) Enqueue(n *bucket.Node, rank uint64) {
-	b := rank / c.gran
-	if c.count == 0 {
-		if b < c.hIndex {
-			// Empty queue and a rank behind the window: slide the window
-			// back instead of clamping.
-			c.hIndex = b
-		} else if b-c.hIndex >= 2*c.nb {
-			// The forward mirror: an empty queue holds nothing the window
-			// position could matter for, so re-anchor at the rank instead
-			// of dropping the element into the overflow bucket — which
-			// would force a guaranteed fast-forward plus redistribution on
-			// the next dequeue (or, without redistribution, a rotation
-			// crawl across the whole gap). The element lands in the LAST
-			// primary bucket, keeping nb-1 buckets of backward headroom so
-			// slightly smaller ranks arriving next (downward re-ranks, the
-			// tail of a concurrent burst) still sort instead of clamping.
-			if b >= c.nb-1 {
-				c.hIndex = b - (c.nb - 1)
-			} else {
-				c.hIndex = 0
-			}
+	if h, i, ok := c.w.Hit(rank); ok {
+		if p := &c.h[h]; p.arr.Push(i, n, rank) {
+			p.idx.Set(i)
 		}
+		return
 	}
-	c.place(n, rank, b)
-	c.count++
+	h, i := c.w.Add(rank)
+	c.put(h, i, n, rank)
 }
 
 // EnqueueBatch inserts ns[i] with ranks[i] for every i — the enqueue-side
 // batching hook: callers that hold a whole run (the sharded runtime's
 // locked ring flushes) insert it through ONE call instead of one interface
 // dispatch per element. Exactly equivalent to that sequence of Enqueue
-// calls, including the empty-queue re-anchoring on the first element.
+// calls.
 //
 //eiffel:hotpath
 func (c *CFFS) EnqueueBatch(ns []*bucket.Node, ranks []uint64) {
@@ -159,46 +92,56 @@ func (c *CFFS) EnqueueBatch(ns []*bucket.Node, ranks []uint64) {
 }
 
 //eiffel:hotpath
-func (c *CFFS) place(n *bucket.Node, rank, b uint64) {
-	var h *half
-	var i uint64
-	// Offsets (never differences of unrelated magnitudes) keep the window
-	// arithmetic overflow-safe for ranks near MaxUint64.
-	switch {
-	case b < c.hIndex:
-		c.clampedLow++
-		h, i = c.prim, 0
-	default:
-		switch off := b - c.hIndex; {
-		case off < c.nb:
-			h, i = c.prim, off
-		case off < 2*c.nb:
-			h, i = c.sec, off-c.nb
-		default:
-			c.overflows++
-			h, i = c.sec, c.nb-1
-		}
-	}
-	if h.arr.Push(int(i), n, rank) {
-		h.idx.Set(int(i))
+func (c *CFFS) put(h, i int, n *bucket.Node, rank uint64) {
+	if h == Overflow {
+		c.over.Push(0, n, rank)
+	} else if hf := &c.h[h]; hf.arr.Push(i, n, rank) {
+		hf.idx.Set(i)
 	}
 }
 
+// replace re-places the overflow list after the window told it to.
+//
+//eiffel:hotpath
+func (c *CFFS) replace() {
+	for k := c.over.Len(); k > 0; k-- {
+		n, _ := c.over.PopFront(0)
+		rank := n.Rank()
+		h, i := c.w.Place(rank)
+		c.put(h, i, n, rank)
+	}
+}
+
+// reach returns the primary half holding the minimum, stepping the window
+// there first if it must, as a pop does. Callers guarantee Len() > 0. One
+// step suffices — a swap surfaces the secondary's elements, a jump lands
+// the overflow minimum in the primary.
+//
+//eiffel:hotpath
+func (c *CFFS) reach() *half {
+	p := c.w.Primary()
+	if c.h[p].idx.Empty() {
+		c.w.StepPop(!c.h[p^1].idx.Empty())
+		c.replace()
+	}
+	return &c.h[c.w.Primary()]
+}
+
 // DequeueMin removes and returns the FIFO head of the lowest non-empty
-// bucket, rotating the window as needed, or nil if empty.
+// bucket, moving the window as needed, or nil if empty.
 //
 //eiffel:hotpath
 func (c *CFFS) DequeueMin() *bucket.Node {
-	if c.count == 0 {
+	if c.w.Len() == 0 {
 		return nil
 	}
-	c.advance()
-	i := c.prim.idx.Min()
-	n, empty := c.prim.arr.PopFront(i)
+	p := c.reach()
+	i := p.idx.Min()
+	n, empty := p.arr.PopFront(i)
 	if empty {
-		c.prim.idx.Clear(i)
+		p.idx.Clear(i)
 	}
-	c.count--
+	c.w.Took(1)
 	return n
 }
 
@@ -212,51 +155,44 @@ func (c *CFFS) DequeueMin() *bucket.Node {
 //eiffel:hotpath
 func (c *CFFS) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
 	total := 0
-	for total < len(out) && c.count > 0 {
-		c.advance()
-		i := c.prim.idx.Min()
-		if (c.hIndex+uint64(i))*c.gran > maxRank {
+	for total < len(out) && c.w.Len() > 0 {
+		p := &c.h[c.w.Primary()]
+		if p.idx.Empty() {
+			if !c.w.Step(maxRank, c.h[c.w.Primary()^1].idx.Min()) {
+				break
+			}
+			c.replace()
+			continue
+		}
+		i := p.idx.Min()
+		if c.w.PrimRank(i) > maxRank {
 			break
 		}
 		// Whole-bucket fast path: detach the FIFO list in one walk with
 		// O(1) bookkeeping. Falls back to per-node pops when the bucket
 		// holds more than the batch has room for.
-		if k, ok := c.prim.arr.DrainBucket(i, out[total:]); ok {
-			c.prim.idx.Clear(i)
+		if k, ok := p.arr.DrainBucket(i, out[total:]); ok {
+			p.idx.Clear(i)
 			total += k
-			c.count -= k
+			c.w.Took(k)
 			continue
 		}
-		for total < len(out) {
-			n, empty := c.prim.arr.PopFront(i)
-			if n == nil {
-				break
-			}
-			out[total] = n
+		for total < len(out) { // the bucket outlasts out
+			out[total], _ = p.arr.PopFront(i)
 			total++
-			c.count--
-			if empty {
-				c.prim.idx.Clear(i)
-				break
-			}
+			c.w.Took(1)
 		}
 	}
 	return total
 }
 
 // PeekMin returns the start rank of the lowest non-empty bucket (quantized
-// to the queue granularity). For a time-indexed shaper this is the
-// SoonestDeadline() the Eiffel qdisc uses to arm its timer exactly (§4).
+// to the queue granularity) without moving the window. For a time-indexed
+// shaper this is the SoonestDeadline() the Eiffel qdisc uses to arm its
+// timer exactly (§4).
 //
 //eiffel:hotpath
-func (c *CFFS) PeekMin() (rank uint64, ok bool) {
-	if c.count == 0 {
-		return 0, false
-	}
-	c.advance()
-	i := c.prim.idx.Min()
-	return (c.hIndex + uint64(i)) * c.gran, true
-}
+func (c *CFFS) PeekMin() (rank uint64, ok bool) { return c.w.Peek(c.h[0].idx, c.h[1].idx) }
 
 // Min is PeekMin under the shardq.Scheduler backend contract, letting a
 // cFFS serve as a per-shard backend without an adapter.
@@ -264,138 +200,52 @@ func (c *CFFS) PeekMin() (rank uint64, ok bool) {
 //eiffel:hotpath
 func (c *CFFS) Min() (uint64, bool) { return c.PeekMin() }
 
-// FrontMin returns the FIFO head of the lowest non-empty bucket without
-// removing it, or nil.
+// FrontMin returns the node DequeueMin would pop, left in place, or nil.
+// It is the first half of a pop, not a peek: the window moves exactly as
+// DequeueMin moves it (StepPop), because the minimum of the unsorted
+// overflow list is only found by re-placing it. For pop-driven users only
+// (its one user, pifo's direct service, pops by Remove): on a queue drained
+// by a clock it would carry the window ahead of the clock, against W2.
 //
 //eiffel:hotpath
 func (c *CFFS) FrontMin() *bucket.Node {
-	if c.count == 0 {
+	if c.w.Len() == 0 {
 		return nil
 	}
-	c.advance()
-	return c.prim.arr.Front(c.prim.idx.Min())
+	p := c.reach()
+	return p.arr.Front(p.idx.Min())
 }
 
-// Remove detaches n, which must be queued here, in O(1).
+// Remove detaches n, which must be queued here, in O(1) — except that
+// removing the overflow list's minimum re-places that list.
 //
 //eiffel:hotpath
 func (c *CFFS) Remove(n *bucket.Node) {
-	var h *half
 	switch {
-	case n.InArray(c.prim.arr):
-		h = c.prim
-	case n.InArray(c.sec.arr):
-		h = c.sec
+	case n.InArray(c.h[0].arr):
+		c.unlink(&c.h[0], n)
+	case n.InArray(c.h[1].arr):
+		c.unlink(&c.h[1], n)
+	case n.InArray(c.over):
+		c.over.Remove(n)
+		if c.w.Forget(n.Rank()) {
+			c.replace()
+		}
 	default:
 		panic("ffsq: Remove of a node not queued in this CFFS")
 	}
+	c.w.Took(1)
+}
+
+//eiffel:hotpath
+func (c *CFFS) unlink(h *half, n *bucket.Node) {
 	i := n.BucketIndex()
 	if h.arr.Remove(n) {
 		h.idx.Clear(i)
 	}
-	c.count--
 }
 
 // Contains reports whether n is currently queued here.
 func (c *CFFS) Contains(n *bucket.Node) bool {
-	return n.InArray(c.prim.arr) || n.InArray(c.sec.arr)
-}
-
-// advance rotates until the primary half is non-empty. Callers guarantee
-// count > 0. Runs at most two iterations: a rotation either exposes
-// in-window elements in the new primary, or the fast-forward path re-anchors
-// the window at the smallest overflowed rank.
-//
-//eiffel:hotpath
-func (c *CFFS) advance() {
-	for c.prim.idx.Empty() {
-		if c.sec.idx.Empty() {
-			panic("ffsq: cFFS invariant violated: elements queued but both halves empty")
-		}
-		if c.redistribute && c.sec.idx.Min() == int(c.nb-1) {
-			// Only the overflow bucket holds elements: everything is
-			// far beyond the window. Jump the window directly to the
-			// smallest true rank rather than rotating once per nb.
-			// (Skipped without redistribution: a plain rotation then
-			// surfaces the overflow bucket in FIFO order, which is the
-			// paper's base behaviour.)
-			c.fastForward()
-			continue
-		}
-		c.rotate()
-	}
-}
-
-//eiffel:hotpath
-func (c *CFFS) rotate() {
-	c.prim, c.sec = c.sec, c.prim
-	c.hIndex += c.nb
-	c.rotations++
-	if c.redistribute {
-		// The old secondary's overflow bucket is now the primary's last
-		// bucket; its elements may belong anywhere at or beyond it.
-		c.replaceBucket(c.prim, int(c.nb-1))
-	}
-}
-
-//eiffel:hotpath
-func (c *CFFS) fastForward() {
-	last := int(c.nb - 1)
-	c.drainInto(c.sec, last)
-	minB := ^uint64(0)
-	for _, n := range c.scratch {
-		if b := n.Rank() / c.gran; b < minB {
-			minB = b
-		}
-	}
-	c.hIndex = minB
-	c.fastForwards++
-	c.flushScratch()
-}
-
-// replaceBucket drains bucket i of h and re-enqueues every element by its
-// true rank against the current window.
-//
-//eiffel:hotpath
-func (c *CFFS) replaceBucket(h *half, i int) {
-	if h.arr.BucketEmpty(i) {
-		return
-	}
-	c.drainInto(h, i)
-	c.flushScratch()
-}
-
-//eiffel:hotpath
-func (c *CFFS) drainInto(h *half, i int) {
-	for {
-		n, empty := h.arr.PopFront(i)
-		if n == nil {
-			break
-		}
-		c.scratch = append(c.scratch, n)
-		if empty {
-			h.idx.Clear(i)
-			break
-		}
-	}
-}
-
-// scratchRetainCap bounds the redistribution buffer capacity kept alive
-// between flushes. One huge overflow burst (or a fast-forward over a large
-// backlog) grows scratch to the burst size; without a bound that peak
-// capacity — plus the stale node pointers in it — would be retained for
-// the queue's whole lifetime. Steady-state redistributions are far smaller
-// than this, so the common path never re-allocates.
-const scratchRetainCap = 1024
-
-//eiffel:hotpath
-func (c *CFFS) flushScratch() {
-	for _, n := range c.scratch {
-		c.place(n, n.Rank(), n.Rank()/c.gran)
-	}
-	if cap(c.scratch) > scratchRetainCap {
-		c.scratch = nil // drop the peak-sized buffer; reallocated lazily
-	} else {
-		c.scratch = c.scratch[:0]
-	}
+	return n.InArray(c.h[0].arr) || n.InArray(c.h[1].arr) || n.InArray(c.over)
 }

@@ -140,22 +140,6 @@ func TestCFFSOverflowRedistribution(t *testing.T) {
 	}
 }
 
-func TestCFFSNoRedistributeKeepsFIFOOverflow(t *testing.T) {
-	q := NewCFFS(CFFSOptions{NumBuckets: 4, Granularity: 1, NoRedistribute: true})
-	// 10 then 9 overflow in that arrival order; without redistribution the
-	// overflow bucket stays FIFO, so 10 is served before 9 once reached.
-	for _, r := range []uint64{0, 10, 9} {
-		q.Enqueue(node(r), r)
-	}
-	got := []uint64{}
-	for n := q.DequeueMin(); n != nil; n = q.DequeueMin() {
-		got = append(got, n.Rank())
-	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 10 || got[2] != 9 {
-		t.Fatalf("order = %v, want [0 10 9]", got)
-	}
-}
-
 func TestCFFSFastForward(t *testing.T) {
 	q := NewCFFS(CFFSOptions{NumBuckets: 8, Granularity: 1})
 	q.Enqueue(node(0), 0)
@@ -174,64 +158,6 @@ func TestCFFSFastForward(t *testing.T) {
 	}
 	if n := q.DequeueMin(); n.Rank() != 1000005 {
 		t.Fatalf("third = %d", n.Rank())
-	}
-}
-
-func TestCFFSEmptyReanchor(t *testing.T) {
-	q := NewCFFS(CFFSOptions{NumBuckets: 4, Granularity: 10})
-	q.Enqueue(node(35), 35)
-	if n := q.DequeueMin(); n.Rank() != 35 {
-		t.Fatal("wrong element")
-	}
-	// Queue empty: enqueueing far ahead must re-anchor the window forward
-	// at enqueue time — not dump the element into the overflow bucket and
-	// leave the next dequeue to fast-forward and redistribute.
-	rotBefore, ovBefore, ffBefore, _ := q.Stats()
-	q.Enqueue(node(900000), 900000)
-	_, ovAfter, _, _ := q.Stats()
-	if ovAfter != ovBefore {
-		t.Fatal("empty-queue enqueue beyond the window landed in the overflow bucket")
-	}
-	if r, ok := q.PeekMin(); !ok || r != 900000 {
-		t.Fatalf("PeekMin = (%d,%v)", r, ok)
-	}
-	rotAfter, _, ffAfter, _ := q.Stats()
-	if rotAfter != rotBefore {
-		t.Fatal("empty-queue enqueue should not rotate")
-	}
-	if ffAfter != ffBefore {
-		t.Fatal("empty-queue enqueue should not need a dequeue-side fast-forward")
-	}
-	if n := q.DequeueMin(); n == nil || n.Rank() != 900000 {
-		t.Fatal("re-anchored element lost")
-	}
-}
-
-// TestCFFSEmptyReanchorStaysExact drives the empty→far-ahead→refill cycle
-// an idle-then-bursty shaper produces and checks ordering stays exact with
-// zero fast-forwards — the pattern that used to degrade: every idle gap
-// longer than the window forced an overflow + fast-forward + redistribute.
-func TestCFFSEmptyReanchorStaysExact(t *testing.T) {
-	q := NewCFFS(CFFSOptions{NumBuckets: 8, Granularity: 1})
-	base := uint64(0)
-	for cycle := 0; cycle < 50; cycle++ {
-		base += 1 << 20 // far beyond the 16-bucket window
-		// The first arrival anchors the window (in the last primary
-		// bucket); the rest land inside the forward half.
-		ranks := []uint64{base, base + 5, base + 3, base + 8}
-		for _, r := range ranks {
-			q.Enqueue(node(r), r)
-		}
-		want := []uint64{base, base + 3, base + 5, base + 8}
-		for i, w := range want {
-			if n := q.DequeueMin(); n == nil || n.Rank() != w {
-				t.Fatalf("cycle %d pos %d: got %v, want %d", cycle, i, n, w)
-			}
-		}
-	}
-	_, overflows, ffs, _ := q.Stats()
-	if overflows != 0 || ffs != 0 {
-		t.Fatalf("overflows=%d fastForwards=%d; want 0 with empty-queue re-anchoring", overflows, ffs)
 	}
 }
 
@@ -440,19 +366,17 @@ func TestCFFSEnqueueBatchEquivalent(t *testing.T) {
 	}
 }
 
-// TestCFFSScratchShrinksAfterBurst is the redistribution-buffer retention
-// regression: one huge overflow burst must not leave the queue holding a
-// burst-sized scratch capacity (plus its stale node pointers) forever.
-func TestCFFSScratchShrinksAfterBurst(t *testing.T) {
+// TestCFFSOverflowBurstDrainsInOrder: one huge burst far beyond the window
+// piles onto the overflow list, and the drain that jumps to it and re-places
+// it — again at every later move, for what still lies beyond — hands
+// everything out in rank order.
+func TestCFFSOverflowBurstDrainsInOrder(t *testing.T) {
 	q := NewCFFS(CFFSOptions{NumBuckets: 8, Granularity: 1})
 	q.Enqueue(node(0), 0)
-	// A burst far beyond the window piles into the overflow bucket...
-	const burst = 4 * scratchRetainCap
+	const burst = 4096
 	for i := 0; i < burst; i++ {
 		q.Enqueue(node(uint64(1000000+i)), uint64(1000000+i))
 	}
-	// ...and the drain fast-forwards, cycling the whole burst through the
-	// scratch buffer (possibly repeatedly, via overflow redistribution).
 	var prev uint64
 	for i := 0; q.Len() > 0; i++ {
 		n := q.DequeueMin()
@@ -464,11 +388,7 @@ func TestCFFSScratchShrinksAfterBurst(t *testing.T) {
 		}
 		prev = n.Rank()
 	}
-	_, _, ff, _ := q.Stats()
-	if ff == 0 {
-		t.Fatal("burst did not exercise a fast-forward")
-	}
-	if got := cap(q.scratch); got > scratchRetainCap {
-		t.Fatalf("scratch capacity %d retained after the burst, want <= %d", got, scratchRetainCap)
+	if _, _, ff, _ := q.Stats(); ff == 0 {
+		t.Fatal("burst did not exercise a jump")
 	}
 }

@@ -1,0 +1,47 @@
+package ffsq
+
+import "fmt"
+
+// WindowStats exposes a store's window counters to the external tests.
+func (c *ShaperStore) WindowStats() (swaps, overflows, jumps, clamped uint64) { return c.w.Stats() }
+
+// AuditChunks checks that every chunk the store ever allocated is linked
+// exactly once — in one bucket chain, the overflow chain or the free list —
+// and that the live entries add up to Len.
+func (c *ShaperStore) AuditChunks() error {
+	seen := map[*chunk]bool{}
+	live := 0
+	walk := func(l chain) error {
+		for ch := l.head; ch != nil; ch = ch.next {
+			if seen[ch] {
+				return fmt.Errorf("a chunk is linked twice")
+			}
+			seen[ch] = true
+			live += ch.n - ch.off
+			if ch.next == nil && ch != l.tail {
+				return fmt.Errorf("a chain's tail is not its last chunk")
+			}
+		}
+		return nil
+	}
+	for _, h := range c.h {
+		for _, l := range h.b {
+			if err := walk(l); err != nil {
+				return err
+			}
+		}
+	}
+	if err := walk(c.over); err != nil {
+		return err
+	}
+	for ch := c.free; ch != nil; ch = ch.next {
+		if seen[ch] {
+			return fmt.Errorf("a chunk is in the free list and somewhere else")
+		}
+		seen[ch] = true
+	}
+	if live != c.Len() || len(seen) != c.chunks {
+		return fmt.Errorf("%d live elements (Len %d), %d chunks reachable of %d allocated", live, c.Len(), len(seen), c.chunks)
+	}
+	return nil
+}

@@ -3,44 +3,21 @@ package ffsq
 import "eiffel/internal/bucket"
 
 // ShaperStore is the cFFS of a shaper stage that feeds a scheduler
-// (Figure 8): the same two-half moving window, FFS index, overflow bucket
-// and redistribution as CFFS, but a bucket holds (handle, release time,
-// scheduler rank) BY VALUE, in a FIFO chain of fixed-size chunks, instead
-// of linking intrusive nodes. Nothing here loads or stores through a
-// handle: parking appends three words to the bucket's tail chunk, and a
-// drain hands the handles and their scheduler ranks over as two sequential
-// copies per chunk — PIFO's (element, rank) pair, released to the
-// scheduling transaction at its release time. Chunks come from a per-store
-// free list, so memory follows the number of queued elements, not the peak
-// every bucket the window has swept ever reached.
-//
-// Two departures from CFFS, both so that an element is never held past its
-// release time by the window's position:
-//
-//   - Min is a pure peek. The window moves only inside a DequeueBatch whose
-//     bound has reached what lies beyond the primary half, so the window
-//     start is never ahead of the largest bound the store has served (or
-//     Start): an element whose release time lies behind the window is
-//     clamped into a bucket that is already due.
-//   - An empty store is not re-anchored forward at a far arrival (that puts
-//     the window ahead of the clock). The arrival waits in the overflow
-//     chain, whose lowest bucket Min tracks, and the drain that reaches it
-//     jumps the window there; a drain that leaves the store empty pulls the
-//     window up to its own bound instead, which keeps idle→burst off the
-//     overflow path.
+// (Figure 8): the same Window and FFS index as CFFS, but a bucket holds
+// (handle, release time, scheduler rank) BY VALUE, in a FIFO chain of
+// fixed-size chunks, instead of linking intrusive nodes. Nothing here loads
+// or stores through a handle: parking appends three words to the bucket's
+// tail chunk, and a drain hands the handles and their scheduler ranks over
+// as two sequential copies per chunk — PIFO's (element, rank) pair,
+// released to the scheduling transaction at its release time. Chunks come
+// from a per-store free list, so memory follows the number of queued
+// elements, not the peak every bucket the window has swept ever reached.
 //
 // There is no Remove: elements enter in flushed runs and leave in due runs.
 type ShaperStore struct {
-	prim, sec shaperHalf
-	// over holds elements at or beyond hIndex+2*nb, in arrival order;
-	// overMin is the lowest bucket number among them.
-	over    chain
-	overMin uint64
-
-	hIndex uint64 // lowest bucket number served by the primary half
-	nb     uint64
-	gran   uint64
-	count  int
+	w    Window
+	h    [2]shaperHalf
+	over chain // elements beyond the window, in arrival order
 
 	free   *chunk
 	chunks int // chunks ever allocated: in bucket chains or in the free list
@@ -75,26 +52,17 @@ type shaperHalf struct {
 // NewShaperStore returns a store of 2*numBuckets buckets of gran ranks
 // each, its window starting at the bucket that holds start.
 func NewShaperStore(numBuckets int, gran, start uint64) *ShaperStore {
-	if numBuckets <= 0 {
-		panic("ffsq: NewShaperStore needs a positive bucket count")
+	c := &ShaperStore{w: NewWindow(numBuckets, gran, start)}
+	for i := range c.h {
+		c.h[i] = shaperHalf{NewHier(numBuckets), make([]chain, numBuckets)}
 	}
-	if gran == 0 {
-		panic("ffsq: NewShaperStore needs a positive granularity")
-	}
-	return &ShaperStore{
-		prim:    shaperHalf{NewHier(numBuckets), make([]chain, numBuckets)},
-		sec:     shaperHalf{NewHier(numBuckets), make([]chain, numBuckets)},
-		overMin: ^uint64(0),
-		hIndex:  start / gran,
-		nb:      uint64(numBuckets),
-		gran:    gran,
-	}
+	return c
 }
 
 // Len returns the number of queued elements.
 //
 //eiffel:hotpath
-func (c *ShaperStore) Len() int { return c.count }
+func (c *ShaperStore) Len() int { return c.w.Len() }
 
 // EnqueueBatch parks ns[i] until ats[i], carrying ranks[i] for the
 // scheduler, for every i.
@@ -102,38 +70,23 @@ func (c *ShaperStore) Len() int { return c.count }
 //eiffel:hotpath
 func (c *ShaperStore) EnqueueBatch(ns []*bucket.Node, ats, ranks []uint64) {
 	for i, n := range ns {
-		at := ats[i]
-		b := at / c.gran
-		if c.count == 0 && b < c.hIndex {
-			// Nothing queued, so no position matters to anything else: slide
-			// the window back instead of clamping.
-			c.hIndex = b
+		if h, slot, ok := c.w.Hit(ats[i]); ok {
+			if p := &c.h[h]; c.push(&p.b[slot], n, ats[i], ranks[i]) {
+				p.idx.Set(slot)
+			}
+			continue
 		}
-		c.place(n, at, ranks[i], b)
-		c.count++
+		h, slot := c.w.Add(ats[i])
+		c.put(h, slot, n, ats[i], ranks[i])
 	}
 }
 
 //eiffel:hotpath
-func (c *ShaperStore) place(n *bucket.Node, at, rank, b uint64) {
-	var off uint64 // a bucket behind the window clamps to the window's first
-	if b > c.hIndex {
-		off = b - c.hIndex
-	}
-	switch {
-	case off < c.nb:
-		if c.push(&c.prim.b[off], n, at, rank) {
-			c.prim.idx.Set(int(off))
-		}
-	case off < 2*c.nb:
-		if c.push(&c.sec.b[off-c.nb], n, at, rank) {
-			c.sec.idx.Set(int(off - c.nb))
-		}
-	default:
+func (c *ShaperStore) put(h, slot int, n *bucket.Node, at, rank uint64) {
+	if h == Overflow {
 		c.push(&c.over, n, at, rank)
-		if b < c.overMin {
-			c.overMin = b
-		}
+	} else if hf := &c.h[h]; c.push(&hf.b[slot], n, at, rank) {
+		hf.idx.Set(slot)
 	}
 }
 
@@ -185,18 +138,7 @@ func (c *ShaperStore) release(ch *chunk) {
 // release time, quantized — without moving the window.
 //
 //eiffel:hotpath
-func (c *ShaperStore) Min() (uint64, bool) {
-	switch {
-	case c.count == 0:
-		return 0, false
-	case !c.prim.idx.Empty():
-		return (c.hIndex + uint64(c.prim.idx.Min())) * c.gran, true
-	case !c.sec.idx.Empty():
-		return (c.hIndex + c.nb + uint64(c.sec.idx.Min())) * c.gran, true
-	default:
-		return c.overMin * c.gran, true
-	}
-}
+func (c *ShaperStore) Min() (uint64, bool) { return c.w.Peek(c.h[0].idx, c.h[1].idx) }
 
 // DequeueBatch removes up to len(ns) elements whose bucket starts at or
 // below maxRank, in ascending bucket order and FIFO within a bucket,
@@ -206,25 +148,26 @@ func (c *ShaperStore) Min() (uint64, bool) {
 //eiffel:hotpath
 func (c *ShaperStore) DequeueBatch(maxRank uint64, ns []*bucket.Node, ranks []uint64) int {
 	total := 0
-	for total < len(ns) && c.count > 0 {
-		if c.prim.idx.Empty() {
-			if head, _ := c.Min(); head > maxRank {
+	for total < len(ns) && c.w.Len() > 0 {
+		p := &c.h[c.w.Primary()]
+		if p.idx.Empty() {
+			if !c.w.Step(maxRank, c.h[c.w.Primary()^1].idx.Min()) {
 				break
 			}
-			c.advance()
+			c.replace()
 			continue
 		}
-		i := c.prim.idx.Min()
-		if (c.hIndex+uint64(i))*c.gran > maxRank {
+		i := p.idx.Min()
+		if c.w.PrimRank(i) > maxRank {
 			break
 		}
-		l := &c.prim.b[i]
+		l := &p.b[i]
 		for l.head != nil && total < len(ns) {
 			ch := l.head
 			k := copy(ns[total:], ch.ns[ch.off:ch.n])
 			copy(ranks[total:], ch.ranks[ch.off:ch.off+k])
 			total += k
-			c.count -= k
+			c.w.Took(k)
 			if ch.off += k; ch.off == ch.n {
 				l.head = ch.next
 				c.release(ch)
@@ -232,34 +175,23 @@ func (c *ShaperStore) DequeueBatch(maxRank uint64, ns []*bucket.Node, ranks []ui
 		}
 		if l.head == nil {
 			l.tail = nil
-			c.prim.idx.Clear(i)
+			p.idx.Clear(i)
 		}
 	}
-	if b := maxRank / c.gran; c.count == 0 && b > c.hIndex {
-		c.hIndex = b // idle: follow the clock
-	}
+	c.w.Idle(maxRank)
 	return total
 }
 
-// advance moves the window one step toward the elements beyond an empty
-// primary half — the halves swap when the secondary holds any, else the
-// window jumps to the overflow chain's lowest bucket — and re-places the
-// overflow chain by true release time. Callers guarantee count > 0 and a
-// bound that has reached the new window start.
+// replace re-places the overflow chain after the window told it to.
 //
 //eiffel:hotpath
-func (c *ShaperStore) advance() {
-	if c.sec.idx.Empty() {
-		c.hIndex = c.overMin
-	} else {
-		c.prim, c.sec = c.sec, c.prim
-		c.hIndex += c.nb
-	}
+func (c *ShaperStore) replace() {
 	ch := c.over.head
-	c.over, c.overMin = chain{}, ^uint64(0)
+	c.over = chain{}
 	for ch != nil {
 		for j := 0; j < ch.n; j++ {
-			c.place(ch.ns[j], ch.ats[j], ch.ranks[j], ch.ats[j]/c.gran)
+			h, slot := c.w.Place(ch.ats[j])
+			c.put(h, slot, ch.ns[j], ch.ats[j], ch.ranks[j])
 		}
 		next := ch.next
 		c.release(ch)

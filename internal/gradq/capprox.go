@@ -1,43 +1,34 @@
 package gradq
 
-import "eiffel/internal/bucket"
+import (
+	"eiffel/internal/bucket"
+	"eiffel/internal/ffsq"
+)
 
 // CApprox is the circular variant of the approximate gradient queue (§3.1.2
 // closes with "for cases of a moving range, a circular approximate queue
-// can be implemented as with cFFS"). Structure and window movement mirror
-// ffsq.CFFS — two halves, h_index, pointer-swap rotation, overflow bucket
-// with redistribution, far-jump fast-forward — while bucket selection
+// can be implemented as with cFFS"): the same ffsq.Window as the cFFS — where
+// an element goes and when the window moves are its decisions — over two
+// halves of intrusive buckets and an overflow list, while bucket selection
 // inside a half uses the curvature estimate.
 //
-// Control-flow decisions (is the primary empty? is only the overflow bucket
-// occupied?) use exact element counts, so only *which* bucket is served
-// next is approximate; no element is ever lost or served before its half.
+// Control-flow decisions (is a half empty?) use exact element counts, so
+// only *which* bucket of a half is served next is approximate; no element
+// is ever lost or served before its half.
 type CApprox struct {
-	prim, sec *approxHalf
-	hIndex    uint64
-	nb        uint64
-	gran      uint64
-	count     int
+	w    ffsq.Window
+	h    [2]approxHalf
+	over *bucket.Array // one bucket: the overflow list
+	nb   int
 
-	scratch []*bucket.Node
-
-	rotations    uint64
-	overflows    uint64
-	fastForwards uint64
-	clampedLow   uint64
-	searchSteps  uint64
-	lookups      uint64
+	searchSteps uint64
 }
 
+// approxHalf stores logical slot i (ascending rank) at physical bucket
+// nb-1-i: the curvature index estimates the MAXIMUM marked bucket.
 type approxHalf struct {
 	arr *bucket.Array
 	g   *Grad // curvature accumulator; both halves share one GradWeights
-}
-
-func newApproxHalf(w *GradWeights, n int) *approxHalf {
-	h := &approxHalf{arr: bucket.NewArray(n)}
-	h.g = NewGrad(w, func(p int) bool { return !h.arr.BucketEmpty(p) })
-	return h
 }
 
 // CApproxOptions configures a circular approximate gradient queue.
@@ -54,75 +45,59 @@ type CApproxOptions struct {
 
 // NewCApprox returns a circular approximate gradient min-queue.
 func NewCApprox(opt CApproxOptions) *CApprox {
-	if opt.NumBuckets <= 0 {
-		panic("gradq: NewCApprox needs a positive bucket count")
-	}
-	if opt.Granularity == 0 {
-		panic("gradq: NewCApprox needs a positive granularity")
+	c := &CApprox{
+		w:    ffsq.NewWindow(opt.NumBuckets, opt.Granularity, opt.Start),
+		over: bucket.NewArray(1),
+		nb:   opt.NumBuckets,
 	}
 	w := NewGradWeights(opt.NumBuckets, opt.Alpha)
-	return &CApprox{
-		prim:   newApproxHalf(w, opt.NumBuckets),
-		sec:    newApproxHalf(w, opt.NumBuckets),
-		hIndex: opt.Start / opt.Granularity,
-		nb:     uint64(opt.NumBuckets),
-		gran:   opt.Granularity,
+	for i := range c.h {
+		arr := bucket.NewArray(opt.NumBuckets)
+		c.h[i] = approxHalf{arr, NewGrad(w, func(p int) bool { return !arr.BucketEmpty(p) })}
 	}
+	return c
 }
 
 // Len returns the number of queued elements.
-func (c *CApprox) Len() int { return c.count }
+func (c *CApprox) Len() int { return c.w.Len() }
 
 // Granularity returns the rank width of one bucket.
-func (c *CApprox) Granularity() uint64 { return c.gran }
+func (c *CApprox) Granularity() uint64 { return c.w.Granularity() }
 
-// Stats returns operational counters.
+// Stats returns operational counters: the window's half rotations, overflow
+// enqueues and jumps, and the index's linear-search steps.
 func (c *CApprox) Stats() (rotations, overflows, fastForwards, searchSteps uint64) {
-	return c.rotations, c.overflows, c.fastForwards, c.searchSteps
+	rotations, overflows, fastForwards, _ = c.w.Stats()
+	return rotations, overflows, fastForwards, c.searchSteps
 }
-
-func (c *CApprox) addWeight(h *approxHalf, p int) { h.g.Mark(p) }
-
-func (c *CApprox) subWeight(h *approxHalf, p int) { h.g.Unmark(p) }
 
 // Enqueue inserts n with the given rank.
 func (c *CApprox) Enqueue(n *bucket.Node, rank uint64) {
-	b := rank / c.gran
-	if c.count == 0 && b < c.hIndex {
-		c.hIndex = b
-	}
-	c.place(n, rank, b)
-	c.count++
+	h, i := c.w.Add(rank)
+	c.put(h, i, n, rank)
 }
 
-func (c *CApprox) place(n *bucket.Node, rank, b uint64) {
-	var h *approxHalf
-	var p int
-	// Offset arithmetic stays overflow-safe for ranks near MaxUint64.
-	switch {
-	case b < c.hIndex:
-		c.clampedLow++
-		h, p = c.prim, int(c.nb-1) // logical front = physical last
-	default:
-		switch off := b - c.hIndex; {
-		case off < c.nb:
-			h, p = c.prim, int(c.nb-1-off)
-		case off < 2*c.nb:
-			h, p = c.sec, int(c.nb-1-(off-c.nb))
-		default:
-			c.overflows++
-			h, p = c.sec, 0 // logical last = physical 0: the overflow bucket
-		}
+func (c *CApprox) put(h, i int, n *bucket.Node, rank uint64) {
+	if h == ffsq.Overflow {
+		c.over.Push(0, n, rank)
+	} else if hf, p := &c.h[h], c.nb-1-i; hf.arr.Push(p, n, rank) {
+		hf.g.Mark(p)
 	}
-	if h.arr.Push(p, n, rank) {
-		c.addWeight(h, p)
+}
+
+// replace re-places the overflow list after the window told it to.
+func (c *CApprox) replace() {
+	for k := c.over.Len(); k > 0; k-- {
+		n, _ := c.over.PopFront(0)
+		rank := n.Rank()
+		h, i := c.w.Place(rank)
+		c.put(h, i, n, rank)
 	}
 }
 
 // findMaxPhys locates a (near-)maximal non-empty physical bucket of h,
 // which must be non-empty.
 func (c *CApprox) findMaxPhys(h *approxHalf) int {
-	c.lookups++
 	est := h.g.Estimate()
 	if !h.arr.BucketEmpty(est) {
 		return est
@@ -133,7 +108,7 @@ func (c *CApprox) findMaxPhys(h *approxHalf) int {
 			return i
 		}
 	}
-	for i := est + 1; i < int(c.nb); i++ {
+	for i := est + 1; i < c.nb; i++ {
 		c.searchSteps++
 		if !h.arr.BucketEmpty(i) {
 			return i
@@ -143,111 +118,63 @@ func (c *CApprox) findMaxPhys(h *approxHalf) int {
 }
 
 // DequeueMin removes and returns the FIFO head of an approximately minimal
-// bucket, rotating the window as needed, or nil if empty.
+// bucket, moving the window as needed, or nil if empty.
 func (c *CApprox) DequeueMin() *bucket.Node {
-	if c.count == 0 {
+	if c.w.Len() == 0 {
 		return nil
 	}
-	c.advance()
-	p := c.findMaxPhys(c.prim)
-	n, empty := c.prim.arr.PopFront(p)
-	if empty {
-		c.subWeight(c.prim, p)
+	if p := c.w.Primary(); c.h[p].arr.Len() == 0 {
+		c.w.StepPop(c.h[p^1].arr.Len() > 0)
+		c.replace()
 	}
-	c.count--
+	h := &c.h[c.w.Primary()]
+	p := c.findMaxPhys(h)
+	n, empty := h.arr.PopFront(p)
+	if empty {
+		h.g.Unmark(p)
+	}
+	c.w.Took(1)
 	return n
 }
 
 // PeekMin returns the start rank of an approximately minimal non-empty
-// bucket.
+// bucket, without moving the window.
 func (c *CApprox) PeekMin() (rank uint64, ok bool) {
-	if c.count == 0 {
+	if c.w.Len() == 0 {
 		return 0, false
 	}
-	c.advance()
-	p := c.findMaxPhys(c.prim)
-	logical := c.nb - 1 - uint64(p)
-	return (c.hIndex + logical) * c.gran, true
+	p := c.w.Primary()
+	if h := &c.h[p]; h.arr.Len() > 0 {
+		return c.w.PrimRank(c.nb - 1 - c.findMaxPhys(h)), true
+	}
+	if h := &c.h[p^1]; h.arr.Len() > 0 {
+		return c.w.Beyond(c.nb - 1 - c.findMaxPhys(h)), true
+	}
+	return c.w.Beyond(-1), true
 }
 
-// Remove detaches n, which must be queued here, in O(1).
+// Remove detaches n, which must be queued here, in O(1) — except that
+// removing the overflow list's minimum re-places that list.
 func (c *CApprox) Remove(n *bucket.Node) {
-	var h *approxHalf
 	switch {
-	case n.InArray(c.prim.arr):
-		h = c.prim
-	case n.InArray(c.sec.arr):
-		h = c.sec
+	case n.InArray(c.h[0].arr):
+		c.unlink(&c.h[0], n)
+	case n.InArray(c.h[1].arr):
+		c.unlink(&c.h[1], n)
+	case n.InArray(c.over):
+		c.over.Remove(n)
+		if c.w.Forget(n.Rank()) {
+			c.replace()
+		}
 	default:
 		panic("gradq: Remove of a node not queued in this CApprox")
 	}
+	c.w.Took(1)
+}
+
+func (c *CApprox) unlink(h *approxHalf, n *bucket.Node) {
 	p := n.BucketIndex()
 	if h.arr.Remove(n) {
-		c.subWeight(h, p)
+		h.g.Unmark(p)
 	}
-	c.count--
-}
-
-func (c *CApprox) advance() {
-	for c.prim.arr.Len() == 0 {
-		if c.sec.arr.Len() == 0 {
-			panic("gradq: CApprox invariant violated: elements queued but both halves empty")
-		}
-		if c.sec.arr.Len() == c.sec.arr.BucketLen(0) {
-			// Only the overflow bucket (physical 0) holds elements.
-			c.fastForward()
-			continue
-		}
-		c.rotate()
-	}
-}
-
-func (c *CApprox) rotate() {
-	c.prim, c.sec = c.sec, c.prim
-	c.hIndex += c.nb
-	c.rotations++
-	// The old overflow bucket is physical 0 of the new primary.
-	c.replaceBucket(c.prim, 0)
-}
-
-func (c *CApprox) fastForward() {
-	c.drainInto(c.sec, 0)
-	minB := ^uint64(0)
-	for _, n := range c.scratch {
-		if b := n.Rank() / c.gran; b < minB {
-			minB = b
-		}
-	}
-	c.hIndex = minB
-	c.fastForwards++
-	c.flushScratch()
-}
-
-func (c *CApprox) replaceBucket(h *approxHalf, p int) {
-	if h.arr.BucketEmpty(p) {
-		return
-	}
-	c.drainInto(h, p)
-	c.flushScratch()
-}
-
-func (c *CApprox) drainInto(h *approxHalf, p int) {
-	for {
-		n, empty := h.arr.PopFront(p)
-		if n == nil {
-			break
-		}
-		c.scratch = append(c.scratch, n)
-		if empty {
-			c.subWeight(h, p)
-			break
-		}
-	}
-}
-
-func (c *CApprox) flushScratch() {
-	for _, n := range c.scratch {
-		c.place(n, n.Rank(), n.Rank()/c.gran)
-	}
-	c.scratch = c.scratch[:0]
 }

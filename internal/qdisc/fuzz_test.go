@@ -28,21 +28,10 @@ import (
 //
 // The model's clauses: per-flow FIFO; nothing released before SendAt −
 // granule; Len exact after every op; NextTimer answers while anything is
-// unreleased, never in the past and never later than the latest unreleased
-// SendAt (or now, once that has passed); Close→Drain hands out exactly the
-// unreleased remainder, in per-flow order.
-//
-// NextTimer's real promise is the EARLIEST unreleased SendAt, and the model
-// holds it to that for as long as release times have been admitted in
-// non-decreasing order across all flows. Past that point it cannot: this
-// target's first second of fuzzing found that a cFFS whose primary half is
-// empty rotates its window forward on a mere peek (and an idle one anchors
-// forward at a far arrival), after which an earlier release time arriving
-// behind the window start is clamped to it — enqueue SendAt 5000, NextTimer,
-// enqueue SendAt 100 on an 8192 ns horizon and the second packet waits until
-// 4096, on the plain single-threaded NewEiffel as well. That is internal/ffsq
-// at the parent commit, late but never early or out of flow order; ROADMAP
-// carries it.
+// unreleased, never in the past and never later than the EARLIEST unreleased
+// SendAt (or now, once that has passed) — in whatever order release times
+// were admitted across flows; Close→Drain hands out exactly the unreleased
+// remainder, in per-flow order.
 func FuzzTimerFront(f *testing.F) {
 	for _, seed := range fuzzTimerSeeds {
 		f.Add(seed)
@@ -68,7 +57,7 @@ var fuzzTimerSeeds = [][]byte{
 	// SendAt at 0, at the horizon (128<<6), and sixteen horizons beyond it
 	// (255<<9), batched and per packet, peeked and drained at each.
 	{0x08, 0, 0x90, 128, 0xd8, 255, 0x22, 7, 6, 0, 4, 7, 0x83, 128, 6, 0, 4, 7, 0xc3, 255, 6, 0, 4, 7, 5, 0},
-	// A far packet lets the window run ahead; near ones arrive behind it.
+	// A far packet, peeked at, then near ones (TestLateClamp's peek-rotation).
 	{0xc0, 40, 6, 0, 0x08, 9, 0x0f, 9, 6, 0, 0x43, 3, 4, 7, 0xc3, 40, 4, 7},
 }
 
@@ -76,17 +65,11 @@ type timerModel struct {
 	t       *testing.T
 	pending [fuzzFlows][]*pkt.Packet // unreleased, per flow, in admission order
 	n       int
-	// latest is the largest SendAt admitted; behind records that some packet
-	// was admitted with a smaller one (see FuzzTimerFront).
-	latest int64
-	behind bool
 }
 
 func (m *timerModel) admit(p *pkt.Packet) {
 	m.pending[p.Flow] = append(m.pending[p.Flow], p)
 	m.n++
-	m.behind = m.behind || p.SendAt < m.latest
-	m.latest = max(m.latest, p.SendAt)
 }
 
 func (m *timerModel) release(p *pkt.Packet, now int64) {
@@ -102,19 +85,16 @@ func (m *timerModel) release(p *pkt.Packet, now int64) {
 	m.n--
 }
 
-// span is the soonest and the latest unreleased SendAt: release times never
-// decrease along a flow, so they are among the flows' heads and tails.
-func (m *timerModel) span() (earliest, latest int64) {
-	earliest = -1
+// earliest is the soonest unreleased SendAt: release times never decrease
+// along a flow, so it is among the flows' heads.
+func (m *timerModel) earliest() int64 {
+	earliest := int64(-1)
 	for _, q := range m.pending {
-		if len(q) > 0 {
-			if earliest < 0 || q[0].SendAt < earliest {
-				earliest = q[0].SendAt
-			}
-			latest = max(latest, q[len(q)-1].SendAt)
+		if len(q) > 0 && (earliest < 0 || q[0].SendAt < earliest) {
+			earliest = q[0].SendAt
 		}
 	}
-	return earliest, latest
+	return earliest
 }
 
 // modelSink checks the closing drain against the model as packets arrive.
@@ -171,10 +151,7 @@ func runTimerModel(t *testing.T, ops []byte) {
 			}
 		case 6:
 			at, ok := f.NextTimer(now)
-			earliest, latest := m.span()
-			if m.behind {
-				earliest = latest
-			}
+			earliest := m.earliest()
 			if ok != (m.n > 0) || (ok && (at < now || at > max(earliest, now))) {
 				t.Fatalf("NextTimer(%d) = (%d,%v) with %d unreleased, want within [now, %d]", now, at, ok, m.n, max(earliest, now))
 			}

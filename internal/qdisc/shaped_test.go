@@ -171,49 +171,3 @@ func TestShapedShardedContention(t *testing.T) {
 		t.Fatal("no packets migrated shaper→scheduler")
 	}
 }
-
-// TestShapedLateClamp: a release time that arrives behind a far one must
-// not be held for the far one's sake. With a shaper window that runs ahead
-// of the clock — a peek at the far packet used to rotate it there — the
-// earlier packet was clamped to the window's first bucket, half a horizon
-// late, and a successor of its flow that arrived already due went straight
-// to the scheduler and out ahead of it. The front must also never say to
-// sleep past the earliest packet it still holds.
-func TestShapedLateClamp(t *testing.T) {
-	q := NewMultiShaped(MultiShapedOptions{ShapedShardedOptions: ShapedShardedOptions{
-		Shards: 1, ShaperBuckets: 64, HorizonNs: 8192, // 64 ns buckets
-	}})
-	pool := pkt.NewPool(4)
-	out := make([]*pkt.Packet, 8)
-	admit := func(flow uint64, seq uint32, sendAt, now int64) {
-		p := mkShaped(pool, flow, sendAt, 7)
-		p.Seq = seq
-		q.Enqueue(p, now)
-	}
-	timerBy := func(now, earliest int64) {
-		t.Helper()
-		if next, ok := q.GroupNextTimer(0, now); !ok || next > max(now, earliest) {
-			t.Errorf("GroupNextTimer(%d) = (%d,%v) with a packet due at %d unreleased", now, next, ok, earliest)
-		}
-	}
-
-	admit(1, 1, 5000, 0)
-	timerBy(0, 5000)
-	admit(2, 1, 100, 0)
-	if k := q.GroupDequeueBatch(0, 50, out); k != 0 {
-		t.Fatalf("GroupDequeueBatch(50) released %d packets, the earliest is due at 100", k)
-	}
-	timerBy(50, 100)
-	admit(2, 2, 150, 50)
-	k := q.GroupDequeueBatch(0, 200, out)
-	if k != 2 || out[0].Flow != 2 || out[0].Seq != 1 || out[1].Flow != 2 || out[1].Seq != 2 {
-		t.Fatalf("GroupDequeueBatch(200) released %d packets %v, want flow 2's seq 1 then seq 2", k, out[:k])
-	}
-	timerBy(200, 5000)
-	if k := q.GroupDequeueBatch(0, 5000, out); k != 1 || out[0].Flow != 1 {
-		t.Fatalf("GroupDequeueBatch(5000) released %d packets, want flow 1's", k)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after the last release", q.Len())
-	}
-}

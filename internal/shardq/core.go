@@ -3,6 +3,7 @@ package shardq
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -91,17 +92,6 @@ type shard struct {
 	//eiffel:guarded(mu)
 	dueRanks []uint64
 
-	// timer marks a shard of a timer runtime (see Core.drainTimer). Its
-	// queue can hold an element PAST its release time: a cFFS whose window
-	// ran ahead of the clock (it rotates on a peek, and anchors an idle
-	// window at a far arrival) clamps an earlier release time arriving behind
-	// the window start into the window's first bucket. lateUntil is that
-	// bucket's start as of the last such park: until the drain bound reaches
-	// it, the queue may be sitting on due elements.
-	timer bool
-	//eiffel:guarded(mu)
-	lateUntil uint64
-
 	_ [64]byte // one shard's lock traffic must not false-share the next's
 }
 
@@ -120,18 +110,6 @@ func (s *shard) parkRunLocked(k int) {
 		s.qa.EnqueueBatchAux(s.parkNs[:k], s.parkK1[:k], s.parkK2[:k])
 	default:
 		s.q.EnqueueBatch(s.parkNs[:k], s.parkK1[:k])
-		if !s.timer {
-			return
-		}
-		// A head later than a release time just parked means the queue
-		// clamped it: placed by its own time it would have lowered the head.
-		head, _ := s.q.Min()
-		for _, k1 := range s.parkK1[:k] {
-			if k1 < head {
-				s.lateUntil = head
-				break
-			}
-		}
 	}
 }
 
@@ -168,6 +146,28 @@ func (s *shard) flushLocked() (drained int) {
 		s.ring.publish()
 	}
 	return drained
+}
+
+// flushFallbackLocked is a producer's ring-full drain: flushLocked carried
+// through to the tail as of the refusal. pop refuses at a slot another
+// producer has claimed and not yet published; this producer's own earlier
+// entries can sit behind that slot, and what it parks next must not
+// overtake them. The claimant is one store from publishing — or preempted
+// there, hence the yield after a short spin. Callers hold mu.
+//
+//eiffel:locked(mu)
+//eiffel:hotpath
+func (s *shard) flushFallbackLocked() (drained int) {
+	tail := s.ring.tail.Load()
+	for spins := 0; ; spins++ {
+		drained += s.flushLocked()
+		if s.ring.head >= tail {
+			return drained
+		}
+		if spins >= 64 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // flushDueLocked is the consumer's ring drain wherever k1 is a release
@@ -458,7 +458,6 @@ func newCore(cfg config) *Core {
 		s := &c.shards[i]
 		s.ring = newRing(cfg.ringBits)
 		s.q = cfg.sched(i)
-		s.timer = cfg.timer
 		//eiffel:allow(lockcheck) construction: the shard is not shared until newCore returns
 		s.parkNs = make([]*bucket.Node, flushChunk)
 		//eiffel:allow(lockcheck) construction: the shard is not shared until newCore returns
@@ -588,7 +587,7 @@ func (c *Core) enqueueShard(s *shard, n *bucket.Node, k1, k2 uint64) {
 		return
 	}
 	s.mu.Lock()
-	drained := s.flushLocked()
+	drained := s.flushFallbackLocked()
 	s.parkNs[0], s.parkK1[0], s.parkK2[0] = n, k1, k2
 	s.parkRunLocked(1)
 	s.qlen.Add(1)
@@ -697,10 +696,10 @@ func (c *Core) settle(gr *groupState, i int, now uint64) {
 // argument: a flow's release times never decrease and a shard's queue is
 // older than its ring, so once the queue holds nothing due, no due ring
 // entry has a queued predecessor — per-flow order is exact, and a settled
-// element is never starved by ring traffic. (A queue that may be sitting on
-// a due element all the same — shard.lateUntil — gets the ring settled in
-// behind it instead, as every entry was before the bypass existed.) Across
-// flows, elements first seen overdue come out in arrival order behind every
+// element is never starved by ring traffic. That rests on the queue's Min
+// never answering late: the cFFS clamps a release time that arrives behind
+// its window into a bucket already due (ffsq.Window, W2). Across flows,
+// elements first seen overdue come out in arrival order behind every
 // settled one: Carousel's "now slot", which among release times already
 // past carries no policy meaning. They are gated on the exact release time,
 // stricter than a queue's bucket start. A ring its neighbours starve fills,
@@ -728,14 +727,11 @@ func (c *Core) drainTimer(gr *groupState, due uint64, out []*bucket.Node) int {
 			}
 			s.mu.Lock()
 			queued, direct := 0, 0
-			switch {
-			case h.gen != s.fallbackGen.Load():
+			if h.gen != s.fallbackGen.Load() {
 				// A producer's fallback settled elements since the merge
 				// looked: they are older than the ring's and come first.
 				again = true
-			case due < s.lateUntil:
-				queued = s.flushLocked()
-			default:
+			} else {
 				queued, direct = s.flushDueLocked(nil, due, out[total:])
 			}
 			if queued > 0 {

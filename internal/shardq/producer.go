@@ -154,7 +154,7 @@ func (p *Producer) flushShard(i int) {
 		// admit only up to the remaining budget (re-checked under the lock,
 		// after the drain settled qlen).
 		s.mu.Lock()
-		drained := s.flushLocked()
+		drained := s.flushFallbackLocked()
 		take := c - done
 		if q.bound > 0 {
 			budget := q.bound - (s.qlen.Load() + s.ring.occupancy())

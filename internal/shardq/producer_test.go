@@ -3,9 +3,12 @@ package shardq
 import (
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"eiffel/internal/bucket"
+	"eiffel/internal/queue"
 )
 
 func TestProducerStagesUntilFlush(t *testing.T) {
@@ -275,4 +278,62 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestFallbackWaitsOutUnpublishedSlot pins the ring-full fallback's order:
+// a producer is parked between its tail CAS and its seq store (done here by
+// hand: slot 0 is claimed and not published), the flow's next packets fill
+// the ring behind that slot, and one more overruns it. The fallback drain
+// stops where pop refuses — at slot 0 — and a fallback that parked the new
+// packet then would put it ahead of seven earlier packets of its own flow.
+// It has to wait for the slot instead, through both fallback sites.
+func TestFallbackWaitsOutUnpublishedSlot(t *testing.T) {
+	sites := map[string]func(q *Q, flow uint64, n *bucket.Node){
+		"Core.enqueueShard": func(q *Q, flow uint64, n *bucket.Node) { q.Enqueue(flow, n, 5) },
+		"Producer.flushShard": func(q *Q, flow uint64, n *bucket.Node) {
+			p := q.NewProducer(4)
+			p.Enqueue(flow, n, 5, 0)
+			p.Flush()
+		},
+	}
+	for name, overrun := range sites {
+		t.Run(name, func(t *testing.T) {
+			q := New(Options{NumShards: 1, RingBits: 3, Queue: queue.Config{NumBuckets: 16}})
+			r := q.shards[0].ring
+			const flow = 7
+			nodes := make([]bucket.Node, 9)
+			if !r.tail.CompareAndSwap(0, 1) {
+				t.Fatal("could not claim slot 0")
+			}
+			for i := 1; i < 8; i++ { // same rank: one bucket, so parking order is release order
+				q.Enqueue(flow, &nodes[i], 5)
+			}
+			done := make(chan struct{})
+			go func() {
+				overrun(q, flow, &nodes[8])
+				close(done)
+			}()
+			select {
+			case <-done:
+				t.Fatal("the fallback parked its packet while an earlier slot was still unpublished")
+			case <-time.After(50 * time.Millisecond):
+			}
+			if n := q.shards[0].qlen.Load(); n != 0 {
+				t.Fatalf("%d elements parked behind an unpublished slot", n)
+			}
+			e := &r.entries[0]
+			e.n, e.rank, e.aux = &nodes[0], 5, 0
+			atomic.StoreUint64(&e.seq, 1)
+			<-done
+			out := make([]*bucket.Node, 16)
+			if k := q.DequeueBatch(^uint64(0), out); k != len(nodes) {
+				t.Fatalf("drained %d of %d", k, len(nodes))
+			}
+			for i := range nodes {
+				if out[i] != &nodes[i] {
+					t.Fatalf("position %d is not the flow's packet %d: the fallback reordered the flow", i, i)
+				}
+			}
+		})
+	}
 }

@@ -32,8 +32,11 @@ type ShapedOptions struct {
 	// fixed-range FFS-indexed vector-bucket store over Sched's span (ranks
 	// outside it clamp to the edge buckets); a priority domain that moves
 	// forward without bound (virtual finish times) passes a circular queue
-	// (ffsq.NewCFFS is a Scheduler as it stands), and the approximate family
-	// (NewGradSched, NewRIFOSched) drops in the same way. Approximate
+	// (ffsq.NewCFFS is a Scheduler as it stands: Min is a pure peek and
+	// DequeueBatch moves the window only as far as its bound has reached,
+	// so a call that pops nothing leaves Min above the bound — the progress
+	// rule), and the approximate family (NewGradSched, NewRIFOSched) drops
+	// in the same way. Approximate
 	// backends relax global priority order within their documented
 	// inversion bound; the merge machinery only needs the Scheduler
 	// progress rule, which every backend honors.

@@ -107,6 +107,53 @@ func TestDequeueBatchRespectsMaxRank(t *testing.T) {
 	}
 }
 
+// TestEmptiedShardKeepsBurstOrder: a consumer that keeps up drains a shard
+// empty on every call, at a bound that is no clock (^0, or the next shard's
+// head). The burst that follows must still come out by rank: the default
+// cFFS backend's emptied window follows that bound, and must come back to
+// the burst's first arrival with room below it for the rest.
+func TestEmptiedShardKeepsBurstOrder(t *testing.T) {
+	q := New(Options{NumShards: 1})
+	out := make([]*bucket.Node, 16)
+	q.Enqueue(1, &bucket.Node{}, 900)
+	if k := q.DequeueBatch(^uint64(0), out); k != 1 {
+		t.Fatalf("drained %d, want 1", k)
+	}
+	for _, r := range []uint64{1000, 998, 999, 990, 1005} {
+		q.Enqueue(1, &bucket.Node{}, r)
+	}
+	var got []uint64
+	for _, n := range out[:q.DequeueBatch(^uint64(0), out)] {
+		got = append(got, n.Rank())
+	}
+	if want := []uint64{990, 998, 999, 1000, 1005}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("burst after an emptying drain came out %v, want %v", got, want)
+	}
+
+	// Two shards: the merge drains flow a's shard empty at a bound of 5000,
+	// flow b's head. Ranks below 5000 keep arriving for a, behind one above.
+	q = newTestQ(2)
+	a, b := uint64(0), uint64(1)
+	for q.ShardFor(b) == q.ShardFor(a) {
+		b++
+	}
+	q.Enqueue(a, &bucket.Node{}, 100)
+	q.Enqueue(b, &bucket.Node{}, 5000)
+	if k := q.DequeueBatch(^uint64(0), out); k != 2 {
+		t.Fatalf("drained %d, want 2", k)
+	}
+	for _, r := range []uint64{5100, 3000, 2990} {
+		q.Enqueue(a, &bucket.Node{}, r)
+	}
+	got = got[:0]
+	for _, n := range out[:q.DequeueBatch(^uint64(0), out)] {
+		got = append(got, n.Rank())
+	}
+	if want := []uint64{2990, 3000, 5100}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("burst after a shard emptied at the next shard's head came out %v, want %v", got, want)
+	}
+}
+
 func TestMinRankAggregates(t *testing.T) {
 	q := newTestQ(4)
 	if _, ok := q.MinRank(); ok {
