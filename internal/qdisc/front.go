@@ -1,6 +1,7 @@
 package qdisc
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -83,6 +84,12 @@ type Front struct {
 
 	groups []frontGroup
 
+	// bells is one doorbell per consumer group, rung by every admission
+	// path after publishing (serve.go). shard>>bellShift is the shard's
+	// group: Core.GroupFor's mapping, on the allocation-checked hot path.
+	bells     []doorbell
+	bellShift uint
+
 	// Release buffer of the single-consumer surface: DequeueBatch pops
 	// ready packets in bulk; Dequeue hands them out one at a time.
 	// Everything buffered was already release-eligible when popped, so
@@ -114,11 +121,14 @@ func newFront(rt *shardq.Core, name string, pub pubRule, batch int, pol AdmitPol
 	f := &Front{
 		rt: rt, name: name, pub: pub,
 		groups:     make([]frontGroup, rt.NumGroups()),
+		bells:      make([]doorbell, rt.NumGroups()),
+		bellShift:  uint(bits.TrailingZeros(uint(rt.NumShards() / rt.NumGroups()))),
 		buf:        make([]*pkt.Packet, batch),
 		admitState: newAdmitState(pol, dropTenants),
 	}
 	for g := range f.groups {
 		f.groups[g].scratch = make([]*shardq.Node, drainChunk)
+		f.bells[g].ch = make(chan struct{}, 1)
 	}
 	f.prodPool.New = func() any { return rt.NewProducer(0) }
 	return f
@@ -187,9 +197,11 @@ func (f *Front) key(p *pkt.Packet, now int64) (n *shardq.Node, k1, k2 uint64) {
 //
 //eiffel:hotpath
 func (f *Front) Enqueue(p *pkt.Packet, now int64) {
+	flow := p.Flow // read before publishing: a published packet is the consumer's
 	n, k1, k2 := f.key(p, now)
-	f.rt.Enqueue(p.Flow, n, k1, k2)
+	f.rt.Enqueue(flow, n, k1, k2)
 	f.admit(1)
+	f.ring(f.rt.ShardFor(flow) >> f.bellShift)
 }
 
 // TryEnqueue admits one packet unless the front is closed (or its shard
@@ -198,11 +210,13 @@ func (f *Front) Enqueue(p *pkt.Packet, now int64) {
 //
 //eiffel:hotpath
 func (f *Front) TryEnqueue(p *pkt.Packet, now int64) bool {
+	flow := p.Flow
 	n, k1, k2 := f.key(p, now)
-	if !f.rt.TryEnqueue(p.Flow, n, k1, k2) {
+	if !f.rt.TryEnqueue(flow, n, k1, k2) {
 		return false
 	}
 	f.admit(1)
+	f.ring(f.rt.ShardFor(flow) >> f.bellShift)
 	return true
 }
 
@@ -234,6 +248,7 @@ func (f *Front) EnqueueBatch(ps []*pkt.Packet, now int64) {
 	// misuse at least keeps the conservation identity honest.
 	f.admit(b.FlushAdmit().Admitted)
 	f.prodPool.Put(b)
+	f.ringAll()
 }
 
 // EnqueueBatchAdmit implements AdmitQdisc: EnqueueBatch under the
@@ -252,6 +267,7 @@ func (f *Front) EnqueueBatchAdmit(ps []*pkt.Packet, now int64, rej []*pkt.Packet
 	admitted, rej := f.settle(res, len(ps), fromNode, rej)
 	f.admit(admitted)
 	f.prodPool.Put(b)
+	f.ringAll()
 	return admitted, rej
 }
 
@@ -443,23 +459,23 @@ func (f *Front) NextTimer(now int64) (int64, bool) {
 // ServeWith starts one supervised drain worker per consumer group: worker
 // g loops GroupDequeueBatch at clock()'s current value and disposes every
 // non-empty batch through sinks[g] (len(sinks) must equal NumGroups).
-// Sinks that implement FallibleSink get the full retry/backoff/deadline
+// clock must return monotonic nanoseconds, the unit SendAt is in. Sinks
+// that implement FallibleSink get the full retry/backoff/deadline
 // treatment. The returned Server reports per-group health (panic
-// restarts, stall flags, backlog) and owns the stop protocol: Stop halts
-// the workers, waits for them to exit, and then DRAINS the remaining
-// backlog to the same sinks through the graceful lifecycle — a stopped
-// fleet leaves the front closed and exactly conserved, never with
+// restarts, stall flags, backlog, sleeps) and owns the stop protocol:
+// Stop halts the workers, waits for them to exit, and then DRAINS the
+// remaining backlog to the same sinks through the graceful lifecycle — a
+// stopped fleet leaves the front closed and exactly conserved, never with
 // abandoned packets; StopForce releases the backlog instead of
 // transmitting it. See ServeOptions for the retry, restart, and watchdog
 // knobs.
 //
-// This is a POLLING front, the BESS/DPDK deployment style: an idle worker
-// naps serveIdleNap between polls rather than arming a timer, so a
-// drained group costs one wakeup per nap instead of a spinning core, and
-// clock stays a pure value source (it is never asked how a virtual
-// duration maps to wall time). Deployments that want timer-driven wakeups
-// should drive GroupDequeueBatch themselves, arming real timers from
-// GroupNextTimer — which is exactly what that method exists for.
+// A worker with nothing to drain sleeps until its group's GroupNextTimer,
+// clamped to [200 µs, 1 ms]; one whose group is empty parks a 200 µs floor
+// that only a batch publication ends early, then until any publication to
+// the group rings its doorbell. An idle group costs no CPU, and a paced
+// packet leaves within a sleep's timer slack of its release time, not a
+// polling interval after.
 func (f *Front) ServeWith(clock func() int64, sinks []EgressSink, opt ServeOptions) *Server {
 	if len(sinks) != f.NumGroups() {
 		panic("qdisc: Serve needs one sink per consumer group")
@@ -467,6 +483,7 @@ func (f *Front) ServeWith(clock func() int64, sinks []EgressSink, opt ServeOptio
 	s := &Server{
 		f: f, clock: clock,
 		sinks: append([]EgressSink(nil), sinks...), opt: opt.withDefaults(),
+		stop:   make(chan struct{}),
 		groups: make([]serverGroup, f.NumGroups()),
 	}
 	for g := range s.groups {
