@@ -98,162 +98,6 @@ func BenchmarkFig19NetworkWide(b *testing.B) {
 // BenchmarkFig20Choose regenerates the Figure 20 decision table.
 func BenchmarkFig20Choose(b *testing.B) { runExp(b, "fig20") }
 
-// BenchmarkContention runs the locked-vs-sharded qdisc scaling experiment
-// (8 producers, one consumer; see internal/exp/contention.go). The
-// reported metric is the batched sharded timer front's throughput gain over
-// the kernel-style global-lock deployment.
-func BenchmarkContention(b *testing.B) {
-	res := runExp(b, "contention")
-	rows := res.Tables[0].Rows
-	last := rows[len(rows)-1] // Eiffel+shards (batched)
-	if v, err := strconv.ParseFloat(strings.TrimSuffix(last[4], "x"), 64); err == nil {
-		b.ReportMetric(v, "sharded-vs-lock")
-	}
-}
-
-// BenchmarkEgress runs the parallel-egress scaling experiment (8
-// producers vs G consumer-group drain workers, G ∈ {1,2,4}; see
-// internal/exp/egress.go). The reported metrics are the G=4 row's
-// aggregate throughput gain over the single-consumer G=1 baseline (≥1.5×
-// on a multi-core runner; ~1× is the honest answer on single-vCPU CI,
-// where the workers serialize) and its per-flow order violations under
-// parallel egress, which must be zero and are also asserted by
-// TestMultiShardedGroupFidelity and TestEgressQuick.
-func BenchmarkEgress(b *testing.B) {
-	res := runExp(b, "egress")
-	rows := res.Tables[0].Rows
-	last := rows[len(rows)-1] // the G=4 row
-	ratio, err := strconv.ParseFloat(strings.TrimSuffix(last[3], "x"), 64)
-	if err != nil {
-		b.Fatalf("egress ratio column %q not numeric: %v", last[3], err)
-	}
-	b.ReportMetric(ratio, "g4-vs-g1")
-	viol, err := strconv.ParseFloat(last[5], 64)
-	if err != nil {
-		b.Fatalf("egress violations column %q not numeric: %v", last[5], err)
-	}
-	b.ReportMetric(viol, "flow-order-violations")
-}
-
-// BenchmarkShapedSched runs the decoupled shaping + priority scheduling
-// scaling experiment (8 producers, per-packet (SendAt, Rank); see
-// internal/exp/shapedsched.go). The reported metrics are the shaped front's
-// throughput gain over the kernel-style Locked pifo.Tree
-// baseline (the ≥2× acceptance figure, measured on the batched-admission
-// row) and its priority inversions beyond scheduler bucket granularity
-// (which must be zero, and is also asserted by
-// TestShapedShardedPriorityFidelity and TestShapedSchedQuick).
-func BenchmarkShapedSched(b *testing.B) {
-	res := runExp(b, "shapedsched")
-	rows := res.Tables[0].Rows
-	last := rows[len(rows)-1] // the batched shaped-sharded row
-	ratio, err := strconv.ParseFloat(strings.TrimSuffix(last[4], "x"), 64)
-	if err != nil {
-		b.Fatalf("shapedsched ratio column %q not numeric: %v", last[4], err)
-	}
-	b.ReportMetric(ratio, "shaped-vs-locked-tree")
-	inv, err := strconv.ParseFloat(last[5], 64)
-	if err != nil {
-		b.Fatalf("shapedsched inversions column %q not numeric: %v", last[5], err)
-	}
-	b.ReportMetric(inv, "priority-inversions")
-}
-
-// BenchmarkPolicySched runs the programmable-policy scaling experiment
-// (8 producers replaying pFabric, LQF, and hierarchical WFQ programs
-// through shard-confined extended-PIFO trees; see
-// internal/exp/policysched.go). The reported metrics are the batched
-// PolicySharded row's throughput gain over the kernel-style locked
-// pifo.Tree baseline on the pFabric program (the ≥2× acceptance figure)
-// and its flow-order violations, which must be zero and are also asserted
-// by TestPolicyShardedFlowOrderMatchesLockedTree and TestPolicySchedQuick.
-func BenchmarkPolicySched(b *testing.B) {
-	res := runExp(b, "policysched")
-	rows := res.Tables[0].Rows
-	// Row 2 is pfabric / policy-shards (batched); see the entries order in
-	// internal/exp/policysched.go.
-	last := rows[2]
-	ratio, err := strconv.ParseFloat(strings.TrimSuffix(last[4], "x"), 64)
-	if err != nil {
-		b.Fatalf("policysched ratio column %q not numeric: %v", last[4], err)
-	}
-	b.ReportMetric(ratio, "policy-vs-locked-tree")
-	mis, err := strconv.ParseFloat(last[5], 64)
-	if err != nil {
-		b.Fatalf("policysched misorders column %q not numeric: %v", last[5], err)
-	}
-	b.ReportMetric(mis, "flow-misorders")
-}
-
-// BenchmarkApprox runs the approximate-scheduler-backend experiment in
-// quick mode (internal/exp/approx.go): the gradient and RIFO-style
-// fixed-window backends against the exact vecSched baseline, single-
-// threaded and through the shaped front, with rank-inversion accounting
-// against the exact oracle replay. The experiment flags any row whose
-// measured inversion magnitude escapes its analytic bound (the invariant
-// TestGradSchedInversionBound and TestRIFOSchedInversionBound prove over
-// random distributions); that note fails this benchmark. The reported
-// metrics are the RIFO row's throughput gain over exact vecSched on the
-// cache-hostile large geometry (the ≥1.3× acceptance figure) and its
-// measured max inversion magnitude there.
-func BenchmarkApprox(b *testing.B) {
-	res := runExp(b, "approx")
-	for _, n := range res.Notes {
-		if strings.Contains(n, "APPROX BOUND EXCEEDED") {
-			b.Fatal(n)
-		}
-	}
-	rows := res.Tables[0].Rows
-	last := rows[len(rows)-1] // large geometry, rifo-64
-	ratio, err := strconv.ParseFloat(strings.TrimSuffix(last[4], "x"), 64)
-	if err != nil {
-		b.Fatalf("approx ratio column %q not numeric: %v", last[4], err)
-	}
-	b.ReportMetric(ratio, "rifo-vs-exact-large")
-	mag, err := strconv.ParseFloat(last[6], 64)
-	if err != nil {
-		b.Fatalf("approx max-mag column %q not numeric: %v", last[6], err)
-	}
-	b.ReportMetric(mag, "rifo-max-inversion")
-}
-
-// BenchmarkHierSched runs the hierarchical-QoS scaling experiment
-// (8 producers replaying a two-tenant 3:1 weighted tree through
-// shard-confined hClock engines vs the locked whole-tree baseline; see
-// internal/exp/hiersched.go). The reported metrics are the batched
-// hier-shards row's throughput vs the locked tree on the Eiffel backend,
-// its flow-order violations (must be zero: flow-hash sharding keeps each
-// flow's backlog on one engine), its reservation violations under paced
-// overload (must be zero: a due reservation pulls its shard's merge rank
-// to 0), and the cross-shard share error against the ideal 0.75 split.
-func BenchmarkHierSched(b *testing.B) {
-	res := runExp(b, "hiersched")
-	rows := res.Tables[0].Rows
-	// Row 2 is Eiffel / hier-shards (batched); see the entries order in
-	// internal/exp/hiersched.go.
-	last := rows[2]
-	ratio, err := strconv.ParseFloat(strings.TrimSuffix(last[4], "x"), 64)
-	if err != nil {
-		b.Fatalf("hiersched ratio column %q not numeric: %v", last[4], err)
-	}
-	b.ReportMetric(ratio, "hier-vs-locked-tree")
-	mis, err := strconv.ParseFloat(last[5], 64)
-	if err != nil {
-		b.Fatalf("hiersched misorders column %q not numeric: %v", last[5], err)
-	}
-	b.ReportMetric(mis, "flow-misorders")
-	viol, err := strconv.ParseFloat(last[6], 64)
-	if err != nil {
-		b.Fatalf("hiersched res-viol column %q not numeric: %v", last[6], err)
-	}
-	b.ReportMetric(viol, "reservation-violations")
-	shareErr, err := strconv.ParseFloat(last[7], 64)
-	if err != nil {
-		b.Fatalf("hiersched share-err column %q not numeric: %v", last[7], err)
-	}
-	b.ReportMetric(shareErr, "share-error")
-}
-
 // Ablation benches for the design choices DESIGN.md calls out.
 
 // BenchmarkAblationHierVsFlat compares hierarchical vs flat FFS indexes.
@@ -267,19 +111,6 @@ func BenchmarkAblationBackends(b *testing.B) { runExp(b, "ablation-backends") }
 
 // BenchmarkAblationShaperBackend swaps the Eiffel qdisc's shaper backend.
 func BenchmarkAblationShaperBackend(b *testing.B) { runExp(b, "ablation-shaper") }
-
-// BenchmarkChurn runs the millions-of-flows survival experiment in quick
-// mode (internal/exp/churn.go): short-lived Zipf flow churn through the
-// pFabric policy shards with idle-flow eviction and a drop-tail shard
-// bound. The reported metrics are the verified evicting row's throughput
-// and drop percentage; order exactness, exact accounting, and the heap
-// ceiling are asserted by the experiment itself and by TestChurn* in
-// internal/qdisc.
-func BenchmarkChurn(b *testing.B) {
-	res := runExp(b, "churn")
-	metric(b, res, 0, 1, 2, "evict-mpps")
-	metric(b, res, 0, 1, 3, "drop-pct")
-}
 
 // BenchmarkChaos runs the egress fault-injection suite in quick mode
 // (internal/exp/chaos.go): supervised Serve workers draining into

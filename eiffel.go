@@ -292,7 +292,7 @@ type (
 )
 
 // Canonical policy programs in the Compile grammar — the same definitions
-// the experiments and examples replay, so external callers can run the
+// the benchmark and examples run, so external callers can run the
 // paper's showcases without re-typing the program text.
 const (
 	// PolicySpecPFabric is shortest-remaining-first per-flow ranking.
@@ -389,38 +389,18 @@ func NewShapedShardedQueue(opt ShapedShardedQueueOptions) *ShapedShardedQueue {
 // Select one per shaped front via ShapedShardedOptions.SchedBackend, or
 // construct directly for a ShapedShardedQueue's SchedBackend hook. Each
 // backend's worst-case inversion magnitude is analytic (the *Bound
-// functions); ReplayInversions measures the realised count and magnitude
-// against an exact oracle replay.
+// functions).
 type (
 	// SchedBackendKind selects the shaped front's per-shard scheduler
 	// backend family.
 	SchedBackendKind = qdisc.SchedBackendKind
 	// GradSchedOptions configures a gradient scheduler backend.
 	GradSchedOptions = shardq.GradSchedOptions
-	// InversionStats aggregates rank-inversion measurements from a
-	// ReplayInversions run.
-	InversionStats = qdisc.InversionStats
-	// Qdisc is the kernel queuing-discipline contract the replay
-	// harnesses drive.
+	// Qdisc is the kernel queuing-discipline contract (Enqueue, Dequeue,
+	// NextTimer, Len) that every qdisc, preset and Locked wrapper
+	// implements.
 	Qdisc = qdisc.Qdisc
-	// ContentionOptions tunes how a contention replay drives a qdisc.
-	ContentionOptions = qdisc.ContentionOptions
 )
-
-// ReplayInversions pushes a contention workload through q and measures the
-// realised rank-inversion count and magnitude of the drain sequence
-// against an exact oracle replay; compare InversionStats.MaxMagnitude with
-// the backend's analytic *Bound.
-func ReplayInversions(q Qdisc, packets [][]*Packet, opt ContentionOptions) InversionStats {
-	return qdisc.ReplayInversions(q, packets, opt)
-}
-
-// ShapedPackets builds the shaped contention workload ReplayInversions
-// replays: per-producer packet sets with release times spread over the
-// shaping horizon and ranks uniform over rankSpan.
-func ShapedPackets(producers, perProducer int, rankSpan uint64) [][]*Packet {
-	return qdisc.ShapedPackets(producers, perProducer, rankSpan)
-}
 
 // Scheduler backend kinds for ShapedShardedOptions.SchedBackend.
 const (
@@ -482,13 +462,6 @@ type (
 	Admit = shardq.Admit
 	// PushReason classifies why bounded admission refused elements.
 	PushReason = shardq.PushReason
-	// FlowEvicter is the idle-flow eviction surface of a qdisc
-	// (PolicySharded on the direct ranked-service path).
-	FlowEvicter = qdisc.FlowEvicter
-	// ChurnOptions tunes a ReplayChurn run.
-	ChurnOptions = qdisc.ChurnOptions
-	// ChurnResult is what a churn replay observed.
-	ChurnResult = qdisc.ChurnResult
 )
 
 // Admission policies and refusal reasons.
@@ -565,11 +538,4 @@ const (
 // handling; onDrop (optional) observes every packet given up on.
 func NewResilientSink(sink FallibleSink, pol RetryPolicy, onDrop func(*Packet, DropReason)) *ResilientSink {
 	return qdisc.NewResilientSink(sink, pol, onDrop)
-}
-
-// ReplayChurn drives a bounded-admission qdisc with open-world short-lived
-// flow churn and reports throughput, drop accounting, per-flow order
-// verdicts, and heap behavior; see qdisc.ReplayChurn.
-func ReplayChurn(q AdmitQdisc, opt ChurnOptions) ChurnResult {
-	return qdisc.ReplayChurn(q, opt)
 }

@@ -2,20 +2,20 @@
 // scheduling (reservations, limits, proportional shares) in a one-core
 // busy-polling BESS-style pipeline, with the scheduler's priority queues
 // swapped between binary heaps (the original hClock) and Eiffel's cFFS —
-// then replays the same tenant tree through the sharded multi-producer
-// runtime and prints a locked-vs-sharded throughput line.
+// then serves a tenant tree on the sharded multi-producer runtime and
+// prints how many packets came out.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"sync"
 	"time"
 
 	"eiffel"
 	"eiffel/internal/bess"
 	"eiffel/internal/hclock"
 	"eiffel/internal/pkt"
-	"eiffel/internal/qdisc"
 )
 
 func run(flows int, backend hclock.Backend, dur time.Duration) float64 {
@@ -43,18 +43,17 @@ func main() {
 		fmt.Printf("%-8d %-14.0f %-14.0f %-8.1fx\n", flows, e, h, e/h)
 	}
 
-	shardedThroughput()
+	serveSharded()
 }
 
-// shardedThroughput replays a four-tenant hClock tree — a 2 Gbps
-// reservation holder and three weighted classes — once as a single
-// whole-tree engine behind the kernel-style global lock and once
-// shard-confined on the multi-producer runtime (eiffel.HierSharded, one
-// engine per shard with rates renormalized by the shard count), with 8
-// concurrent producers feeding each. (No rate cap here: the contention
-// replay runs at a pinned clock, which would park a capped tenant
-// forever; the busy-polling pipeline above is the limit showcase.)
-func shardedThroughput() {
+// serveSharded runs a four-tenant hClock tree — a 2 Gbps reservation
+// holder and three weighted classes — shard-confined on the multi-producer
+// runtime (eiffel.HierSharded, one engine per shard with rates
+// renormalized by the shard count): 8 producers feed it while a Serve
+// worker drains it into a counting sink on the wall clock, and Stop drains
+// what is left and reports conservation. (No rate cap here: the
+// busy-polling pipeline above is the limit showcase.)
+func serveSharded() {
 	spec := eiffel.HierSpec{
 		Tenants: []eiffel.HierTenant{
 			{Weight: 3},
@@ -63,38 +62,37 @@ func shardedThroughput() {
 			{Weight: 2},
 		},
 	}
-	// One packet set per producer over disjoint flow ranges (concurrent
-	// producers cannot race a flow's internal order), flows spread across
-	// all four tenants via the Class annotation.
+	q, err := eiffel.NewHierSharded(eiffel.HierShardedOptions{Spec: spec, Shards: 8})
+	if err != nil {
+		panic(err)
+	}
+	sink := &eiffel.CountingSink{}
+	start := time.Now()
+	srv := q.ServeWith(func() int64 { return int64(time.Since(start)) }, []eiffel.EgressSink{sink}, eiffel.ServeOptions{})
+
+	// One packet set per producer over disjoint flow ranges, flows spread
+	// across all four tenants via the Class annotation.
 	const producers, perProducer, flowsPer = 8, 20000, 256
-	packets := make([][]*pkt.Packet, producers)
-	for w := range packets {
-		pool := pkt.NewPool(perProducer)
-		set := make([]*pkt.Packet, perProducer)
-		for i := range set {
-			p := pool.Get()
-			f := i % flowsPer
-			p.Flow = uint64(w*flowsPer + f)
-			p.Size = 1500
-			p.Class = int32(f % len(spec.Tenants))
-			set[i] = p
-		}
-		packets[w] = set
+	var wg sync.WaitGroup
+	for w := 0; w < producers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pool := pkt.NewPool(perProducer)
+			for i := 0; i < perProducer; i++ {
+				p := pool.Get()
+				f := i % flowsPer
+				p.Flow = uint64(w*flowsPer + f)
+				p.Size = 1500
+				p.Class = int32(f % len(spec.Tenants))
+				q.Enqueue(p, 0)
+			}
+		}(w)
 	}
-
-	tree, err := eiffel.NewHierTree(spec)
-	if err != nil {
-		panic(err)
-	}
-	lockedMpps := qdisc.BestOfReplays(eiffel.NewLocked(tree), packets, 3, qdisc.ContentionOptions{})
-
-	sharded, err := eiffel.NewHierSharded(eiffel.HierShardedOptions{Spec: spec, Shards: 8})
-	if err != nil {
-		panic(err)
-	}
-	shardedMpps := qdisc.BestOfReplays(sharded, packets, 3, qdisc.ContentionOptions{})
+	wg.Wait()
+	rep := srv.Stop()
 
 	fmt.Println()
-	fmt.Printf("hClock tree throughput, 8 producers: locked tree %.2f Mpps, sharded %.2f Mpps (%.2fx)\n",
-		lockedMpps, shardedMpps, shardedMpps/lockedMpps)
+	fmt.Printf("hClock tree, %d producers through Serve: %d of %d packets delivered, conserved=%v\n",
+		producers, sink.Count(), producers*perProducer, rep.Conserved())
 }

@@ -2,15 +2,16 @@
 // Eiffel's new PIFO primitives — per-flow ranking (an arrival re-ranks the
 // whole flow) and on-dequeue ranking (a departure re-ranks it again). The
 // example shows service always going to the currently longest flow, then
-// replays the same program through the sharded multi-producer runtime and
-// prints a locked-vs-sharded throughput line.
+// serves the same program on the sharded multi-producer runtime and prints
+// how many packets came out.
 package main
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"eiffel"
-	"eiffel/internal/qdisc"
 )
 
 func main() {
@@ -50,30 +51,42 @@ func main() {
 		pool.Put(p)
 	}
 
-	shardedThroughput()
+	serveSharded()
 }
 
-// shardedThroughput replays the canonical LQF program as a policy qdisc:
-// once on a single pifo.Tree behind the kernel-style global lock, once
-// shard-confined on the multi-producer runtime (eiffel.PolicySharded),
-// with 8 concurrent producers feeding each.
-func shardedThroughput() {
-	spec := qdisc.PolicySpecLQF
-	packets := qdisc.PolicyPackets(8, 20000, 256)
-
-	tree, err := eiffel.NewPolicyTree(spec, "")
+// serveSharded runs the canonical LQF program as a policy qdisc,
+// shard-confined on the multi-producer runtime (eiffel.PolicySharded): 8
+// producers feed it while a Serve worker drains it into a counting sink,
+// and Stop drains what is left and reports conservation.
+func serveSharded() {
+	q, err := eiffel.NewPolicySharded(eiffel.PolicyShardedOptions{Policy: eiffel.PolicySpecLQF, Shards: 8})
 	if err != nil {
 		panic(err)
 	}
-	lockedMpps := qdisc.BestOfReplays(qdisc.NewLocked(tree), packets, 3, qdisc.ContentionOptions{})
+	sink := &eiffel.CountingSink{}
+	start := time.Now()
+	srv := q.ServeWith(func() int64 { return int64(time.Since(start)) }, []eiffel.EgressSink{sink}, eiffel.ServeOptions{})
 
-	sharded, err := eiffel.NewPolicySharded(eiffel.PolicyShardedOptions{Policy: spec, Shards: 8})
-	if err != nil {
-		panic(err)
+	// One packet set per producer over disjoint flow ranges.
+	const producers, perProducer, flowsPer = 8, 20000, 256
+	var wg sync.WaitGroup
+	for w := 0; w < producers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pool := eiffel.NewPool(perProducer)
+			for i := 0; i < perProducer; i++ {
+				p := pool.Get()
+				p.Flow = uint64(w*flowsPer + i%flowsPer)
+				p.Size = 1500
+				q.Enqueue(p, 0)
+			}
+		}(w)
 	}
-	shardedMpps := qdisc.BestOfReplays(sharded, packets, 3, qdisc.ContentionOptions{})
+	wg.Wait()
+	rep := srv.Stop()
 
 	fmt.Println()
-	fmt.Printf("LQF throughput, 8 producers: locked tree %.2f Mpps, sharded %.2f Mpps (%.2fx)\n",
-		lockedMpps, shardedMpps, shardedMpps/lockedMpps)
+	fmt.Printf("LQF policy qdisc, %d producers through Serve: %d of %d packets delivered, conserved=%v\n",
+		producers, sink.Count(), producers*perProducer, rep.Conserved())
 }

@@ -3,19 +3,19 @@
 // DCTCP against pFabric with exact and approximate switch priority queues.
 // The question the paper asks: does approximate prioritization at every
 // switch hurt network-wide flow completion times? (Answer: no.) It then
-// runs the pFabric host qdisc itself — the Figure 14 extended-PIFO
-// program — through the sharded multi-producer runtime and prints a
-// locked-vs-sharded throughput line, the single-machine analogue of the
-// same approximation-tolerance argument.
+// serves the pFabric host qdisc itself — the Figure 14 extended-PIFO
+// program — on the sharded multi-producer runtime and prints how many
+// packets came out.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"sync"
+	"time"
 
 	"eiffel"
 	"eiffel/internal/netsim"
-	"eiffel/internal/qdisc"
 )
 
 func main() {
@@ -53,30 +53,44 @@ func main() {
 		fmt.Println()
 	}
 
-	shardedThroughput()
+	serveSharded()
 }
 
-// shardedThroughput replays the canonical pFabric flow policy (Figure 14)
-// as a host qdisc: once on a single pifo.Tree behind the kernel-style
-// global lock, once shard-confined on the multi-producer runtime, 8
-// producers each.
-func shardedThroughput() {
-	spec := qdisc.PolicySpecPFabric
-	packets := qdisc.PolicyPackets(8, 20000, 256)
-
-	tree, err := eiffel.NewPolicyTree(spec, "")
+// serveSharded runs the canonical pFabric flow policy (Figure 14) as a
+// host qdisc, shard-confined on the multi-producer runtime: 8 producers
+// feed it while a Serve worker drains it into a counting sink, and Stop
+// drains what is left and reports conservation.
+func serveSharded() {
+	q, err := eiffel.NewPolicySharded(eiffel.PolicyShardedOptions{Policy: eiffel.PolicySpecPFabric, Shards: 8})
 	if err != nil {
 		panic(err)
 	}
-	lockedMpps := qdisc.BestOfReplays(qdisc.NewLocked(tree), packets, 3, qdisc.ContentionOptions{})
+	sink := &eiffel.CountingSink{}
+	start := time.Now()
+	srv := q.ServeWith(func() int64 { return int64(time.Since(start)) }, []eiffel.EgressSink{sink}, eiffel.ServeOptions{})
 
-	sharded, err := eiffel.NewPolicySharded(eiffel.PolicyShardedOptions{Policy: spec, Shards: 8})
-	if err != nil {
-		panic(err)
+	// One packet set per producer over disjoint flow ranges, each flow's
+	// packets ranked by its remaining bytes.
+	const producers, perProducer, flowsPer = 8, 20000, 256
+	var wg sync.WaitGroup
+	for w := 0; w < producers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pool := eiffel.NewPool(perProducer)
+			for i := 0; i < perProducer; i++ {
+				p := pool.Get()
+				p.Flow = uint64(w*flowsPer + i%flowsPer)
+				p.Size = 1500
+				p.Rank = uint64(perProducer/flowsPer-i/flowsPer) * 1500
+				q.Enqueue(p, 0)
+			}
+		}(w)
 	}
-	shardedMpps := qdisc.BestOfReplays(sharded, packets, 3, qdisc.ContentionOptions{})
+	wg.Wait()
+	rep := srv.Stop()
 
 	fmt.Println()
-	fmt.Printf("pFabric host qdisc, 8 producers: locked tree %.2f Mpps, sharded %.2f Mpps (%.2fx)\n",
-		lockedMpps, shardedMpps, shardedMpps/lockedMpps)
+	fmt.Printf("pFabric host qdisc, %d producers through Serve: %d of %d packets delivered, conserved=%v\n",
+		producers, sink.Count(), producers*perProducer, rep.Conserved())
 }

@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"eiffel/internal/fault"
+	"eiffel/internal/pkt"
 	"eiffel/internal/qdisc"
 	"eiffel/internal/stats"
 )
 
 // Chaos is the fault-injection acceptance for the resilient egress
-// path: the same concurrent-producer workload the egress experiment
-// replays, but drained by supervised Serve workers into seed-driven
+// path: concurrent producers over disjoint flow ranges, drained by
+// supervised Serve workers into seed-driven
 // fault.Sink TX queues that misbehave on a schedule — transient
 // errors, partial accepts, slowdowns, stalls, and outright panics —
 // one misbehavior profile per row. The claims under test are the
@@ -92,12 +93,21 @@ func Chaos(o Options) *Result {
 	}
 
 	for _, row := range rows {
-		packets := qdisc.EgressPackets(producers, perProducer, flowsPer)
-		// Pool IDs are per-producer sequences; the sinks' exactly-once
-		// ledger needs globally unique IDs, so re-stamp them.
-		for w, set := range packets {
-			for i, p := range set {
+		// One packet set per producer over disjoint flow ranges, release
+		// times spread over the horizon. Pool IDs are per-producer
+		// sequences; the sinks' exactly-once ledger needs globally unique
+		// IDs, so re-stamp them.
+		packets := make([][]*pkt.Packet, producers)
+		for w := range packets {
+			pool := pkt.NewPool(perProducer) // pools are not shared: one per set
+			packets[w] = make([]*pkt.Packet, perProducer)
+			for i := range packets[w] {
+				p := pool.Get()
 				p.ID = uint64(w*perProducer+i) + 1
+				p.Flow = uint64(w*flowsPer + i%flowsPer)
+				p.Size = 1500
+				p.SendAt = int64(i) * (2e9 / int64(perProducer))
+				packets[w][i] = p
 			}
 		}
 		m := qdisc.NewMultiSharded(qdisc.MultiShardedOptions{

@@ -1,7 +1,9 @@
 // Package exp is the experiment harness: one runner per table and figure
 // of the paper's evaluation (§5), each regenerating the corresponding rows
-// or series on this machine's substrates. cmd/eiffel-bench drives the
-// runners; the repo-root benchmarks wrap them in testing.B targets.
+// or series on this machine's substrates, plus the design ablations and
+// the chaos conservation suite. cmd/eiffel-bench drives the runners; the
+// repo-root benchmarks wrap them in testing.B targets. Throughput of the
+// sharded runtime is measured end to end by benchmark/, not here.
 package exp
 
 import (
@@ -11,7 +13,6 @@ import (
 	"eiffel/internal/bucket"
 	"eiffel/internal/queue"
 	"eiffel/internal/stats"
-	"eiffel/internal/workload"
 )
 
 // Options scales experiments. Quick shrinks workloads to seconds-scale
@@ -39,8 +40,7 @@ type Result struct {
 	// Notes records scaling substitutions applied.
 	Notes []string
 	// JSON, when non-nil, is the experiment's machine-readable payload:
-	// cmd/eiffel-bench -json writes it to BENCH_<ID>.json, the per-PR
-	// perf-trajectory artifact the ROADMAP asks for.
+	// cmd/eiffel-bench -json writes it to BENCH_<ID>.json.
 	JSON any
 }
 
@@ -117,5 +117,3 @@ func permutedBuckets(buckets int, seed int64) []int {
 	perm := rng.Perm(buckets)
 	return perm
 }
-
-var _ = workload.RankUniform // workload is used by other files in this package

@@ -77,14 +77,7 @@ var Registry = map[string]Runner{
 	"ablation-alpha":        AblationAlpha,
 	"ablation-backends":     AblationComparisonQueues,
 	"ablation-shaper":       AblationShaperBackend,
-	"approx":                Approx,
 	"chaos":                 Chaos,
-	"churn":                 Churn,
-	"contention":            Contention,
-	"egress":                Egress,
-	"shapedsched":           ShapedSched,
-	"policysched":           PolicySched,
-	"hiersched":             HierSched,
 }
 
 // Names returns registry keys in stable order.

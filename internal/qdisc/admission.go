@@ -42,6 +42,12 @@ func (p AdmitPolicy) String() string {
 	return "drop-tail"
 }
 
+// BatchDequeuer is implemented by qdiscs whose consumer can pop many
+// release-eligible packets at once.
+type BatchDequeuer interface {
+	DequeueBatch(now int64, out []*pkt.Packet) int
+}
+
 // AdmitQdisc is the bounded-admission qdisc surface: a batch-draining
 // Qdisc whose batch enqueue reports refused packets instead of admitting
 // unboundedly. The three sharded qdiscs implement it.

@@ -143,8 +143,8 @@ func (f *Front) Name() string { return f.name }
 // overcount by up to one in-flight batch (ring occupancy is published per
 // drain, not per element); it is exact whenever the qdisc is quiescent.
 // Callers that need an exact count must therefore read it with producers
-// and the consumer stopped — the contract the contention harness and the
-// concurrent tests rely on.
+// and the consumer stopped — the contract the concurrent tests and the
+// lifecycle drain rely on.
 //
 //eiffel:hotpath
 func (f *Front) Len() int { return f.rt.Len() + int(f.bufN.Load()) }

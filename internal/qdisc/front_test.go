@@ -27,6 +27,10 @@ const (
 	contractProds    = 2
 )
 
+// horizon is the shaping horizon of the 2 s fronts; draining at it makes
+// every packet whose release time lies inside it eligible.
+const horizon = int64(2e9)
+
 // frontOpts is the sizing the contract varies.
 type frontOpts struct {
 	groups, bound int
@@ -542,6 +546,9 @@ func TestFrontConcurrentProducersAndConsumer(t *testing.T) {
 			if f.Len() != 0 {
 				t.Fatalf("Len = %d after drain", f.Len())
 			}
+			if c.name == "shaped" && f.Stats().Migrated == 0 {
+				t.Fatal("no packet migrated shaper→scheduler")
+			}
 			t.Logf("paths taken: %s", f.Stats())
 		})
 	}
@@ -700,7 +707,7 @@ func TestPresetsHonourOptions(t *testing.T) {
 		if f.Name() != "Eiffel+shaped-shards/rifo" {
 			t.Fatalf("Name = %q, want the /rifo suffix", f.Name())
 		}
-		for _, set := range ShapedPackets(2, 3000, 1<<20) {
+		for _, set := range shapedPackets(2, 3000, 1<<20) {
 			for _, p := range set {
 				f.Enqueue(p, 0)
 			}
@@ -708,23 +715,16 @@ func TestPresetsHonourOptions(t *testing.T) {
 		// Everything eligible: within one group's drain the exact backend
 		// releases in rank order to bucket granularity, the window backend
 		// within one slot's width.
-		var worst InversionStats
-		out := make([]*pkt.Packet, 256)
+		var n int
+		var worst uint64
 		for g := 0; g < f.NumGroups(); g++ {
-			var st InversionStats
-			var runMax uint64
-			for k := f.GroupDequeueBatch(g, horizon, out); k > 0; k = f.GroupDequeueBatch(g, horizon, out) {
-				for _, p := range out[:k] {
-					st.Note(&runMax, p.Rank)
-				}
-			}
-			worst.Inversions += st.Inversions
-			worst.MaxMagnitude = max(worst.MaxMagnitude, st.MaxMagnitude)
+			gn, gw := inversions(drainRanks(func(out []*pkt.Packet) int { return f.GroupDequeueBatch(g, horizon, out) }), 1)
+			n, worst = n+gn, max(worst, gw)
 		}
 		exact := shardq.VecSchedBound(opt.withDefaults().schedCfg())
-		if worst.MaxMagnitude <= exact || worst.MaxMagnitude > opt.SchedInversionBound() {
+		if worst <= exact || worst > opt.SchedInversionBound() {
 			t.Fatalf("%d inversions, worst %d: want beyond the exact backend's %d yet within the RIFO bound %d",
-				worst.Inversions, worst.MaxMagnitude, exact, opt.SchedInversionBound())
+				n, worst, exact, opt.SchedInversionBound())
 		}
 	})
 }

@@ -17,8 +17,8 @@ import (
 // shard holding a due reservation reports merge rank 0, which lifts
 // hClock's reservation-first preference across shards. Per-tenant share
 // and reservation accuracy is therefore approximate at shard granularity;
-// the hiersched experiment measures the residual error the way the
-// policysched experiment bounds the WFQ gold share (±0.10).
+// the hiersharded tests bound the residual share error (±0.10) the way
+// the policy tests bound the WFQ gold share.
 //
 // Packets route to a tenant by their Class annotation (modulo the tenant
 // count), and the ring carries (rank annotation, Class | Size<<32 —

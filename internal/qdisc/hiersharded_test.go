@@ -1,10 +1,11 @@
 package qdisc
 
 import (
+	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
+	"eiffel/internal/hclock"
 	"eiffel/internal/pkt"
 	"eiffel/internal/shardq"
 )
@@ -49,14 +50,76 @@ func hierRandomSets(rng *rand.Rand, producers, perProducer, flowsPer, tenants in
 	return sets
 }
 
+// hierRow is one deployment the sharded hClock tables run: a tag-index
+// backend, a consumer-group count, and the producers' admission path.
+type hierRow struct {
+	backend hclock.Backend
+	groups  int
+	mode    string // modePerPacket or modeBatched
+}
+
+// hierRows crosses the three tag-index backends with one and two
+// consumer groups under per-packet admission; the Eiffel backend also
+// admits in batches.
+var hierRows = []hierRow{
+	{hclock.BackendEiffel, 1, modePerPacket},
+	{hclock.BackendEiffel, 2, modePerPacket},
+	{hclock.BackendEiffel, 1, modeBatched},
+	{hclock.BackendEiffel, 2, modeBatched},
+	{hclock.BackendHeap, 1, modePerPacket},
+	{hclock.BackendHeap, 2, modePerPacket},
+	{hclock.BackendApprox, 1, modePerPacket},
+	{hclock.BackendApprox, 2, modePerPacket},
+}
+
+func (r hierRow) String() string { return fmt.Sprintf("%s/G=%d/%s", r.backend, r.groups, r.mode) }
+
+// mk builds the row's sharded front over spec.
+func (r hierRow) mk(t *testing.T, spec shardq.HierSpec) *HierSharded {
+	t.Helper()
+	spec.Backend = r.backend
+	q, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 8, Groups: r.groups})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// hierServe returns q's release function in its deployment's drain
+// topology: Dequeue on one group; on several, one thread standing in for
+// the group workers by alternating small GroupDequeueBatch pulls. (Dequeue
+// drains group 0 to exhaustion before group 1 — a drain order, not a
+// schedule — so a share measured through it would report each group's
+// composition instead of the weighted service.)
+func hierServe(q Qdisc) func(now int64) *pkt.Packet {
+	f, ok := q.(*HierSharded)
+	if !ok || f.NumGroups() == 1 {
+		return q.Dequeue
+	}
+	buf := make([]*pkt.Packet, 8)
+	have, next, g := 0, 0, 0
+	return func(now int64) *pkt.Packet {
+		for tries := 0; next >= have && tries < f.NumGroups(); tries++ {
+			g = (g + 1) % f.NumGroups()
+			next, have = 0, f.GroupDequeueBatch(g, now, buf)
+		}
+		if next >= have {
+			return nil
+		}
+		next++
+		return buf[next-1]
+	}
+}
+
 // drainOrders drains q at a steadily advancing clock and returns each
-// flow's release sequence as (ID, Rank) pairs.
+// flow's release sequence of IDs.
 func drainOrders(t *testing.T, q Qdisc, total int) map[uint64][]uint64 {
 	t.Helper()
+	serve := hierServe(q)
 	orders := make(map[uint64][]uint64)
 	now, got, stalls := int64(0), 0, 0
 	for got < total {
-		p := q.Dequeue(now)
+		p := serve(now)
 		if p == nil {
 			// Nothing eligible (a reservation-only phase boundary at tag
 			// granularity): advance the clock and retry.
@@ -76,57 +139,42 @@ func drainOrders(t *testing.T, q Qdisc, total int) map[uint64][]uint64 {
 // TestHierShardedPerFlowOrderMatchesLocked is the randomized equivalence
 // property: for every flow, the sharded hierarchical path releases the
 // flow's packets in EXACTLY the order the locked whole-tree hClock does —
-// across fifo and rank in-tenant policies, random sizes, and concurrent
-// producers.
+// across fifo and rank in-tenant policies, random sizes, concurrent
+// producers, every tag-index backend, and one or two consumer groups.
 func TestHierShardedPerFlowOrderMatchesLocked(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
 	const producers, perProducer, flowsPer = 4, 3000, 64
-	spec := hierTestSpec()
-	sets := hierRandomSets(rng, producers, perProducer, flowsPer, len(spec.Tenants))
-	total := producers * perProducer
+	for _, row := range hierRows {
+		t.Run(row.String(), func(t *testing.T) {
+			spec := hierTestSpec()
+			spec.Backend = row.backend
+			sets := hierRandomSets(rand.New(rand.NewSource(7)), producers, perProducer, flowsPer, len(spec.Tenants))
+			total := producers * perProducer
 
-	tree, err := NewHierTree(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	locked := NewLocked(tree)
-	for _, set := range sets {
-		for _, p := range set {
-			locked.Enqueue(p, 0)
-		}
-	}
-	want := drainOrders(t, locked, total)
-
-	sharded, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := range sets {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, p := range sets[w] {
-				sharded.Enqueue(p, 0)
+			tree, err := NewHierTree(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	got := drainOrders(t, sharded, total)
-
-	if len(got) != len(want) {
-		t.Fatalf("sharded released %d flows, locked %d", len(got), len(want))
-	}
-	for f, w := range want {
-		g := got[f]
-		if len(g) != len(w) {
-			t.Fatalf("flow %d: sharded released %d packets, locked %d", f, len(g), len(w))
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("flow %d position %d: sharded ID %d, locked ID %d", f, i, g[i], w[i])
+			locked := NewLocked(tree)
+			for _, set := range sets {
+				for _, p := range set {
+					locked.Enqueue(p, 0)
+				}
 			}
-		}
+			want := drainOrders(t, locked, total)
+
+			sharded := row.mk(t, spec)
+			publish(t, sharded.Front, sets, row.mode)
+			got := drainOrders(t, sharded, total)
+
+			if len(got) != len(want) {
+				t.Fatalf("sharded released %d flows, locked %d", len(got), len(want))
+			}
+			for f, w := range want {
+				if g := got[f]; fmt.Sprint(g) != fmt.Sprint(w) {
+					t.Fatalf("flow %d: sharded released IDs %v, locked %v", f, g, w)
+				}
+			}
+		})
 	}
 }
 
@@ -134,7 +182,7 @@ func TestHierShardedPerFlowOrderMatchesLocked(t *testing.T) {
 // with a due reservation is served within a bounded window — the
 // reservation-first preference survives the cross-shard merge — and the
 // reservation holders' aggregate service meets their configured rates
-// within the shard-granularity error bound.
+// within the shard-granularity error bound, on every row.
 func TestHierShardedReservationConservation(t *testing.T) {
 	// Two reservation holders against two heavyweight share tenants. At
 	// the 1 Gbps paced drain below, tenant 2 is owed 20% of service and
@@ -147,107 +195,103 @@ func TestHierShardedReservationConservation(t *testing.T) {
 			{ResBps: 100e6, Weight: 1},
 		},
 	}
-	q, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const flows, per = 64, 500 // 32k packets, every tenant saturated
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool := pkt.NewPool(flows * per / 4) // pools are single-producer
-			for i := 0; i < flows*per/4; i++ {
-				p := pool.Get()
-				f := uint64(w*(flows/4) + i%(flows/4))
-				p.Flow = f
-				p.Size = 1500
-				p.Class = int32(f % 4)
-				q.Enqueue(p, 0)
+	const flows, per, producers = 64, 500, 4 // 32k packets, every tenant saturated
+	for _, row := range hierRows {
+		t.Run(row.String(), func(t *testing.T) {
+			q := row.mk(t, spec)
+			sets := make([][]*pkt.Packet, producers)
+			for w := range sets {
+				pool := pkt.NewPool(flows * per / producers) // pools are single-producer
+				for i := 0; i < flows*per/producers; i++ {
+					p := pool.Get()
+					f := uint64(w*(flows/producers) + i%(flows/producers))
+					p.Flow, p.Size, p.Class = f, 1500, int32(f%4)
+					sets[w] = append(sets[w], p)
+				}
 			}
-		}(w)
-	}
-	wg.Wait()
+			publish(t, q.Front, sets, row.mode)
 
-	const total = flows * per
-	// Measure shares over the first half of the schedule: every tenant is
-	// still backlogged there (each holds exactly 25% of the offered load,
-	// so nobody can drain before the halfway mark), which makes the window
-	// a genuine contention measurement rather than a tail artifact.
-	const window = total / 2
-	windowServed := [4]int{}
-	lastServed := [4]int{2: 0, 3: 0}
-	maxGap := [4]int{}
-	now := int64(0)
-	for i := 0; i < total; i++ {
-		p := q.Dequeue(now)
-		if p == nil {
-			t.Fatalf("work-conserving drain stalled at %d of %d", i, total)
-		}
-		tn := int(p.Class)
-		if i < window {
-			windowServed[tn]++
-		}
-		if tn >= 2 {
-			if gap := i - lastServed[tn]; gap > maxGap[tn] {
-				maxGap[tn] = gap
+			const total = flows * per
+			// Measure shares over the first half of the schedule: every tenant
+			// is still backlogged there (each holds exactly 25% of the offered
+			// load, so nobody can drain before the halfway mark), which makes
+			// the window a genuine contention measurement rather than a tail
+			// artifact.
+			const window = total / 2
+			serve := hierServe(q)
+			windowServed := [4]int{}
+			lastServed := [4]int{2: 0, 3: 0}
+			maxGap := [4]int{}
+			now := int64(0)
+			for i := 0; i < total; i++ {
+				p := serve(now)
+				if p == nil {
+					t.Fatalf("work-conserving drain stalled at %d of %d", i, total)
+				}
+				tn := int(p.Class)
+				if i < window {
+					windowServed[tn]++
+				}
+				if tn >= 2 {
+					maxGap[tn] = max(maxGap[tn], i-lastServed[tn])
+					lastServed[tn] = i
+				}
+				now += 12_000 // 1500B at 1 Gbps
 			}
-			lastServed[tn] = i
-		}
-		now += 12_000 // 1500B at 1 Gbps
-	}
-	res2 := float64(windowServed[2]) / float64(window)
-	res3 := float64(windowServed[3]) / float64(window)
-	if res2 < 0.20*0.9 {
-		t.Fatalf("tenant 2 served %.3f of the link under contention, reservation needs >= 0.20 (-10%% bound)", res2)
-	}
-	if res3 < 0.10*0.9 {
-		t.Fatalf("tenant 3 served %.3f of the link under contention, reservation needs >= 0.10 (-10%% bound)", res3)
-	}
-	// Bounded window: a due reservation is never starved for more than a
-	// few merge batches (release buffer 64 + per-shard runs).
-	if maxGap[2] > 256 || maxGap[3] > 256 {
-		t.Fatalf("reservation service gaps %d/%d packets, want <= 256", maxGap[2], maxGap[3])
+			res2 := float64(windowServed[2]) / float64(window)
+			res3 := float64(windowServed[3]) / float64(window)
+			if res2 < 0.20*0.9 || res3 < 0.10*0.9 {
+				t.Fatalf("reservation holders served %.3f and %.3f of the link under contention, need >= 0.20 and 0.10 (-10%% bound)", res2, res3)
+			}
+			// Bounded window: a due reservation is never starved for more than
+			// a few merge batches (release buffer 64 + per-shard runs).
+			if maxGap[2] > 256 || maxGap[3] > 256 {
+				t.Fatalf("reservation service gaps %d/%d packets, want <= 256", maxGap[2], maxGap[3])
+			}
+			t.Logf("reservation shares %.3f/%.3f, gaps %d/%d packets", res2, res3, maxGap[2], maxGap[3])
+		})
 	}
 }
 
 // TestHierShardedShareError: the weight-3 tenant's service share after
 // serving half a two-tenant backlog stays within ±0.10 of the ideal 0.75
-// — the cross-shard share-error bound the experiment reports.
+// on every row — the cross-shard share-error bound.
 func TestHierShardedShareError(t *testing.T) {
 	spec := shardq.HierSpec{Tenants: []shardq.HierTenant{{Weight: 3}, {Weight: 1}}}
-	q, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	packets := PolicyPackets(8, 5000, 64)
-	share := 0.0
-	{
-		total := 0
-		for _, set := range packets {
-			for _, p := range set {
-				q.Enqueue(p, 0)
+	const producers, perProducer, flowsPer = 8, 5000, 64
+	for _, row := range hierRows {
+		t.Run(row.String(), func(t *testing.T) {
+			q := row.mk(t, spec)
+			// One set per producer over disjoint flow ranges; a flow's class
+			// is its parity, so both tenants are backlogged throughout.
+			sets := make([][]*pkt.Packet, producers)
+			for w := range sets {
+				pool := pkt.NewPool(perProducer)
+				for i := 0; i < perProducer; i++ {
+					p := pool.Get()
+					f := i % flowsPer
+					p.Flow, p.Size, p.Class = uint64(w*flowsPer+f), 1500, int32(f%2)
+					sets[w] = append(sets[w], p)
+				}
 			}
-			total += len(set)
-		}
-		gold, servedN := 0, 0
-		for servedN < total/2 {
-			p := q.Dequeue(int64(2e9))
-			if p == nil {
-				t.Fatal("drain stalled with backlog")
+			total := publish(t, q.Front, sets, row.mode)
+			serve := hierServe(q)
+			gold := 0
+			for served := 0; served < total/2; served++ {
+				p := serve(horizon)
+				if p == nil {
+					t.Fatal("drain stalled with backlog")
+				}
+				if p.Class == 0 {
+					gold++
+				}
 			}
-			if p.Class == 0 {
-				gold++
+			share := float64(gold) / float64(total/2)
+			if share < 0.65 || share > 0.85 {
+				t.Fatalf("weight-3 share %.3f, want 0.75 +/- 0.10", share)
 			}
-			servedN++
-		}
-		for q.Dequeue(int64(2e9)) != nil {
-		}
-		share = float64(gold) / float64(total/2)
-	}
-	if share < 0.65 || share > 0.85 {
-		t.Fatalf("weight-3 share %.3f, want 0.75 +/- 0.10", share)
+			t.Logf("weight-3 share %.4f", share)
+		})
 	}
 }
 

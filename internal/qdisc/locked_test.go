@@ -79,57 +79,3 @@ func TestLockedName(t *testing.T) {
 		t.Fatalf("Name = %q", q.Name())
 	}
 }
-
-// benchContention runs the shared locked-vs-sharded workload (8 producers,
-// one consumer) and reports throughput; ns/op covers one full run, and the
-// Mpps metric is the figure README quotes.
-func benchContention(b *testing.B, mk func() Qdisc, opt ContentionOptions) {
-	const producers = 8
-	const perProducer = 20000
-	workload := ContentionPackets(producers, perProducer)
-	q := mk()
-	var packets int
-	var elapsed time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := ReplayContentionOpts(q, workload, opt)
-		packets += res.Packets
-		elapsed += res.Elapsed
-	}
-	b.StopTimer()
-	if elapsed > 0 {
-		b.ReportMetric(float64(packets)/elapsed.Seconds()/1e6, "Mpps")
-	}
-}
-
-func BenchmarkLockedContention(b *testing.B) {
-	benchContention(b, func() Qdisc { return NewLocked(NewEiffel(20000, 2e9, 0)) }, ContentionOptions{})
-}
-
-// shardedContentionOpts is the throughput configuration README documents:
-// 8 shards x 2500 buckets (the same total bucket memory as the Locked
-// baseline's single 20000-bucket cFFS), rings sized to absorb the offered
-// burst — as Carousel sizes its wheel to the horizon. The consumer drains
-// at the horizon, so every packet is overdue on arrival and takes the
-// timer rule's due-bypass.
-var shardedContentionOpts = ShardedOptions{
-	Shards: 8, Buckets: 2500, HorizonNs: 2e9, RingBits: 15,
-}
-
-// contentionProducerBatch is the producer-side run length the batched
-// benchmarks admit through EnqueueBatch (the README's "batched" column).
-const contentionProducerBatch = 256
-
-// BenchmarkShardedContention drives the batched producer pipeline —
-// staging, multi-slot ring claims, bulk flushes — the configuration the
-// runtime is built for and the number README tracks.
-func BenchmarkShardedContention(b *testing.B) {
-	benchContention(b, func() Qdisc { return NewMultiSharded(MultiShardedOptions{ShardedOptions: shardedContentionOpts}) },
-		ContentionOptions{ProducerBatch: contentionProducerBatch})
-}
-
-// BenchmarkShardedContentionPerElement is the PR-2 admission path — one
-// Enqueue (one ring CAS) per packet — kept as the batching ablation.
-func BenchmarkShardedContentionPerElement(b *testing.B) {
-	benchContention(b, func() Qdisc { return NewMultiSharded(MultiShardedOptions{ShardedOptions: shardedContentionOpts}) }, ContentionOptions{})
-}

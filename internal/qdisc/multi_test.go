@@ -12,32 +12,21 @@ import (
 	"eiffel/internal/pkt"
 )
 
-// TestMultiShardedGroupFidelity drives the egress experiment's fidelity
-// harness (ReplayEgressFidelity) at the qdisc level, up to G=4: concurrent batched producers, then one worker per
-// group draining concurrently. Every flow must be released by exactly its
-// owning group and in exactly its publish order — the acceptance
-// invariant of the egress experiment, asserted here deterministically.
+// TestMultiShardedGroupFidelity takes the contract's group surface to
+// G=4 on the timer preset (TestFrontContract runs G=1 and G=2):
+// concurrent producers, per-packet and batched, then one worker per group
+// draining concurrently. Every flow must be released by exactly its owning
+// group and in exactly its publish order.
 func TestMultiShardedGroupFidelity(t *testing.T) {
-	packets := EgressPackets(4, 4000, 400)
-	for _, groups := range []int{1, 2, 4} {
-		for _, batch := range []int{0, 256} {
-			m := NewMultiSharded(MultiShardedOptions{
-				ShardedOptions: ShardedOptions{Shards: 8, Buckets: 2048, HorizonNs: horizon, RingBits: 10},
-				Groups:         groups,
-			})
-			released, orderViol, groupViol := ReplayEgressFidelity(m, packets, ContentionOptions{ProducerBatch: batch})
-			if released != 4*4000 {
-				t.Fatalf("G=%d batch=%d: released %d of %d", groups, batch, released, 4*4000)
-			}
-			if orderViol != 0 {
-				t.Fatalf("G=%d batch=%d: %d per-flow order violations, want 0", groups, batch, orderViol)
-			}
-			if groupViol != 0 {
-				t.Fatalf("G=%d batch=%d: %d flow-group violations, want 0", groups, batch, groupViol)
-			}
-			if m.Len() != 0 {
-				t.Fatalf("G=%d batch=%d: Len = %d after full drain", groups, batch, m.Len())
-			}
+	c := frontCases[0] // timer
+	for _, mode := range []string{modePerPacket, modeBatched} {
+		f := c.mk(t, frontOpts{groups: 4})
+		admitted := publish(t, f, contractPackets(c), mode)
+		if got := drainGroups(t, c, f).check(t, false); got != admitted {
+			t.Fatalf("%s: group workers released %d of %d", mode, got, admitted)
+		}
+		if f.Len() != 0 {
+			t.Fatalf("%s: Len = %d after full drain", mode, f.Len())
 		}
 	}
 }
@@ -79,7 +68,7 @@ func TestMultiShardedServe(t *testing.T) {
 		ShardedOptions: ShardedOptions{Shards: 8, Buckets: 2048, HorizonNs: horizon, RingBits: 10},
 		Groups:         2,
 	})
-	packets := EgressPackets(1, 6000, 100)
+	packets := contractPackets(frontCases[0])
 	sinks := []*CountingSink{{}, {}}
 	srv := m.ServeWith(func() int64 { return horizon }, []EgressSink{sinks[0], sinks[1]}, ServeOptions{})
 	m.EnqueueBatch(packets[0], 0)
@@ -107,7 +96,10 @@ func TestMultiShardedServeStopMidTraffic(t *testing.T) {
 		ShardedOptions: ShardedOptions{Shards: 8, Buckets: 2048, HorizonNs: horizon, RingBits: 10},
 		Groups:         2,
 	})
-	packets := EgressPackets(2, 8000, 200)
+	var packets [][]*pkt.Packet // eight producers over four copies of the contract's flows
+	for range 4 {
+		packets = append(packets, contractPackets(frontCases[0])...)
+	}
 	sinks := []*CountingSink{{}, {}}
 	srv := m.ServeWith(func() int64 { return horizon }, []EgressSink{sinks[0], sinks[1]}, ServeOptions{})
 
@@ -324,16 +316,7 @@ func TestMultiShapedGroupFidelity(t *testing.T) {
 		SchedBuckets: 256, RankSpan: rankSpan, RingBits: 10,
 	}
 	m := NewMultiShaped(MultiShapedOptions{ShapedShardedOptions: opt, Groups: 4})
-	packets := ShapedPackets(4, 3000, rankSpan)
-	var wg sync.WaitGroup
-	for w := range packets {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			produce(m, packets[w], ContentionOptions{ProducerBatch: 128})
-		}(w)
-	}
-	wg.Wait()
+	publish(t, m, shapedPackets(4, 3000, rankSpan), modeBatched)
 
 	gran := opt.schedGran()
 	G := m.NumGroups()

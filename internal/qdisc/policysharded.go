@@ -24,9 +24,9 @@ import (
 // approximation Figure 19 and Alcoz et al. show preserves policy outcomes.
 
 // Canonical policy programs, in the Compile grammar — the paper's three
-// flexibility showcases. One definition feeds the policysched experiment,
-// the runnable examples, and the equivalence tests, so the program text
-// and the replay rows can never drift apart.
+// flexibility showcases. One definition feeds the live benchmark, the
+// runnable examples, and the equivalence tests, so the program text and
+// what is proven order-exact can never drift apart.
 const (
 	// PolicySpecPFabric is shortest-remaining-first per-flow ranking
 	// (Figure 14): packet Rank annotations carry remaining flow size.
@@ -337,11 +337,11 @@ func compileProgram(spec, leafName string) (*compiledProgram, error) {
 // hierarchical WFQ programs scale past the global qdisc lock while keeping
 // per-flow dequeue order exactly as the locked tree would produce it
 // (flows never span shards). Cross-shard order is merged by each tree's
-// head rank and is approximate at that granularity; the policysched
-// experiment measures the residual fairness error. When the program is a
-// single packet-free flow leaf the ring carries (rank annotation, flow id)
-// and the consumer side never loads the packet; otherwise it carries the
-// enqueue timestamp for the tree's transactions.
+// head rank and is approximate at that granularity; a test bounds the
+// residual fairness error. When the program is a single packet-free flow
+// leaf the ring carries (rank annotation, flow id) and the consumer side
+// never loads the packet; otherwise it carries the enqueue timestamp for
+// the tree's transactions.
 //
 // Rate limits inside the program apply PER SHARD (each shard runs its own
 // copy of the tree, shaper included), so a limited class's aggregate rate

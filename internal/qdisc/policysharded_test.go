@@ -1,6 +1,7 @@
 package qdisc_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -10,8 +11,8 @@ import (
 	"eiffel/internal/qdisc"
 )
 
-// The equivalence suites run the canonical programs the experiment and
-// examples replay, so what ships is what is proven order-exact.
+// The equivalence suites run the canonical programs the benchmark and
+// examples run, so what ships is what is proven order-exact.
 const (
 	pfabricSpec = qdisc.PolicySpecPFabric
 	lqfSpec     = qdisc.PolicySpecLQF
@@ -45,25 +46,18 @@ func policyWorkload(t testing.TB, rng *rand.Rand, nFlows, perFlow int) []*pkt.Pa
 	return ps
 }
 
-// drainIDsByFlow replays ps into q sequentially, drains it fully, and
-// returns each flow's dequeue sequence of packet IDs.
-func drainIDsByFlow(t *testing.T, q qdisc.Qdisc, ps []*pkt.Packet) map[uint64][]uint64 {
+// drainIDsByFlow drains q fully and returns each flow's dequeue sequence
+// of packet IDs; it must release exactly total packets.
+func drainIDsByFlow(t *testing.T, q qdisc.Qdisc, total int) map[uint64][]uint64 {
 	t.Helper()
-	for _, p := range ps {
-		q.Enqueue(p, 0)
-	}
 	got := map[uint64][]uint64{}
 	released := 0
-	for {
-		p := q.Dequeue(0)
-		if p == nil {
-			break
-		}
+	for p := q.Dequeue(0); p != nil; p = q.Dequeue(0) {
 		got[p.Flow] = append(got[p.Flow], p.ID)
 		released++
 	}
-	if released != len(ps) {
-		t.Fatalf("%s released %d of %d packets", q.Name(), released, len(ps))
+	if released != total {
+		t.Fatalf("%s released %d of %d packets", q.Name(), released, total)
 	}
 	return got
 }
@@ -72,7 +66,10 @@ func drainIDsByFlow(t *testing.T, q qdisc.Qdisc, ps []*pkt.Packet) map[uint64][]
 // property: under the same replay, PolicySharded's per-flow dequeue order
 // is identical to the single locked pifo.Tree's, for every policy —
 // per-flow ranking and on-dequeue transactions run shard-confined, and a
-// flow never spans shards, so sharding cannot reorder a flow.
+// flow never spans shards, so sharding cannot reorder a flow. The last case
+// splits the replay over eight concurrent producers with disjoint flows,
+// admitting through EnqueueBatch, so per-flow order must also survive their
+// interleaving and the batched ring claims.
 func TestPolicyShardedFlowOrderMatchesLockedTree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -83,17 +80,18 @@ func TestPolicyShardedFlowOrderMatchesLockedTree(t *testing.T) {
 		{"hwfq", hwfqSpec},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			for trial := 0; trial < 5; trial++ {
-				nFlows := 2 + rng.Intn(40)
-				perFlow := 1 + rng.Intn(30)
-				ps := policyWorkload(t, rng, nFlows, perFlow)
-
+			// check replays ps into the locked tree sequentially and into a
+			// fresh PolicySharded through publish, then compares every flow.
+			check := func(label string, ps []*pkt.Packet, publish func(sh *qdisc.PolicySharded)) {
+				t.Helper()
 				tree, err := qdisc.NewPolicyTree(tc.spec, "")
 				if err != nil {
 					t.Fatalf("NewPolicyTree: %v", err)
 				}
-				want := drainIDsByFlow(t, tree, ps)
+				for _, p := range ps {
+					tree.Enqueue(p, 0)
+				}
+				want := drainIDsByFlow(t, tree, len(ps))
 
 				sh, err := qdisc.NewPolicySharded(qdisc.PolicyShardedOptions{
 					Policy: tc.spec, Shards: 8,
@@ -101,24 +99,57 @@ func TestPolicyShardedFlowOrderMatchesLockedTree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewPolicySharded: %v", err)
 				}
-				got := drainIDsByFlow(t, sh, ps)
+				publish(sh)
+				got := drainIDsByFlow(t, sh, len(ps))
 
 				if len(got) != len(want) {
-					t.Fatalf("trial %d: flow sets differ: %d vs %d", trial, len(got), len(want))
+					t.Fatalf("%s: flow sets differ: %d vs %d", label, len(got), len(want))
 				}
 				for f, ids := range want {
 					g := got[f]
 					if len(g) != len(ids) {
-						t.Fatalf("trial %d: flow %d released %d packets, want %d", trial, f, len(g), len(ids))
+						t.Fatalf("%s: flow %d released %d packets, want %d", label, f, len(g), len(ids))
 					}
 					for i := range ids {
 						if g[i] != ids[i] {
-							t.Fatalf("trial %d: flow %d position %d: packet %d, want %d",
-								trial, f, i, g[i], ids[i])
+							t.Fatalf("%s: flow %d position %d: packet %d, want %d",
+								label, f, i, g[i], ids[i])
 						}
 					}
 				}
 			}
+
+			rng := rand.New(rand.NewSource(7))
+			for trial := 0; trial < 5; trial++ {
+				nFlows := 2 + rng.Intn(40)
+				perFlow := 1 + rng.Intn(30)
+				ps := policyWorkload(t, rng, nFlows, perFlow)
+				check(fmt.Sprintf("trial %d", trial), ps, func(sh *qdisc.PolicySharded) {
+					for _, p := range ps {
+						sh.Enqueue(p, 0)
+					}
+				})
+			}
+
+			const producers, run = 8, 64
+			ps := policyWorkload(t, rng, 256, 40)
+			check("concurrent batched", ps, func(sh *qdisc.PolicySharded) {
+				sets := make([][]*pkt.Packet, producers)
+				for _, p := range ps {
+					sets[p.Flow%producers] = append(sets[p.Flow%producers], p)
+				}
+				var wg sync.WaitGroup
+				for _, set := range sets {
+					wg.Add(1)
+					go func(set []*pkt.Packet) {
+						defer wg.Done()
+						for i := 0; i < len(set); i += run {
+							sh.EnqueueBatch(set[i:min(i+run, len(set))], 0)
+						}
+					}(set)
+				}
+				wg.Wait()
+			})
 		})
 	}
 }

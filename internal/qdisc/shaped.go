@@ -117,8 +117,8 @@ func (o ShapedShardedOptions) schedFactory() func(int) shardq.Scheduler {
 
 // SchedInversionBound returns the analytic worst-case rank-inversion
 // magnitude of the configured scheduler backend, in rank units, for ranks
-// within RankSpan: the bound the approx experiment prints beside each
-// measured magnitude and the property tests assert. Options must already
+// within RankSpan: the bound the property tests hold every measured
+// magnitude to. Options must already
 // carry their defaults (withDefaults is applied).
 func (o ShapedShardedOptions) SchedInversionBound() uint64 {
 	o = o.withDefaults()
@@ -205,8 +205,8 @@ func NewMultiShaped(opt MultiShapedOptions) *Front {
 // is in the future park in a single time-indexed shaper cFFS (TimerNode);
 // once due they migrate into the tree, whose leaf ranks them by the Rank
 // annotation (SchedNode). Wrapped in Locked, this is the kernel-style
-// global-lock deployment the shapedsched experiment measures the shaped
-// front against.
+// global-lock deployment the shaped front's fidelity tests hold to the
+// same contract.
 type ShapedTree struct {
 	tree   *pifo.Tree
 	leaf   *pifo.Class

@@ -105,6 +105,59 @@ func TestShapedShardedNextTimerAfterMigration(t *testing.T) {
 	}
 }
 
+// shapedPackets builds one packet set per producer: distinct flows,
+// release times strided across the horizon so successive packets land in
+// well-separated shaper buckets, and priorities over [0, rankSpan)
+// uncorrelated with the release times, so shaping and scheduling exercise
+// different orders.
+func shapedPackets(producers, perProducer int, rankSpan uint64) [][]*pkt.Packet {
+	const sendPrime, rankPrime = 999983, 1000003
+	sets := make([][]*pkt.Packet, producers)
+	for w := range sets {
+		pool := pkt.NewPool(perProducer) // pools are not shared: one per set
+		sets[w] = make([]*pkt.Packet, perProducer)
+		for i := range sets[w] {
+			p := pool.Get()
+			p.Flow = uint64(w*perProducer + i)
+			p.Size = 1500
+			p.SendAt = (int64(i)*sendPrime + int64(w)) % (horizon - 1)
+			p.Rank = (uint64(i)*rankPrime + uint64(w)*31) % rankSpan
+			sets[w][i] = p
+		}
+	}
+	return sets
+}
+
+// drainRanks pops until pop comes back empty and returns the released
+// ranks in order.
+func drainRanks(pop func(out []*pkt.Packet) int) []uint64 {
+	var ranks []uint64
+	out := make([]*pkt.Packet, 256)
+	for k := pop(out); k > 0; k = pop(out) {
+		for _, p := range out[:k] {
+			ranks = append(ranks, p.Rank)
+		}
+	}
+	return ranks
+}
+
+// inversions scores a fully eligible drain against the exact order, which
+// is then nondecreasing rank, at granularity gran: a rank below the running
+// maximum was overtaken, an inversion of (maximum - rank) units of gran. It
+// returns how many ranks were inverted and the largest magnitude.
+func inversions(ranks []uint64, gran uint64) (n int, worst uint64) {
+	var runMax uint64
+	for i, r := range ranks {
+		if r /= gran; i > 0 && r < runMax {
+			n++
+			worst = max(worst, runMax-r)
+		} else {
+			runMax = r
+		}
+	}
+	return n, worst
+}
+
 // TestShapedShardedPriorityFidelity is the acceptance assertion: 8
 // concurrent producers publish packets with horizon-spread release times
 // and uncorrelated priorities; the post-publication drain must show ZERO
@@ -113,61 +166,73 @@ func TestShapedShardedNextTimerAfterMigration(t *testing.T) {
 // multi-slot ring claims must not cost a single inversion).
 func TestShapedShardedPriorityFidelity(t *testing.T) {
 	opt := ShapedShardedOptions{
-		Shards: 8, ShaperBuckets: 2500, HorizonNs: 2e9,
+		Shards: 8, ShaperBuckets: 2500, HorizonNs: horizon,
 		SchedBuckets: 2048, RankSpan: 1 << 20, RingBits: 10,
 	}
-	for _, batch := range []int{0, 128} {
+	for _, mode := range []string{modePerPacket, modeBatched} {
 		q := mkShapedFront(opt)
-		packets := ShapedPackets(8, 2000, 1<<20)
-		released, inversions := ReplayPriorityFidelityOpts(q, packets, opt.schedGran(),
-			ContentionOptions{ProducerBatch: batch})
-		if released != 16000 {
-			t.Fatalf("batch=%d: released %d of 16000", batch, released)
-		}
-		if inversions != 0 {
-			t.Fatalf("batch=%d: %d priority inversions beyond bucket granularity", batch, inversions)
+		publish(t, q, shapedPackets(8, 2000, 1<<20), mode)
+		ranks := drainRanks(func(out []*pkt.Packet) int { return q.DequeueBatch(horizon, out) })
+		if n, _ := inversions(ranks, opt.schedGran()); len(ranks) != 16000 || n != 0 {
+			t.Fatalf("%s: released %d of 16000, %d priority inversions beyond bucket granularity", mode, len(ranks), n)
 		}
 		if q.Len() != 0 {
-			t.Fatalf("batch=%d: Len = %d after drain", batch, q.Len())
+			t.Fatalf("%s: Len = %d after drain", mode, q.Len())
 		}
-		if st := q.Stats(); batch > 0 && st.BulkClaims == 0 {
+		if st := q.Stats(); mode == modeBatched && st.BulkClaims == 0 {
 			t.Fatal("batched admission performed no bulk claims")
 		}
 	}
 }
 
 // TestShapedTreeFidelity runs the same fidelity check on the Locked tree
-// baseline, so the experiment's two columns verify the same contract.
+// baseline.
 func TestShapedTreeFidelity(t *testing.T) {
 	q := NewLocked(NewShapedTree(ShapedShardedOptions{
-		ShaperBuckets: 2500, HorizonNs: 2e9,
+		ShaperBuckets: 2500, HorizonNs: horizon,
 		SchedBuckets: 2048, RankSpan: 1 << 20,
 	}))
-	packets := ShapedPackets(4, 1000, 1<<20)
-	gran := uint64(1<<20) / (2 * 2048)
-	released, inversions := ReplayPriorityFidelity(q, packets, gran)
-	if released != 4000 {
-		t.Fatalf("released %d of 4000", released)
+	for _, set := range shapedPackets(4, 1000, 1<<20) {
+		for _, p := range set {
+			q.Enqueue(p, 0)
+		}
 	}
-	if inversions != 0 {
-		t.Fatalf("%d priority inversions beyond bucket granularity", inversions)
+	ranks := drainRanks(func(out []*pkt.Packet) int {
+		if out[0] = q.Dequeue(horizon); out[0] != nil {
+			return 1
+		}
+		return 0
+	})
+	if n, _ := inversions(ranks, uint64(1<<20)/(2*2048)); len(ranks) != 4000 || n != 0 {
+		t.Fatalf("released %d of 4000, %d priority inversions beyond bucket granularity", len(ranks), n)
 	}
 }
 
-// TestShapedShardedContention smoke-tests the throughput harness path the
-// shapedsched experiment uses.
-func TestShapedShardedContention(t *testing.T) {
-	q := mkShapedFront(ShapedShardedOptions{
-		Shards: 4, ShaperBuckets: 1000, HorizonNs: 2e9, SchedBuckets: 1024,
-	})
-	res := ReplayContention(q, ShapedPackets(4, 500, 1<<20))
-	if res.Packets != 2000 {
-		t.Fatalf("Packets = %d", res.Packets)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after run", q.Len())
-	}
-	if q.Stats().Migrated == 0 {
-		t.Fatal("no packets migrated shaper→scheduler")
+// TestShapedShardedApproxInversionBound runs 8 producers admitting in
+// batches through the shaped front on each scheduler backend, then drains
+// with everything eligible: nothing is lost, and no packet is overtaken by
+// more than the backend's analytic bound. It asserts the bound, not the
+// count: how many packets an approximate backend inverts depends on how the
+// producers interleave.
+func TestShapedShardedApproxInversionBound(t *testing.T) {
+	const producers, perProducer, rankSpan = 8, 2000, uint64(1) << 20
+	for _, kind := range []SchedBackendKind{SchedVec, SchedGradExact, SchedGrad, SchedRIFO} {
+		t.Run(kind.String(), func(t *testing.T) {
+			opt := ShapedShardedOptions{
+				Shards: 8, ShaperBuckets: 2500, HorizonNs: horizon,
+				SchedBuckets: 256, RankSpan: rankSpan, RingBits: 10, SchedBackend: kind,
+			}
+			q := mkShapedFront(opt)
+			publish(t, q, shapedPackets(producers, perProducer, rankSpan), modeBatched)
+			ranks := drainRanks(func(out []*pkt.Packet) int { return q.DequeueBatch(horizon, out) })
+			if len(ranks) != producers*perProducer || q.Len() != 0 {
+				t.Fatalf("released %d of %d, Len = %d", len(ranks), producers*perProducer, q.Len())
+			}
+			n, worst := inversions(ranks, 1)
+			if bound := opt.SchedInversionBound(); worst > bound {
+				t.Fatalf("worst inversion %d rank units exceeds the analytic bound %d (%d inversions)", worst, bound, n)
+			}
+			t.Logf("%d inversions, worst %d rank units, bound %d", n, worst, opt.SchedInversionBound())
+		})
 	}
 }

@@ -47,28 +47,6 @@ func TestShardedShaping(t *testing.T) {
 	}
 }
 
-// TestRunContention smoke-tests the shared harness on both qdiscs.
-func TestRunContention(t *testing.T) {
-	for _, mk := range []func() Qdisc{
-		func() Qdisc { return NewLocked(NewEiffel(4096, 2e9, 0)) },
-		func() Qdisc {
-			return NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{Shards: 4, Buckets: 4096, HorizonNs: 2e9}})
-		},
-	} {
-		q := mk()
-		res := RunContention(q, 4, 500)
-		if res.Packets != 2000 {
-			t.Fatalf("%s: Packets = %d", q.Name(), res.Packets)
-		}
-		if q.Len() != 0 {
-			t.Fatalf("%s: Len = %d after run", q.Name(), q.Len())
-		}
-		if res.Mpps() <= 0 {
-			t.Fatalf("%s: Mpps = %v", q.Name(), res.Mpps())
-		}
-	}
-}
-
 // TestShardedEnqueueBatchConcurrent hammers batch admission from many
 // goroutines at once on the timer front — each call borrows a pooled
 // staging handle, so concurrent batches must neither lose nor duplicate
@@ -79,7 +57,7 @@ func TestShardedEnqueueBatchConcurrent(t *testing.T) {
 	}})
 	const producers = 8
 	const perProducer = 3000
-	sets := ContentionPackets(producers, perProducer)
+	sets := shapedPackets(producers, perProducer, 1)
 	var wg sync.WaitGroup
 	for w := 0; w < producers; w++ {
 		wg.Add(1)

@@ -12,7 +12,7 @@ import (
 // batch (two atomic adds on the hot path, not three per packet); the
 // per-tenant buckets are bumped per dropped packet on the refusal path,
 // which is off the fast path by construction. The accounting invariant
-// the churn harness asserts — offered == admitted + dropped — holds
+// the churn tests assert — offered == admitted + dropped — holds
 // exactly under drop-tail, because every refused packet is either counted
 // dropped here or handed back to the caller (backpressure), never both.
 type Admission struct {

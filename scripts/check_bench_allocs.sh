@@ -23,10 +23,6 @@
 # regression to one of two places: an //eiffel:allow'd amortized site
 # that stopped amortizing (a scratch buffer re-growing every lap), or a
 # function on the lap that is missing its annotation entirely.
-# After the allocation gate, the bench-trajectory gate regenerates every
-# JSON-emitting experiment in quick mode and diffs the payloads against
-# the committed bench/baseline/ snapshots with cmd/bench-gate: a Mpps
-# collapse beyond tolerance or any whole-allocs/op increase fails the run.
 set -eu
 cd "$(dirname "$0")/.."
 out="$(go test -run '^$' -bench 'BenchmarkHotPath' -benchtime 100x -benchmem .)"
@@ -72,25 +68,3 @@ if [ -n "$failed" ]; then
 	exit 1
 fi
 
-# --- bench-trajectory regression gate -----------------------------------
-# Regenerate quick-mode payloads for every experiment with a committed
-# baseline and diff them. Experiment ids are derived from the baseline
-# filenames so adding a BENCH_<id>.json under bench/baseline/ enrolls the
-# experiment automatically. The baseline is already conservative (per-row
-# worst of 5 runs; scripts/refresh_bench_baseline.sh), but one retry
-# absorbs the rare run where the whole sweep lands on a contended core:
-# a real collapse reproduces on both attempts.
-freshdir="$(mktemp -d)"
-trap 'rm -rf "$freshdir"' EXIT
-for attempt in 1 2; do
-	for f in bench/baseline/BENCH_*.json; do
-		id="$(basename "$f" .json | sed 's/^BENCH_//')"
-		echo "bench-gate: regenerating $id (quick mode, attempt $attempt)"
-		go run ./cmd/eiffel-bench -experiment "$id" -quick -json "$freshdir" >/dev/null
-	done
-	if go run ./cmd/bench-gate -baseline bench/baseline -fresh "$freshdir"; then
-		exit 0
-	fi
-	[ "$attempt" = 1 ] && echo "bench-gate: retrying once to rule out scheduler noise" >&2
-done
-exit 1

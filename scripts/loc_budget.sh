@@ -31,5 +31,5 @@ budget() {
 	fi
 }
 
-budget 7152 internal/shardq internal/qdisc
+budget 6238 internal/shardq internal/qdisc
 budget 2297 internal/ffsq internal/gradq
