@@ -165,17 +165,17 @@ func BenchmarkHotPathShapedEnqueueBatched(b *testing.B) {
 	}
 }
 
-// hotPathShapedBackend is the shared body of the approximate-backend
-// hot-path laps: one publish→drain lap per op through a shaped front
-// whose per-shard scheduler is the given backend kind. After the warming
-// lap grows every bucket/slot backing array, allocs/op must be zero — the
-// approximate backends ride the same //eiffel:hotpath contract as the
-// exact vector store.
-func hotPathShapedBackend(b *testing.B, kind eiffel.SchedBackendKind) {
-	b.Helper()
+// BenchmarkHotPathApproxRIFO holds the fixed-rank-window backend's
+// admission and drain paths to the zero-allocs/op bar (one shift per
+// enqueue, bitmap TZCNT per pop): one publish→drain lap per op through a
+// shaped front whose per-shard scheduler is RIFO. After the warming lap
+// grows every slot backing array, allocs/op must be zero — the approximate
+// backend rides the same //eiffel:hotpath contract as the exact vector
+// store.
+func BenchmarkHotPathApproxRIFO(b *testing.B) {
 	q := eiffel.NewMultiShaped(eiffel.MultiShapedOptions{ShapedShardedOptions: eiffel.ShapedShardedOptions{
 		Shards: 8, HorizonNs: 1 << 20, RankSpan: 1 << 20,
-		SchedBackend: kind,
+		SchedBackend: eiffel.SchedRIFO,
 	}})
 	pool := eiffel.NewPool(hotBurst)
 	ps := make([]*eiffel.Packet, hotBurst)
@@ -206,20 +206,6 @@ func hotPathShapedBackend(b *testing.B, kind eiffel.SchedBackendKind) {
 	if pool.Allocs() != hotBurst {
 		b.Fatalf("packet pool allocated beyond its pre-population: %d", pool.Allocs())
 	}
-}
-
-// BenchmarkHotPathApproxGrad holds the gradient scheduler backend's
-// admission and drain paths to the zero-allocs/op bar (curvature index:
-// Kahan accumulators, estimate + bounded probe on every bucket pop).
-func BenchmarkHotPathApproxGrad(b *testing.B) {
-	hotPathShapedBackend(b, eiffel.SchedGrad)
-}
-
-// BenchmarkHotPathApproxRIFO holds the fixed-rank-window backend's
-// admission and drain paths to the zero-allocs/op bar (one shift per
-// enqueue, bitmap TZCNT per pop).
-func BenchmarkHotPathApproxRIFO(b *testing.B) {
-	hotPathShapedBackend(b, eiffel.SchedRIFO)
 }
 
 func BenchmarkHotPathPolicyBatched(b *testing.B) {

@@ -382,20 +382,16 @@ func NewShapedShardedQueue(opt ShapedShardedQueueOptions) *ShapedShardedQueue {
 	return shardq.NewShaped(opt)
 }
 
-// Approximate scheduler backends: the per-shard Scheduler slot accepts
-// cheaper-than-exact priority indexes that trade bounded rank inversion
-// for indexing cost — the paper's §3.1.2 gradient queue as a drop-in
-// backend, and a RIFO-style fixed-rank-window at the extreme-cheap end.
-// Select one per shaped front via ShapedShardedOptions.SchedBackend, or
-// construct directly for a ShapedShardedQueue's SchedBackend hook. Each
-// backend's worst-case inversion magnitude is analytic (the *Bound
-// functions).
+// Approximate scheduler backend: beside the exact vector store, the
+// per-shard Scheduler slot accepts a RIFO-style fixed-rank window, which
+// trades bounded rank inversion for indexing cost. Select it per shaped
+// front via ShapedShardedOptions.SchedBackend, or construct it directly for
+// a ShapedShardedQueue's SchedBackend hook. Each backend's worst-case
+// inversion magnitude is analytic (the *Bound functions).
 type (
 	// SchedBackendKind selects the shaped front's per-shard scheduler
 	// backend family.
 	SchedBackendKind = qdisc.SchedBackendKind
-	// GradSchedOptions configures a gradient scheduler backend.
-	GradSchedOptions = shardq.GradSchedOptions
 	// Qdisc is the kernel queuing-discipline contract (Enqueue, Dequeue,
 	// NextTimer, Len) that every qdisc, preset and Locked wrapper
 	// implements.
@@ -406,22 +402,13 @@ type (
 const (
 	// SchedVec is the exact vectorized hierarchical-FFS backend (default).
 	SchedVec = qdisc.SchedVec
-	// SchedGrad is the gradient curvature-estimate backend (approximate).
-	SchedGrad = qdisc.SchedGrad
-	// SchedGradExact is the Theorem-1 exact gradient hierarchy.
-	SchedGradExact = qdisc.SchedGradExact
 	// SchedRIFO is the fixed-rank-window backend (approximate).
 	SchedRIFO = qdisc.SchedRIFO
 )
 
 // NewVecSched constructs the exact vectorized Scheduler backend —
-// the default the approximate family is measured against.
+// the default RIFO is measured against.
 func NewVecSched(cfg QueueConfig) Scheduler { return shardq.NewVecSched(cfg) }
-
-// NewGradSched constructs a gradient-indexed Scheduler backend.
-func NewGradSched(cfg QueueConfig, opt GradSchedOptions) Scheduler {
-	return shardq.NewGradSched(cfg, opt)
-}
 
 // NewRIFOSched constructs a fixed-rank-window Scheduler backend with the
 // given number of window slots (0 selects the default, 64).
@@ -432,12 +419,6 @@ func NewRIFOSched(cfg QueueConfig, slots int) Scheduler {
 // VecSchedBound returns NewVecSched's worst-case rank-inversion magnitude
 // over cfg: bucket quantization only.
 func VecSchedBound(cfg QueueConfig) uint64 { return shardq.VecSchedBound(cfg) }
-
-// GradSchedBound returns NewGradSched's analytic worst-case rank-inversion
-// magnitude over cfg.
-func GradSchedBound(cfg QueueConfig, opt GradSchedOptions) uint64 {
-	return shardq.GradSchedBound(cfg, opt)
-}
 
 // RIFOSchedBound returns NewRIFOSched's analytic worst-case rank-inversion
 // magnitude over cfg: one window slot's width minus one.

@@ -70,14 +70,22 @@ func TestFigure16Shape(t *testing.T) {
 }
 
 func TestFigure17Shape(t *testing.T) {
-	res := runQuick(t, "fig17")
 	// Approximate queue throughput should not degrade with higher
-	// occupancy (more occupancy = fewer estimate misses).
-	lo := cell(t, res, 0, 0, 2)
-	hi := cell(t, res, 0, len(res.Tables[0].Rows)-1, 2)
-	if hi < lo*0.5 {
-		t.Fatalf("approx rate fell with occupancy: %.2f -> %.2f", lo, hi)
+	// occupancy (more occupancy = fewer estimate misses). One attempt is a
+	// single timing ratio, which CPU contention from packages testing in
+	// parallel can halve on its own, so the shape fails only when every
+	// attempt breaks it.
+	const attempts = 3
+	for i := 1; i <= attempts; i++ {
+		res := runQuick(t, "fig17")
+		lo := cell(t, res, 0, 0, 2)
+		hi := cell(t, res, 0, len(res.Tables[0].Rows)-1, 2)
+		t.Logf("attempt %d: approx rate %.2f -> %.2f with occupancy", i, lo, hi)
+		if hi >= lo*0.5 {
+			return
+		}
 	}
+	t.Fatalf("approx rate fell below half with occupancy on all %d attempts", attempts)
 }
 
 func TestFigure18ErrorDecreasesWithOccupancy(t *testing.T) {

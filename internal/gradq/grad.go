@@ -6,14 +6,12 @@ import "math"
 // index: the per-bucket improper weights 2^((p+i0)/alpha), the estimator
 // offset u(alpha), and the index origin I0 (§3.1.2). One table can back any
 // number of Grad accumulators over the same bucket count — the circular
-// queue shares one table between its two halves, and a sharded runtime can
-// share one between all of a group's shards.
+// queue shares one table between its two halves.
 type GradWeights struct {
-	pow   []float64 // pow[p] = 2^((p+i0)/alpha)
-	u     float64   // 1/(1 - 2^(1/alpha)), negative
-	i0    int
-	alpha float64
-	n     int
+	pow []float64 // pow[p] = 2^((p+i0)/alpha)
+	u   float64   // 1/(1 - 2^(1/alpha)), negative
+	i0  int
+	n   int
 }
 
 // NewGradWeights builds the weight table for n buckets. A zero alpha
@@ -27,62 +25,20 @@ func NewGradWeights(n int, alpha float64) *GradWeights {
 	o.defaults()
 	i0 := indexOrigin(o.Alpha)
 	return &GradWeights{
-		pow:   weightTable(n, o.Alpha, i0),
-		u:     1 / (1 - math.Pow(2, 1/o.Alpha)),
-		i0:    i0,
-		alpha: o.Alpha,
-		n:     n,
+		pow: weightTable(n, o.Alpha, i0),
+		u:   1 / (1 - math.Pow(2, 1/o.Alpha)),
+		i0:  i0,
+		n:   n,
 	}
-}
-
-// NumBuckets returns the bucket count the table covers.
-func (w *GradWeights) NumBuckets() int { return w.n }
-
-// Alpha returns the resolved weight-decay parameter.
-func (w *GradWeights) Alpha() float64 { return w.alpha }
-
-// Window returns the rigorous containment window of the curvature
-// estimate: with at least one bucket marked, the true maximum marked
-// physical index m always satisfies
-//
-//	est-down <= m <= est+up
-//
-// for the unclamped estimate est (clamping only tightens the side it
-// clamps). Derivation, with r = 2^(-1/alpha) and |u| = r/(1-r):
-//
-//	mean := b/a is a weight-average of (p+i0) over the marked set, so
-//	mean <= m+i0, and mean >= m+i0-D where the drag D is maximised by
-//	dense occupancy below m: D <= sum_{j>=0} j*r^j / r^0 = r/(1-r)^2
-//	= |u|*(1+|u|).
-//
-//	est = floor(mean + |u| + 0.5) - i0, hence
-//	est - m <= floor(|u|+0.5)         (mean at its maximum), and
-//	m - est <= ceil(D - |u| - 0.5) <= ceil(|u|^2)  (mean at its minimum).
-//
-// Both sides carry a +2 pad for floating-point slop: the Kahan-compensated
-// accumulators plus decay-triggered renormalisation keep the coefficients
-// within a few ulps of their true values, far below half a bucket.
-func (w *GradWeights) Window() (down, up int) {
-	abs := -w.u // u is negative
-	down = int(math.Floor(abs+0.5)) + 2
-	up = int(math.Ceil(abs*abs)) + 2
-	if down > w.n-1 {
-		down = w.n - 1
-	}
-	if up > w.n-1 {
-		up = w.n - 1
-	}
-	return down, up
 }
 
 // Grad is the reusable curvature accumulator of the approximate gradient
 // queue: the (a, b) coefficient pair over a marked-bucket set, maintained
 // with Kahan-compensated summation and decay-triggered renormalisation.
-// Approx, CApprox (one per half), and the sharded runtime's gradient
-// scheduler backend all delegate their index maintenance here; the owner
-// keeps the buckets themselves and reports transitions — Mark when a
-// bucket goes empty→non-empty, Unmark for the reverse — and asks Estimate
-// for the (near-)maximal marked physical index.
+// Approx and CApprox (one per half) delegate their index maintenance here;
+// the owner keeps the buckets themselves and reports transitions — Mark
+// when a bucket goes empty→non-empty, Unmark for the reverse — and asks
+// Estimate for the (near-)maximal marked physical index.
 //
 // occupied reports whether bucket p currently holds elements; it is only
 // consulted on the amortized renormalisation slow path.
@@ -91,7 +47,6 @@ type Grad struct {
 	a, b     ksum
 	marked   int
 	peakA    float64
-	renorms  uint64
 	occupied func(p int) bool
 }
 
@@ -103,19 +58,8 @@ func NewGrad(w *GradWeights, occupied func(p int) bool) *Grad {
 	return &Grad{w: w, occupied: occupied}
 }
 
-// Weights returns the shared weight table.
-func (g *Grad) Weights() *GradWeights { return g.w }
-
-// Marked returns the number of marked buckets.
-//
-//eiffel:hotpath
-func (g *Grad) Marked() int { return g.marked }
-
 // Coeffs returns the current curvature coefficient values (a, b).
 func (g *Grad) Coeffs() (a, b float64) { return g.a.value(), g.b.value() }
-
-// Renorms returns how many renormalisations have run.
-func (g *Grad) Renorms() uint64 { return g.renorms }
 
 // Mark records bucket p's empty→non-empty transition.
 //
@@ -155,7 +99,6 @@ func (g *Grad) Unmark(p int) {
 //
 //eiffel:hotpath
 func (g *Grad) renormalize() {
-	g.renorms++
 	g.a.reset()
 	g.b.reset()
 	g.marked = 0
@@ -170,8 +113,7 @@ func (g *Grad) renormalize() {
 }
 
 // Estimate returns the curvature estimate of the maximal marked physical
-// index, clamped into [0, n). At least one bucket must be marked. The true
-// maximum lies within Window() of the returned value.
+// index, clamped into [0, n). At least one bucket must be marked.
 //
 //eiffel:hotpath
 func (g *Grad) Estimate() int {
@@ -192,8 +134,7 @@ func (g *Grad) Estimate() int {
 // exactWidth-child node, maximum located algebraically as ceil(b/a) per
 // level) decoupled from any element store, so it can index external bucket
 // storage the same way ffsq.Hier does — Exact composes it with a
-// bucket.Array, and the sharded runtime's gradient backend composes it
-// with slice buckets for its zero-width (exact) degeneracy.
+// bucket.Array.
 type ExactIndex struct {
 	levels [][]gnode
 }

@@ -40,13 +40,10 @@ type ShapedShardedOptions struct {
 	// Tenants sizes the per-tenant drop buckets (default 1).
 	Tenants int
 	// SchedBackend selects the scheduler-side backend family (default
-	// SchedVec, the exact FFS vector store). The approximate kinds trade
-	// bounded rank inversions for cheaper index maintenance; see
-	// SchedInversionBound for what each kind guarantees.
+	// SchedVec, the exact FFS vector store). SchedRIFO trades bounded rank
+	// inversions for cheaper index maintenance; see SchedInversionBound for
+	// what each kind guarantees.
 	SchedBackend SchedBackendKind
-	// GradAlpha is the gradient backend's weight-decay parameter for
-	// SchedGrad (0 selects the gradq default).
-	GradAlpha float64
 	// RIFOSlots is the fixed window width for SchedRIFO, rounded up to a
 	// power of two (0 selects 64).
 	RIFOSlots int
@@ -62,14 +59,6 @@ const (
 	// SchedVec is the exact FFS-indexed vector-bucket store — the
 	// default: priority order exact to the scheduler bucket width.
 	SchedVec SchedBackendKind = iota
-	// SchedGrad is the approximate gradient backend (shardq.NewGradSched):
-	// curvature-estimate min lookup, inversions bounded by the estimate's
-	// containment window.
-	SchedGrad
-	// SchedGradExact is the gradient backend with gradq's Theorem-1 exact
-	// index (the zero-width degeneracy): vecSched's exact order through
-	// the gradient structure.
-	SchedGradExact
 	// SchedRIFO is the fixed-rank-window backend (shardq.NewRIFOSched):
 	// O(1) enqueue into a small slot window, inversions bounded by one
 	// slot's width.
@@ -78,16 +67,10 @@ const (
 
 // String returns the short name used in experiment tables.
 func (k SchedBackendKind) String() string {
-	switch k {
-	case SchedGrad:
-		return "grad"
-	case SchedGradExact:
-		return "grad-exact"
-	case SchedRIFO:
+	if k == SchedRIFO {
 		return "rifo"
-	default:
-		return "vec"
 	}
+	return "vec"
 }
 
 // schedCfg is the scheduler-side queue geometry the options imply.
@@ -98,21 +81,11 @@ func (o ShapedShardedOptions) schedCfg() queue.Config {
 // schedFactory returns the shardq.SchedBackend factory for the configured
 // kind, or nil for the default vecSched selection.
 func (o ShapedShardedOptions) schedFactory() func(int) shardq.Scheduler {
-	cfg := o.schedCfg()
-	switch o.SchedBackend {
-	case SchedGrad:
-		return func(int) shardq.Scheduler {
-			return shardq.NewGradSched(cfg, shardq.GradSchedOptions{Alpha: o.GradAlpha})
-		}
-	case SchedGradExact:
-		return func(int) shardq.Scheduler {
-			return shardq.NewGradSched(cfg, shardq.GradSchedOptions{Alpha: o.GradAlpha, Exact: true})
-		}
-	case SchedRIFO:
-		return func(int) shardq.Scheduler { return shardq.NewRIFOSched(cfg, o.RIFOSlots) }
-	default:
+	if o.SchedBackend != SchedRIFO {
 		return nil
 	}
+	cfg := o.schedCfg()
+	return func(int) shardq.Scheduler { return shardq.NewRIFOSched(cfg, o.RIFOSlots) }
 }
 
 // SchedInversionBound returns the analytic worst-case rank-inversion
@@ -122,14 +95,10 @@ func (o ShapedShardedOptions) schedFactory() func(int) shardq.Scheduler {
 // carry their defaults (withDefaults is applied).
 func (o ShapedShardedOptions) SchedInversionBound() uint64 {
 	o = o.withDefaults()
-	switch o.SchedBackend {
-	case SchedGrad:
-		return shardq.GradSchedBound(o.schedCfg(), shardq.GradSchedOptions{Alpha: o.GradAlpha})
-	case SchedRIFO:
+	if o.SchedBackend == SchedRIFO {
 		return shardq.RIFOSchedBound(o.schedCfg(), o.RIFOSlots)
-	default:
-		return shardq.VecSchedBound(o.schedCfg())
 	}
+	return shardq.VecSchedBound(o.schedCfg())
 }
 
 // withDefaults fills the queue-geometry defaults shared by the sharded

@@ -2,100 +2,14 @@ package shardq
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"eiffel/internal/bucket"
+	"eiffel/internal/gradq"
 	"eiffel/internal/queue"
 )
-
-// TestGradSchedExactMatchesVecSched is the zero-width-gradient degeneracy
-// property: gradSched in Exact mode (Theorem-1 index over the same slice-
-// bucket store) must reproduce vecSched's pop sequence byte for byte —
-// same counts, same nodes, same order — across random interleaved
-// EnqueueBatch/DequeueBatch sequences, including partial pops, maxRank
-// cutoffs, and edge-clamped ranks.
-func TestGradSchedExactMatchesVecSched(t *testing.T) {
-	geometries := []queue.Config{
-		{NumBuckets: 8, Granularity: 10},
-		{NumBuckets: 64, Granularity: 1},
-		{NumBuckets: 256, Granularity: 2048, Start: 1 << 16},
-	}
-	for gi, cfg := range geometries {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("geo%d/seed%d", gi, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				vec := NewVecSched(cfg)
-				grad := NewGradSched(cfg, GradSchedOptions{Exact: true})
-
-				const n = 1 << 12
-				vnodes := make([]*bucket.Node, n)
-				gnodes := make([]*bucket.Node, n)
-				idx := make(map[*bucket.Node]int, 2*n)
-				for i := range vnodes {
-					vnodes[i], gnodes[i] = &bucket.Node{}, &bucket.Node{}
-					idx[vnodes[i]] = i
-					idx[gnodes[i]] = i
-				}
-				free := make([]int, n)
-				for i := range free {
-					free[i] = i
-				}
-
-				span := 2 * uint64(cfg.NumBuckets) * cfg.Granularity
-				vout := make([]*bucket.Node, 64)
-				gout := make([]*bucket.Node, 64)
-				vb := make([]*bucket.Node, 64)
-				gb := make([]*bucket.Node, 64)
-				ranks := make([]uint64, 64)
-				for op := 0; op < 4000; op++ {
-					if k := rng.Intn(64) + 1; rng.Intn(2) == 0 && k <= len(free) {
-						for j := 0; j < k; j++ {
-							i := free[len(free)-1]
-							free = free[:len(free)-1]
-							// Overshoot the span by half on both sides so edge
-							// clamping is on the tested path.
-							r := uint64(rng.Int63n(int64(2 * span)))
-							if r > span/2 {
-								r -= span / 2
-							}
-							ranks[j] = cfg.Start + r
-							vb[j], gb[j] = vnodes[i], gnodes[i]
-						}
-						vec.EnqueueBatch(vb[:k], ranks[:k])
-						grad.EnqueueBatch(gb[:k], ranks[:k])
-					} else {
-						maxRank := ^uint64(0)
-						if rng.Intn(4) > 0 {
-							maxRank = cfg.Start + uint64(rng.Int63n(int64(span+span/4)))
-						}
-						k := rng.Intn(64) + 1
-						vk := vec.DequeueBatch(maxRank, vout[:k])
-						gk := grad.DequeueBatch(maxRank, gout[:k])
-						if vk != gk {
-							t.Fatalf("op %d: DequeueBatch(max=%d) popped %d vs %d", op, maxRank, vk, gk)
-						}
-						for j := 0; j < vk; j++ {
-							if idx[vout[j]] != idx[gout[j]] {
-								t.Fatalf("op %d pos %d: vec popped node %d, grad-exact popped node %d",
-									op, j, idx[vout[j]], idx[gout[j]])
-							}
-							free = append(free, idx[vout[j]])
-						}
-					}
-					vm, vok := vec.Min()
-					gm, gok := grad.Min()
-					if vok != gok || (vok && vm != gm) {
-						t.Fatalf("op %d: Min = (%d,%v) vs (%d,%v)", op, vm, vok, gm, gok)
-					}
-					if vec.Len() != grad.Len() {
-						t.Fatalf("op %d: Len = %d vs %d", op, vec.Len(), grad.Len())
-					}
-				}
-			})
-		}
-	}
-}
 
 // rankDist is one random rank distribution over a configured span.
 type rankDist struct {
@@ -105,9 +19,8 @@ type rankDist struct {
 
 // rankDists are the distributions the inversion-bound properties sweep:
 // the bound must hold for ANY rank pattern, so the sweep includes the
-// dense/uniform case the estimator is calibrated for, sparse and skewed
-// occupancy where the curvature estimate degrades worst, a shifting
-// cluster (moving-range style), and heavy duplicates.
+// dense/uniform case, sparse and skewed occupancy, a shifting cluster
+// (moving-range style), and heavy duplicates.
 var rankDists = []rankDist{
 	{"uniform", func(rng *rand.Rand, span uint64, _ int) uint64 {
 		return uint64(rng.Int63n(int64(span)))
@@ -170,42 +83,83 @@ func drainInversionMax(t *testing.T, s Scheduler, nodes []*bucket.Node, ranks []
 	return maxMag
 }
 
-// TestGradSchedInversionBound is the analytic-containment property for the
-// approximate gradient backend: across random rank distributions, seeds,
-// geometries, and alphas, the measured inversion magnitude of a full
-// drain never exceeds GradSchedBound — the rigorous window of the
-// curvature estimate (gradq.GradWeights.Window) times the bucket width.
+// TestGradSchedInversionBound is the containment property the sharded
+// gradient backend's inversion bound rested on, kept for the estimator that
+// outlives that backend: gradq's curvature estimate, which Approx and
+// CApprox (and through CApprox, hclock's approximate shards) serve from.
+// Over a shard's bucket geometry (vecGeometry), across rank distributions,
+// seeds, geometries and alphas, every step of a full drain must find the
+// true maximal marked physical bucket m inside the estimate's window
+//
+//	est-down <= m <= est+up,  down = floor(|u|+0.5)+2,  up = ceil(|u|^2)+2
+//
+// with |u| = 1/(2^(1/alpha)-1): the estimate is a weight-average of the
+// marked set shifted by |u|, dragged below m by at most |u|*(1+|u|) under
+// dense occupancy, and the +2 pads cover floating-point slop. The window
+// plus one, times the bucket width, was the backend's rank-inversion bound.
+// The exact configuration checks gradq's Theorem-1 index, which must name m
+// itself.
 func TestGradSchedInversionBound(t *testing.T) {
 	configs := []struct {
-		cfg queue.Config
-		opt GradSchedOptions
+		cfg   queue.Config
+		alpha float64 // 16 is gradq's default at these bucket counts
+		exact bool
 	}{
-		{queue.Config{NumBuckets: 64, Granularity: 8}, GradSchedOptions{}},
-		{queue.Config{NumBuckets: 256, Granularity: 2048}, GradSchedOptions{}},
-		{queue.Config{NumBuckets: 256, Granularity: 2048}, GradSchedOptions{Alpha: 4}},
-		{queue.Config{NumBuckets: 1024, Granularity: 1, Start: 1 << 20}, GradSchedOptions{Alpha: 8}},
-		{queue.Config{NumBuckets: 64, Granularity: 8}, GradSchedOptions{Exact: true}},
+		{queue.Config{NumBuckets: 64, Granularity: 8}, 16, false},
+		{queue.Config{NumBuckets: 256, Granularity: 2048}, 16, false},
+		{queue.Config{NumBuckets: 256, Granularity: 2048}, 4, false},
+		{queue.Config{NumBuckets: 1024, Granularity: 1, Start: 1 << 20}, 8, false},
+		{queue.Config{NumBuckets: 64, Granularity: 8}, 0, true},
 	}
 	for ci, c := range configs {
-		bound := GradSchedBound(c.cfg, c.opt)
-		span := 2 * uint64(c.cfg.NumBuckets) * c.cfg.Granularity
+		nb, gran, _, base := vecGeometry(c.cfg)
+		span := uint64(nb) * gran
+		abs := 1 / (math.Pow(2, 1/c.alpha) - 1)
+		down := min(int(math.Floor(abs+0.5))+2, nb-1)
+		up := min(int(math.Ceil(abs*abs))+2, nb-1)
 		for _, dist := range rankDists {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("cfg%d/%s/seed%d", ci, dist.name, seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
-					s := NewGradSched(c.cfg, c.opt)
-					nodes := make([]*bucket.Node, 1<<11)
-					for i := range nodes {
-						nodes[i] = &bucket.Node{}
+					occ := make([]int, nb) // elements per physical bucket
+					var grad *gradq.Grad
+					var exact *gradq.ExactIndex
+					if c.exact {
+						exact = gradq.NewExactIndex(nb)
+					} else {
+						grad = gradq.NewGrad(gradq.NewGradWeights(nb, c.alpha), func(p int) bool { return occ[p] > 0 })
 					}
-					ranks := make([]uint64, len(nodes))
-					out := make([]*bucket.Node, 128)
 					for round := 0; round < 8; round++ {
-						for i := range ranks {
-							ranks[i] = c.cfg.Start + dist.gen(rng, span, round)
+						for i := 0; i < 1<<11; i++ {
+							r := c.cfg.Start + dist.gen(rng, span, round)
+							p := nb - 1 - int(r/gran-base)
+							if occ[p]++; occ[p] == 1 {
+								if exact != nil {
+									exact.Set(p)
+								} else {
+									grad.Mark(p)
+								}
+							}
 						}
-						if got := drainInversionMax(t, s, nodes, ranks, out); got > bound {
-							t.Fatalf("round %d: inversion magnitude %d exceeds analytic bound %d", round, got, bound)
+						// Drain in exact order: the true maximum is the
+						// highest physical bucket still occupied.
+						for m := nb - 1; m >= 0; m-- {
+							if occ[m] == 0 {
+								continue
+							}
+							occ[m] = 0 // before Unmark: renormalisation rescans occupancy
+							if exact != nil {
+								if got := exact.Max(); got != m {
+									t.Fatalf("round %d: Theorem-1 index names bucket %d, true max %d", round, got, m)
+								}
+								exact.Clear(m)
+							} else {
+								if est := grad.Estimate(); m < est-down || m > est+up {
+									t.Fatalf("round %d: true max bucket %d outside estimate %d's window [-%d, +%d]",
+										round, m, est, down, up)
+								}
+								grad.Unmark(m)
+							}
 						}
 					}
 				})
@@ -258,14 +212,14 @@ func TestRIFOSchedInversionBound(t *testing.T) {
 
 // TestApproxSchedProgressRule pins the contract mergeRuns depends on: a
 // DequeueBatch that returns 0 must leave the backend empty or with Min
-// above the maxRank it was called with — for both approximate backends,
-// whose Min is quantized and shares DequeueBatch's selection.
+// above the maxRank it was called with — for the exact vector store and
+// the approximate RIFO window, whose Min is quantized and shares
+// DequeueBatch's selection.
 func TestApproxSchedProgressRule(t *testing.T) {
 	cfg := queue.Config{NumBuckets: 256, Granularity: 2048}
 	backends := map[string]Scheduler{
-		"grad":       NewGradSched(cfg, GradSchedOptions{}),
-		"grad-exact": NewGradSched(cfg, GradSchedOptions{Exact: true}),
-		"rifo":       NewRIFOSched(cfg, 64),
+		"vec":  NewVecSched(cfg),
+		"rifo": NewRIFOSched(cfg, 64),
 	}
 	span := 2 * uint64(cfg.NumBuckets) * cfg.Granularity
 	for name, s := range backends {

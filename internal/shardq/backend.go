@@ -1,9 +1,6 @@
 package shardq
 
-import (
-	"eiffel/internal/bucket"
-	"eiffel/internal/queue"
-)
+import "eiffel/internal/bucket"
 
 // Scheduler is the per-shard queue backend contract: everything the
 // runtime's drain and merge machinery needs from the structure behind a
@@ -43,20 +40,6 @@ type Scheduler interface {
 	Min() (uint64, bool)
 	// Len returns the number of queued elements.
 	Len() int
-}
-
-// batchPopper is the optional queue.PQ fast path the adapter sniffs for:
-// pop a whole run of elements at or below a rank bound in one call
-// (ffsq.CFFS implements it).
-type batchPopper interface {
-	DequeueBatch(maxRank uint64, out []*bucket.Node) int
-}
-
-// batchPusher is the enqueue-side twin: insert a whole run of elements in
-// one call, so locked flushes move ring→queue without a per-element
-// interface dispatch.
-type batchPusher interface {
-	EnqueueBatch(ns []*bucket.Node, ranks []uint64)
 }
 
 // AuxScheduler is the optional two-key backend extension: the publication
@@ -103,55 +86,3 @@ type ClockedScheduler interface {
 	// NextEvent returns the earliest pending eligibility time.
 	NextEvent() (int64, bool)
 }
-
-// pqSched adapts a queue.PQ to the Scheduler contract, using the PQ's
-// batch fast paths when it has them and per-element loops otherwise.
-type pqSched struct {
-	q   queue.PQ
-	bp  batchPopper
-	bpu batchPusher
-}
-
-// wrapPQ returns q itself when it already satisfies Scheduler (cFFS,
-// vecSched), else a pqSched adapter.
-func wrapPQ(q queue.PQ) Scheduler {
-	if s, ok := q.(Scheduler); ok {
-		return s
-	}
-	s := &pqSched{q: q}
-	s.bp, _ = q.(batchPopper)
-	s.bpu, _ = q.(batchPusher)
-	return s
-}
-
-func (s *pqSched) Enqueue(n *bucket.Node, rank uint64) { s.q.Enqueue(n, rank) }
-
-func (s *pqSched) EnqueueBatch(ns []*bucket.Node, ranks []uint64) {
-	if s.bpu != nil {
-		s.bpu.EnqueueBatch(ns, ranks)
-		return
-	}
-	for i, n := range ns {
-		s.q.Enqueue(n, ranks[i])
-	}
-}
-
-func (s *pqSched) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
-	if s.bp != nil {
-		return s.bp.DequeueBatch(maxRank, out)
-	}
-	popped := 0
-	for popped < len(out) {
-		r, ok := s.q.PeekMin()
-		if !ok || r > maxRank {
-			break
-		}
-		out[popped] = s.q.DequeueMin()
-		popped++
-	}
-	return popped
-}
-
-func (s *pqSched) Min() (uint64, bool) { return s.q.PeekMin() }
-
-func (s *pqSched) Len() int { return s.q.Len() }

@@ -14,7 +14,9 @@ type Options struct {
 	// (default 10, i.e. 1024).
 	RingBits uint
 	// Kind selects the per-shard queue backend (default KindCFFS — the
-	// Eiffel configuration).
+	// Eiffel configuration). The kind's queue must itself be a Scheduler,
+	// as cFFS is; New panics on one that is not, and any other structure
+	// comes in through Backend.
 	Kind queue.Kind
 	// Queue sizes each shard's backend; see queue.Config.
 	Queue queue.Config
@@ -67,7 +69,13 @@ func NewTimer(opt Options) *Q { return newQ(opt, true) }
 func newQ(opt Options, timer bool) *Q {
 	sched := opt.Backend
 	if sched == nil {
-		sched = func(int) Scheduler { return wrapPQ(queue.New(opt.Kind, opt.Queue)) }
+		sched = func(int) Scheduler {
+			s, ok := queue.New(opt.Kind, opt.Queue).(Scheduler)
+			if !ok {
+				panic("shardq: Options.Kind's queue is not a Scheduler; supply the backend through Options.Backend")
+			}
+			return s
+		}
 	}
 	return &Q{newCore(config{
 		shards: opt.NumShards, groups: opt.NumGroups, ringBits: opt.RingBits,

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,19 @@ func TestShardRounding(t *testing.T) {
 	if got := New(Options{NumShards: 4}).NumShards(); got != 4 {
 		t.Fatalf("NumShards(4) = %d, want 4", got)
 	}
+}
+
+// TestNewRejectsNonSchedulerKind: a queue kind that is not itself a
+// Scheduler is refused when the runtime is built, and the message points
+// at the hook that takes any other structure.
+func TestNewRejectsNonSchedulerKind(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Options.Backend") {
+			t.Fatalf("New with KindBinaryHeap: recovered %q, want a panic naming Options.Backend", msg)
+		}
+	}()
+	New(Options{NumShards: 2, Kind: queue.KindBinaryHeap, Queue: queue.Config{NumBuckets: 64, Granularity: 1}})
 }
 
 func TestShardForSpreads(t *testing.T) {

@@ -1,6 +1,8 @@
 package shardq
 
 import (
+	"math/bits"
+
 	"eiffel/internal/bucket"
 	"eiffel/internal/ffsq"
 	"eiffel/internal/queue"
@@ -66,6 +68,26 @@ func NewVecSched(cfg queue.Config) Scheduler { return newVecSched(cfg) }
 func VecSchedBound(cfg queue.Config) uint64 {
 	_, gran, _, _ := vecGeometry(cfg)
 	return gran - 1
+}
+
+// vecGeometry resolves a queue.Config into the fixed-range store geometry
+// shared by vecSched and rifoSched: bucket count (2*NumBuckets, the cFFS
+// half convention), granularity, its shift when a power of two, and the
+// base bucket number.
+func vecGeometry(cfg queue.Config) (nb int, gran uint64, granShift int8, base uint64) {
+	nb = 2 * cfg.NumBuckets
+	if nb <= 0 {
+		nb = 1 << 12
+	}
+	gran = cfg.Granularity
+	if gran == 0 {
+		gran = 1
+	}
+	granShift = int8(-1)
+	if gran&(gran-1) == 0 {
+		granShift = int8(bits.TrailingZeros64(gran))
+	}
+	return nb, gran, granShift, cfg.Start / gran
 }
 
 func (v *vecSched) Len() int { return v.count }

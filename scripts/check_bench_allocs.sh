@@ -11,8 +11,8 @@
 # refills only on the warming lap),
 # plus the fault-free lap of the resilient egress wrapper
 # (BenchmarkHotPathEgressTx): retry machinery on the path, never firing,
-# the approximate scheduler backends behind the sharded runtime
-# (BenchmarkHotPathApproxGrad / BenchmarkHotPathApproxRIFO), and the
+# the approximate RIFO scheduler backend behind the sharded runtime
+# (BenchmarkHotPathApproxRIFO), and the
 # sharded hierarchical-QoS backend's three-tag charge cycle
 # (BenchmarkHotPathHierSched).
 #
@@ -46,8 +46,8 @@ if [ -n "$failed" ]; then
 		case "$bench" in
 		BenchmarkHotPathShapedEnqueueBatched)
 			pkgs="internal/qdisc internal/pkt internal/shardq internal/bucket internal/ffsq" ;;
-		BenchmarkHotPathApproxGrad | BenchmarkHotPathApproxRIFO)
-			pkgs="internal/shardq internal/gradq internal/bucket internal/ffsq" ;;
+		BenchmarkHotPathApproxRIFO)
+			pkgs="internal/shardq internal/bucket internal/ffsq" ;;
 		BenchmarkHotPathEnqueue* | BenchmarkHotPathGroupDrain)
 			pkgs="internal/shardq internal/bucket internal/ffsq" ;;
 		BenchmarkHotPathPolicyBatched | BenchmarkHotPathChurnAdmit)

@@ -31,5 +31,5 @@ budget() {
 	fi
 }
 
-budget 6238 internal/shardq internal/qdisc
-budget 2297 internal/ffsq internal/gradq
+budget 5875 internal/shardq internal/qdisc
+budget 2238 internal/ffsq internal/gradq
