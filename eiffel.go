@@ -270,24 +270,24 @@ func NewMultiShaped(opt MultiShapedOptions) *Front {
 	return qdisc.NewMultiShaped(opt)
 }
 
-// Programmable policies on the sharded runtime: every shard of a
-// ShardedQueue can own any Scheduler backend (Options.Backend), and
-// PolicySharded uses that hook to run a compiled extended-PIFO program —
-// pFabric, LQF, hierarchical WFQ, anything the Compile grammar expresses —
-// shard-confined behind the lock-free multi-producer admission path.
+// Per-flow ranking on the sharded runtime: every shard of a ShardedQueue
+// can own any Scheduler backend (Options.Backend), and PolicySharded uses
+// that hook to run one compiled flow leaf per shard — pFabric, LQF, SQF or
+// flow FIFO — behind the lock-free multi-producer admission path.
 // Flow-hash sharding keeps each flow's backlog on one shard, so per-flow
 // ranking and on-dequeue transactions stay exact (flow-local dequeue order
 // is identical to one global locked Tree), while cross-shard order merges
-// approximately by each shard's head rank.
+// approximately by each shard's head rank. Class hierarchies run sharded on
+// HierSharded; any other program runs single-threaded on PolicyTree.
 type (
 	// Scheduler is the per-shard queue backend contract of the sharded
 	// runtime (EnqueueBatch/DequeueBatch/Min).
 	Scheduler = shardq.Scheduler
-	// PolicySharded runs a compiled policy program on the sharded runtime.
+	// PolicySharded runs a compiled flow-leaf program on the sharded runtime.
 	PolicySharded = qdisc.PolicySharded
 	// PolicyShardedOptions configures a PolicySharded qdisc.
 	PolicyShardedOptions = qdisc.PolicyShardedOptions
-	// PolicyTree is the single-tree baseline for the same program.
+	// PolicyTree runs any compiled program as one single-threaded tree.
 	PolicyTree = qdisc.PolicyTree
 )
 
@@ -299,18 +299,19 @@ const (
 	PolicySpecPFabric = qdisc.PolicySpecPFabric
 	// PolicySpecLQF is Longest Queue First.
 	PolicySpecLQF = qdisc.PolicySpecLQF
-	// PolicySpecHWFQ is a two-class 3:1 weighted hierarchy.
+	// PolicySpecHWFQ is a two-class 3:1 weighted hierarchy, for NewPolicyTree.
 	PolicySpecHWFQ = qdisc.PolicySpecHWFQ
 )
 
-// NewPolicySharded compiles a policy program (one private Tree per shard)
-// onto the sharded multi-producer runtime.
+// NewPolicySharded compiles a program of one packet-free flow leaf under
+// the root (one private leaf per shard) onto the sharded multi-producer
+// runtime, and refuses any other program.
 func NewPolicySharded(opt PolicyShardedOptions) (*PolicySharded, error) {
 	return qdisc.NewPolicySharded(opt)
 }
 
-// NewPolicyTree compiles the same program into a single-tree qdisc — the
-// locked baseline PolicySharded is measured against.
+// NewPolicyTree compiles any program, hierarchies included, into a
+// single-tree qdisc — the locked baseline PolicySharded is measured against.
 func NewPolicyTree(spec, leaf string) (*PolicyTree, error) {
 	return qdisc.NewPolicyTree(spec, leaf)
 }

@@ -43,15 +43,17 @@ import (
 // depend only on flow state and the packet's rank annotation, so the
 // scheduler core never dereferences a packet. The paper's flow policies
 // are all of this form — pFabric reads p.Rank, LQF/SQF read f.Len, FIFO
-// reads neither — and implement both interfaces with identical math.
+// reads neither — and implement both interfaces with identical math. None
+// of them reads the clock either, so the packet-free form takes none: a
+// backend that drives a leaf directly needs no consumer clock.
 type RankFlowPolicy interface {
 	// OnEnqueueRank is OnEnqueue with the arriving packet's rank
 	// annotation in place of the packet.
-	OnEnqueueRank(f *Flow, rank uint64, now int64) uint64
+	OnEnqueueRank(f *Flow, rank uint64) uint64
 	// OnDequeueRank is OnDequeue after the head packet (whose annotation
 	// was rank) left the flow; frontRank is the new head's annotation,
 	// valid only when f.Len() > 0.
-	OnDequeueRank(f *Flow, rank, frontRank uint64, now int64) uint64
+	OnDequeueRank(f *Flow, rank, frontRank uint64) uint64
 }
 
 // DirectRanked reports whether this class supports direct ranked service:
@@ -287,14 +289,14 @@ func (d *directState) grow() {
 // must hold.
 //
 //eiffel:hotpath
-func (c *Class) DirectEnqueue(p *pkt.Packet, flow, rank uint64, now int64) {
+func (c *Class) DirectEnqueue(p *pkt.Packet, flow, rank uint64) {
 	d := c.direct()
 	f := d.flow(flow)
 	f.pushRanked(p, rank)
 	if f.n == 1 {
 		d.live++
 	}
-	r := d.pol.OnEnqueueRank(f, rank, now)
+	r := d.pol.OnEnqueueRank(f, rank)
 	if f.Node.Queued() {
 		if r/d.gran != f.Node.Rank()/d.gran {
 			// Re-rank moves the flow to another bucket. Same-bucket
@@ -316,7 +318,7 @@ func (c *Class) DirectEnqueue(p *pkt.Packet, flow, rank uint64, now int64) {
 // touched at all.
 //
 //eiffel:hotpath
-func (c *Class) DirectDequeue(now int64) *pkt.Packet {
+func (c *Class) DirectDequeue() *pkt.Packet {
 	d := c.direct()
 	n := d.pq.FrontMin()
 	if n == nil {
@@ -328,7 +330,7 @@ func (c *Class) DirectDequeue(now int64) *pkt.Packet {
 	if f.n > 0 {
 		front = f.frontRank()
 	}
-	r := d.pol.OnDequeueRank(f, rank, front, now)
+	r := d.pol.OnDequeueRank(f, rank, front)
 	if f.n == 0 {
 		d.pq.Remove(&f.Node) // flow object retained until evicted; see the file comment
 		d.live--

@@ -178,10 +178,10 @@ func (l LQF) OnEnqueue(f *pifo.Flow, _ *pkt.Packet, _ int64) uint64 { return l.r
 func (l LQF) OnDequeue(f *pifo.Flow, _ *pkt.Packet, _ int64) uint64 { return l.rank(f) }
 
 // OnEnqueueRank implements pifo.RankFlowPolicy (LQF reads only f.Len).
-func (l LQF) OnEnqueueRank(f *pifo.Flow, _ uint64, _ int64) uint64 { return l.rank(f) }
+func (l LQF) OnEnqueueRank(f *pifo.Flow, _ uint64) uint64 { return l.rank(f) }
 
 // OnDequeueRank implements pifo.RankFlowPolicy.
-func (l LQF) OnDequeueRank(f *pifo.Flow, _, _ uint64, _ int64) uint64 { return l.rank(f) }
+func (l LQF) OnDequeueRank(f *pifo.Flow, _, _ uint64) uint64 { return l.rank(f) }
 
 // SQF is Shortest Queue First (the dual of LQF), useful in tests.
 type SQF struct{}
@@ -193,10 +193,10 @@ func (SQF) OnEnqueue(f *pifo.Flow, _ *pkt.Packet, _ int64) uint64 { return uint6
 func (SQF) OnDequeue(f *pifo.Flow, _ *pkt.Packet, _ int64) uint64 { return uint64(f.Len()) }
 
 // OnEnqueueRank implements pifo.RankFlowPolicy.
-func (SQF) OnEnqueueRank(f *pifo.Flow, _ uint64, _ int64) uint64 { return uint64(f.Len()) }
+func (SQF) OnEnqueueRank(f *pifo.Flow, _ uint64) uint64 { return uint64(f.Len()) }
 
 // OnDequeueRank implements pifo.RankFlowPolicy.
-func (SQF) OnDequeueRank(f *pifo.Flow, _, _ uint64, _ int64) uint64 { return uint64(f.Len()) }
+func (SQF) OnDequeueRank(f *pifo.Flow, _, _ uint64) uint64 { return uint64(f.Len()) }
 
 // PFabric implements the pFabric host/switch queue discipline exactly as
 // Figure 14 expresses it in the extended PIFO model:
@@ -237,7 +237,7 @@ func (PFabric) OnDequeue(f *pifo.Flow, p *pkt.Packet, _ int64) uint64 {
 // OnEnqueueRank implements pifo.RankFlowPolicy — the same transaction as
 // OnEnqueue with the rank annotation passed in, so the scheduler core
 // never loads the packet.
-func (PFabric) OnEnqueueRank(f *pifo.Flow, rank uint64, _ int64) uint64 {
+func (PFabric) OnEnqueueRank(f *pifo.Flow, rank uint64) uint64 {
 	if f.Len() == 1 {
 		f.Rank = rank
 		return f.Rank
@@ -249,7 +249,7 @@ func (PFabric) OnEnqueueRank(f *pifo.Flow, rank uint64, _ int64) uint64 {
 }
 
 // OnDequeueRank implements pifo.RankFlowPolicy.
-func (PFabric) OnDequeueRank(f *pifo.Flow, rank, frontRank uint64, _ int64) uint64 {
+func (PFabric) OnDequeueRank(f *pifo.Flow, rank, frontRank uint64) uint64 {
 	if f.Len() > 0 {
 		r := rank
 		if frontRank < r {
@@ -278,7 +278,7 @@ func (ff *FlowFIFO) OnEnqueue(f *pifo.Flow, _ *pkt.Packet, _ int64) uint64 {
 func (*FlowFIFO) OnDequeue(f *pifo.Flow, _ *pkt.Packet, _ int64) uint64 { return f.U0 }
 
 // OnEnqueueRank implements pifo.RankFlowPolicy.
-func (ff *FlowFIFO) OnEnqueueRank(f *pifo.Flow, _ uint64, _ int64) uint64 {
+func (ff *FlowFIFO) OnEnqueueRank(f *pifo.Flow, _ uint64) uint64 {
 	if f.Len() == 1 {
 		ff.seq++
 		f.U0 = ff.seq
@@ -287,4 +287,4 @@ func (ff *FlowFIFO) OnEnqueueRank(f *pifo.Flow, _ uint64, _ int64) uint64 {
 }
 
 // OnDequeueRank implements pifo.RankFlowPolicy.
-func (*FlowFIFO) OnDequeueRank(f *pifo.Flow, _, _ uint64, _ int64) uint64 { return f.U0 }
+func (*FlowFIFO) OnDequeueRank(f *pifo.Flow, _, _ uint64) uint64 { return f.U0 }

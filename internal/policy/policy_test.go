@@ -1,6 +1,7 @@
 package policy_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"eiffel/internal/pifo"
@@ -194,5 +195,100 @@ func TestWFQZeroWeightDefaultsSafely(t *testing.T) {
 	tr.Enqueue(leaf, mk(pool, 1, 1500), 0)
 	if p := tr.Dequeue(0); p == nil {
 		t.Fatal("packet lost")
+	}
+}
+
+// twinPolicy runs every transaction the tree asks of a flow in both forms
+// from the same flow state: the FlowPolicy form at an arbitrary clock,
+// then, with the flow's registers put back, the RankFlowPolicy form on the
+// rank annotations alone. The two must return the same rank and leave the
+// same registers; the FlowPolicy form's answer is the one the tree keeps.
+type twinPolicy struct {
+	t     *testing.T
+	rng   *rand.Rand
+	pol   pifo.FlowPolicy
+	rpol  pifo.RankFlowPolicy
+	calls int
+}
+
+type flowRegs struct{ rank, u0, u1 uint64 }
+
+func regsOf(f *pifo.Flow) flowRegs     { return flowRegs{f.Rank, f.U0, f.U1} }
+func setRegs(f *pifo.Flow, r flowRegs) { f.Rank, f.U0, f.U1 = r.rank, r.u0, r.u1 }
+
+func (w *twinPolicy) check(op string, f *pifo.Flow, want, got uint64, wantRegs flowRegs) {
+	w.t.Helper()
+	w.calls++
+	if got != want || regsOf(f) != wantRegs {
+		w.t.Fatalf("%s #%d (len %d): rank form %d %+v, flow form %d %+v",
+			op, w.calls, f.Len(), got, regsOf(f), want, wantRegs)
+	}
+}
+
+func (w *twinPolicy) OnEnqueue(f *pifo.Flow, p *pkt.Packet, _ int64) uint64 {
+	in := regsOf(f)
+	want := w.pol.OnEnqueue(f, p, w.rng.Int63())
+	out := regsOf(f)
+	setRegs(f, in)
+	w.check("enqueue", f, want, w.rpol.OnEnqueueRank(f, p.Rank), out)
+	return want
+}
+
+func (w *twinPolicy) OnDequeue(f *pifo.Flow, p *pkt.Packet, _ int64) uint64 {
+	var front uint64
+	if f.Len() > 0 {
+		front = f.Front().Rank
+	}
+	in := regsOf(f)
+	want := w.pol.OnDequeue(f, p, w.rng.Int63())
+	out := regsOf(f)
+	setRegs(f, in)
+	w.check("dequeue", f, want, w.rpol.OnDequeueRank(f, p.Rank, front), out)
+	return want
+}
+
+// TestRankFlowPolicyMatchesFlowPolicy is why the packet-free form may drop
+// the clock: on random enqueue/dequeue runs of one flow, every packet-free
+// policy's RankFlowPolicy transactions return exactly what its FlowPolicy
+// transactions return at any clock.
+func TestRankFlowPolicyMatchesFlowPolicy(t *testing.T) {
+	cases := []struct {
+		name string
+		mk   func() pifo.FlowPolicy
+	}{
+		{"pfabric", func() pifo.FlowPolicy { return policy.PFabric{} }},
+		{"lqf", func() pifo.FlowPolicy { return policy.LQF{MaxLen: 16} }},
+		{"sqf", func() pifo.FlowPolicy { return policy.SQF{} }},
+		{"flow-fifo", func() pifo.FlowPolicy { return &policy.FlowFIFO{} }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			// Two instances kept in lockstep: FlowFIFO carries state of
+			// its own, and each form must see only its own calls.
+			w := &twinPolicy{t: t, rng: rng, pol: c.mk(), rpol: c.mk().(pifo.RankFlowPolicy)}
+			tr := tree(policy.WFQ{})
+			leaf := tr.NewFlowLeaf(nil, w, pifo.ClassOptions{Name: c.name, Queue: smallQ()})
+			pool := pkt.NewPool(64)
+			queued := 0
+			for i := 0; i < 4000; i++ {
+				if queued < 64 && (queued == 0 || rng.Intn(2) == 0) {
+					p := mk(pool, 1, 100)
+					p.Rank = uint64(rng.Intn(10000))
+					tr.Enqueue(leaf, p, rng.Int63())
+					queued++
+					continue
+				}
+				p := tr.Dequeue(rng.Int63())
+				if p == nil {
+					t.Fatalf("op %d: dequeue of a backlogged flow returned nil", i)
+				}
+				pool.Put(p)
+				queued--
+			}
+			if w.calls < 4000 {
+				t.Fatalf("only %d transactions ran", w.calls)
+			}
+		})
 	}
 }

@@ -38,11 +38,10 @@ import (
 type pubRule uint8
 
 const (
-	pubTimer        pubRule = iota // TimerNode, SendAt, 0 — per-shard timer queue
-	pubShaped                      // TimerNode, SendAt, Rank — shaper stage, then scheduler
-	pubPolicyDirect                // SchedNode, Rank, Flow — packet-free direct policy leaf
-	pubPolicyTree                  // SchedNode, now, 0 — policy tree; k1 feeds its transactions
-	pubHier                        // SchedNode, Rank, tenant(Class)|Size<<32 — hClock engine (shardq.HierAux)
+	pubTimer  pubRule = iota // TimerNode, SendAt, 0 — per-shard timer queue
+	pubShaped                // TimerNode, SendAt, Rank — shaper stage, then scheduler
+	pubPolicy                // SchedNode, Rank, Flow — packet-free flow leaf
+	pubHier                  // SchedNode, Rank, tenant(Class)|Size<<32 — hClock engine (shardq.HierAux)
 )
 
 // drainChunk sizes the node→packet conversion scratch: GroupDequeueBatch
@@ -76,10 +75,10 @@ type Front struct {
 	pub  pubRule
 
 	// clocked lists shard i's backend when eligibility depends on the
-	// consumer clock (policy trees with shaper gates, hClock engines);
-	// nil otherwise. The front pushes each group worker's clock into that
-	// group's backends before every drain and peeks their next event when
-	// a backlogged group has nothing servable.
+	// consumer clock (hClock engines); nil otherwise. The front pushes
+	// each group worker's clock into that group's backends before every
+	// drain and peeks their next event when a backlogged group has
+	// nothing servable.
 	clocked []shardq.ClockedScheduler
 
 	groups []frontGroup
@@ -173,16 +172,14 @@ func (f *Front) GroupLen(g int) int { return f.rt.GroupLen(g) }
 // consumer loads no packet memory to enqueue — nor, under pubHier, to drain.
 //
 //eiffel:hotpath
-func (f *Front) key(p *pkt.Packet, now int64) (n *shardq.Node, k1, k2 uint64) {
+func (f *Front) key(p *pkt.Packet) (n *shardq.Node, k1, k2 uint64) {
 	switch f.pub {
 	case pubTimer:
 		return &p.TimerNode, uint64(p.SendAt), 0
 	case pubShaped:
 		return &p.TimerNode, uint64(p.SendAt), p.Rank
-	case pubPolicyDirect:
+	case pubPolicy:
 		return &p.SchedNode, p.Rank, p.Flow
-	case pubPolicyTree:
-		return &p.SchedNode, uint64(now), 0
 	default: // pubHier
 		return &p.SchedNode, p.Rank, shardq.HierAux(uint32(p.Class), p.Size)
 	}
@@ -198,7 +195,7 @@ func (f *Front) key(p *pkt.Packet, now int64) (n *shardq.Node, k1, k2 uint64) {
 //eiffel:hotpath
 func (f *Front) Enqueue(p *pkt.Packet, now int64) {
 	flow := p.Flow // read before publishing: a published packet is the consumer's
-	n, k1, k2 := f.key(p, now)
+	n, k1, k2 := f.key(p)
 	f.rt.Enqueue(flow, n, k1, k2)
 	f.admit(1)
 	f.ring(f.rt.ShardFor(flow) >> f.bellShift)
@@ -211,7 +208,7 @@ func (f *Front) Enqueue(p *pkt.Packet, now int64) {
 //eiffel:hotpath
 func (f *Front) TryEnqueue(p *pkt.Packet, now int64) bool {
 	flow := p.Flow
-	n, k1, k2 := f.key(p, now)
+	n, k1, k2 := f.key(p)
 	if !f.rt.TryEnqueue(flow, n, k1, k2) {
 		return false
 	}
@@ -223,10 +220,10 @@ func (f *Front) TryEnqueue(p *pkt.Packet, now int64) bool {
 // stage stages ps on a pooled producer under the publication rule.
 //
 //eiffel:hotpath
-func (f *Front) stage(ps []*pkt.Packet, now int64) *shardq.Producer {
+func (f *Front) stage(ps []*pkt.Packet) *shardq.Producer {
 	b := f.prodPool.Get().(*shardq.Producer)
 	for _, p := range ps {
-		n, k1, k2 := f.key(p, now)
+		n, k1, k2 := f.key(p)
 		b.Enqueue(p.Flow, n, k1, k2)
 	}
 	return b
@@ -242,7 +239,7 @@ func (f *Front) stage(ps []*pkt.Packet, now int64) *shardq.Producer {
 //
 //eiffel:hotpath
 func (f *Front) EnqueueBatch(ps []*pkt.Packet, now int64) {
-	b := f.stage(ps, now)
+	b := f.stage(ps)
 	// FlushAdmit instead of Flush for the admitted count alone: with no
 	// bound and the front open nothing is ever refused, and a post-Close
 	// misuse at least keeps the conservation identity honest.
@@ -256,7 +253,7 @@ func (f *Front) EnqueueBatch(ps []*pkt.Packet, now int64) {
 //
 //eiffel:hotpath
 func (f *Front) EnqueueBatchAdmit(ps []*pkt.Packet, now int64, rej []*pkt.Packet) (int, []*pkt.Packet) {
-	b := f.stage(ps, now)
+	b := f.stage(ps)
 	res := b.FlushAdmit()
 	// Refused nodes are the handle the rule PUBLISHED, not the one a drain
 	// returns.
@@ -272,8 +269,8 @@ func (f *Front) EnqueueBatchAdmit(ps []*pkt.Packet, now int64, rej []*pkt.Packet
 }
 
 // advanceGroupClock propagates group g's worker clock into that group's
-// clocked backends so dequeue-side eligibility (shaper gates inside a
-// policy program, hClock limit and reservation clocks) sees it. A backend
+// clocked backends so dequeue-side eligibility (hClock limit and
+// reservation clocks) sees it. A backend
 // whose answer to Min the advance invalidated — it had stalled with
 // backlog parked behind a gate, or a reservation came due — says so, and
 // the group's cached merge heads are re-peeked. The backends' clocks are

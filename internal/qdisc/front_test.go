@@ -107,7 +107,6 @@ var frontCases = []frontCase{
 	},
 	mkPolicyCase("policy-pfabric", PolicySpecPFabric),
 	mkPolicyCase("policy-lqf", PolicySpecLQF),
-	mkPolicyCase("policy-hwfq", PolicySpecHWFQ),
 	mkPolicyCase("policy-fifo", `
 root ranker=strict
 leaf ff parent=root kind=flow policy=fifo buckets=4096 gran=64
@@ -127,6 +126,22 @@ leaf ff parent=root kind=flow policy=fifo buckets=4096 gran=64
 			p.Class = int32(p.Flow % 4) // tenant 3 orders by rank: constant per flow
 			p.Rank = (p.Flow * 7919) % (1 << 16)
 		},
+	},
+	{
+		// The 3:1 two-class weighted hierarchy with FIFO classes
+		// (PolicySpecHWFQ's shape) on its sharded home.
+		name: "hier-wfq", wantName: "Eiffel+hier-shards",
+		mk: func(t *testing.T, o frontOpts) *Front {
+			q, err := NewHierSharded(HierShardedOptions{
+				Spec:   shardq.HierSpec{Tenants: []shardq.HierTenant{{Weight: 3}, {Weight: 1}}},
+				Shards: 4, Groups: o.groups, RingBits: o.ringBits, ShardBound: o.bound, Batch: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q.Front
+		},
+		stamp: func(p *pkt.Packet, _, _ int) { p.Class = int32(p.Flow % 2) },
 	},
 	// 16-slot rings: most packets settle into the cFFS through the
 	// producers' ring-full fallback, so the due-bypass finds due packets in

@@ -2,7 +2,9 @@
 # Prints the non-test Go line counts of two groups of packages and fails
 # when either total exceeds its ceiling below: the sharded runtime and its
 # qdisc front (internal/shardq + internal/qdisc), and the bucketed queues
-# under them (internal/ffsq + internal/gradq). Each ceiling is a ratchet: a
+# under them (internal/ffsq + internal/gradq). ARCHITECTURE.md has a line
+# ceiling of its own, so the design notes shrink with the code they
+# describe instead of accreting. Each ceiling is a ratchet: a
 # change that removes code lowers it in the same commit, and nothing raises
 # it without saying why in CHANGES.md. Lines are physical lines (wc -l),
 # comments included — the budget is on what a reader must page through, and
@@ -31,5 +33,16 @@ budget() {
 	fi
 }
 
-budget 5875 internal/shardq internal/qdisc
+# doc CEILING FILE
+doc() {
+	n=$(wc -l <"$2")
+	printf '%-18s %6d (ceiling %d)\n' "$2" "$n" "$1"
+	if [ "$n" -gt "$1" ]; then
+		echo "loc_budget: $2 grew past the ceiling" >&2
+		exit 1
+	fi
+}
+
+budget 5723 internal/shardq internal/qdisc
 budget 2238 internal/ffsq internal/gradq
+doc 740 ARCHITECTURE.md
