@@ -32,7 +32,7 @@ func TestEnqueueHotPathAllocationFree(t *testing.T) {
 		q.EnqueueBatch(ps, now)
 		drained := 0
 		for drained < burst {
-			k := q.DequeueBatch(1<<20, out)
+			k := q.GroupDequeueBatch(0, 1<<20, out)
 			if k == 0 {
 				t.Fatalf("drain stalled at %d of %d", drained, burst)
 			}

@@ -20,7 +20,7 @@ const hotBurst = 1024
 // hotDrain empties q through the reused out buffer.
 func hotDrain(b *testing.B, q *eiffel.ShardedQueue, out []*eiffel.Node) {
 	for q.Len() > 0 {
-		if q.DequeueBatch(^uint64(0), out) == 0 {
+		if q.GroupDequeueBatch(0, ^uint64(0), out) == 0 {
 			b.Fatal("drain stalled with elements queued")
 		}
 	}
@@ -143,12 +143,12 @@ func BenchmarkHotPathShapedEnqueueBatched(b *testing.B) {
 			p.SendAt = now + lapNs/2 + int64((i*257)%(lapNs/2)) // whole buckets ahead
 		}
 		q.EnqueueBatch(ps, now)
-		if next, ok := q.NextTimer(now); !ok || next <= now {
-			b.Fatalf("NextTimer(%d) = (%d,%v): the burst did not park", now, next, ok)
+		if next, ok := q.GroupNextTimer(0, now); !ok || next <= now {
+			b.Fatalf("GroupNextTimer(%d) = (%d,%v): the burst did not park", now, next, ok)
 		}
 		now += lapNs
 		for q.Len() > 0 {
-			if q.DequeueBatch(now, out) == 0 {
+			if q.GroupDequeueBatch(0, now, out) == 0 {
 				b.Fatal("drain stalled with packets queued")
 			}
 		}
@@ -191,7 +191,7 @@ func BenchmarkHotPathApproxRIFO(b *testing.B) {
 	lap := func() {
 		q.EnqueueBatch(ps, now)
 		for q.Len() > 0 {
-			if q.DequeueBatch(1<<20, out) == 0 {
+			if q.GroupDequeueBatch(0, 1<<20, out) == 0 {
 				b.Fatal("drain stalled with packets queued")
 			}
 		}
@@ -232,7 +232,7 @@ func BenchmarkHotPathPolicyBatched(b *testing.B) {
 	lap := func() {
 		q.EnqueueBatch(ps, 0)
 		for q.Len() > 0 {
-			if q.DequeueBatch(0, out) == 0 {
+			if q.GroupDequeueBatch(0, 0, out) == 0 {
 				b.Fatal("drain stalled with packets queued")
 			}
 		}
@@ -254,9 +254,10 @@ func BenchmarkHotPathPolicyBatched(b *testing.B) {
 // tenant, a reservation holder, and a ranked-policy tenant (so the lap
 // covers the three-tag charge cycle, the timed migrate/reservation
 // checks, the FIFO and rank-queue in-tenant paths, and the cross-shard
-// share-time merge) and drains it back out through DequeueBatch. The burst
-// cycles two packet sizes, so the length slot that rides the aux word into
-// the tenant FIFOs (and is what the drain charges) is on the lap too.
+// share-time merge) and drains it back out through GroupDequeueBatch.
+// The burst cycles two packet sizes, so the length slot that rides the aux
+// word into the tenant FIFOs (and is what the drain charges) is on the lap
+// too.
 func BenchmarkHotPathHierSched(b *testing.B) {
 	q, err := eiffel.NewHierSharded(eiffel.HierShardedOptions{
 		Spec: eiffel.HierSpec{
@@ -285,7 +286,7 @@ func BenchmarkHotPathHierSched(b *testing.B) {
 	lap := func() {
 		q.EnqueueBatch(ps, 0)
 		for q.Len() > 0 {
-			if q.DequeueBatch(0, out) == 0 {
+			if q.GroupDequeueBatch(0, 0, out) == 0 {
 				b.Fatal("drain stalled with packets queued")
 			}
 		}
@@ -424,7 +425,7 @@ func BenchmarkHotPathChurnAdmit(b *testing.B) {
 			b.Fatal("bound never triggered; the refusal path is unmeasured")
 		}
 		for q.Len() > 0 {
-			if q.DequeueBatch(0, out) == 0 {
+			if q.GroupDequeueBatch(0, 0, out) == 0 {
 				b.Fatal("drain stalled with packets queued")
 			}
 		}

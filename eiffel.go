@@ -181,12 +181,12 @@ func NewLogQueue(opt LogOptions) *LogQueue { return ffsq.NewLogQueue(opt) }
 // MPSC ring, replacing the kernel's global qdisc
 // lock (§4) with flow-hashed partitioning and batched drains. Enqueue is
 // safe from any number of goroutines; the consuming side partitions into
-// consumer GROUPS (ShardedOptions.NumGroups, default 1 — the single-
-// consumer deployment), each drained by its own worker goroutine through
-// GroupDequeueBatch with per-flow order identical to the single-consumer
-// runtime. Len is lock-free and may transiently overcount by up to one
-// in-flight batch while producers and the consumer run concurrently; it
-// is exact at quiescence. See ARCHITECTURE.md for the design.
+// consumer GROUPS (ShardedOptions.NumGroups, default 1), each drained by
+// its own worker goroutine through GroupDequeueBatch — the one way
+// elements leave — with per-flow order identical to a single global
+// consumer's. Len is lock-free and may transiently overcount by up to one
+// in-flight batch while producers and workers run concurrently; it is
+// exact at quiescence. See ARCHITECTURE.md for the design.
 //
 // The enqueue side batches too: a per-goroutine Producer handle stages
 // elements per shard and publishes each shard's run as ONE multi-slot
@@ -213,10 +213,10 @@ func NewShardedQueue(opt ShardedOptions) *ShardedQueue { return shardq.New(opt) 
 // Shaped-and-scheduled sharded runtime: the multi-producer form of the
 // paper's decoupled shaping (§3.2.2, Figure 8). Every element carries two
 // keys — a release time and a priority — through the packet's paired
-// TimerNode/SchedNode handles; producers publish lock-free, and the single
-// consumer migrates due elements from per-shard time-indexed shapers into
-// per-shard priority-indexed schedulers before draining the schedulers in
-// merged cross-shard priority order.
+// TimerNode/SchedNode handles; producers publish lock-free, and each
+// group's drain migrates due elements from per-shard time-indexed shapers
+// into per-shard priority-indexed schedulers before draining the
+// schedulers in merged cross-shard priority order.
 type (
 	// ShapedShardedQueue is the shaped+scheduled sharded runtime.
 	ShapedShardedQueue = shardq.Shaped
@@ -227,15 +227,16 @@ type (
 )
 
 // The sharded qdisc front: one type over the sharded runtime, owning
-// admission, the group drain, the single-consumer release buffer, and the
-// Serve/Close/Drain/CloseForce lifecycle exactly once; the constructors
-// below are option presets that pick a runtime and a publication rule. The
-// shards partition into consumer groups, each drained by a dedicated
-// worker into its own egress sink — the multi-queue-NIC topology.
-// Flow-hash confinement pins every flow to one shard, hence one group, so
-// per-flow dequeue order is identical to the single-consumer qdisc with
-// zero new hot-path synchronization; only the interleaving across groups
-// (across TX queues) is relaxed.
+// admission, the group drain, and the Serve/Close/Drain/CloseForce
+// lifecycle exactly once; the constructors below are option presets that
+// pick a runtime and a publication rule. The shards partition into
+// consumer groups, each drained by a dedicated worker into its own egress
+// sink — the multi-queue-NIC topology. GroupDequeueBatch and
+// GroupNextTimer are the only way packets leave, so a Front is not a
+// Qdisc. Flow-hash confinement pins every flow to one shard, hence one
+// group, so per-flow dequeue order is identical to the single-consumer
+// qdisc with zero new hot-path synchronization; only the interleaving
+// across groups (across TX queues) is relaxed.
 type (
 	// Front is the sharded qdisc every preset returns (PolicySharded and
 	// HierSharded embed it).
@@ -394,8 +395,9 @@ type (
 	// backend family.
 	SchedBackendKind = qdisc.SchedBackendKind
 	// Qdisc is the kernel queuing-discipline contract (Enqueue, Dequeue,
-	// NextTimer, Len) that every qdisc, preset and Locked wrapper
-	// implements.
+	// NextTimer, Len) of the single-consumer qdiscs: the paper's FQ,
+	// Carousel and Eiffel, the locked whole-tree PolicyTree and HierTree,
+	// and the Locked wrapper. The sharded presets drain by group instead.
 	Qdisc = qdisc.Qdisc
 )
 
@@ -437,9 +439,6 @@ type (
 	// AdmitPolicy selects what a qdisc does with packets its shard bound
 	// refuses: drop-tail (count and discard) or backpressure (hand back).
 	AdmitPolicy = qdisc.AdmitPolicy
-	// AdmitQdisc is the bounded-admission qdisc surface (implemented by
-	// Front).
-	AdmitQdisc = qdisc.AdmitQdisc
 	// Admit is the runtime-level outcome of one bounded flush.
 	Admit = shardq.Admit
 	// PushReason classifies why bounded admission refused elements.

@@ -78,16 +78,13 @@ func ExampleNewMultiShaped() {
 		p.Rank = uint64(pkt.rank)
 		q.Enqueue(p, 0)
 	}
-	fmt.Println(q.Dequeue(50) == nil) // nothing due yet
-	if p := q.Dequeue(150); p != nil {
+	out := make([]*eiffel.Packet, 4)
+	fmt.Println(q.GroupDequeueBatch(0, 50, out) == 0) // nothing due yet
+	for _, p := range out[:q.GroupDequeueBatch(0, 150, out)] {
 		fmt.Println(p.Rank) // only the rank-30 packet is eligible
 	}
-	for {
-		p := q.Dequeue(350) // both remaining are eligible: priority order
-		if p == nil {
-			break
-		}
-		fmt.Println(p.Rank)
+	for _, p := range out[:q.GroupDequeueBatch(0, 350, out)] {
+		fmt.Println(p.Rank) // both remaining are eligible: priority order
 	}
 	// Output:
 	// true
@@ -133,7 +130,7 @@ func ExampleShardedQueue_producer() {
 	fmt.Println(q.Len())
 
 	out := make([]*eiffel.Node, 8)
-	n := q.DequeueBatch(^uint64(0), out)
+	n := q.GroupDequeueBatch(0, ^uint64(0), out)
 	for i, nd := range out[:n] {
 		if i > 0 {
 			fmt.Print(" ")
@@ -181,11 +178,8 @@ func ExampleNewPolicySharded() {
 	enqueue(2, 3) // longest: served until flow 3 ties
 	enqueue(3, 2)
 
-	for {
-		p := q.Dequeue(0)
-		if p == nil {
-			break
-		}
+	out := make([]*eiffel.Packet, 8)
+	for _, p := range out[:q.GroupDequeueBatch(0, 0, out)] {
 		fmt.Print(p.Flow, " ")
 	}
 	fmt.Println()

@@ -42,28 +42,6 @@ func (p AdmitPolicy) String() string {
 	return "drop-tail"
 }
 
-// BatchDequeuer is implemented by qdiscs whose consumer can pop many
-// release-eligible packets at once.
-type BatchDequeuer interface {
-	DequeueBatch(now int64, out []*pkt.Packet) int
-}
-
-// AdmitQdisc is the bounded-admission qdisc surface: a batch-draining
-// Qdisc whose batch enqueue reports refused packets instead of admitting
-// unboundedly. The three sharded qdiscs implement it.
-type AdmitQdisc interface {
-	Qdisc
-	BatchDequeuer
-	// EnqueueBatchAdmit admits ps under the configured shard bound. It
-	// returns how many packets were admitted and appends the refused
-	// packets, in offer order, to rej (pass a reusable buffer to keep the
-	// path allocation-free). With no bound configured it is EnqueueBatch
-	// with accounting: everything is admitted.
-	EnqueueBatchAdmit(ps []*pkt.Packet, now int64, rej []*pkt.Packet) (int, []*pkt.Packet)
-	// Admission returns the qdisc's admission accounting block.
-	Admission() *stats.Admission
-}
-
 // admitState is the per-qdisc admission configuration and accounting the
 // three sharded qdiscs embed.
 type admitState struct {

@@ -60,7 +60,15 @@ type churnOutcome struct {
 	misorders, lost, flows               uint64
 }
 
-func (d churnDrive) run(q AdmitQdisc) churnOutcome {
+// churnFront is what a churn run drives: a one-group Front, or a
+// PolicySharded when the run advances its flow epochs.
+type churnFront interface {
+	EnqueueBatchAdmit(ps []*pkt.Packet, now int64, rej []*pkt.Packet) (int, []*pkt.Packet)
+	GroupDequeueBatch(g int, now int64, out []*pkt.Packet) int
+	Len() int
+}
+
+func (d churnDrive) run(q churnFront) churnOutcome {
 	streams := max(d.streams, 1)
 	gens := make([]*workload.ChurnGen, streams)
 	for w := range gens {
@@ -97,7 +105,7 @@ func (d churnDrive) run(q AdmitQdisc) churnOutcome {
 	var o churnOutcome
 	drain := func(to int) {
 		for q.Len() > to {
-			k := q.DequeueBatch(1<<40, out)
+			k := q.GroupDequeueBatch(0, 1<<40, out)
 			if k == 0 {
 				break
 			}
@@ -185,7 +193,7 @@ const churnHeapCeiling = 64 << 20
 // checkChurn asserts what every verified churn run owes: offered ==
 // admitted + refused, every admitted packet released once and in its
 // flow's order, and an empty front at quiescence.
-func checkChurn(t *testing.T, q AdmitQdisc, o churnOutcome) {
+func checkChurn(t *testing.T, q churnFront, o churnOutcome) {
 	t.Helper()
 	if o.offered != o.admitted+o.refused || o.released != o.admitted {
 		t.Fatalf("accounting: offered %d, admitted %d, refused %d, released %d", o.offered, o.admitted, o.refused, o.released)
@@ -315,12 +323,12 @@ func TestChurnAdmitPushbackEquivalence(t *testing.T) {
 	const hugeBound = 1 << 30
 	cases := []struct {
 		name  string
-		mk    func(bound int) AdmitQdisc
+		mk    func(bound int) churnFront
 		stamp func(p *pkt.Packet, i int)
 	}{
 		{
 			name: "sharded",
-			mk: func(bound int) AdmitQdisc {
+			mk: func(bound int) churnFront {
 				return NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
 					Shards: 8, HorizonNs: 1 << 30, RingBits: 10, ShardBound: bound,
 				}})
@@ -331,7 +339,7 @@ func TestChurnAdmitPushbackEquivalence(t *testing.T) {
 		},
 		{
 			name: "shaped-sharded",
-			mk: func(bound int) AdmitQdisc {
+			mk: func(bound int) churnFront {
 				return NewMultiShaped(MultiShapedOptions{ShapedShardedOptions: ShapedShardedOptions{
 					Shards: 8, HorizonNs: 1 << 30, RingBits: 10, ShardBound: bound,
 				}})
@@ -340,7 +348,7 @@ func TestChurnAdmitPushbackEquivalence(t *testing.T) {
 		},
 		{
 			name: "policy-sharded",
-			mk: func(bound int) AdmitQdisc {
+			mk: func(bound int) churnFront {
 				q, err := NewPolicySharded(PolicyShardedOptions{
 					Policy: PolicySpecPFabric, Shards: 8, ShardBound: bound, EvictAfter: 2,
 				})

@@ -3,7 +3,6 @@ package qdisc
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"eiffel/internal/pkt"
 	"eiffel/internal/shardq"
@@ -20,13 +19,13 @@ import (
 // (across TX queues, where ordering never held on the wire anyway) is
 // relaxed. Everything a configuration does NOT decide lives here exactly
 // once: batch admission through pooled producers, bounded-admission
-// accounting, the node→packet drain, the single-consumer release buffer,
-// and the Serve/Close/Drain/CloseForce lifecycle. What a configuration
-// DOES decide is its pubRule — which packet handle and which two key words
-// ride the ring — plus, for schedulers whose eligibility depends on a
-// clock, the ClockedScheduler list the front pushes its workers' clocks
-// into. The presets (NewMultiSharded, NewMultiShaped, NewPolicySharded,
-// NewHierSharded) pick a runtime, a rule, and nothing else.
+// accounting, the node→packet drain, and the Serve/Close/Drain/CloseForce
+// lifecycle. What a configuration DOES decide is its pubRule — which
+// packet handle and which two key words ride the ring — plus, for
+// schedulers whose eligibility depends on a clock, the ClockedScheduler
+// list the front pushes its workers' clocks into. The presets
+// (NewMultiSharded, NewMultiShaped, NewPolicySharded, NewHierSharded) pick
+// a runtime, a rule, and nothing else.
 
 // pubRule is a configuration's publication rule: the (handle, k1, k2)
 // triple Enqueue publishes for a packet. It also fixes the drain bound —
@@ -61,14 +60,10 @@ type frontGroup struct {
 
 // Front is the sharded qdisc. Enqueue, TryEnqueue, EnqueueBatch and
 // EnqueueBatchAdmit are safe from any number of producer goroutines and
-// lock-free in the common case. The consuming side has two surfaces over
-// the same drain: the group-worker surface (GroupDequeueBatch,
-// GroupNextTimer; what ServeWith's workers drive) is safe concurrently
-// across DISTINCT groups, one goroutine per group at a time, each passing
-// its own clock; the single-consumer Qdisc surface (Dequeue, DequeueBatch,
-// NextTimer — the softirq role) serves every group from the calling
-// goroutine and requires exclusive access to all of them. Do not mix the
-// two while group workers run.
+// lock-free in the common case. Packets leave through one surface, the
+// group drain (GroupDequeueBatch, GroupNextTimer; what ServeWith's workers,
+// Drain and CloseForce drive): safe concurrently across DISTINCT groups,
+// one goroutine per group at a time, each passing its own clock.
 type Front struct {
 	rt   *shardq.Core
 	name string
@@ -89,18 +84,9 @@ type Front struct {
 	bells     []doorbell
 	bellShift uint
 
-	// Release buffer of the single-consumer surface: DequeueBatch pops
-	// ready packets in bulk; Dequeue hands them out one at a time.
-	// Everything buffered was already release-eligible when popped, so
-	// buffering never releases early.
-	buf     []*pkt.Packet
-	bufHead int
-	bufLen  int
-	bufN    atomic.Int64 // buffered count, readable from any goroutine for Len
-
 	// prodPool recycles runtime staging handles for EnqueueBatch, so batch
 	// admission is concurrent-producer-safe and allocation-free in steady
-	// state without threading per-goroutine handles through the Qdisc
+	// state without threading per-goroutine handles through the enqueue
 	// surface.
 	prodPool sync.Pool
 
@@ -109,20 +95,21 @@ type Front struct {
 	// Lifecycle and conservation accounting (State/Egress/Admitted/
 	// Released promote from here); see lifecycle.go.
 	egressState
+
+	// Pads Front to whole cache lines (five): its allocation is then
+	// line-aligned, so no other object shares its lines and the
+	// producers' admitted counter never shares one with the workers'
+	// egress counters. TestFrontCacheLines holds both.
+	_ [56]byte
 }
 
-// newFront wraps rt. batch sizes the release buffer (default 64);
-// dropTenants sizes the per-tenant drop buckets.
-func newFront(rt *shardq.Core, name string, pub pubRule, batch int, pol AdmitPolicy, dropTenants int) *Front {
-	if batch <= 0 {
-		batch = 64
-	}
+// newFront wraps rt; dropTenants sizes the per-tenant drop buckets.
+func newFront(rt *shardq.Core, name string, pub pubRule, pol AdmitPolicy, dropTenants int) *Front {
 	f := &Front{
 		rt: rt, name: name, pub: pub,
 		groups:     make([]frontGroup, rt.NumGroups()),
 		bells:      make([]doorbell, rt.NumGroups()),
 		bellShift:  uint(bits.TrailingZeros(uint(rt.NumShards() / rt.NumGroups()))),
-		buf:        make([]*pkt.Packet, batch),
 		admitState: newAdmitState(pol, dropTenants),
 	}
 	for g := range f.groups {
@@ -133,20 +120,19 @@ func newFront(rt *shardq.Core, name string, pub pubRule, batch int, pol AdmitPol
 	return f
 }
 
-// Name implements Qdisc.
+// Name returns the configuration's name.
 func (f *Front) Name() string { return f.name }
 
-// Len implements Qdisc: packets published but not yet handed out, wherever
-// they sit — ring, shaper, scheduler, or the consumer's release buffer.
-// While producers and the consumer run concurrently Len may transiently
-// overcount by up to one in-flight batch (ring occupancy is published per
-// drain, not per element); it is exact whenever the qdisc is quiescent.
-// Callers that need an exact count must therefore read it with producers
-// and the consumer stopped — the contract the concurrent tests and the
-// lifecycle drain rely on.
+// Len returns the packets published but not yet drained, wherever they
+// sit — ring, shaper, or scheduler. While producers and group workers run
+// concurrently Len may transiently overcount by up to one in-flight batch
+// (ring occupancy is published per drain, not per element); it is exact
+// whenever the qdisc is quiescent. Callers that need an exact count must
+// therefore read it with producers and workers stopped — the contract the
+// concurrent tests and the lifecycle drain rely on.
 //
 //eiffel:hotpath
-func (f *Front) Len() int { return f.rt.Len() + int(f.bufN.Load()) }
+func (f *Front) Len() int { return f.rt.Len() }
 
 // Stats returns the runtime's shard/migration/batch counters.
 func (f *Front) Stats() shardq.Snapshot { return f.rt.Stats() }
@@ -162,8 +148,7 @@ func (f *Front) NumGroups() int { return f.rt.NumGroups() }
 func (f *Front) GroupFor(flow uint64) int { return f.rt.GroupFor(flow) }
 
 // GroupLen returns consumer group g's queued-but-undrained packet count
-// (the watchdog's backlog signal; excludes the single-consumer release
-// buffer, which group workers never touch). Safe from any goroutine, same
+// (the watchdog's backlog signal). Safe from any goroutine, same
 // transient-overcount contract as Len.
 func (f *Front) GroupLen(g int) int { return f.rt.GroupLen(g) }
 
@@ -185,7 +170,7 @@ func (f *Front) key(p *pkt.Packet) (n *shardq.Node, k1, k2 uint64) {
 	}
 }
 
-// Enqueue implements Qdisc: the packet publishes on its flow's shard (one
+// Enqueue admits one packet: it publishes on its flow's shard (one
 // lock-free ring push); the shard's stages see it when the element is
 // flushed ring→backend by the consumer, or by a producer whose ring
 // filled. Safe for concurrent producers. now must be non-negative.
@@ -248,8 +233,10 @@ func (f *Front) EnqueueBatch(ps []*pkt.Packet, now int64) {
 	f.ringAll()
 }
 
-// EnqueueBatchAdmit implements AdmitQdisc: EnqueueBatch under the
-// configured shard bound, reporting refused packets instead of spilling.
+// EnqueueBatchAdmit is EnqueueBatch under the configured shard bound. It
+// returns how many packets were admitted and appends the refused packets,
+// in offer order, to rej (pass a reusable buffer to keep the path
+// allocation-free). With no bound configured everything is admitted.
 //
 //eiffel:hotpath
 func (f *Front) EnqueueBatchAdmit(ps []*pkt.Packet, now int64, rej []*pkt.Packet) (int, []*pkt.Packet) {
@@ -378,81 +365,6 @@ func (f *Front) GroupNextTimer(g int, now int64) (int64, bool) {
 	return max(t, now), true
 }
 
-// pop is GroupDequeueBatch over every group from the calling goroutine —
-// the single-consumer surface's drain. With the default single group this
-// is the global cross-shard merge; with more groups the cross-group
-// concatenation relaxes global order to group granularity, exactly as
-// parallel group workers would.
-//
-//eiffel:hotpath
-func (f *Front) pop(now int64, out []*pkt.Packet) int {
-	k := 0
-	for g := range f.groups {
-		k += f.GroupDequeueBatch(g, now, out[k:])
-		if k == len(out) {
-			break
-		}
-	}
-	return k
-}
-
-// Dequeue implements Qdisc: the packet the scheduler serves next among
-// those whose release time has arrived, or nil. Refills the release buffer
-// with a cross-shard batch when empty.
-//
-//eiffel:hotpath
-func (f *Front) Dequeue(now int64) *pkt.Packet {
-	if f.bufHead == f.bufLen {
-		f.bufHead = 0
-		f.bufLen = f.pop(now, f.buf)
-		f.bufN.Store(int64(f.bufLen))
-		if f.bufLen == 0 {
-			return nil
-		}
-	}
-	p := f.buf[f.bufHead]
-	f.buf[f.bufHead] = nil
-	f.bufHead++
-	f.bufN.Add(-1)
-	return p
-}
-
-// DequeueBatch pops up to len(out) release-eligible packets in merged
-// scheduler order, draining the release buffer first. It returns how many
-// packets it wrote.
-//
-//eiffel:hotpath
-func (f *Front) DequeueBatch(now int64, out []*pkt.Packet) int {
-	k := 0
-	for f.bufHead < f.bufLen && k < len(out) {
-		out[k] = f.buf[f.bufHead]
-		f.buf[f.bufHead] = nil
-		f.bufHead++
-		f.bufN.Add(-1)
-		k++
-	}
-	if k < len(out) {
-		k += f.pop(now, out[k:])
-	}
-	return k
-}
-
-// NextTimer implements Qdisc: the soonest GroupNextTimer across every
-// group (buffered packets are already due, so a non-empty release buffer
-// means "now").
-func (f *Front) NextTimer(now int64) (int64, bool) {
-	if f.bufHead < f.bufLen {
-		return now, true
-	}
-	t, ok := int64(0), false
-	for g := range f.groups {
-		if gt, gok := f.GroupNextTimer(g, now); gok && (!ok || gt < t) {
-			t, ok = gt, true
-		}
-	}
-	return t, ok
-}
-
 // ServeWith starts one supervised drain worker per consumer group: worker
 // g loops GroupDequeueBatch at clock()'s current value and disposes every
 // non-empty batch through sinks[g] (len(sinks) must equal NumGroups).
@@ -505,17 +417,4 @@ func (f *Front) Close() {
 	// admission even when a concurrent closer won the transition.
 	f.state.CompareAndSwap(int32(StateRunning), int32(StateDraining))
 	f.rt.Close()
-}
-
-// drainBuf hands the single-consumer release buffer's packets (if that
-// surface was in use) to dispose. Exclusive access required (the
-// Drain/CloseForce contract).
-func (f *Front) drainBuf(dispose func([]*pkt.Packet)) {
-	if f.bufHead < f.bufLen {
-		ps := f.buf[f.bufHead:f.bufLen]
-		f.bufN.Add(-int64(len(ps)))
-		f.bufHead = f.bufLen
-		dispose(ps)
-		clear(ps)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"eiffel/internal/pkt"
 	"eiffel/internal/shardq"
@@ -12,7 +13,7 @@ import (
 // This file is the one front contract: every preset of the sharded Front,
 // at G=1 and G=2, through per-packet, batched and bounded-admit admission,
 // must keep per-flow order exact, never release a packet before SendAt −
-// granule, agree between its single-consumer and group-worker surfaces,
+// granule, agree between concurrent group workers and a serial drain,
 // and conserve admitted == tx'd + dropped + released through Close→Drain
 // and through CloseForce. What is specific to one scheduler (priority
 // order, share accuracy, reservation service, timer answers) is tested
@@ -55,7 +56,7 @@ func mkPolicyCase(name, spec string) frontCase {
 		name: name, wantName: "Eiffel+policy-shards",
 		mk: func(t *testing.T, o frontOpts) *Front {
 			q, err := NewPolicySharded(PolicyShardedOptions{
-				Policy: spec, Shards: 4, Groups: o.groups, RingBits: o.ringBits, ShardBound: o.bound, Batch: 8,
+				Policy: spec, Shards: 4, Groups: o.groups, RingBits: o.ringBits, ShardBound: o.bound,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -81,7 +82,7 @@ func mkTimerCase(name string, ringBits uint) frontCase {
 			return NewMultiSharded(MultiShardedOptions{
 				ShardedOptions: ShardedOptions{
 					Shards: 4, Buckets: contractBuckets, HorizonNs: contractHorizon,
-					RingBits: o.ringBits, ShardBound: o.bound, Batch: 8,
+					RingBits: o.ringBits, ShardBound: o.bound,
 				},
 				Groups: o.groups,
 			})
@@ -98,7 +99,7 @@ var frontCases = []frontCase{
 			return NewMultiShaped(MultiShapedOptions{
 				ShapedShardedOptions: ShapedShardedOptions{
 					Shards: 4, ShaperBuckets: contractBuckets, HorizonNs: contractHorizon,
-					SchedBuckets: 256, RankSpan: 1 << 16, RingBits: o.ringBits, ShardBound: o.bound, Batch: 8,
+					SchedBuckets: 256, RankSpan: 1 << 16, RingBits: o.ringBits, ShardBound: o.bound,
 				},
 				Groups: o.groups,
 			})
@@ -115,7 +116,7 @@ leaf ff parent=root kind=flow policy=fifo buckets=4096 gran=64
 		name: "hier", wantName: "Eiffel+hier-shards",
 		mk: func(t *testing.T, o frontOpts) *Front {
 			q, err := NewHierSharded(HierShardedOptions{
-				Spec: hierTestSpec(), Shards: 4, Groups: o.groups, RingBits: o.ringBits, ShardBound: o.bound, Batch: 8,
+				Spec: hierTestSpec(), Shards: 4, Groups: o.groups, RingBits: o.ringBits, ShardBound: o.bound,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -134,7 +135,7 @@ leaf ff parent=root kind=flow policy=fifo buckets=4096 gran=64
 		mk: func(t *testing.T, o frontOpts) *Front {
 			q, err := NewHierSharded(HierShardedOptions{
 				Spec:   shardq.HierSpec{Tenants: []shardq.HierTenant{{Weight: 3}, {Weight: 1}}},
-				Shards: 4, Groups: o.groups, RingBits: o.ringBits, ShardBound: o.bound, Batch: 8,
+				Shards: 4, Groups: o.groups, RingBits: o.ringBits, ShardBound: o.bound,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -324,38 +325,54 @@ func drainGroups(t *testing.T, c frontCase, f *Front) *flowLog {
 	return merged
 }
 
-// drainSingle drains through the single-consumer surface, alternating
-// Dequeue (which parks a batch in the release buffer) and DequeueBatch
-// (which must hand the buffer out first), checking on the way that
-// buffered packets keep Len and NextTimer honest. It returns the log and
-// the global release sequence.
-func drainSingle(t *testing.T, c frontCase, f *Front, admitted int) (*flowLog, []*pkt.Packet) {
+// serialQdisc is a Front driven as a Qdisc from one goroutine: Dequeue is
+// a one-slot GroupDequeueBatch over the groups in order, NextTimer the
+// soonest GroupNextTimer. It buffers nothing, so Len stays the front's.
+// The locked-oracle harnesses drive fronts through it.
+type serialQdisc struct{ *Front }
+
+func serial(f *Front) Qdisc { return serialQdisc{f} }
+
+func (s serialQdisc) Dequeue(now int64) *pkt.Packet {
+	var one [1]*pkt.Packet
+	for g := range s.groups {
+		if s.GroupDequeueBatch(g, now, one[:]) == 1 {
+			return one[0]
+		}
+	}
+	return nil
+}
+
+func (s serialQdisc) NextTimer(now int64) (int64, bool) {
+	t, ok := int64(0), false
+	for g := range s.groups {
+		if gt, gok := s.GroupNextTimer(g, now); gok && (!ok || gt < t) {
+			t, ok = gt, true
+		}
+	}
+	return t, ok
+}
+
+// drainSerial drains f packet by packet through serial, checking on the
+// way that Len counts exactly what is left. It returns the log and the
+// release sequence.
+func drainSerial(t *testing.T, c frontCase, f *Front, admitted int) (*flowLog, []*pkt.Packet) {
 	log := &flowLog{seqs: map[uint64][]uint32{}}
 	var order []*pkt.Packet
-	out := make([]*pkt.Packet, 48)
+	q := serial(f)
 	drainTo(t, func(now int64) int {
-		p := f.Dequeue(now)
+		p := q.Dequeue(now)
 		if p == nil {
 			return 0
 		}
 		log.note(c, p, now)
 		order = append(order, p)
-		if buffered := int(f.bufN.Load()); buffered > 0 {
-			if f.Len() != admitted-len(order) {
-				t.Fatalf("Len = %d with %d of %d released and %d buffered", f.Len(), len(order), admitted, buffered)
-			}
-			if next, ok := f.NextTimer(now); !ok || next != now {
-				t.Fatalf("NextTimer = (%d,%v) with %d packets buffered, want now", next, ok, buffered)
-			}
+		if f.Len() != admitted-len(order) {
+			t.Fatalf("Len = %d with %d of %d released", f.Len(), len(order), admitted)
 		}
-		k := f.DequeueBatch(now, out)
-		for _, q := range out[:k] {
-			log.note(c, q, now)
-		}
-		order = append(order, out[:k]...)
-		return 1 + k
+		return 1
 	}, f.Len)
-	if _, ok := f.NextTimer(contractHorizon); ok {
+	if _, ok := q.NextTimer(contractHorizon); ok {
 		t.Fatal("NextTimer ok on a fully drained front")
 	}
 	return log, order
@@ -364,9 +381,9 @@ func drainSingle(t *testing.T, c frontCase, f *Front, admitted int) (*flowLog, [
 func TestFrontContract(t *testing.T) {
 	for _, c := range frontCases {
 		for _, groups := range []int{1, 2} {
-			// refSeq is the single-consumer release sequence of the
-			// per-packet run, by (flow, seq): batched admission is a
-			// transport optimization and must reproduce it exactly.
+			// refSeq is the serial release sequence of the per-packet run,
+			// by (flow, seq): batched admission is a transport
+			// optimization and must reproduce it exactly.
 			var refSeq []uint64
 			for _, mode := range []string{modePerPacket, modeBatched, modeAdmit} {
 				t.Run(fmt.Sprintf("%s/G=%d/%s", c.name, groups, mode), func(t *testing.T) {
@@ -406,21 +423,21 @@ func TestFrontContract(t *testing.T) {
 						}
 					}
 
-					// Single-consumer surface, one deterministic producer: the
-					// two surfaces must agree on every flow's order.
+					// Serial drain, one deterministic producer: it must agree
+					// with the concurrent group workers on every flow's order.
 					f = mk()
 					admitted = 0
 					for _, set := range contractPackets(c) {
 						admitted += admitSet(t, f, set, mode)
 					}
-					single, order := drainSingle(t, c, f, admitted)
-					if got := single.check(t, mode == modeAdmit); got != admitted {
-						t.Fatalf("single consumer released %d of %d", got, admitted)
+					serialLog, order := drainSerial(t, c, f, admitted)
+					if got := serialLog.check(t, mode == modeAdmit); got != admitted {
+						t.Fatalf("serial drain released %d of %d", got, admitted)
 					}
 					if mode != modeAdmit {
-						for flow, want := range single.seqs {
+						for flow, want := range serialLog.seqs {
 							if got := byGroup.seqs[flow]; fmt.Sprint(got) != fmt.Sprint(want) {
-								t.Fatalf("flow %d: group surface released %v, single consumer %v", flow, got, want)
+								t.Fatalf("flow %d: group workers released %v, serial drain %v", flow, got, want)
 							}
 						}
 					}
@@ -433,7 +450,7 @@ func TestFrontContract(t *testing.T) {
 						refSeq = seq
 					case modeBatched:
 						if fmt.Sprint(seq) != fmt.Sprint(refSeq) {
-							t.Fatal("batched admission changed the single-consumer release sequence")
+							t.Fatal("batched admission changed the serial release sequence")
 						}
 					}
 
@@ -464,14 +481,14 @@ func TestFrontContract(t *testing.T) {
 						t.Fatalf("state=%v len=%d admitted=%d after drain", f.State(), f.Len(), f.Admitted())
 					}
 
-					// CloseForce with packets parked in the release buffer: the
-					// one Dequeue handed out is the caller's, everything else —
-					// buffer included — comes back through release, once.
+					// CloseForce after one packet was drained: that one is the
+					// caller's, everything else comes back through release,
+					// once.
 					f = mk()
 					admitted = publish(t, f, contractPackets(c), mode)
 					var taken *pkt.Packet
 					for now := int64(0); taken == nil; now += contractHorizon / 16 {
-						taken = f.Dequeue(now)
+						taken = serial(f).Dequeue(now)
 					}
 					seen := map[*pkt.Packet]bool{taken: true}
 					rep = f.CloseForce(func(p *pkt.Packet) {
@@ -492,6 +509,19 @@ func TestFrontContract(t *testing.T) {
 	}
 }
 
+// TestFrontCacheLines pins Front's layout: it fills whole 64-byte lines,
+// and the counter every admission bumps sits on a different line from the
+// ones every drain worker's batch bumps.
+func TestFrontCacheLines(t *testing.T) {
+	var f Front
+	if size := unsafe.Sizeof(f); size%64 != 0 {
+		t.Fatalf("Front is %d bytes, not whole 64-byte lines: resize its trailing pad", size)
+	}
+	if a, e := unsafe.Offsetof(f.admitted), unsafe.Offsetof(f.eg); a/64 == e/64 {
+		t.Fatalf("admitted (offset %d) shares a cache line with eg (offset %d)", a, e)
+	}
+}
+
 func countingSinks(n int) ([]EgressSink, []*CountingSink) {
 	sinks, counts := make([]EgressSink, n), make([]*CountingSink, n)
 	for g := range sinks {
@@ -509,7 +539,7 @@ func sinkTotal(counts []*CountingSink) (n int64) {
 }
 
 // TestFrontConcurrentProducersAndConsumer races producers against a
-// draining single consumer on every preset, through small rings so the
+// draining group worker on every preset, through small rings so the
 // producer fallback path runs: nothing lost, nothing duplicated, every
 // flow in order.
 func TestFrontConcurrentProducersAndConsumer(t *testing.T) {
@@ -540,7 +570,7 @@ func TestFrontConcurrentProducersAndConsumer(t *testing.T) {
 			released, now := 0, contractHorizon
 			for released < total {
 				now++ // every drain advances the clock: clocked backends see SetNow each batch
-				k := f.DequeueBatch(now, out)
+				k := f.GroupDequeueBatch(0, now, out)
 				for _, p := range out[:k] {
 					log.note(c, p, now)
 				}
@@ -569,14 +599,14 @@ func TestFrontConcurrentProducersAndConsumer(t *testing.T) {
 	}
 }
 
-// TestFrontBufferKeepsMergeOrder: a Dequeue parks a merged batch in the
-// release buffer; the DequeueBatch that follows hands the buffered
-// remainder out first and continues the cross-shard merge where the batch
-// stopped, so the scheduler's global order (release time on the timer
-// preset, rank on the shaped one) is ascending across both paths. On the
-// timer preset that order belongs to packets the consumer saw BEFORE they
-// were due (one drain at t=0 parks them); packets it first sees overdue
-// follow every parked due packet, in arrival order — the "now slot".
+// TestFrontBufferKeepsMergeOrder: a group drain into a one-slot out
+// buffer stops mid-merge; the drain that follows continues the
+// cross-shard merge where it stopped, so the scheduler's order (release
+// time on the timer preset, rank on the shaped one) is ascending across
+// both calls. On the timer preset that order belongs to packets the
+// consumer saw BEFORE they were due (one drain at t=0 parks them); packets
+// it first sees overdue follow every parked due packet, in arrival order —
+// the "now slot".
 func TestFrontBufferKeepsMergeOrder(t *testing.T) {
 	for _, c := range frontCases[:2] { // timer, shaped
 		t.Run(c.name, func(t *testing.T) {
@@ -593,8 +623,8 @@ func TestFrontBufferKeepsMergeOrder(t *testing.T) {
 			}
 			want := 20
 			if timer {
-				if p := f.Dequeue(0); p != nil {
-					t.Fatalf("flow %d (SendAt %d) released at t=0", p.Flow, p.SendAt)
+				if k := f.GroupDequeueBatch(0, 0, make([]*pkt.Packet, 1)); k != 0 {
+					t.Fatalf("%d packets released at t=0", k)
 				}
 				for i := 0; i < 10; i++ { // first seen at the horizon, latest release time first
 					p := pool.Get()
@@ -603,13 +633,15 @@ func TestFrontBufferKeepsMergeOrder(t *testing.T) {
 				}
 				want = 30
 			}
-			order := []*pkt.Packet{f.Dequeue(contractHorizon)} // Batch 8: seven stay buffered
 			out := make([]*pkt.Packet, 32)
-			if k := f.DequeueBatch(contractHorizon, out); k != want-1 {
-				t.Fatalf("DequeueBatch = %d after one Dequeue of %d, want %d", k, want, want-1)
+			if k := f.GroupDequeueBatch(0, contractHorizon, out[:1]); k != 1 {
+				t.Fatalf("one-slot drain = %d, want 1", k)
+			}
+			if k := f.GroupDequeueBatch(0, contractHorizon, out[1:]); k != want-1 {
+				t.Fatalf("drain = %d after a one-slot drain of %d, want %d", k, want, want-1)
 			}
 			lastOfShard := map[int]uint64{}
-			for i, p := range append(order, out[:want-1]...) {
+			for i, p := range out[:want] {
 				if i >= 20 { // the now slot: arrival order, which is per ring
 					sh := f.rt.ShardFor(p.Flow)
 					if p.Flow < 20 || p.Flow < lastOfShard[sh] {
@@ -618,7 +650,7 @@ func TestFrontBufferKeepsMergeOrder(t *testing.T) {
 					}
 					lastOfShard[sh] = p.Flow
 				} else if p.Flow != uint64(i) {
-					t.Fatalf("position %d: flow %d (SendAt %d, rank %d) — merge order broken across the buffer",
+					t.Fatalf("position %d: flow %d (SendAt %d, rank %d) — merge order broken across the two drains",
 						i, p.Flow, p.SendAt, p.Rank)
 				}
 			}

@@ -6,12 +6,12 @@ import (
 	"eiffel/internal/pkt"
 )
 
-// FuzzTimerFront drives the timer front's single-consumer surface with an
-// op sequence decoded from the fuzz input and checks every release against
-// a deliberately naive model: a FIFO of unreleased packets per flow. The
-// front is small on purpose — 2 shards, 8-slot rings, a 4-packet release
-// buffer — so a handful of ops reaches the producers' ring-full fallback,
-// the settled-first merge and the ring bypass together.
+// FuzzTimerFront drives the timer front's group drain with an op sequence
+// decoded from the fuzz input and checks every release against a
+// deliberately naive model: a FIFO of unreleased packets per flow. The
+// front is small on purpose — one group of 2 shards with 8-slot rings — so
+// a handful of ops reaches the producers' ring-full fallback, the
+// settled-first merge and the ring bypass together.
 //
 // Each op is two bytes (code, arg). The low three bits of code select the
 // op, the next three a flow, the top two a shift s that scales arg by
@@ -21,13 +21,13 @@ import (
 //	0,1  Enqueue on flow, SendAt[flow] += arg<<3s   (never backwards in a flow)
 //	2    EnqueueBatch of 1+arg%4 packets on consecutive flows, each += (arg/4)<<3s
 //	3    clock += arg<<3s                           (never backwards)
-//	4    DequeueBatch of up to 1+arg%8
-//	5    Dequeue (through the release buffer)
-//	6    NextTimer
+//	4    GroupDequeueBatch of up to 1+arg%8
+//	5    GroupDequeueBatch of one
+//	6    GroupNextTimer
 //	7    TryEnqueue, as 0
 //
 // The model's clauses: per-flow FIFO; nothing released before SendAt −
-// granule; Len exact after every op; NextTimer answers while anything is
+// granule; Len exact after every op; GroupNextTimer answers while anything is
 // unreleased, never in the past and never later than the EARLIEST unreleased
 // SendAt (or now, once that has passed) — in whatever order release times
 // were admitted across flows; Close→Drain hands out exactly the unreleased
@@ -51,7 +51,8 @@ var fuzzTimerSeeds = [][]byte{
 	// the same flow is in the ring when both are due.
 	{0x40, 100, 0x43, 50, 4, 7, 0x00, 20, 0x43, 200, 4, 7},
 	// Ring-full fallback: twenty packets on one flow overrun an 8-slot
-	// ring, then drain across the release buffer with the clock moving.
+	// ring, then drain in one-slot and larger batches with the clock
+	// moving.
 	{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1,
 		0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 5, 0, 3, 9, 4, 7, 6, 0, 4, 7, 3, 9, 4, 7, 4, 7},
 	// SendAt at 0, at the horizon (128<<6), and sixteen horizons beyond it
@@ -108,7 +109,7 @@ func (s modelSink) Tx(ps []*pkt.Packet) {
 
 func runTimerModel(t *testing.T, ops []byte) {
 	f := NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
-		Shards: 2, Buckets: fuzzBuckets, HorizonNs: fuzzHorizon, RingBits: 3, Batch: 4,
+		Shards: 2, Buckets: fuzzBuckets, HorizonNs: fuzzHorizon, RingBits: 3,
 	}})
 	m := &timerModel{t: t}
 	pool := pkt.NewPool(64)
@@ -141,19 +142,19 @@ func runTimerModel(t *testing.T, ops []byte) {
 		case 3:
 			now += arg << shift
 		case 4:
-			k := f.DequeueBatch(now, out[:1+arg%8])
+			k := f.GroupDequeueBatch(0, now, out[:1+arg%8])
 			for _, p := range out[:k] {
 				m.release(p, now)
 			}
 		case 5:
-			if p := f.Dequeue(now); p != nil {
-				m.release(p, now)
+			if f.GroupDequeueBatch(0, now, out[:1]) == 1 {
+				m.release(out[0], now)
 			}
 		case 6:
-			at, ok := f.NextTimer(now)
+			at, ok := f.GroupNextTimer(0, now)
 			earliest := m.earliest()
 			if ok != (m.n > 0) || (ok && (at < now || at > max(earliest, now))) {
-				t.Fatalf("NextTimer(%d) = (%d,%v) with %d unreleased, want within [now, %d]", now, at, ok, m.n, max(earliest, now))
+				t.Fatalf("GroupNextTimer(%d) = (%d,%v) with %d unreleased, want within [now, %d]", now, at, ok, m.n, max(earliest, now))
 			}
 		case 7:
 			if !f.TryEnqueue(mk(flow, arg<<shift), now) {

@@ -45,10 +45,8 @@ import (
 // before every drain (limit parking and reservation eligibility read it)
 // and re-peeks the merge's cached heads when an engine says the advance
 // invalidated its answer (shardq.HierSched.SetNow says when, and why).
-// Everything but the tenant surface below is Front's.
 type HierSharded struct {
 	*Front
-	backends []*shardq.HierSched
 }
 
 // HierShardedOptions configures a HierSharded qdisc.
@@ -65,8 +63,6 @@ type HierShardedOptions struct {
 	// RingBits sizes each shard's MPSC ring at 1<<RingBits slots
 	// (default 10).
 	RingBits uint
-	// Batch is the consumer-side batch size (default 64).
-	Batch int
 	// ShardBound caps each shard's occupancy for EnqueueBatchAdmit; 0
 	// keeps the unbounded spill.
 	ShardBound int
@@ -98,7 +94,7 @@ func NewHierSharded(opt HierShardedOptions) (*HierSharded, error) {
 	if shards&(shards-1) != 0 {
 		shards = 1 << bits.Len(uint(shards))
 	}
-	s := &HierSharded{}
+	var clocked []shardq.ClockedScheduler
 	rt := shardq.New(shardq.Options{
 		NumShards:  shards,
 		NumGroups:  opt.Groups,
@@ -111,25 +107,13 @@ func NewHierSharded(opt HierShardedOptions) (*HierSharded, error) {
 			if err != nil {
 				panic("qdisc: hier spec validated but did not compile per shard: " + err.Error())
 			}
-			s.backends = append(s.backends, b)
+			clocked = append(clocked, b)
 			return b
 		},
 	})
-	s.Front = newFront(rt.Core, "Eiffel+hier-shards", pubHier, opt.Batch, opt.Admit, opt.Tenants)
-	for _, b := range s.backends {
-		s.clocked = append(s.clocked, b)
-	}
-	return s, nil
-}
-
-// TenantBacklog sums tenant id's queued elements across every shard
-// engine. Takes each shard's lock; a diagnostic, not a hot path.
-func (s *HierSharded) TenantBacklog(id int) int {
-	total := 0
-	for i, b := range s.backends {
-		s.rt.WithShardLocked(i, func(shardq.Scheduler) { total += b.TenantLen(id) })
-	}
-	return total
+	f := newFront(rt.Core, "Eiffel+hier-shards", pubHier, opt.Admit, opt.Tenants)
+	f.clocked = clocked
+	return &HierSharded{f}, nil
 }
 
 // --- Single-threaded baseline: one locked whole-tree engine ---

@@ -87,12 +87,12 @@ func (r hierRow) mk(t *testing.T, spec shardq.HierSpec) *HierSharded {
 
 // hierServe returns q's release function in its deployment's drain
 // topology: Dequeue on one group; on several, one thread standing in for
-// the group workers by alternating small GroupDequeueBatch pulls. (Dequeue
-// drains group 0 to exhaustion before group 1 — a drain order, not a
-// schedule — so a share measured through it would report each group's
-// composition instead of the weighted service.)
+// the group workers by alternating small GroupDequeueBatch pulls. (A
+// serial front's Dequeue drains group 0 to exhaustion before group 1 — a
+// drain order, not a schedule — so a share measured through it would
+// report each group's composition instead of the weighted service.)
 func hierServe(q Qdisc) func(now int64) *pkt.Packet {
-	f, ok := q.(*HierSharded)
+	f, ok := q.(serialQdisc)
 	if !ok || f.NumGroups() == 1 {
 		return q.Dequeue
 	}
@@ -164,7 +164,7 @@ func TestHierShardedPerFlowOrderMatchesLocked(t *testing.T) {
 
 			sharded := row.mk(t, spec)
 			publish(t, sharded.Front, sets, row.mode)
-			got := drainOrders(t, sharded, total)
+			got := drainOrders(t, serial(sharded.Front), total)
 
 			if len(got) != len(want) {
 				t.Fatalf("sharded released %d flows, locked %d", len(got), len(want))
@@ -218,7 +218,7 @@ func TestHierShardedReservationConservation(t *testing.T) {
 			// the window a genuine contention measurement rather than a tail
 			// artifact.
 			const window = total / 2
-			serve := hierServe(q)
+			serve := hierServe(serial(q.Front))
 			windowServed := [4]int{}
 			lastServed := [4]int{2: 0, 3: 0}
 			maxGap := [4]int{}
@@ -244,7 +244,7 @@ func TestHierShardedReservationConservation(t *testing.T) {
 				t.Fatalf("reservation holders served %.3f and %.3f of the link under contention, need >= 0.20 and 0.10 (-10%% bound)", res2, res3)
 			}
 			// Bounded window: a due reservation is never starved for more than
-			// a few merge batches (release buffer 64 + per-shard runs).
+			// a few merge batches (per-shard runs).
 			if maxGap[2] > 256 || maxGap[3] > 256 {
 				t.Fatalf("reservation service gaps %d/%d packets, want <= 256", maxGap[2], maxGap[3])
 			}
@@ -275,7 +275,7 @@ func TestHierShardedShareError(t *testing.T) {
 				}
 			}
 			total := publish(t, q.Front, sets, row.mode)
-			serve := hierServe(q)
+			serve := hierServe(serial(q.Front))
 			gold := 0
 			for served := 0; served < total/2; served++ {
 				p := serve(horizon)
@@ -302,10 +302,11 @@ func TestHierShardedNextTimer(t *testing.T) {
 	spec := shardq.HierSpec{Tenants: []shardq.HierTenant{
 		{LimitBps: 800e6, Weight: 1}, // 8 shards: 100 Mbps per shard slice
 	}}
-	q, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 8})
+	hs, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := serial(hs.Front)
 	pool := pkt.NewPool(8)
 	for i := 0; i < 4; i++ {
 		p := pool.Get()
@@ -336,10 +337,11 @@ func TestHierShardedNextTimer(t *testing.T) {
 // it ~23 packets for each of tenant 1's.)
 func TestHierChargesPublishedSize(t *testing.T) {
 	spec := shardq.HierSpec{Tenants: []shardq.HierTenant{{Weight: 1}, {Weight: 1}}}
-	q, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 1})
+	hs, err := NewHierSharded(HierShardedOptions{Spec: spec, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := serial(hs.Front)
 	const per = 400
 	pool := pkt.NewPool(2 * per)
 	var shrunk []*pkt.Packet
@@ -439,7 +441,7 @@ func TestHierMixedSizesMatchLocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotOrder, shardShare := run(sharded)
+	gotOrder, shardShare := run(serial(sharded.Front))
 
 	for f, w := range wantOrder {
 		g := gotOrder[f]

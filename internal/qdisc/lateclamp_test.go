@@ -116,12 +116,12 @@ func TestLateClamp(t *testing.T) {
 		{"pifo.Tree shaper", treeUser},
 		{"hclock.Hier parked", hierUser},
 		{"NewMultiSharded", func() timedUser {
-			return qdiscUser(NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
+			return qdiscUser(serial(NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
 				Shards: 1, Buckets: buckets, HorizonNs: horizon,
-			}}))
+			}})))
 		}},
 		{"NewMultiShaped", func() timedUser {
-			return qdiscUser(NewMultiShaped(MultiShapedOptions{ShapedShardedOptions: shaped}))
+			return qdiscUser(serial(NewMultiShaped(MultiShapedOptions{ShapedShardedOptions: shaped})))
 		}},
 	}
 	sequences := []struct {

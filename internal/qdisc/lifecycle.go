@@ -23,10 +23,9 @@ import (
 // holds exactly: every admitted packet is disposed exactly once.
 // Admitted is counted on the front's enqueue surfaces; tx'd and dropped
 // in the front's stats.Egress by the Serve/Drain egress path; released
-// by CloseForce. Callers that drive GroupDequeueBatch or the
-// single-consumer Dequeue surface by hand own the disposal of the
-// packets they pop — the identity is the contract of worker-driven
-// (Serve/Drain) egress.
+// by CloseForce. Callers that drive GroupDequeueBatch by hand own the
+// disposal of the packets they pop — the identity is the contract of
+// worker-driven (Serve/Drain) egress.
 
 // LifecycleState is a front's position in the close protocol.
 type LifecycleState int32
@@ -256,10 +255,8 @@ func (f *Front) quiesce(pass func() int) DrainReport {
 // front closed and reports the conservation terms at quiescence. Every
 // gate opens for the drain — shaper release times, gates inside a policy
 // program, hClock limit clocks: a closing front prefers delivery over
-// pacing. Packets sitting in the single-consumer release buffer (if that
-// surface was in use) are disposed first, through sinks[0]. Requires
-// exclusive access to every group — stop Serve workers first (Server.Stop
-// does exactly this, in order).
+// pacing. Requires exclusive access to every group — stop Serve workers
+// first (Server.Stop does exactly this, in order).
 func (f *Front) Drain(sinks []EgressSink, opt ServeOptions) DrainReport {
 	if len(sinks) != f.NumGroups() {
 		panic("qdisc: Drain needs one sink per consumer group")
@@ -267,11 +264,6 @@ func (f *Front) Drain(sinks []EgressSink, opt ServeOptions) DrainReport {
 	opt = opt.withDefaults()
 	out := make([]*pkt.Packet, opt.Batch)
 	return f.quiesce(func() (n int) {
-		f.drainBuf(func(ps []*pkt.Packet) {
-			panics := 0
-			f.dispose(sinks[0], ps, &opt, &panics)
-			n += len(ps)
-		})
 		for g := range sinks {
 			n += f.drainGroup(g, sinks[g], &opt, out)
 		}
@@ -279,33 +271,25 @@ func (f *Front) Drain(sinks []EgressSink, opt ServeOptions) DrainReport {
 	})
 }
 
-// CloseForce closes the front and releases the remaining backlog —
-// release buffer included — to the caller instead of the sinks: release
-// (when non-nil) sees every queued packet, e.g. pool.Put. It runs on the
-// calling goroutine only, so a non-concurrent pkt.Pool is safe. Same
-// exclusivity contract as Drain.
+// CloseForce closes the front and releases the remaining backlog to the
+// caller instead of the sinks: release (when non-nil) sees every queued
+// packet, e.g. pool.Put. It runs on the calling goroutine only, so a
+// non-concurrent pkt.Pool is safe. Same exclusivity contract as Drain.
 func (f *Front) CloseForce(release func(*pkt.Packet)) DrainReport {
 	out := make([]*pkt.Packet, 256)
-	free := func(ps []*pkt.Packet) {
-		if release != nil {
-			for _, p := range ps {
-				release(p)
-			}
-		}
-		f.released.Add(uint64(len(ps)))
-	}
 	return f.quiesce(func() (n int) {
-		f.drainBuf(func(ps []*pkt.Packet) {
-			free(ps)
-			n += len(ps)
-		})
 		for g := range f.groups {
 			for {
 				k := f.GroupDequeueBatch(g, drainHorizon, out)
 				if k == 0 {
 					break
 				}
-				free(out[:k])
+				if release != nil {
+					for _, p := range out[:k] {
+						release(p)
+					}
+				}
+				f.released.Add(uint64(k))
 				clear(out[:k])
 				n += k
 			}

@@ -154,14 +154,14 @@ func TestMultiShardedServeStopMidTraffic(t *testing.T) {
 // TestTimerNextTimerWhileDueRemain pins what survives of the direct-due
 // delivery-window regression on the timer front: after a batch leaves due
 // packets both settled in the bucketed queue (the producer's ring-full
-// fallback) AND in the rings, NextTimer must answer "now" once the release
-// buffer empties — not the far-future answer a stale head cache would give
-// — the settled packets come out before the ring's (one flow: exact order),
-// and everything drains.
+// fallback) AND in the rings, GroupNextTimer must answer "now" — not the
+// far-future answer a stale head cache would give — the settled packets
+// come out before the ring's (one flow: exact order), and everything
+// drains.
 func TestTimerNextTimerWhileDueRemain(t *testing.T) {
 	q := NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{
 		Shards: 1, Buckets: 1024, HorizonNs: 1 << 20,
-		RingBits: 3, Batch: 4,
+		RingBits: 3,
 	}})
 	pool := pkt.NewPool(32)
 	now := int64(1 << 16)
@@ -182,31 +182,32 @@ func TestTimerNextTimerWhileDueRemain(t *testing.T) {
 	for i := 100; i < 108; i++ {
 		enq(int64(i))
 	}
+	out := make([]*pkt.Packet, 17)
 	next := uint32(1)
-	deq := func() {
+	deq := func(n int) {
 		t.Helper()
-		p := q.Dequeue(now)
-		if p == nil || p.Seq != next {
-			t.Fatalf("Dequeue = %v, want seq %d of the one flow", p, next)
+		k := q.GroupDequeueBatch(0, now, out[:n])
+		for _, p := range out[:k] {
+			if p.Seq != next {
+				t.Fatalf("released seq %d, want seq %d of the one flow", p.Seq, next)
+			}
+			next++
 		}
-		next++
+		if k != n {
+			t.Fatalf("drained %d, want %d", k, n)
+		}
 	}
-	// Drain exactly one release-buffer fill (Batch=4) packet by packet.
-	for i := 0; i < 4; i++ {
-		deq()
-	}
-	// 13 due packets remain, split between ring and bucketed queue; the
-	// buffer is empty. The very next service moment is NOW.
-	if at, ok := q.NextTimer(now); !ok || at != now {
-		t.Fatalf("NextTimer = (%d,%v) with %d due packets queued, want (%d,true)",
+	deq(4)
+	// 13 due packets remain, split between ring and bucketed queue. The
+	// very next service moment is NOW.
+	if at, ok := q.GroupNextTimer(0, now); !ok || at != now {
+		t.Fatalf("GroupNextTimer = (%d,%v) with %d due packets queued, want (%d,true)",
 			at, ok, q.Len(), now)
 	}
 	// And the remaining backlog must drain completely at now, in order.
-	for i := 0; i < 13; i++ {
-		deq()
-	}
-	if p := q.Dequeue(now); p != nil || q.Len() != 0 {
-		t.Fatalf("Dequeue = %v, Len = %d after the whole backlog drained", p, q.Len())
+	deq(13)
+	if k := q.GroupDequeueBatch(0, now, out); k != 0 || q.Len() != 0 {
+		t.Fatalf("drained %d more, Len = %d after the whole backlog drained", k, q.Len())
 	}
 }
 
@@ -214,13 +215,12 @@ func TestTimerNextTimerWhileDueRemain(t *testing.T) {
 // the timer front's delivery-window edge (the class of bug PR 2's
 // NextRelease fix covered): packets that were still in the RINGS when they became due
 // are routed straight into the schedulers by the delivery pass
-// (flushDueLocked), and NextTimer must answer "now" while any of them
-// remain undelivered — including right after a batch filled the release
-// buffer and was handed out.
+// (flushDueLocked), and GroupNextTimer must answer "now" while any of them
+// remain undelivered — including right after a batch was handed out.
 func TestShapedShardedNextTimerAfterDueDelivery(t *testing.T) {
 	q := mkShapedFront(ShapedShardedOptions{
 		Shards: 2, ShaperBuckets: 1000, HorizonNs: 2000,
-		SchedBuckets: 512, RankSpan: 1024, Batch: 4,
+		SchedBuckets: 512, RankSpan: 1024,
 	})
 	pool := pkt.NewPool(32)
 	now := int64(500)
@@ -228,30 +228,25 @@ func TestShapedShardedNextTimerAfterDueDelivery(t *testing.T) {
 		q.Enqueue(mkShaped(pool, uint64(i), int64(i%100), uint64(i)), 0)
 	}
 	// Everything is due at now but still sitting in rings: the first
-	// NextTimer's migration pass delivers ring packets straight into the
-	// schedulers, and the answer must be "now".
-	if next, ok := q.NextTimer(now); !ok || next != now {
-		t.Fatalf("NextTimer(%d) = (%d,%v) with 20 due ring packets, want now", now, next, ok)
+	// GroupNextTimer's migration pass delivers ring packets straight into
+	// the schedulers, and the answer must be "now".
+	if next, ok := q.GroupNextTimer(0, now); !ok || next != now {
+		t.Fatalf("GroupNextTimer(%d) = (%d,%v) with 20 due ring packets, want now", now, next, ok)
 	}
-	// Drain one full release-buffer fill; scheduler backlog remains, so
-	// the next service moment is still NOW.
-	for i := 0; i < 4; i++ {
-		if p := q.Dequeue(now); p == nil {
-			t.Fatalf("Dequeue %d returned nil with a due backlog", i)
-		}
+	// Drain one batch of four; scheduler backlog remains, so the next
+	// service moment is still NOW.
+	out := make([]*pkt.Packet, 32)
+	if k := q.GroupDequeueBatch(0, now, out[:4]); k != 4 {
+		t.Fatalf("drained %d of a due backlog, want 4", k)
 	}
-	if next, ok := q.NextTimer(now); !ok || next != now {
-		t.Fatalf("NextTimer after the delivery window = (%d,%v), want now", next, ok)
+	if next, ok := q.GroupNextTimer(0, now); !ok || next != now {
+		t.Fatalf("GroupNextTimer after the delivery window = (%d,%v), want now", next, ok)
 	}
-	got := 4
-	for q.Dequeue(now) != nil {
-		got++
-	}
-	if got != 20 {
+	if got := 4 + q.GroupDequeueBatch(0, now, out); got != 20 {
 		t.Fatalf("drained %d, want 20", got)
 	}
-	if _, ok := q.NextTimer(now); ok {
-		t.Fatal("NextTimer ok on a fully drained qdisc")
+	if _, ok := q.GroupNextTimer(0, now); ok {
+		t.Fatal("GroupNextTimer ok on a fully drained qdisc")
 	}
 }
 

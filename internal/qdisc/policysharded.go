@@ -231,8 +231,6 @@ type PolicyShardedOptions struct {
 	// RingBits sizes each shard's MPSC ring at 1<<RingBits slots
 	// (default 10).
 	RingBits uint
-	// Batch is the consumer-side batch size (default 64).
-	Batch int
 	// ShardBound caps each shard's occupancy for EnqueueBatchAdmit; 0
 	// keeps the legacy unbounded spill (see shardq.Options.ShardBound).
 	ShardBound int
@@ -278,7 +276,7 @@ func NewPolicySharded(opt PolicyShardedOptions) (*PolicySharded, error) {
 			return b
 		},
 	})
-	s.Front = newFront(rt.Core, "Eiffel+policy-shards", pubPolicy, opt.Batch, opt.Admit, opt.Tenants)
+	s.Front = newFront(rt.Core, "Eiffel+policy-shards", pubPolicy, opt.Admit, opt.Tenants)
 	return s, nil
 }
 

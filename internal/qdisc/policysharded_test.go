@@ -46,20 +46,32 @@ func policyWorkload(t testing.TB, rng *rand.Rand, nFlows, perFlow int) []*pkt.Pa
 	return ps
 }
 
-// drainIDsByFlow drains q fully and returns each flow's dequeue sequence
-// of packet IDs; it must release exactly total packets.
-func drainIDsByFlow(t *testing.T, q qdisc.Qdisc, total int) map[uint64][]uint64 {
+// drainIDsByFlow pops at now 0 until pop returns nil and returns each
+// flow's dequeue sequence of packet IDs; it must release exactly total
+// packets.
+func drainIDsByFlow(t *testing.T, pop func(now int64) *pkt.Packet, total int) map[uint64][]uint64 {
 	t.Helper()
 	got := map[uint64][]uint64{}
 	released := 0
-	for p := q.Dequeue(0); p != nil; p = q.Dequeue(0) {
+	for p := pop(0); p != nil; p = pop(0) {
 		got[p.Flow] = append(got[p.Flow], p.ID)
 		released++
 	}
 	if released != total {
-		t.Fatalf("%s released %d of %d packets", q.Name(), released, total)
+		t.Fatalf("released %d of %d packets", released, total)
 	}
 	return got
+}
+
+// popOne pops f's group 0 one packet a call.
+func popOne(f *qdisc.Front) func(now int64) *pkt.Packet {
+	var one [1]*pkt.Packet
+	return func(now int64) *pkt.Packet {
+		if f.GroupDequeueBatch(0, now, one[:]) == 0 {
+			return nil
+		}
+		return one[0]
+	}
 }
 
 // TestPolicyShardedFlowOrderMatchesLockedTree is the flow-local exactness
@@ -90,7 +102,7 @@ func TestPolicyShardedFlowOrderMatchesLockedTree(t *testing.T) {
 				for _, p := range ps {
 					tree.Enqueue(p, 0)
 				}
-				want := drainIDsByFlow(t, tree, len(ps))
+				want := drainIDsByFlow(t, tree.Dequeue, len(ps))
 
 				sh, err := qdisc.NewPolicySharded(qdisc.PolicyShardedOptions{
 					Policy: tc.spec, Shards: 8,
@@ -99,7 +111,7 @@ func TestPolicyShardedFlowOrderMatchesLockedTree(t *testing.T) {
 					t.Fatalf("NewPolicySharded: %v", err)
 				}
 				publish(sh)
-				got := drainIDsByFlow(t, sh, len(ps))
+				got := drainIDsByFlow(t, popOne(sh.Front), len(ps))
 
 				if len(got) != len(want) {
 					t.Fatalf("%s: flow sets differ: %d vs %d", label, len(got), len(want))
@@ -259,7 +271,7 @@ func TestNewPolicyTreeLeafSelection(t *testing.T) {
 	for _, p := range ps {
 		q.Enqueue(p, 0)
 	}
-	drainIDsByFlow(t, q, len(ps))
+	drainIDsByFlow(t, q.Dequeue, len(ps))
 }
 
 // TestPolicyShardedClockAdvanceConcurrent began as the regression test
@@ -311,8 +323,8 @@ func TestPolicyShardedClockAdvanceConcurrent(t *testing.T) {
 	out := make([]*pkt.Packet, 64)
 	for released < producers*perProd {
 		now++ // a moving clock, as a serving worker's
-		released += sh.DequeueBatch(now, out)
-		if _, ok := sh.NextTimer(now); !ok {
+		released += sh.GroupDequeueBatch(0, now, out)
+		if _, ok := sh.GroupNextTimer(0, now); !ok {
 			select {
 			case <-done:
 				if sh.Len() == 0 && released < producers*perProd {

@@ -262,3 +262,57 @@ func TestServeStopWakesIdleFleet(t *testing.T) {
 		t.Fatal("Stop of an idle fleet did not return: a parked worker or the watchdog was never woken")
 	}
 }
+
+// TestServerStopForceReleasesBacklog: a fleet has delivered everything due
+// and holds a far-future backlog when it is force-stopped. Every
+// undelivered packet comes back through release exactly once and none
+// reaches a sink; the report conserves, and the front ends closed and
+// refusing admission.
+func TestServerStopForceReleasesBacklog(t *testing.T) {
+	f := NewMultiSharded(MultiShardedOptions{
+		ShardedOptions: ShardedOptions{Shards: 4, Buckets: 64, HorizonNs: contractHorizon},
+		Groups:         2,
+	})
+	sinks, counts := countingSinks(2)
+	srv := f.ServeWith(serveClock, sinks, ServeOptions{StallWindow: -1})
+	const due, far = 100, 400
+	pool := pkt.NewPool(due + far + 1)
+	for i := 0; i < due+far; i++ {
+		p := pool.Get()
+		p.Flow, p.SendAt = uint64(i%32), int64(i)
+		if i >= due {
+			p.SendAt += 4 * contractHorizon // far beyond the worker clock
+		}
+		if !f.TryEnqueue(p, 0) {
+			t.Fatal("TryEnqueue refused on an open, unbounded front")
+		}
+	}
+	waitUntil(t, 5*time.Second, func() bool { return sinkTotal(counts) == due },
+		serveDiag(f, counts))
+
+	seen := make(map[*pkt.Packet]bool, far)
+	rep := srv.StopForce(func(p *pkt.Packet) {
+		if seen[p] {
+			t.Fatalf("flow %d SendAt %d released twice", p.Flow, p.SendAt)
+		}
+		if p.SendAt < 4*contractHorizon {
+			t.Fatalf("flow %d SendAt %d was due, yet released instead of sent", p.Flow, p.SendAt)
+		}
+		seen[p] = true
+	})
+	if len(seen) != far || rep.Released != far || rep.Txd != due || !rep.Conserved() {
+		t.Fatalf("release saw %d of %d far packets: %s", len(seen), far, rep)
+	}
+	if got := sinkTotal(counts); got != due {
+		t.Fatalf("sinks saw %d packets, want the %d due ones", got, due)
+	}
+	if f.State() != StateClosed || f.Len() != 0 {
+		t.Fatalf("state=%v len=%d after StopForce", f.State(), f.Len())
+	}
+	if f.TryEnqueue(pool.Get(), 0) {
+		t.Fatal("a force-stopped front admitted a packet")
+	}
+	if again := srv.Stop(); again != rep {
+		t.Fatalf("Stop after StopForce reported %s, want the same %s", again, rep)
+	}
+}

@@ -26,8 +26,6 @@ type ShapedShardedOptions struct {
 	// RankSpan is the priority range covered without overflow
 	// (default 1<<20).
 	RankSpan uint64
-	// Batch is the consumer-side batch size (default 64).
-	Batch int
 	// RingBits sizes each shard's MPSC ring at 1<<RingBits slots
 	// (default 10).
 	RingBits uint
@@ -164,7 +162,7 @@ func NewMultiShaped(opt MultiShapedOptions) *Front {
 	if base.SchedBackend != SchedVec {
 		name += "/" + base.SchedBackend.String()
 	}
-	return newFront(rt.Core, name, pubShaped, base.Batch, base.Admit, base.Tenants)
+	return newFront(rt.Core, name, pubShaped, base.Admit, base.Tenants)
 }
 
 // --- Single-threaded baseline: pifo.Tree behind the decoupled shaper ---

@@ -38,7 +38,7 @@ func shapedPair() (*Front, *ShapedTree) {
 // order follows Rank, not SendAt.
 func TestShapedShardedDecoupling(t *testing.T) {
 	sharded, tree := shapedPair()
-	for _, q := range []Qdisc{sharded, tree} {
+	for _, q := range []Qdisc{serial(sharded), tree} {
 		t.Run(q.Name(), func(t *testing.T) {
 			pool := pkt.NewPool(8)
 			if _, ok := q.NextTimer(0); ok {
@@ -85,10 +85,10 @@ func TestShapedShardedDecoupling(t *testing.T) {
 // eligible packets sat in the schedulers (the same overdue-idling class
 // of bug as Carousel's NextTimer).
 func TestShapedShardedNextTimerAfterMigration(t *testing.T) {
-	q := mkShapedFront(ShapedShardedOptions{
+	q := serial(mkShapedFront(ShapedShardedOptions{
 		Shards: 2, ShaperBuckets: 1000, HorizonNs: 2000,
 		SchedBuckets: 512, RankSpan: 1024,
-	})
+	}))
 	pool := pkt.NewPool(4)
 	q.Enqueue(mkShaped(pool, 1, 100, 5), 0)
 	q.Enqueue(mkShaped(pool, 2, 500, 7), 0)
@@ -172,7 +172,7 @@ func TestShapedShardedPriorityFidelity(t *testing.T) {
 	for _, mode := range []string{modePerPacket, modeBatched} {
 		q := mkShapedFront(opt)
 		publish(t, q, shapedPackets(8, 2000, 1<<20), mode)
-		ranks := drainRanks(func(out []*pkt.Packet) int { return q.DequeueBatch(horizon, out) })
+		ranks := drainRanks(func(out []*pkt.Packet) int { return q.GroupDequeueBatch(0, horizon, out) })
 		if n, _ := inversions(ranks, opt.schedGran()); len(ranks) != 16000 || n != 0 {
 			t.Fatalf("%s: released %d of 16000, %d priority inversions beyond bucket granularity", mode, len(ranks), n)
 		}
@@ -224,7 +224,7 @@ func TestShapedShardedApproxInversionBound(t *testing.T) {
 			}
 			q := mkShapedFront(opt)
 			publish(t, q, shapedPackets(producers, perProducer, rankSpan), modeBatched)
-			ranks := drainRanks(func(out []*pkt.Packet) int { return q.DequeueBatch(horizon, out) })
+			ranks := drainRanks(func(out []*pkt.Packet) int { return q.GroupDequeueBatch(0, horizon, out) })
 			if len(ranks) != producers*perProducer || q.Len() != 0 {
 				t.Fatalf("released %d of %d, Len = %d", len(ranks), producers*perProducer, q.Len())
 			}

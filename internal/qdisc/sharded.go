@@ -17,8 +17,6 @@ type ShardedOptions struct {
 	HorizonNs int64
 	// Start anchors the initial window.
 	Start int64
-	// Batch is the consumer-side batch size (default 64).
-	Batch int
 	// RingBits sizes each shard's MPSC ring at 1<<RingBits slots
 	// (default 10).
 	RingBits uint
@@ -60,5 +58,5 @@ func NewMultiSharded(opt MultiShardedOptions) *Front {
 		Queue:      eiffelCfg(opt.Buckets, opt.HorizonNs, opt.Start),
 		ShardBound: opt.ShardBound,
 	})
-	return newFront(rt.Core, "Eiffel+shards", pubTimer, opt.Batch, opt.Admit, opt.Tenants)
+	return newFront(rt.Core, "Eiffel+shards", pubTimer, opt.Admit, opt.Tenants)
 }

@@ -11,7 +11,7 @@ import (
 // out before their release bucket, empty means (0, false) timers, and
 // NextTimer reports the soonest deadline across shards.
 func TestShardedShaping(t *testing.T) {
-	q := NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{Shards: 4, Buckets: 1000, HorizonNs: 2000, Start: 0}})
+	q := serial(NewMultiSharded(MultiShardedOptions{ShardedOptions: ShardedOptions{Shards: 4, Buckets: 1000, HorizonNs: 2000, Start: 0}}))
 	// Granularity = 2000/(2*1000) = 1 ns per bucket: exact ranks.
 	if _, ok := q.NextTimer(0); ok {
 		t.Fatal("NextTimer ok on empty qdisc")
@@ -79,7 +79,7 @@ func TestShardedEnqueueBatchConcurrent(t *testing.T) {
 	seen := make(map[uint64]bool, producers*perProducer)
 	out := make([]*pkt.Packet, 256)
 	for {
-		k := q.DequeueBatch(horizon, out)
+		k := q.GroupDequeueBatch(0, horizon, out)
 		if k == 0 {
 			break
 		}

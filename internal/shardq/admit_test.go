@@ -107,7 +107,7 @@ func TestFlushAdmitAccounting(t *testing.T) {
 			totalRej += uint64(len(res.Rejected))
 			// Partial drain so later rounds admit again.
 			for j := 0; j < 2; j++ {
-				c.DequeueBatch(0, ^uint64(0), out)
+				drainAll(c, 0, ^uint64(0), out)
 			}
 		}
 		if totalRej == 0 {

@@ -282,9 +282,10 @@ type Snapshot struct {
 	// Migrated counts elements that entered a scheduler behind a shaper
 	// stage when their release time arrived (zero with no shaper stage).
 	Migrated uint64
-	// Batches counts DequeueBatch calls that returned at least one node.
+	// Batches counts GroupDequeueBatch calls that returned at least one
+	// node.
 	Batches uint64
-	// Batched counts nodes returned by DequeueBatch.
+	// Batched counts nodes returned by GroupDequeueBatch.
 	Batched uint64
 	// Rejected counts elements refused by the bounded-admission paths
 	// (zero unless a shard bound is set or the runtime is closed).
@@ -333,10 +334,8 @@ func (s Snapshot) String() string {
 // concurrently, each on its own clock value, with no synchronization
 // between their workers beyond the per-shard state they never share; flows
 // never span groups, so per-flow release gating and priority order are
-// exactly the single-consumer order regardless of clock skew. The
-// group-less surface (DequeueBatch, DequeueMin) serves every group
-// from the calling goroutine and requires exclusive access to ALL of them
-// — the single-consumer deployment.
+// exactly the single-consumer order regardless of clock skew. The group
+// drain is the only way elements leave.
 type Core struct {
 	shards    []shard
 	shardBits uint
@@ -883,53 +882,4 @@ func (c *Core) mergeRuns(gr *groupState, maxRank uint64, out []*bucket.Node) int
 		total += popped
 	}
 	return total
-}
-
-// DequeueBatch is GroupDequeueBatch over every consumer group from the
-// calling goroutine (group by group, each group merged exactly as
-// GroupDequeueBatch merges). With the default single group this IS the
-// global cross-shard priority merge; with more groups the cross-group
-// concatenation relaxes global order to group granularity, exactly as
-// parallel group workers would. Single-consumer surface: requires
-// exclusive access to every group.
-//
-//eiffel:hotpath
-func (c *Core) DequeueBatch(now, maxRank uint64, out []*bucket.Node) int {
-	total := 0
-	for g := range c.groups {
-		total += c.GroupDequeueBatch(g, now, maxRank, out[total:])
-		if total == len(out) {
-			break
-		}
-	}
-	return total
-}
-
-// DequeueMin pops the single minimum-rank element that is eligible at now
-// (to bucket granularity), or nil if none is. With multiple consumer
-// groups it first compares every group's settled scheduler head and
-// serves the winning group — the one place the group-less surface still
-// pays for a true global answer. Single-consumer surface; batch callers
-// should prefer DequeueBatch, which amortizes the shard scan. On a timer
-// runtime with a single group an element still in a ring comes out in ring
-// order once the queues hold nothing; with multiple groups the head scan
-// has already flushed the rings, so the bucketed-queue head wins.
-func (c *Core) DequeueMin(now uint64) *bucket.Node {
-	g := 0
-	if len(c.groups) > 1 {
-		best, ok := uint64(0), false
-		for gi := range c.groups {
-			if r, inSched, rok := c.GroupPeek(gi, now); rok && inSched && (!ok || r < best) {
-				g, best, ok = gi, r, true
-			}
-		}
-		if !ok {
-			return nil
-		}
-	}
-	var one [1]*bucket.Node
-	if c.GroupDequeueBatch(g, now, ^uint64(0), one[:]) == 0 {
-		return nil
-	}
-	return one[0]
 }

@@ -200,36 +200,6 @@ func TestGroupDrainMatchesSingleConsumerPerFlow(t *testing.T) {
 	})
 }
 
-// TestDequeueMinAcrossGroups pins the group-less DequeueMin contract on a
-// multi-group runtime: the global minimum must come out first even when a
-// LATER group holds it — a naive first-non-empty-group pop would return
-// group 0's head instead.
-func TestDequeueMinAcrossGroups(t *testing.T) {
-	forEachView(t, func(t *testing.T, v view) {
-		c := v.mk(viewOpts{shards: 8, groups: 4, ringBits: 6})
-		flowIn := func(g int) uint64 {
-			for f := uint64(0); ; f++ {
-				if c.GroupFor(f) == g {
-					return f
-				}
-			}
-		}
-		es := mkElems(3)
-		v.enq(c, flowIn(0), es[0], 100)
-		v.enq(c, flowIn(c.NumGroups()-1), es[1], 5)
-		v.enq(c, flowIn(1), es[2], 50)
-		for i, want := range []int{1, 2, 0} {
-			n := c.DequeueMin(0)
-			if n == nil || n.Data.(*elem).id != want {
-				t.Fatalf("DequeueMin %d = %v, want element %d", i, n, want)
-			}
-		}
-		if c.DequeueMin(0) != nil {
-			t.Fatal("DequeueMin non-nil on an empty runtime")
-		}
-	})
-}
-
 // TestLenNeverNegativeDuringChurn is the qlen/occupancy regression test:
 // producers squeezed through a tiny ring hammer the fallback-flush path
 // while a consumer drains and a reader samples Len the whole time. Len
@@ -275,7 +245,7 @@ func TestLenNeverNegativeDuringChurn(t *testing.T) {
 		producersDone := false
 		deadline := time.Now().Add(20 * time.Second)
 		for consumed < producers*perProd {
-			k := c.DequeueBatch(0, ^uint64(0), out)
+			k := drainAll(c, 0, ^uint64(0), out)
 			consumed += k
 			if k > 0 {
 				continue

@@ -236,7 +236,7 @@ func TestHierSchedRuntime(t *testing.T) {
 	next := make([]uint64, flows)
 	got := 0
 	for q.Len() > 0 {
-		k := q.DequeueBatch(^uint64(0), out)
+		k := q.GroupDequeueBatch(0, ^uint64(0), out)
 		if k == 0 {
 			t.Fatal("merged drain stalled with backlog")
 		}

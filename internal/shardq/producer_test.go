@@ -103,7 +103,7 @@ func TestSnapshotStringBulkCounters(t *testing.T) {
 // TestBatchVsPerElementEquivalence is the batching correctness property:
 // the SAME randomized (flow, rank) workload admitted per element, through
 // a staging Producer (random flush points), and through EnqueueBatch
-// (random run lengths) must produce byte-identical exact-mode DequeueBatch
+// (random run lengths) must produce byte-identical exact-mode GroupDequeueBatch
 // sequences — batching is a transport optimization, never a reordering.
 func TestBatchVsPerElementEquivalence(t *testing.T) {
 	seeds := []int64{1, 7, 42}
@@ -212,7 +212,7 @@ func TestShapedBatchVsPerElementEquivalence(t *testing.T) {
 			// drain at the horizon.
 			for _, now := range []uint64{horizon / 7, horizon / 3, horizon / 2, horizon} {
 				for {
-					k := q.DequeueBatch(now, ^uint64(0), out)
+					k := q.GroupDequeueBatch(0, now, ^uint64(0), out)
 					if k == 0 {
 						break
 					}
@@ -326,7 +326,7 @@ func TestFallbackWaitsOutUnpublishedSlot(t *testing.T) {
 			atomic.StoreUint64(&e.seq, 1)
 			<-done
 			out := make([]*bucket.Node, 16)
-			if k := q.DequeueBatch(^uint64(0), out); k != len(nodes) {
+			if k := q.GroupDequeueBatch(0, ^uint64(0), out); k != len(nodes) {
 				t.Fatalf("drained %d of %d", k, len(nodes))
 			}
 			for i := range nodes {

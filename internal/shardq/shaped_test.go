@@ -47,23 +47,23 @@ func TestShapedGatesOnSendAt(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
 
-	if n := q.DequeueMin(50); n != nil {
-		t.Fatalf("DequeueMin(50) released rank %d before any sendAt", n.Rank())
+	if n := popMin(q.Core, 50); n != nil {
+		t.Fatalf("popMin(50) released rank %d before any sendAt", n.Rank())
 	}
 	if r, inSched, ok := q.GroupPeek(0, 50); !ok || inSched || r != 100 {
 		t.Fatalf("GroupPeek(50) = (%d,%v,%v), want the shaper release (100,false,true)", r, inSched, ok)
 	}
 
 	// At t=150 only a is eligible, despite its low priority.
-	if n := q.DequeueMin(150); n == nil || n.Data.(*elem) != a {
-		t.Fatalf("DequeueMin(150) = %v, want element a", n)
+	if n := popMin(q.Core, 150); n == nil || n.Data.(*elem) != a {
+		t.Fatalf("popMin(150) = %v, want element a", n)
 	}
 	// At t=350 both b and c are eligible: priority order, b (rank 10) first.
-	if n := q.DequeueMin(350); n == nil || n.Data.(*elem) != b {
-		t.Fatal("DequeueMin(350) should serve the highest-priority eligible element")
+	if n := popMin(q.Core, 350); n == nil || n.Data.(*elem) != b {
+		t.Fatal("popMin(350) should serve the highest-priority eligible element")
 	}
-	if n := q.DequeueMin(350); n == nil || n.Data.(*elem) != c {
-		t.Fatal("DequeueMin(350) should then serve c")
+	if n := popMin(q.Core, 350); n == nil || n.Data.(*elem) != c {
+		t.Fatal("popMin(350) should then serve c")
 	}
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d after drain", q.Len())
@@ -109,14 +109,14 @@ func testShapedMergedPriorityOrder(t *testing.T, moving bool) {
 	var last uint64
 	got := 0
 	for {
-		k := q.DequeueBatch(1000, ^uint64(0), out)
+		k := q.GroupDequeueBatch(0, 1000, ^uint64(0), out)
 		if k == 0 {
 			break
 		}
 		for _, nd := range out[:k] {
 			e := nd.Data.(*elem)
 			if nd != &e.sched && nd != &e.timer {
-				t.Fatal("DequeueBatch must return one of the element's handles")
+				t.Fatal("GroupDequeueBatch must return one of the element's handles")
 			}
 			if got > 0 && e.rank < last {
 				t.Fatalf("position %d: rank %d after %d (priority inversion)", got, e.rank, last)
@@ -133,7 +133,7 @@ func testShapedMergedPriorityOrder(t *testing.T, moving bool) {
 	}
 }
 
-// TestShapedMaxRankBound checks the priority bound of DequeueBatch:
+// TestShapedMaxRankBound checks the priority bound of GroupDequeueBatch:
 // eligible elements beyond maxRank stay queued in the schedulers.
 func TestShapedMaxRankBound(t *testing.T) {
 	q := newShapedQ(2, 6)
@@ -142,14 +142,14 @@ func TestShapedMaxRankBound(t *testing.T) {
 		q.Enqueue(uint64(i), &e.timer, e.sendAt, e.rank)
 	}
 	out := make([]*bucket.Node, 200)
-	if k := q.DequeueBatch(10, 49, out); k != 50 {
-		t.Fatalf("DequeueBatch(maxRank=49) = %d, want 50", k)
+	if k := q.GroupDequeueBatch(0, 10, 49, out); k != 50 {
+		t.Fatalf("GroupDequeueBatch(maxRank=49) = %d, want 50", k)
 	}
 	if r, inSched, ok := q.GroupPeek(0, 10); !ok || !inSched || r != 50 || q.Len() != 50 {
 		t.Fatalf("GroupPeek = (%d,%v,%v) Len = %d, want rank 50 heading 50 still scheduled", r, inSched, ok, q.Len())
 	}
-	if k := q.DequeueBatch(10, ^uint64(0), out); k != 50 {
-		t.Fatalf("second DequeueBatch = %d, want 50", k)
+	if k := q.GroupDequeueBatch(0, 10, ^uint64(0), out); k != 50 {
+		t.Fatalf("second GroupDequeueBatch = %d, want 50", k)
 	}
 }
 
@@ -173,7 +173,7 @@ func TestShapedRingFullFallback(t *testing.T) {
 		t.Fatalf("expected ring-full fallbacks, stats: %v", st)
 	}
 	out := make([]*bucket.Node, n)
-	if k := q.DequeueBatch(uint64(n), ^uint64(0), out); k != n {
+	if k := q.GroupDequeueBatch(0, uint64(n), ^uint64(0), out); k != n {
 		t.Fatalf("drained %d, want %d", k, n)
 	}
 	for i, nd := range out {
@@ -210,7 +210,7 @@ func TestShapedConcurrentProducersDrain(t *testing.T) {
 	consumed := 0
 	producersDone := false
 	for consumed < producers*perProducer {
-		k := q.DequeueBatch(1<<11, ^uint64(0), out)
+		k := q.GroupDequeueBatch(0, 1<<11, ^uint64(0), out)
 		consumed += k
 		if k > 0 {
 			continue

@@ -129,19 +129,6 @@ func (q *Q) GroupMinRank(g int) (uint64, bool) {
 	return r, ok
 }
 
-// MinRank is GroupMinRank over every group. Single-consumer surface.
-//
-//eiffel:hotpath
-func (q *Q) MinRank() (uint64, bool) {
-	min, ok := uint64(0), false
-	for g := range q.groups {
-		if r, rok := q.GroupMinRank(g); rok && (!ok || r < min) {
-			min, ok = r, true
-		}
-	}
-	return min, ok
-}
-
 // GroupDequeueBatch pops up to len(out) elements whose bucket-quantized
 // rank is <= maxRank from consumer group g's shards; see
 // Core.GroupDequeueBatch.
@@ -150,15 +137,3 @@ func (q *Q) MinRank() (uint64, bool) {
 func (q *Q) GroupDequeueBatch(g int, maxRank uint64, out []*bucket.Node) int {
 	return q.Core.GroupDequeueBatch(g, 0, maxRank, out)
 }
-
-// DequeueBatch is GroupDequeueBatch over every group; see
-// Core.DequeueBatch. Single-consumer surface.
-//
-//eiffel:hotpath
-func (q *Q) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
-	return q.Core.DequeueBatch(0, maxRank, out)
-}
-
-// DequeueMin pops the single globally minimum element (to bucket
-// granularity), or nil if nothing is queued; see Core.DequeueMin.
-func (q *Q) DequeueMin() *bucket.Node { return q.Core.DequeueMin(0) }

@@ -80,7 +80,7 @@ func TestDrainOrder(t *testing.T) {
 	out := make([]*bucket.Node, 64)
 	var got []uint64
 	for {
-		k := q.DequeueBatch(^uint64(0), out)
+		k := q.GroupDequeueBatch(0, ^uint64(0), out)
 		if k == 0 {
 			break
 		}
@@ -107,9 +107,9 @@ func TestDequeueBatchRespectsMaxRank(t *testing.T) {
 		q.Enqueue(uint64(i), &bucket.Node{}, uint64(i))
 	}
 	out := make([]*bucket.Node, 200)
-	k := q.DequeueBatch(49, out)
+	k := q.GroupDequeueBatch(0, 49, out)
 	if k != 50 {
-		t.Fatalf("DequeueBatch(maxRank=49) = %d, want 50", k)
+		t.Fatalf("GroupDequeueBatch(maxRank=49) = %d, want 50", k)
 	}
 	for _, n := range out[:k] {
 		if n.Rank() > 49 {
@@ -130,14 +130,14 @@ func TestEmptiedShardKeepsBurstOrder(t *testing.T) {
 	q := New(Options{NumShards: 1})
 	out := make([]*bucket.Node, 16)
 	q.Enqueue(1, &bucket.Node{}, 900)
-	if k := q.DequeueBatch(^uint64(0), out); k != 1 {
+	if k := q.GroupDequeueBatch(0, ^uint64(0), out); k != 1 {
 		t.Fatalf("drained %d, want 1", k)
 	}
 	for _, r := range []uint64{1000, 998, 999, 990, 1005} {
 		q.Enqueue(1, &bucket.Node{}, r)
 	}
 	var got []uint64
-	for _, n := range out[:q.DequeueBatch(^uint64(0), out)] {
+	for _, n := range out[:q.GroupDequeueBatch(0, ^uint64(0), out)] {
 		got = append(got, n.Rank())
 	}
 	if want := []uint64{990, 998, 999, 1000, 1005}; !reflect.DeepEqual(got, want) {
@@ -153,14 +153,14 @@ func TestEmptiedShardKeepsBurstOrder(t *testing.T) {
 	}
 	q.Enqueue(a, &bucket.Node{}, 100)
 	q.Enqueue(b, &bucket.Node{}, 5000)
-	if k := q.DequeueBatch(^uint64(0), out); k != 2 {
+	if k := q.GroupDequeueBatch(0, ^uint64(0), out); k != 2 {
 		t.Fatalf("drained %d, want 2", k)
 	}
 	for _, r := range []uint64{5100, 3000, 2990} {
 		q.Enqueue(a, &bucket.Node{}, r)
 	}
 	got = got[:0]
-	for _, n := range out[:q.DequeueBatch(^uint64(0), out)] {
+	for _, n := range out[:q.GroupDequeueBatch(0, ^uint64(0), out)] {
 		got = append(got, n.Rank())
 	}
 	if want := []uint64{2990, 3000, 5100}; !reflect.DeepEqual(got, want) {
@@ -170,20 +170,20 @@ func TestEmptiedShardKeepsBurstOrder(t *testing.T) {
 
 func TestMinRankAggregates(t *testing.T) {
 	q := newTestQ(4)
-	if _, ok := q.MinRank(); ok {
-		t.Fatal("MinRank ok on empty runtime")
+	if _, ok := q.GroupMinRank(0); ok {
+		t.Fatal("GroupMinRank ok on empty runtime")
 	}
 	q.Enqueue(1, &bucket.Node{}, 300)
 	q.Enqueue(2, &bucket.Node{}, 100)
 	q.Enqueue(3, &bucket.Node{}, 200)
-	if r, ok := q.MinRank(); !ok || r != 100 {
-		t.Fatalf("MinRank = (%d, %v), want (100, true)", r, ok)
+	if r, ok := q.GroupMinRank(0); !ok || r != 100 {
+		t.Fatalf("GroupMinRank = (%d, %v), want (100, true)", r, ok)
 	}
-	if n := q.DequeueMin(); n == nil || n.Rank() != 100 {
-		t.Fatalf("DequeueMin rank = %v", n)
+	if n := popMin(q.Core, 0); n == nil || n.Rank() != 100 {
+		t.Fatalf("popMin rank = %v", n)
 	}
-	if r, ok := q.MinRank(); !ok || r != 200 {
-		t.Fatalf("MinRank after pop = (%d, %v), want (200, true)", r, ok)
+	if r, ok := q.GroupMinRank(0); !ok || r != 200 {
+		t.Fatalf("GroupMinRank after pop = (%d, %v), want (200, true)", r, ok)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestRingFullFallback(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", q.Len(), n)
 	}
 	out := make([]*bucket.Node, n)
-	if k := q.DequeueBatch(^uint64(0), out); k != n {
+	if k := q.GroupDequeueBatch(0, ^uint64(0), out); k != n {
 		t.Fatalf("drained %d, want %d", k, n)
 	}
 	for i, nd := range out {
@@ -223,7 +223,7 @@ func TestRingFullFallback(t *testing.T) {
 // never starved (or overtaken) by ring traffic — a batch that could fill
 // entirely from the ring hands out the queue's due backlog first — due ring
 // entries then come out in ring order without touching the queue, the
-// not-yet-due one parks, and everything drains. (MinRank between batches
+// not-yet-due one parks, and everything drains. (GroupMinRank between batches
 // would settle the ring into the queue; the front-level twin of this test,
 // TestTimerNextTimerWhileDueRemain, covers that answer.)
 func TestTimerServesSettledBeforeRing(t *testing.T) {
@@ -261,7 +261,7 @@ func TestTimerServesSettledBeforeRing(t *testing.T) {
 	out := make([]*bucket.Node, 8)
 	var got []uint64
 	for {
-		k := q.DequeueBatch(due, out)
+		k := q.GroupDequeueBatch(0, due, out)
 		if k == 0 {
 			break
 		}
@@ -275,10 +275,10 @@ func TestTimerServesSettledBeforeRing(t *testing.T) {
 	if st := q.Stats(); st.Direct != 7 {
 		t.Fatalf("Direct = %d, want the 7 due ring entries", st.Direct)
 	}
-	if r, ok := q.MinRank(); !ok || r != 107 || q.Len() != 1 {
-		t.Fatalf("MinRank = (%d,%v), Len = %d: want the one parked element at 107", r, ok, q.Len())
+	if r, ok := q.GroupMinRank(0); !ok || r != 107 || q.Len() != 1 {
+		t.Fatalf("GroupMinRank = (%d,%v), Len = %d: want the one parked element at 107", r, ok, q.Len())
 	}
-	if k := q.DequeueBatch(107, out); k != 1 || out[0].Rank() != 107 || q.Len() != 0 {
+	if k := q.GroupDequeueBatch(0, 107, out); k != 1 || out[0].Rank() != 107 || q.Len() != 0 {
 		t.Fatalf("drained %d at 107 (Len %d), want the parked element", k, q.Len())
 	}
 }
@@ -308,14 +308,14 @@ func TestConcurrentProducersDrain(t *testing.T) {
 	consumed := 0
 	producersDone := false
 	for consumed < producers*perProducer {
-		k := q.DequeueBatch(^uint64(0), out)
+		k := q.GroupDequeueBatch(0, ^uint64(0), out)
 		consumed += k
 		if k > 0 {
 			continue
 		}
 		if producersDone {
 			// All publications completed before this empty drain, and
-			// DequeueBatch flushes every ring — nothing can be in flight.
+			// GroupDequeueBatch flushes every ring — nothing can be in flight.
 			t.Fatalf("consumed %d of %d with producers done", consumed, producers*perProducer)
 		}
 		select {
@@ -431,7 +431,7 @@ func TestCrossShardOrderUnderFallback(t *testing.T) {
 		bound := uint64(r+1)*window - 1
 		drained := 0
 		for drained < perRound {
-			k := q.DequeueBatch(bound, out)
+			k := q.GroupDequeueBatch(0, bound, out)
 			if k == 0 {
 				t.Fatalf("round %d: drained %d of %d with the round fully published", r, drained, perRound)
 			}

@@ -102,13 +102,33 @@ func (v view) stage(p *Producer, flow uint64, e *elem, rank uint64) {
 	p.Enqueue(flow, n, k1, k2)
 }
 
+// drainAll pops up to len(out) elements eligible at now with rank at or
+// below maxRank, group by group from the calling goroutine: what every
+// group's worker would release, concatenated.
+func drainAll(c *Core, now, maxRank uint64, out []*bucket.Node) int {
+	k := 0
+	for g := 0; g < c.NumGroups() && k < len(out); g++ {
+		k += c.GroupDequeueBatch(g, now, maxRank, out[k:])
+	}
+	return k
+}
+
+// popMin pops group 0's minimum element eligible at now, or nil.
+func popMin(c *Core, now uint64) *bucket.Node {
+	var one [1]*bucket.Node
+	if c.GroupDequeueBatch(0, now, ^uint64(0), one[:]) == 0 {
+		return nil
+	}
+	return one[0]
+}
+
 // drainIDs drains c completely, chunk elements per call, returning the
 // elements' ids in release order.
 func drainIDs(c *Core, chunk int) []int {
 	out := make([]*bucket.Node, chunk)
 	var got []int
 	for {
-		k := c.DequeueBatch(0, ^uint64(0), out)
+		k := drainAll(c, 0, ^uint64(0), out)
 		if k == 0 {
 			return got
 		}

@@ -3,9 +3,10 @@
 # nonzero allocs/op. The BenchmarkHotPath* targets each run one full
 # publish->drain lap per op against pre-warmed runtimes, so any allocation
 # is a regression on the enqueue/dequeue hot paths (bench_alloc_test.go).
-# The set covers both consumer topologies: the single-consumer drains and
-# the parallel consumer-group drain (BenchmarkHotPathGroupDrain, four
-# persistent workers), so neither side of the egress split may regress,
+# Every lap drains through GroupDequeueBatch, the only way packets leave
+# the sharded runtime, in both topologies: one group drained from the
+# benchmark goroutine, and four groups drained by four persistent workers
+# (BenchmarkHotPathGroupDrain), so neither may regress. The set also holds
 # the shaped pipeline with its shaper stage really parking and migrating
 # (BenchmarkHotPathShapedEnqueueBatched: ffsq.ShaperStore's chunk pool
 # refills only on the warming lap),

@@ -43,6 +43,6 @@ doc() {
 	fi
 }
 
-budget 5723 internal/shardq internal/qdisc
+budget 5487 internal/shardq internal/qdisc
 budget 2238 internal/ffsq internal/gradq
-doc 740 ARCHITECTURE.md
+doc 736 ARCHITECTURE.md
