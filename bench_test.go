@@ -2,7 +2,6 @@ package eiffel_test
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 
 	"eiffel/internal/exp"
@@ -98,7 +97,7 @@ func BenchmarkFig19NetworkWide(b *testing.B) {
 // BenchmarkFig20Choose regenerates the Figure 20 decision table.
 func BenchmarkFig20Choose(b *testing.B) { runExp(b, "fig20") }
 
-// Ablation benches for the design choices DESIGN.md calls out.
+// Ablation benches: one per ablation-* experiment id.
 
 // BenchmarkAblationHierVsFlat compares hierarchical vs flat FFS indexes.
 func BenchmarkAblationHierVsFlat(b *testing.B) { runExp(b, "ablation-hier-vs-flat") }
@@ -111,23 +110,3 @@ func BenchmarkAblationBackends(b *testing.B) { runExp(b, "ablation-backends") }
 
 // BenchmarkAblationShaperBackend swaps the Eiffel qdisc's shaper backend.
 func BenchmarkAblationShaperBackend(b *testing.B) { runExp(b, "ablation-shaper") }
-
-// BenchmarkChaos runs the egress fault-injection suite in quick mode
-// (internal/exp/chaos.go): supervised Serve workers draining into
-// seed-driven fault.Sink TX queues, one misbehavior profile per row.
-// The experiment itself asserts exactly-once egress (zero lost, zero
-// duplicated), exact per-reason drop attribution, and a bounded
-// graceful-drain recovery time; any violation surfaces as a note that
-// fails this benchmark. The reported metrics are the deadline row's
-// drop count (must be > 0 — the profile exists to force that reason)
-// and its recovery time.
-func BenchmarkChaos(b *testing.B) {
-	res := runExp(b, "chaos")
-	for _, n := range res.Notes {
-		if strings.Contains(n, "CHAOS VIOLATION") {
-			b.Fatal(n)
-		}
-	}
-	metric(b, res, 0, 6, 3, "deadline-drops")
-	metric(b, res, 0, 6, 12, "deadline-recovery-ms")
-}

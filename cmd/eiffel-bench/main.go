@@ -11,11 +11,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"eiffel/internal/exp"
@@ -23,11 +21,10 @@ import (
 
 func main() {
 	var (
-		name    = flag.String("experiment", "all", "experiment id (see -list) or 'all'")
-		quick   = flag.Bool("quick", false, "reduced workloads for fast runs")
-		seed    = flag.Int64("seed", 1, "workload seed")
-		list    = flag.Bool("list", false, "list experiment ids")
-		jsonDir = flag.String("json", "", "directory to write BENCH_<id>.json payloads (experiments that emit one)")
+		name  = flag.String("experiment", "all", "experiment id (see -list) or 'all'")
+		quick = flag.Bool("quick", false, "reduced workloads for fast runs")
+		seed  = flag.Int64("seed", 1, "workload seed")
+		list  = flag.Bool("list", false, "list experiment ids")
 	)
 	flag.Parse()
 
@@ -49,23 +46,6 @@ func main() {
 		res := r(opts)
 		fmt.Print(res.String())
 		fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
-		if *jsonDir != "" && res.JSON != nil {
-			if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "mkdir %s: %v\n", *jsonDir, err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*jsonDir, "BENCH_"+res.ID+".json")
-			buf, err := json.MarshalIndent(res.JSON, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "marshal %s payload: %v\n", id, err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "write %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
 	}
 
 	if *name == "all" {

@@ -468,8 +468,8 @@ const (
 // obeys admitted == tx'd + dropped + released exactly; and Serve worker
 // fleets are supervised — panic recovery with a bounded restart budget,
 // a stall watchdog, and per-group health. See ARCHITECTURE.md ("Egress
-// fault tolerance and lifecycle") and internal/fault for the chaos
-// harness that asserts the exactly-once contract under injected faults.
+// fault tolerance and lifecycle"); internal/qdisc's TestChaosEveryPreset
+// asserts the exactly-once contract under injected sink faults.
 type (
 	// FallibleSink is an egress transmit queue that can refuse work:
 	// TryTx accepts a prefix of the batch and says why it stopped.

@@ -49,9 +49,11 @@ func main() {
 // serveSharded runs a four-tenant hClock tree — a 2 Gbps reservation
 // holder and three weighted classes — shard-confined on the multi-producer
 // runtime (eiffel.HierSharded, one engine per shard with rates
-// renormalized by the shard count): 8 producers feed it while a Serve
-// worker drains it into a counting sink on the wall clock, and Stop drains
-// what is left and reports conservation. (No rate cap here: the
+// renormalized by the shard count): 8 producers feed it through the
+// refusable admission path while a supervised Serve worker drains it into
+// a counting sink on the wall clock, and Stop drains what is left and
+// reports conservation, the front's lifecycle state, its admitted count
+// and the worker's sink-panic restarts. (No rate cap here: the
 // busy-polling pipeline above is the limit showcase.)
 func serveSharded() {
 	spec := eiffel.HierSpec{
@@ -85,14 +87,21 @@ func serveSharded() {
 				p.Flow = uint64(w*flowsPer + f)
 				p.Size = 1500
 				p.Class = int32(f % len(spec.Tenants))
-				q.Enqueue(p, 0)
+				if !q.TryEnqueue(p, 0) {
+					return // refused: the front was closed under us
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	rep := srv.Stop()
+	var restarts uint64
+	for _, h := range srv.Health() {
+		restarts += h.Restarts
+	}
 
 	fmt.Println()
 	fmt.Printf("hClock tree, %d producers through Serve: %d of %d packets delivered, conserved=%v\n",
 		producers, sink.Count(), producers*perProducer, rep.Conserved())
+	fmt.Printf("after Stop: state=%s admitted=%d worker restarts=%d\n", q.State(), q.Admitted(), restarts)
 }

@@ -1,9 +1,10 @@
 // Package exp is the experiment harness: one runner per table and figure
 // of the paper's evaluation (§5), each regenerating the corresponding rows
-// or series on this machine's substrates, plus the design ablations and
-// the chaos conservation suite. cmd/eiffel-bench drives the runners; the
-// repo-root benchmarks wrap them in testing.B targets. Throughput of the
-// sharded runtime is measured end to end by benchmark/, not here.
+// or series on this machine's substrates, plus the design ablations.
+// cmd/eiffel-bench drives the runners; the repo-root benchmarks wrap them
+// in testing.B targets. Throughput of the sharded runtime is measured end
+// to end by benchmark/, and the egress path's fault tolerance by
+// internal/qdisc's TestChaosEveryPreset, not here.
 package exp
 
 import (
@@ -39,9 +40,6 @@ type Result struct {
 	Tables []*stats.Table
 	// Notes records scaling substitutions applied.
 	Notes []string
-	// JSON, when non-nil, is the experiment's machine-readable payload:
-	// cmd/eiffel-bench -json writes it to BENCH_<ID>.json.
-	JSON any
 }
 
 // String renders all tables.

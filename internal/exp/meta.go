@@ -77,7 +77,6 @@ var Registry = map[string]Runner{
 	"ablation-alpha":        AblationAlpha,
 	"ablation-backends":     AblationComparisonQueues,
 	"ablation-shaper":       AblationShaperBackend,
-	"chaos":                 Chaos,
 }
 
 // Names returns registry keys in stable order.

@@ -41,7 +41,7 @@ func NewGradWeights(n int, alpha float64) *GradWeights {
 // Estimate for the (near-)maximal marked physical index.
 //
 // occupied reports whether bucket p currently holds elements; it is only
-// consulted on the amortized renormalisation slow path.
+// consulted on the renormalisation slow path.
 type Grad struct {
 	w        *GradWeights
 	a, b     ksum
@@ -76,7 +76,7 @@ func (g *Grad) Mark(p int) {
 // Unmark records bucket p's non-empty→empty transition, resetting the
 // accumulated floating-point drift when the last bucket empties and
 // renormalising once the live mass has decayed renormRatio below its peak
-// (see Approx for the amortization argument).
+// (renormalize states its cost).
 //
 //eiffel:hotpath
 func (g *Grad) Unmark(p int) {
@@ -93,9 +93,9 @@ func (g *Grad) Unmark(p int) {
 }
 
 // renormalize recomputes the coefficients from true occupancy, discarding
-// accumulated cancellation error. Amortized O(1) per operation: it can
-// only fire again after the mass decays by another renormRatio, which
-// takes Omega(alpha * log2(renormRatio)) unmarks.
+// accumulated cancellation error. It costs O(window) per fire, one occupied
+// probe per bucket, and is not amortized: a Mark renormRatio above the rest
+// raises peakA, and its Unmark fires this again (ROADMAP.md item 15).
 //
 //eiffel:hotpath
 func (g *Grad) renormalize() {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"eiffel/internal/fault"
 	"eiffel/internal/pkt"
 	"eiffel/internal/stats"
 )
@@ -288,8 +287,8 @@ func (s *panicSink) Tx(ps []*pkt.Packet) {
 }
 
 // servePresets is the front contract's presets reduced to one per
-// scheduler family: supervision, drain and chaos exist once in Front, so
-// every preset must behave the same under them.
+// scheduler family: supervision, drain and fault handling exist once in
+// Front, so every preset must behave the same under them.
 func servePresets() []frontCase {
 	var out []frontCase
 	for _, c := range frontCases {
@@ -485,32 +484,37 @@ func TestEgressConservationProperty(t *testing.T) {
 
 // ---- deterministic chaos, every preset -------------------------------------
 
-// TestChaosEveryPreset drives each preset's supervised fleet over
-// seed-driven fault sinks, one misbehavior profile per row (the chaos
-// experiment's eight): whatever fires, every admitted packet is tx'd
-// exactly once or dropped with an attributed reason, profiles that must
-// not drop do not, and Stop reaches the closed state.
+// TestChaosEveryPreset is the repo's fault-injection check: it drives
+// each preset's supervised fleet over seed-driven fault sinks
+// (faultsink_test.go), one misbehavior profile per row. Whatever fires,
+// every admitted packet is tx'd exactly once or dropped with an attributed
+// reason, profiles that must not drop do not, the front's admitted counter
+// agrees with the producers', and Stop's graceful drain reaches the closed
+// state within recoveryBound.
 func TestChaosEveryPreset(t *testing.T) {
+	// recoveryBound is the wall-clock ceiling on Stop's graceful drain,
+	// even on the nastiest profile.
+	const recoveryBound = 5 * time.Second
 	fast := RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: 16 * time.Microsecond, MaxAttempts: -1}
 	rows := []struct {
-		prof      fault.Profile
+		prof      faultProfile
 		retry     RetryPolicy
 		restarts  int
 		wantDrops bool
 	}{
-		{prof: fault.Profile{Name: "clean"}},
-		{prof: fault.Profile{Name: "transient", Seed: 1, ErrRate: 0.30}, retry: fast},
-		{prof: fault.Profile{Name: "partial", Seed: 2, PartialRate: 0.60}, retry: fast},
-		{prof: fault.Profile{Name: "slow", Seed: 3, SlowRate: 0.30, SlowFor: 20 * time.Microsecond}},
-		{prof: fault.Profile{Name: "stall", Seed: 4, StallRate: 0.05, StallFor: 2 * time.Millisecond}},
-		{prof: fault.Profile{Name: "retry-budget", Seed: 5, ErrRate: 0.70},
+		{prof: faultProfile{Name: "clean"}},
+		{prof: faultProfile{Name: "transient", Seed: 1, ErrRate: 0.30}, retry: fast},
+		{prof: faultProfile{Name: "partial", Seed: 2, PartialRate: 0.60}, retry: fast},
+		{prof: faultProfile{Name: "slow", Seed: 3, SlowRate: 0.30, SlowFor: 20 * time.Microsecond}},
+		{prof: faultProfile{Name: "stall", Seed: 4, StallRate: 0.05, StallFor: 2 * time.Millisecond}},
+		{prof: faultProfile{Name: "retry-budget", Seed: 5, ErrRate: 0.70},
 			retry:     RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Microsecond, MaxBackoff: 4 * time.Microsecond},
 			wantDrops: true},
-		{prof: fault.Profile{Name: "deadline", Seed: 6, ErrRate: 0.85},
+		{prof: faultProfile{Name: "deadline", Seed: 6, ErrRate: 0.85},
 			retry: RetryPolicy{MaxAttempts: -1, Deadline: 20 * time.Microsecond,
 				BaseBackoff: time.Microsecond, MaxBackoff: 4 * time.Microsecond},
 			wantDrops: true},
-		{prof: fault.Profile{Name: "panic", Seed: 7, PanicRate: 0.05}, restarts: -1},
+		{prof: faultProfile{Name: "panic", Seed: 7, PanicRate: 0.05}, restarts: -1},
 	}
 	forEachPreset(t, func(t *testing.T, c frontCase) {
 		for _, row := range rows {
@@ -524,11 +528,11 @@ func TestChaosEveryPreset(t *testing.T) {
 				}
 			}
 			sinks := make([]EgressSink, groups)
-			fsinks := make([]*fault.Sink, groups)
+			fsinks := make([]*faultSink, groups)
 			for g := range sinks {
 				prof := row.prof
 				prof.Seed += uint64(g) * 0x9E37
-				fsinks[g] = fault.NewSink(prof)
+				fsinks[g] = newFaultSink(prof)
 				sinks[g] = fsinks[g]
 			}
 			srv := m.ServeWith(serveClock, sinks, ServeOptions{
@@ -546,18 +550,24 @@ func TestChaosEveryPreset(t *testing.T) {
 			if !rep.Conserved() || rep.Admitted != uint64(admitted) || rep.Released != 0 {
 				t.Fatalf("%s: conservation: %s", row.prof.Name, rep)
 			}
+			if rep.Admitted != m.Admitted() {
+				t.Fatalf("%s: report admitted %d, front admitted %d", row.prof.Name, rep.Admitted, m.Admitted())
+			}
 			if unique != rep.Txd || dups != 0 {
 				t.Fatalf("%s: sink ledger: unique %d vs txd %d, dups %d", row.prof.Name, unique, rep.Txd, dups)
 			}
-			if eg.DeadlineDrops+eg.RetryDrops+eg.FailedDrops != rep.Dropped {
-				t.Fatalf("%s: drop attribution: %d+%d+%d reasons vs %d dropped",
-					row.prof.Name, eg.DeadlineDrops, eg.RetryDrops, eg.FailedDrops, rep.Dropped)
+			if eg.Dropped() != rep.Dropped || eg.DeadlineDrops+eg.RetryDrops+eg.FailedDrops != rep.Dropped {
+				t.Fatalf("%s: drop attribution: %d+%d+%d reasons, egress %d vs %d dropped",
+					row.prof.Name, eg.DeadlineDrops, eg.RetryDrops, eg.FailedDrops, eg.Dropped(), rep.Dropped)
 			}
 			if row.wantDrops != (rep.Dropped > 0) {
 				t.Fatalf("%s: dropped %d, want drops: %v", row.prof.Name, rep.Dropped, row.wantDrops)
 			}
 			if m.State() != StateClosed || m.Len() != 0 {
 				t.Fatalf("%s: state=%v len=%d after Stop", row.prof.Name, m.State(), m.Len())
+			}
+			if rep.Elapsed > recoveryBound {
+				t.Fatalf("%s: recovery: drain took %s (bound %s)", row.prof.Name, rep.Elapsed, recoveryBound)
 			}
 		}
 	})

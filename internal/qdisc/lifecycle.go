@@ -131,8 +131,8 @@ type DrainReport struct {
 	Released uint64
 	// Drained counts packets disposed by this call itself.
 	Drained int
-	// Elapsed is this call's wall time — the recovery-time bound the
-	// chaos harness asserts on.
+	// Elapsed is this call's wall time — the recovery-time bound
+	// TestChaosEveryPreset asserts on.
 	Elapsed time.Duration
 }
 

@@ -16,7 +16,7 @@ import (
 // bulk of bytes comes from multi-megabyte flows. Sizes are in bytes. The
 // exact measurement points are not public; this piecewise log-linear
 // approximation preserves the published shape (median ~70 KB, mean ~1.6 MB,
-// ~95th percentile ~10 MB) — DESIGN.md records the substitution.
+// ~95th percentile ~10 MB) and stands in for the unpublished points.
 var WebSearchCDF = []SizePoint{
 	{1_000, 0.00},
 	{5_000, 0.10},

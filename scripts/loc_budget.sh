@@ -45,4 +45,4 @@ doc() {
 
 budget 5487 internal/shardq internal/qdisc
 budget 2238 internal/ffsq internal/gradq
-doc 736 ARCHITECTURE.md
+doc 732 ARCHITECTURE.md
