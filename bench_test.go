@@ -104,9 +104,3 @@ func BenchmarkAblationHierVsFlat(b *testing.B) { runExp(b, "ablation-hier-vs-fla
 
 // BenchmarkAblationAlpha sweeps the approximate queue's alpha.
 func BenchmarkAblationAlpha(b *testing.B) { runExp(b, "ablation-alpha") }
-
-// BenchmarkAblationBackends contrasts every queue backend on one workload.
-func BenchmarkAblationBackends(b *testing.B) { runExp(b, "ablation-backends") }
-
-// BenchmarkAblationShaperBackend swaps the Eiffel qdisc's shaper backend.
-func BenchmarkAblationShaperBackend(b *testing.B) { runExp(b, "ablation-shaper") }

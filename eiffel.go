@@ -86,14 +86,14 @@ type (
 	FlowPolicy = pifo.FlowPolicy
 )
 
-// Queue backend kinds (see QueueKind.String for table names).
+// Queue backend kinds for NewQueue: the four Choose picks from (Figure 20)
+// plus the fixed-range approximate queue and the bucketed binary heap of
+// the §5.2 microbenchmarks. QueueKind.String gives their table names.
 const (
 	// KindCFFS is the circular hierarchical FFS queue — the default.
 	KindCFFS = queue.KindCFFS
 	// KindFFS is a fixed-range hierarchical FFS queue.
 	KindFFS = queue.KindFFS
-	// KindFFSFlat is the flat sequential-scan FFS queue.
-	KindFFSFlat = queue.KindFFSFlat
 	// KindApprox is the approximate gradient queue.
 	KindApprox = queue.KindApprox
 	// KindCApprox is the circular approximate gradient queue.
@@ -102,10 +102,6 @@ const (
 	KindBH = queue.KindBH
 	// KindBinaryHeap is a comparison-based binary heap.
 	KindBinaryHeap = queue.KindBinaryHeap
-	// KindPairingHeap is a comparison-based pairing heap.
-	KindPairingHeap = queue.KindPairingHeap
-	// KindRBTree is a comparison-based red-black tree.
-	KindRBTree = queue.KindRBTree
 )
 
 // Scheduling transactions and policies.

@@ -37,15 +37,11 @@ func TestHeapRemoveAndUpdate(t *testing.T) {
 		h.Enqueue(nodes[i], uint64(i))
 	}
 	h.Remove(nodes[0])
-	h.Update(nodes[9], 0)
-	if got := h.DequeueMin(); got != nodes[9] {
-		t.Fatal("updated node should be min")
-	}
 	if got := h.DequeueMin(); got != nodes[1] {
 		t.Fatal("want nodes[1] after removing nodes[0]")
 	}
-	if h.Len() != 7 {
-		t.Fatalf("Len = %d, want 7", h.Len())
+	if h.Len() != 8 {
+		t.Fatalf("Len = %d, want 8", h.Len())
 	}
 }
 
@@ -163,22 +159,6 @@ func TestRBTreeDeleteArbitrary(t *testing.T) {
 	}
 }
 
-func TestRBTreeIteration(t *testing.T) {
-	tr := NewRBTree()
-	for _, k := range []uint64{4, 2, 6, 1, 3, 5, 7} {
-		tr.Insert(k, nil)
-	}
-	var got []uint64
-	for x := tr.Min(); x != nil; x = tr.Next(x) {
-		got = append(got, x.Key)
-	}
-	for i := uint64(1); i <= 7; i++ {
-		if got[i-1] != i {
-			t.Fatalf("in-order = %v", got)
-		}
-	}
-}
-
 // checkRB validates red-black invariants: root black, no red-red edges,
 // equal black heights.
 func checkRB(t *testing.T, tr *RBTree) {
@@ -255,50 +235,6 @@ func TestQuickRBTreeSortedDrain(t *testing.T) {
 			count++
 		}
 		return count == len(raw)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- PairingHeap ---
-
-func TestPairingHeapOrdering(t *testing.T) {
-	h := NewPairingHeap()
-	ranks := []uint64{3, 3, 1, 8, 0, 2}
-	for _, r := range ranks {
-		h.Enqueue(node(), r)
-	}
-	sorted := append([]uint64{}, ranks...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, want := range sorted {
-		n := h.DequeueMin()
-		if n == nil || n.Rank() != want {
-			t.Fatalf("dequeue %d: got %v, want %d", i, n, want)
-		}
-	}
-	if h.Len() != 0 {
-		t.Fatal("should be empty")
-	}
-}
-
-func TestQuickPairingAgainstSort(t *testing.T) {
-	f := func(raw []uint32) bool {
-		h := NewPairingHeap()
-		for _, v := range raw {
-			h.Enqueue(node(), uint64(v))
-		}
-		sorted := make([]uint64, len(raw))
-		for i, v := range raw {
-			sorted[i] = uint64(v)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for _, want := range sorted {
-			if got := h.DequeueMin(); got.Rank() != want {
-				return false
-			}
-		}
-		return h.DequeueMin() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,16 +1,16 @@
 // Package cmpq implements the comparison-based priority queues the paper
 // measures Eiffel against (§2): a binary min-heap (the C++ std::
-// priority_queue stand-in used by the hClock and pFabric baselines), a
-// red-black tree (the kernel qdisc substrate under FQ/pacing), and a pairing
-// heap (an extra ablation point). All cost O(log n) per operation in the
-// number of queued elements — the bound bucketed integer queues break.
+// priority_queue stand-in used by the hClock and pFabric baselines) and a
+// red-black tree (the kernel qdisc substrate under FQ/pacing). Both cost
+// O(log n) per operation in the number of queued elements — the bound
+// bucketed integer queues break.
 package cmpq
 
 import "eiffel/internal/bucket"
 
 // Heap is a binary min-heap over intrusive nodes. Node.Pos holds the heap
-// index, enabling O(log n) removal and re-ranking of arbitrary elements
-// (what heap-based hClock needs on every tag update).
+// index, enabling O(log n) removal of arbitrary elements (what heap-based
+// hClock needs to detach a tenant from its tag indexes).
 type Heap struct {
 	items []*bucket.Node
 }
@@ -49,14 +49,6 @@ func (h *Heap) PeekMin() (uint64, bool) {
 	return h.items[0].Rank(), true
 }
 
-// Min returns the minimum element without removing, or nil.
-func (h *Heap) Min() *bucket.Node {
-	if len(h.items) == 0 {
-		return nil
-	}
-	return h.items[0]
-}
-
 // Remove detaches n, which must be queued here, in O(log n).
 func (h *Heap) Remove(n *bucket.Node) {
 	i := int(n.Pos)
@@ -64,17 +56,6 @@ func (h *Heap) Remove(n *bucket.Node) {
 		panic("cmpq: Remove of a node not in this heap")
 	}
 	h.removeAt(i)
-}
-
-// Update re-ranks n in place in O(log n).
-func (h *Heap) Update(n *bucket.Node, rank uint64) {
-	i := int(n.Pos)
-	if i < 0 || i >= len(h.items) || h.items[i] != n {
-		panic("cmpq: Update of a node not in this heap")
-	}
-	n.SetRank(rank)
-	h.down(i)
-	h.up(int(n.Pos))
 }
 
 func (h *Heap) removeAt(i int) {

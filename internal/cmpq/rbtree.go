@@ -79,26 +79,6 @@ func (t *RBTree) DeleteMin() *RBNode {
 	return m
 }
 
-// Next returns the in-order successor of x, or nil.
-func (t *RBTree) Next(x *RBNode) *RBNode {
-	if x.right != t.nil_ {
-		x = x.right
-		for x.left != t.nil_ {
-			x = x.left
-		}
-		return x
-	}
-	y := x.parent
-	for y != t.nil_ && x == y.right {
-		x = y
-		y = y.parent
-	}
-	if y == t.nil_ {
-		return nil
-	}
-	return y
-}
-
 func (t *RBTree) rotateLeft(x *RBNode) {
 	y := x.right
 	x.right = y.left

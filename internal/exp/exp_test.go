@@ -177,7 +177,7 @@ func TestAblationsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-heavy")
 	}
-	for _, id := range []string{"ablation-hier-vs-flat", "ablation-alpha", "ablation-backends", "ablation-shaper"} {
+	for _, id := range []string{"ablation-hier-vs-flat", "ablation-alpha"} {
 		runQuick(t, id)
 	}
 }

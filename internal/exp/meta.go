@@ -75,8 +75,6 @@ var Registry = map[string]Runner{
 	"fig20":                 Figure20,
 	"ablation-hier-vs-flat": AblationHierVsFlat,
 	"ablation-alpha":        AblationAlpha,
-	"ablation-backends":     AblationComparisonQueues,
-	"ablation-shaper":       AblationShaperBackend,
 }
 
 // Names returns registry keys in stable order.

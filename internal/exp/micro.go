@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"eiffel/internal/bucket"
 	"eiffel/internal/gradq"
@@ -168,27 +167,3 @@ func AblationAlpha(o Options) *Result {
 	res.Tables = append(res.Tables, t)
 	return res
 }
-
-// AblationComparisonQueues contrasts every backend on one uniform
-// workload, grounding the "bucketed queues are ~6x faster" §5.2 aside.
-func AblationComparisonQueues(o Options) *Result {
-	res := &Result{ID: "ablation-backends"}
-	t := &stats.Table{
-		Title:   "Ablation — all queue backends, 10k buckets, 2 pkts/bucket (Mpps)",
-		Headers: []string{"backend", "Mpps"},
-	}
-	budget := o.budget()
-	const buckets = 10000
-	kinds := []queue.Kind{
-		queue.KindCFFS, queue.KindFFS, queue.KindApprox, queue.KindCApprox,
-		queue.KindBH, queue.KindBinaryHeap, queue.KindPairingHeap, queue.KindRBTree,
-	}
-	for _, k := range kinds {
-		mpps := drainRate(mkKind(k, buckets), 2*buckets, uniformFill(buckets), budget)
-		t.AddRow(k.String(), fmt.Sprintf("%.2f", mpps))
-	}
-	res.Tables = append(res.Tables, t)
-	return res
-}
-
-var _ = time.Second

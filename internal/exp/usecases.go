@@ -254,30 +254,3 @@ func Figure15(o Options) *Result {
 	res.Tables = append(res.Tables, t)
 	return res
 }
-
-// AblationShaperBackend swaps the Eiffel qdisc's shaper structure:
-// cFFS vs circular approximate gradient queue vs timing wheel (Carousel).
-func AblationShaperBackend(o Options) *Result {
-	res := &Result{ID: "ablation-shaper"}
-	cfg := qdisc.HostConfig{Flows: 1000, AggregateBps: 1_200_000_000, SimSeconds: 3}
-	if o.Quick {
-		cfg = qdisc.HostConfig{Flows: 200, AggregateBps: 240_000_000, SimSeconds: 1}
-	}
-	t := &stats.Table{
-		Title:   "Ablation — shaper backend (median cores, timer fires)",
-		Headers: []string{"backend", "median cores", "timer fires", "on-time"},
-	}
-	for _, q := range []qdisc.Qdisc{
-		qdisc.NewEiffel(20000, 2e9, 0),
-		qdisc.NewEiffelApprox(20000, 2e9, 0),
-		qdisc.NewCarousel(20000, 2e9, 0),
-	} {
-		r := qdisc.RunHost(q, cfg)
-		t.AddRow(r.Qdisc,
-			fmt.Sprintf("%.4f", stats.Percentile(r.CoresSamples, 50)),
-			fmt.Sprintf("%d", r.TimerFires),
-			fmt.Sprintf("%.3f", r.OnTimeFrac))
-	}
-	res.Tables = append(res.Tables, t)
-	return res
-}

@@ -32,7 +32,7 @@ func buildEDFTree(kind queue.Kind) (*pifo.Tree, *pifo.Class) {
 // (FIFO within equal deadlines for the bucketed kinds; the heap may
 // reorder ties, so ties are excluded by construction).
 func TestQuickBackendEquivalence(t *testing.T) {
-	kinds := []queue.Kind{queue.KindCFFS, queue.KindBH, queue.KindBinaryHeap, queue.KindRBTree}
+	kinds := []queue.Kind{queue.KindCFFS, queue.KindBH, queue.KindBinaryHeap}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const n = 300

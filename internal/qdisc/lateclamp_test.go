@@ -110,7 +110,6 @@ func TestLateClamp(t *testing.T) {
 		mk   func() timedUser
 	}{
 		{"NewEiffel", func() timedUser { return qdiscUser(NewEiffel(buckets, horizon, 0)) }},
-		{"NewEiffelApprox", func() timedUser { return qdiscUser(NewEiffelApprox(buckets, horizon, 0)) }},
 		{"NewLocked(NewEiffel)", func() timedUser { return qdiscUser(NewLocked(NewEiffel(buckets, horizon, 0))) }},
 		{"ShapedTree", func() timedUser { return qdiscUser(NewShapedTree(shaped)) }},
 		{"pifo.Tree shaper", treeUser},

@@ -12,6 +12,7 @@ package qdisc
 
 import (
 	"eiffel/internal/cmpq"
+	"eiffel/internal/ffsq"
 	"eiffel/internal/pkt"
 	"eiffel/internal/queue"
 	"eiffel/internal/wheel"
@@ -39,26 +40,16 @@ type Qdisc interface {
 
 // --- Eiffel qdisc ---
 
-// Eiffel is the paper's qdisc: a time-indexed shaper over a bucketed
-// integer priority queue (the evaluation runs a cFFS with 20k buckets over
-// a 2 s horizon; only the shaper is used). The backend is pluggable so the
-// ablation benches can swap in the circular approximate gradient queue.
+// Eiffel is the paper's qdisc: a time-indexed shaper over a cFFS (the
+// evaluation runs 20k buckets over a 2 s horizon; only the shaper is used).
 type Eiffel struct {
-	q    queue.PQ
-	name string
+	q *ffsq.CFFS
 }
 
 // NewEiffel returns an Eiffel qdisc on a cFFS with the given bucket count
 // and horizon. Granularity = horizon / (2*buckets).
 func NewEiffel(buckets int, horizonNs int64, start int64) *Eiffel {
-	return &Eiffel{q: queue.New(queue.KindCFFS, eiffelCfg(buckets, horizonNs, start)), name: "Eiffel"}
-}
-
-// NewEiffelApprox returns an Eiffel qdisc whose shaper is a circular
-// approximate gradient queue — the moving-range/uniform-occupancy corner
-// of the Figure 20 guide.
-func NewEiffelApprox(buckets int, horizonNs int64, start int64) *Eiffel {
-	return &Eiffel{q: queue.New(queue.KindCApprox, eiffelCfg(buckets, horizonNs, start)), name: "Eiffel(approx)"}
+	return &Eiffel{q: queue.New(queue.KindCFFS, eiffelCfg(buckets, horizonNs, start)).(*ffsq.CFFS)}
 }
 
 func eiffelCfg(buckets int, horizonNs, start int64) queue.Config {
@@ -70,7 +61,7 @@ func eiffelCfg(buckets int, horizonNs, start int64) queue.Config {
 }
 
 // Name implements Qdisc.
-func (e *Eiffel) Name() string { return e.name }
+func (e *Eiffel) Name() string { return "Eiffel" }
 
 // Len implements Qdisc.
 func (e *Eiffel) Len() int { return e.q.Len() }

@@ -51,10 +51,6 @@ const (
 	KindBH
 	// KindBinaryHeap is a comparison-based binary heap (no buckets).
 	KindBinaryHeap
-	// KindPairingHeap is a comparison-based pairing heap (no buckets).
-	KindPairingHeap
-	// KindRBTree is a comparison-based red-black tree (no buckets).
-	KindRBTree
 )
 
 // String returns the short name used in experiment tables.
@@ -74,10 +70,6 @@ func (k Kind) String() string {
 		return "BH"
 	case KindBinaryHeap:
 		return "BinHeap"
-	case KindPairingHeap:
-		return "PairHeap"
-	case KindRBTree:
-		return "RBTree"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -139,57 +131,7 @@ func New(k Kind, cfg Config) PQ {
 		return bheapq.New(cfg.NumBuckets, cfg.Granularity, cfg.Start)
 	case KindBinaryHeap:
 		return cmpq.NewHeap()
-	case KindPairingHeap:
-		return cmpq.NewPairingHeap()
-	case KindRBTree:
-		return newRBAdapter()
 	default:
 		panic(fmt.Sprintf("queue: unknown kind %d", int(k)))
 	}
 }
-
-// rbAdapter exposes cmpq.RBTree as a PQ. A side table maps nodes to tree
-// handles; the extra bookkeeping is part of what makes tree-backed qdiscs
-// expensive, so it is deliberately not optimized away.
-type rbAdapter struct {
-	t       *cmpq.RBTree
-	handles map[*bucket.Node]*cmpq.RBNode
-}
-
-func newRBAdapter() *rbAdapter {
-	return &rbAdapter{t: cmpq.NewRBTree(), handles: make(map[*bucket.Node]*cmpq.RBNode)}
-}
-
-func (a *rbAdapter) Enqueue(n *bucket.Node, rank uint64) {
-	n.SetRank(rank)
-	a.handles[n] = a.t.Insert(rank, n)
-}
-
-func (a *rbAdapter) DequeueMin() *bucket.Node {
-	m := a.t.DeleteMin()
-	if m == nil {
-		return nil
-	}
-	n := m.Value.(*bucket.Node)
-	delete(a.handles, n)
-	return n
-}
-
-func (a *rbAdapter) PeekMin() (uint64, bool) {
-	m := a.t.Min()
-	if m == nil {
-		return 0, false
-	}
-	return m.Key, true
-}
-
-func (a *rbAdapter) Remove(n *bucket.Node) {
-	h, ok := a.handles[n]
-	if !ok {
-		panic("queue: Remove of a node not in this RB tree")
-	}
-	a.t.Delete(h)
-	delete(a.handles, n)
-}
-
-func (a *rbAdapter) Len() int { return a.t.Len() }

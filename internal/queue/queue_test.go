@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,17 +9,38 @@ import (
 	"eiffel/internal/bucket"
 )
 
+// allKinds is every kind New builds, in enum order;
+// TestAllKindsDrainEverything fails when the enum grows without it.
 var allKinds = []Kind{
 	KindCFFS, KindFFS, KindFFSFlat, KindApprox, KindCApprox,
-	KindBH, KindBinaryHeap, KindPairingHeap, KindRBTree,
+	KindBH, KindBinaryHeap,
 }
 
 // exactKinds dequeue the true minimum; approximate kinds may not.
 var exactKinds = []Kind{
-	KindCFFS, KindFFS, KindFFSFlat, KindBH, KindBinaryHeap, KindPairingHeap, KindRBTree,
+	KindCFFS, KindFFS, KindFFSFlat, KindBH, KindBinaryHeap,
 }
 
 func TestAllKindsDrainEverything(t *testing.T) {
+	// allKinds is Kind(0)..Kind(len-1), and the next value is unknown to
+	// both String and New.
+	for i, k := range allKinds {
+		if k != Kind(i) {
+			t.Fatalf("allKinds[%d] = %v, want Kind(%d)", i, k, i)
+		}
+	}
+	next := Kind(len(allKinds))
+	if got, want := next.String(), fmt.Sprintf("Kind(%d)", len(allKinds)); got != want {
+		t.Fatalf("%s is a kind allKinds omits (want %s)", got, want)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("New(%v) built a queue; add the kind to allKinds", next)
+			}
+		}()
+		New(next, Config{})
+	}()
 	for _, k := range allKinds {
 		t.Run(k.String(), func(t *testing.T) {
 			q := New(k, Config{NumBuckets: 1024, Granularity: 1})

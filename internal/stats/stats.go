@@ -1,64 +1,14 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: online mean/variance, percentiles, CDFs (Figures 9 and 10
-// are CDF plots), and fixed-bucket histograms.
+// harness uses (percentiles, means and aligned result tables) and the
+// concurrency-safe counters behind the runtime's admission and egress
+// accounting.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
-
-// Online accumulates count, mean and variance in one pass (Welford).
-type Online struct {
-	n    uint64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates x.
-func (o *Online) Add(x float64) {
-	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// Count returns the number of samples.
-func (o *Online) Count() uint64 { return o.n }
-
-// Mean returns the running mean (0 with no samples).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the sample variance.
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (o *Online) Stddev() float64 { return math.Sqrt(o.Var()) }
-
-// Min returns the smallest sample.
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest sample.
-func (o *Online) Max() float64 { return o.max }
 
 // Percentile returns the p-th percentile (0..100) of xs by linear
 // interpolation. xs need not be sorted; it is not modified.
@@ -95,66 +45,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// CDF is an empirical cumulative distribution over recorded samples.
-type CDF struct {
-	samples []float64
-	sorted  bool
-}
-
-// Add records a sample.
-func (c *CDF) Add(x float64) {
-	c.samples = append(c.samples, x)
-	c.sorted = false
-}
-
-// Len returns the number of samples.
-func (c *CDF) Len() int { return len(c.samples) }
-
-func (c *CDF) sort() {
-	if !c.sorted {
-		sort.Float64s(c.samples)
-		c.sorted = true
-	}
-}
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.sort()
-	i := sort.SearchFloat64s(c.samples, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.samples))
-}
-
-// Quantile returns the q-th quantile (0..1).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.sort()
-	return Percentile(c.samples, q*100)
-}
-
-// Points returns n evenly spaced (x, P(X<=x)) pairs spanning the sample
-// range, the series the harness prints for CDF figures.
-func (c *CDF) Points(n int) (xs, ps []float64) {
-	if len(c.samples) == 0 || n < 2 {
-		return nil, nil
-	}
-	c.sort()
-	lo, hi := c.samples[0], c.samples[len(c.samples)-1]
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		xs = append(xs, x)
-		ps = append(ps, c.At(x))
-	}
-	return xs, ps
-}
-
-// Median returns the 50th percentile.
-func (c *CDF) Median() float64 { return c.Quantile(0.5) }
-
 // Table is a simple aligned text table used by the experiment harness to
 // print paper-style rows.
 type Table struct {
@@ -165,20 +55,6 @@ type Table struct {
 
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// AddRowF appends a row formatting each value with %v (floats as %.4g).
-func (t *Table) AddRowF(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.4g", v)
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {

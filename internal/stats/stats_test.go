@@ -2,31 +2,8 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestOnlineMeanVar(t *testing.T) {
-	var o Online
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		o.Add(x)
-	}
-	if o.Count() != 8 {
-		t.Fatalf("Count = %d", o.Count())
-	}
-	if math.Abs(o.Mean()-5) > 1e-9 {
-		t.Fatalf("Mean = %v, want 5", o.Mean())
-	}
-	// Sample variance of this classic set is 32/7.
-	if math.Abs(o.Var()-32.0/7) > 1e-9 {
-		t.Fatalf("Var = %v, want %v", o.Var(), 32.0/7)
-	}
-	if o.Min() != 2 || o.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", o.Min(), o.Max())
-	}
-}
 
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
@@ -43,67 +20,10 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestQuickOnlineMatchesBatch(t *testing.T) {
-	f := func(raw []float32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var o Online
-		sum := 0.0
-		for _, x := range raw {
-			o.Add(float64(x))
-			sum += float64(x)
-		}
-		want := sum / float64(len(raw))
-		scale := math.Max(1, math.Abs(want))
-		return math.Abs(o.Mean()-want)/scale < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	var c CDF
-	for i := 1; i <= 100; i++ {
-		c.Add(float64(i))
-	}
-	if got := c.At(50); math.Abs(got-0.5) > 0.02 {
-		t.Fatalf("At(50) = %v", got)
-	}
-	if got := c.Median(); math.Abs(got-50.5) > 1 {
-		t.Fatalf("Median = %v", got)
-	}
-	if got := c.Quantile(0.99); got < 98 || got > 100 {
-		t.Fatalf("Q99 = %v", got)
-	}
-	xs, ps := c.Points(5)
-	if len(xs) != 5 || ps[0] > ps[4] {
-		t.Fatalf("Points: xs=%v ps=%v", xs, ps)
-	}
-	if ps[4] != 1 {
-		t.Fatalf("last CDF point = %v, want 1", ps[4])
-	}
-}
-
-func TestCDFRandomMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var c CDF
-	for i := 0; i < 1000; i++ {
-		c.Add(rng.NormFloat64())
-	}
-	_, ps := c.Points(20)
-	for i := 1; i < len(ps); i++ {
-		if ps[i] < ps[i-1] {
-			t.Fatal("CDF must be monotone")
-		}
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := Table{Title: "demo", Headers: []string{"a", "bb"}}
 	tab.AddRow("1", "2")
-	tab.AddRowF(3.14159, "x")
+	tab.AddRow("3.142", "x")
 	s := tab.String()
 	if s == "" || len(tab.Rows) != 2 {
 		t.Fatal("table rendering broken")

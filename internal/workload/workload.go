@@ -1,9 +1,7 @@
 // Package workload generates the traffic the paper's experiments run on:
 // the web-search flow-size distribution (from the DCTCP measurement study,
 // used by pFabric and by Figure 19), Poisson flow arrivals at a target
-// load, the neper-style many-flow rate-limited TCP load of the kernel
-// shaping experiment (Figure 9), and synthetic rank distributions for the
-// microbenchmarks (Figures 16-18).
+// load, and an open world of short-lived flows for the flow-churn tests.
 package workload
 
 import (
@@ -126,39 +124,6 @@ func (p *PoissonArrivals) NextGap() int64 {
 	return int64(g)
 }
 
-// RateLimitedFlows models the neper workload of the kernel shaping use
-// case (§5.1.1): many TCP flows each capped with SO_MAX_PACING_RATE so the
-// aggregate hits a target. Each flow keeps a TSQ-style cap on in-flight
-// packets, which is what bounds queue occupancy in the kernel experiment.
-type RateLimitedFlows struct {
-	// PerFlowBps is the pacing rate of each flow.
-	PerFlowBps uint64
-	// Flows is the number of concurrent flows.
-	Flows int
-	// PacketSize is the MTU-sized segment length.
-	PacketSize uint32
-	// TSQLimit caps in-flight packets per flow (TCP Small Queues).
-	TSQLimit int
-}
-
-// NewRateLimitedFlows splits aggregateBps across n flows.
-func NewRateLimitedFlows(n int, aggregateBps uint64, packetSize uint32) *RateLimitedFlows {
-	if n <= 0 {
-		panic("workload: need at least one flow")
-	}
-	return &RateLimitedFlows{
-		PerFlowBps: aggregateBps / uint64(n),
-		Flows:      n,
-		PacketSize: packetSize,
-		TSQLimit:   2, // kernel TSQ default: ~2 segments in the qdisc
-	}
-}
-
-// PacketGapNs returns the pacing gap between two packets of one flow.
-func (r *RateLimitedFlows) PacketGapNs() int64 {
-	return int64(uint64(r.PacketSize) * 8 * 1e9 / r.PerFlowBps)
-}
-
 // ChurnGen drives the flow-churn experiments: an open world of short-
 // lived flows, the regime the paper indicts kernel FQ's flow garbage
 // collection for (§5.1, past ~40k flows). A window of live flow slots is
@@ -235,57 +200,3 @@ func (g *ChurnGen) CumulativeFlows() uint64 { return g.cum }
 
 // LiveFlows returns the concurrent flow-window size.
 func (g *ChurnGen) LiveFlows() int { return len(g.slots) }
-
-// RankDist names a synthetic rank distribution for queue microbenchmarks.
-type RankDist int
-
-// Rank distributions.
-const (
-	// RankUniform spreads ranks uniformly over the bucket range — the
-	// paper's "all priority levels equally likely" case where the
-	// approximate queue shines.
-	RankUniform RankDist = iota
-	// RankSkewed concentrates most ranks in the lower quarter of the
-	// range (strict-priority-like occupancy).
-	RankSkewed
-	// RankBursty clusters ranks around a slowly advancing front
-	// (timestamp-like occupancy).
-	RankBursty
-)
-
-// RankGen draws ranks in [0, rangeSize) under the given distribution.
-type RankGen struct {
-	Dist  RankDist
-	Range uint64
-	rng   *rand.Rand
-	front uint64
-}
-
-// NewRankGen returns a rank generator.
-func NewRankGen(dist RankDist, rangeSize uint64, rng *rand.Rand) *RankGen {
-	if rangeSize == 0 {
-		panic("workload: rank range must be positive")
-	}
-	return &RankGen{Dist: dist, Range: rangeSize, rng: rng}
-}
-
-// Next draws one rank.
-func (g *RankGen) Next() uint64 {
-	switch g.Dist {
-	case RankSkewed:
-		// ~75% of ranks in the bottom quarter.
-		if g.rng.Float64() < 0.75 {
-			return uint64(g.rng.Int63n(int64(g.Range/4 + 1)))
-		}
-		return uint64(g.rng.Int63n(int64(g.Range)))
-	case RankBursty:
-		g.front = (g.front + 1 + uint64(g.rng.Int63n(3))) % g.Range
-		span := g.Range / 16
-		if span == 0 {
-			span = 1
-		}
-		return (g.front + uint64(g.rng.Int63n(int64(span)))) % g.Range
-	default:
-		return uint64(g.rng.Int63n(int64(g.Range)))
-	}
-}

@@ -65,47 +65,6 @@ func TestPoissonArrivalRate(t *testing.T) {
 	}
 }
 
-func TestRateLimitedFlows(t *testing.T) {
-	r := NewRateLimitedFlows(2000, 2_400_000_000, 1500)
-	if r.PerFlowBps != 1_200_000 {
-		t.Fatalf("per-flow = %d", r.PerFlowBps)
-	}
-	// 1500B at 1.2 Mbps = 10ms between packets.
-	if g := r.PacketGapNs(); g < 9_000_000 || g > 11_000_000 {
-		t.Fatalf("gap = %d ns", g)
-	}
-}
-
-func TestRankGenDistributions(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const rangeSize = 10000
-	for _, dist := range []RankDist{RankUniform, RankSkewed, RankBursty} {
-		g := NewRankGen(dist, rangeSize, rng)
-		lowQuarter := 0
-		const n = 20000
-		for i := 0; i < n; i++ {
-			r := g.Next()
-			if r >= rangeSize {
-				t.Fatalf("rank %d out of range", r)
-			}
-			if r < rangeSize/4 {
-				lowQuarter++
-			}
-		}
-		frac := float64(lowQuarter) / n
-		switch dist {
-		case RankUniform:
-			if frac < 0.2 || frac > 0.3 {
-				t.Fatalf("uniform low-quarter frac = %v", frac)
-			}
-		case RankSkewed:
-			if frac < 0.6 {
-				t.Fatalf("skewed low-quarter frac = %v, want >0.6", frac)
-			}
-		}
-	}
-}
-
 func TestDataMiningDistShape(t *testing.T) {
 	d := NewSizeDist(DataMiningCDF)
 	// Median ~1KB, extreme tail: mean orders of magnitude above median.
