@@ -208,6 +208,10 @@ func BenchmarkHotPathApproxRIFO(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathPolicyBatched holds the sharded pFabric leaf to the bar.
+// Its ranks span 64 of the leaf's 512 KiB windows (32 MiB, the reach of
+// web-search remaining sizes), so the lap runs the cFFS's coarse level:
+// built on the warming lap, then put to, moved in from and removed from.
 func BenchmarkHotPathPolicyBatched(b *testing.B) {
 	q, err := eiffel.NewPolicySharded(eiffel.PolicyShardedOptions{
 		Policy: `
@@ -225,7 +229,7 @@ func BenchmarkHotPathPolicyBatched(b *testing.B) {
 		p := pool.Get()
 		p.Flow = uint64(i % 64)
 		p.Size = 1500
-		p.Rank = uint64((hotBurst - i) * 1500 % (1 << 19))
+		p.Rank = uint64(hotBurst-i) << 15
 		ps[i] = p
 	}
 	out := make([]*eiffel.Packet, 256)

@@ -38,7 +38,6 @@ package eiffel
 
 import (
 	"eiffel/internal/bucket"
-	"eiffel/internal/ffsq"
 	"eiffel/internal/hclock"
 	"eiffel/internal/pifo"
 	"eiffel/internal/pkt"
@@ -157,19 +156,6 @@ const ChooseThreshold = queue.ChooseThreshold
 func Compile(spec string) (*Tree, map[string]*Class, error) {
 	return pifo.Compile(spec, policy.Registry{})
 }
-
-// Log-scale queue: the non-uniform bucket granularity prototype (§5.2
-// future work) — fine buckets near the window start, geometrically coarser
-// far out.
-type (
-	// LogQueue is a bucketed min-queue with log-scale granularity.
-	LogQueue = ffsq.LogQueue
-	// LogOptions sizes a LogQueue.
-	LogOptions = ffsq.LogOptions
-)
-
-// NewLogQueue constructs a log-scale bucketed min-queue.
-func NewLogQueue(opt LogOptions) *LogQueue { return ffsq.NewLogQueue(opt) }
 
 // Sharded multi-producer runtime (one core, shardq.Core; ShardedQueue and
 // ShapedShardedQueue are its two typed views — without and with a shaper

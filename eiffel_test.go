@@ -80,13 +80,3 @@ func TestFacadeCompile(t *testing.T) {
 		t.Fatal("compiled tree lost a packet")
 	}
 }
-
-func TestFacadeLogQueue(t *testing.T) {
-	q := eiffel.NewLogQueue(eiffel.LogOptions{Granularity: 1})
-	var a, b eiffel.Node
-	q.Enqueue(&a, 1<<30)
-	q.Enqueue(&b, 7)
-	if got := q.DequeueMin(); got != &b {
-		t.Fatal("log queue min wrong")
-	}
-}

@@ -93,22 +93,6 @@ func ExampleNewMultiShaped() {
 	// 20
 }
 
-// ExampleNewLogQueue shows the log-scale bucket granularity prototype
-// (§5.2 future work): near-base ranks get exact 1-unit buckets while a
-// rank far beyond the linear region shares a geometrically wider bucket,
-// so one queue spans a huge range with relative precision.
-func ExampleNewLogQueue() {
-	q := eiffel.NewLogQueue(eiffel.LogOptions{
-		Granularity:  1,
-		MantissaBits: 6,
-	})
-	fmt.Println(q.BucketWidth(10))      // linear region: exact
-	fmt.Println(q.BucketWidth(1 << 20)) // far out: ~3% relative precision
-	// Output:
-	// 1
-	// 32768
-}
-
 // ExampleShardedQueue_producer shows the batched enqueue pipeline: a
 // per-goroutine Producer stages elements per shard and publishes each
 // shard's run as one multi-slot ring claim — one CAS for the whole run

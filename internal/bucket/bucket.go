@@ -41,6 +41,12 @@ func (n *Node) Rank() uint64 { return n.rank }
 //eiffel:hotpath
 func (n *Node) SetRank(r uint64) { n.rank = r }
 
+// Next returns the node behind n in its bucket, or nil at the tail. A walk
+// that removes the node it stands on reads Next first.
+//
+//eiffel:hotpath
+func (n *Node) Next() *Node { return n.next }
+
 // Queued reports whether the node currently sits in a bucket Array.
 //
 //eiffel:hotpath

@@ -122,6 +122,16 @@ func TestQuickHeapRandomRemovals(t *testing.T) {
 
 // --- RBTree ---
 
+// popMin removes and returns the smallest node, or nil: Min then Delete,
+// as the fair-queueing model drives the tree.
+func popMin(tr *RBTree) *RBNode {
+	m := tr.Min()
+	if m != nil {
+		tr.Delete(m)
+	}
+	return m
+}
+
 func TestRBTreeInsertMinDelete(t *testing.T) {
 	tr := NewRBTree()
 	keys := []uint64{50, 10, 90, 10, 70, 30}
@@ -131,9 +141,9 @@ func TestRBTreeInsertMinDelete(t *testing.T) {
 	sorted := append([]uint64{}, keys...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for i, want := range sorted {
-		m := tr.DeleteMin()
+		m := popMin(tr)
 		if m == nil || m.Key != want {
-			t.Fatalf("DeleteMin %d: got %v, want %d", i, m, want)
+			t.Fatalf("min %d: got %v, want %d", i, m, want)
 		}
 	}
 	if tr.Len() != 0 || tr.Min() != nil {
@@ -152,7 +162,7 @@ func TestRBTreeDeleteArbitrary(t *testing.T) {
 	tr.Delete(handles[9])
 	want := []uint64{2, 3, 4, 6, 7, 8}
 	for i, w := range want {
-		m := tr.DeleteMin()
+		m := popMin(tr)
 		if m.Key != w {
 			t.Fatalf("step %d: got %d, want %d", i, m.Key, w)
 		}
@@ -224,7 +234,7 @@ func TestQuickRBTreeSortedDrain(t *testing.T) {
 		last := uint64(0)
 		count := 0
 		for {
-			m := tr.DeleteMin()
+			m := popMin(tr)
 			if m == nil {
 				break
 			}
@@ -262,7 +272,7 @@ func BenchmarkRBTreeChurn(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := tr.DeleteMin()
+		m := popMin(tr)
 		tr.Insert(m.Key+uint64(rng.Intn(1024)), nil)
 	}
 }

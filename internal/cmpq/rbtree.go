@@ -70,15 +70,6 @@ func (t *RBTree) Min() *RBNode {
 	return x
 }
 
-// DeleteMin removes and returns the node with the smallest key, or nil.
-func (t *RBTree) DeleteMin() *RBNode {
-	m := t.Min()
-	if m != nil {
-		t.Delete(m)
-	}
-	return m
-}
-
 func (t *RBTree) rotateLeft(x *RBNode) {
 	y := x.right
 	x.right = y.left

@@ -4,17 +4,35 @@ import "eiffel/internal/bucket"
 
 // CFFS is the circular hierarchical FFS-based queue of §3.1.1 — the core
 // Eiffel data structure. It serves rank ranges that move forward over time
-// (transmission timestamps, virtual finish times) with O(1) amortized
-// enqueue and dequeue: a Window (which see, for where an element goes and
-// when the window moves) over two halves of intrusive FIFO buckets, each
-// indexed by a hierarchical bitmap, and an intrusive overflow list that
-// every window move re-places by true rank, so ordering degrades only
-// transiently, never permanently.
+// (transmission timestamps, virtual finish times, remaining flow sizes)
+// with O(1) amortized enqueue and dequeue: a Window (which see, for where
+// an element goes and when the window moves) over two halves of intrusive
+// FIFO buckets, each indexed by a hierarchical bitmap. What lies beyond the
+// window waits, while it is a few elements, on an unsorted list that every
+// window move re-places; past that it spills into a coarse CFFS built on
+// first use: one coarse bucket spans one half (NumBuckets buckets), a
+// coarse half has 64 of them so its index is one word, and its own
+// overflow is the next coarser level — the hierarchical timing wheel
+// (Varghese & Lauck) built of cFFS levels. A window move pulls in only the
+// coarse buckets it now reaches, so an element is moved down once per
+// level however often the window moves before it is due, and the order
+// stays exact: (bucket, arrival).
 type CFFS struct {
-	w    Window
-	h    [2]half
-	over *bucket.Array // one bucket: the overflow list
+	w     Window
+	h     [2]half
+	over  *bucket.Array // one bucket: the overflow list, while it is short
+	up    *CFFS         // the coarse level; holds the overflow past that
+	moved uint64        // elements re-placed or spilled
 }
+
+// shortOverflow is the longest the overflow list grows before it spills
+// into the coarse level. Re-placing a list that short costs less than the
+// coarse level's upkeep — hClock's tag queues overflow one or two tags at a
+// time — and bounds what a window move re-places.
+const shortOverflow = 8
+
+// coarseBuckets is the half size of every coarse level: one index word.
+const coarseBuckets = 64
 
 type half struct {
 	idx *Hier
@@ -36,10 +54,7 @@ type CFFSOptions struct {
 
 // NewCFFS returns a circular hierarchical FFS queue.
 func NewCFFS(opt CFFSOptions) *CFFS {
-	c := &CFFS{
-		w:    NewWindow(opt.NumBuckets, opt.Granularity, opt.Start),
-		over: bucket.NewArray(1),
-	}
+	c := &CFFS{w: NewWindow(opt.NumBuckets, opt.Granularity, opt.Start), over: bucket.NewArray(1)}
 	for i := range c.h {
 		c.h[i] = half{NewHier(opt.NumBuckets), bucket.NewArray(opt.NumBuckets)}
 	}
@@ -57,8 +72,8 @@ func (c *CFFS) Len() int { return c.w.Len() }
 func (c *CFFS) Granularity() uint64 { return c.w.Granularity() }
 
 // Stats returns the window's operational counters: half rotations,
-// enqueues that landed on the overflow list, jumps to the overflow minimum,
-// and enqueues clamped from behind the window.
+// enqueues that landed in the overflow, jumps to the overflow minimum, and
+// enqueues clamped from behind the window.
 func (c *CFFS) Stats() (rotations, overflows, fastForwards, clampedLow uint64) {
 	return c.w.Stats()
 }
@@ -93,14 +108,41 @@ func (c *CFFS) EnqueueBatch(ns []*bucket.Node, ranks []uint64) {
 
 //eiffel:hotpath
 func (c *CFFS) put(h, i int, n *bucket.Node, rank uint64) {
-	if h == Overflow {
-		c.over.Push(0, n, rank)
-	} else if hf := &c.h[h]; hf.arr.Push(i, n, rank) {
-		hf.idx.Set(i)
+	if h != Overflow {
+		if hf := &c.h[h]; hf.arr.Push(i, n, rank) {
+			hf.idx.Set(i)
+		}
+		return
 	}
+	if c.over.Len() < shortOverflow && (c.up == nil || c.up.Len() == 0) {
+		c.over.Push(0, n, rank)
+		return
+	}
+	if c.up == nil { // gran·nb fits: a rank lies beyond the window, so 2·nb·gran does
+		//eiffel:allow(hotpath) one-time build of the coarse level
+		c.up = NewCFFS(CFFSOptions{NumBuckets: coarseBuckets, Granularity: c.w.gran * c.w.nb})
+	}
+	if c.up.Len() == 0 {
+		c.up.w.Anchor(&c.w)
+	}
+	for c.over.Len() > 0 { // the list spills: the overflow stays in one place
+		m, _ := c.over.PopFront(0)
+		c.up.Enqueue(m, m.Rank())
+		c.moved++
+	}
+	c.up.Enqueue(n, rank)
 }
 
-// replace re-places the overflow list after the window told it to.
+// replace is the owner's part of a window move (Step, StepPop) or of the
+// removal of the overflow minimum (Forget). A short overflow list is
+// re-placed whole. A coarse level's buckets are disjoint rank ranges, so
+// only its lowest can hold what the window now covers: their elements move
+// in, lowest bucket first, until a bucket keeps one beyond the window (the
+// bucket straddling the window's end, or the first past it), and Place
+// records the exact overflow minimum from what it keeps. A bucket the
+// window does not reach is read through first, which moves no window: a
+// coarse level moves only to ranks this window has reached, so nothing
+// arriving later lands behind its window.
 //
 //eiffel:hotpath
 func (c *CFFS) replace() {
@@ -109,7 +151,51 @@ func (c *CFFS) replace() {
 		rank := n.Rank()
 		h, i := c.w.Place(rank)
 		c.put(h, i, n, rank)
+		c.moved++
 	}
+	for c.up != nil && c.up.Len() > 0 {
+		var n *bucket.Node
+		if r, _ := c.up.PeekMin(); c.w.Covers(r) {
+			n = c.up.FrontMin()
+		} else {
+			n = c.up.first()
+		}
+		kept := false
+		for n != nil {
+			next, rank := n.Next(), n.Rank()
+			if h, i := c.w.Place(rank); h == Overflow {
+				kept = true
+			} else {
+				c.up.Remove(n)
+				c.put(h, i, n, rank)
+				c.moved++
+			}
+			n = next
+		}
+		if kept {
+			return
+		}
+	}
+}
+
+// first returns the FIFO head of the lowest occupied bucket, at whatever
+// level it is, or of the overflow list, which then holds everything beyond
+// the halves; it moves no window and returns nil when empty.
+//
+//eiffel:hotpath
+func (c *CFFS) first() *bucket.Node {
+	for p := range 2 {
+		if hf := &c.h[c.w.Primary()^p]; !hf.idx.Empty() {
+			return hf.arr.Front(hf.idx.Min())
+		}
+	}
+	if c.over.Len() > 0 {
+		return c.over.Front(0)
+	}
+	if c.up == nil {
+		return nil
+	}
+	return c.up.first()
 }
 
 // reach returns the primary half holding the minimum, stepping the window
@@ -202,8 +288,8 @@ func (c *CFFS) Min() (uint64, bool) { return c.PeekMin() }
 
 // FrontMin returns the node DequeueMin would pop, left in place, or nil.
 // It is the first half of a pop, not a peek: the window moves exactly as
-// DequeueMin moves it (StepPop), because the minimum of the unsorted
-// overflow list is only found by re-placing it. For pop-driven users only
+// DequeueMin moves it (StepPop), so that the node it returns is in the
+// primary half, where Remove unlinks it in O(1). For pop-driven users only
 // (its one user, pifo's direct service, pops by Remove): on a queue drained
 // by a clock it would carry the window ahead of the clock, against W2.
 //
@@ -217,7 +303,10 @@ func (c *CFFS) FrontMin() *bucket.Node {
 }
 
 // Remove detaches n, which must be queued here, in O(1) — except that
-// removing the overflow list's minimum re-places that list.
+// removing the overflow minimum reads the overflow list or the lowest
+// coarse bucket again to find the next one. A node in neither half nor the
+// list is the coarse level's to remove (the deepest level panics if no
+// level holds it).
 //
 //eiffel:hotpath
 func (c *CFFS) Remove(n *bucket.Node) {
@@ -228,6 +317,11 @@ func (c *CFFS) Remove(n *bucket.Node) {
 		c.unlink(&c.h[1], n)
 	case n.InArray(c.over):
 		c.over.Remove(n)
+		if c.w.Forget(n.Rank()) {
+			c.replace()
+		}
+	case c.up != nil:
+		c.up.Remove(n)
 		if c.w.Forget(n.Rank()) {
 			c.replace()
 		}
@@ -247,5 +341,6 @@ func (c *CFFS) unlink(h *half, n *bucket.Node) {
 
 // Contains reports whether n is currently queued here.
 func (c *CFFS) Contains(n *bucket.Node) bool {
-	return n.InArray(c.h[0].arr) || n.InArray(c.h[1].arr) || n.InArray(c.over)
+	return n.InArray(c.h[0].arr) || n.InArray(c.h[1].arr) || n.InArray(c.over) ||
+		c.up != nil && c.up.Contains(n)
 }

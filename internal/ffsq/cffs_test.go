@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"eiffel/internal/bucket"
+	"eiffel/internal/workload"
 )
 
 func node(v uint64) *bucket.Node { return &bucket.Node{Data: v} }
@@ -390,5 +391,114 @@ func TestCFFSOverflowBurstDrainsInOrder(t *testing.T) {
 	}
 	if _, _, ff, _ := q.Stats(); ff == 0 {
 		t.Fatal("burst did not exercise a jump")
+	}
+}
+
+// TestCFFSMovesEachElementBoundedTimes: an element beyond the window is
+// moved in once per coarse level it waits at, not once per window move.
+// Ranks spread over 4 to 256 windows (a window is 2·NumBuckets buckets)
+// drain through DequeueMin; a pFabric leaf's bursts (remaining flow sizes
+// from the web-search distribution, up to 30 MB against a 512 KiB window)
+// drive the leaf's geometry with the calls pifo's DirectEnqueue and
+// DirectDequeue make: Enqueue, or Remove and Enqueue on a re-rank across
+// buckets; FrontMin, then Remove when the flow empties. Counts only.
+func TestCFFSMovesEachElementBoundedTimes(t *testing.T) {
+	const nb, gran, elems = 4096, 64, 1000
+	for _, spread := range []uint64{4, 16, 64, 256} {
+		q := NewCFFS(CFFSOptions{NumBuckets: nb, Granularity: gran})
+		rng := rand.New(rand.NewSource(int64(spread)))
+		for i := 0; i < elems; i++ {
+			r := uint64(rng.Int63n(int64(spread * 2 * nb * gran)))
+			q.Enqueue(node(r), r)
+		}
+		for prev := uint64(0); q.Len() > 0; {
+			n := q.DequeueMin()
+			if n.Rank()/gran < prev/gran {
+				t.Fatalf("spread %d: rank %d left after %d", spread, n.Rank(), prev)
+			}
+			prev = n.Rank()
+		}
+		per := float64(q.Moves()) / elems
+		t.Logf("spread over %d windows: %.2f moves per element", spread, per)
+		if per > 2 {
+			t.Errorf("spread over %d windows: %.1f moves per element, want at most 2", spread, per)
+		}
+		if k := q.CoarseClamped(); k != 0 {
+			t.Errorf("spread over %d windows: the coarse levels clamped %d arrivals", spread, k)
+		}
+	}
+
+	type flow struct {
+		node  bucket.Node
+		ranks []uint64 // queued packets' ranks, oldest first
+		rank  uint64   // the flow's pFabric rank
+		left  uint64   // bytes the flow has yet to send
+	}
+	sizes := workload.NewSizeDist(workload.WebSearchCDF)
+	rng := rand.New(rand.NewSource(1))
+	newFlow := func() *flow {
+		f := &flow{left: sizes.Sample(rng)}
+		f.node.Data = f
+		return f
+	}
+	// One shard's share of the live benchmark's stream: its 2048 live flows
+	// send round-robin, each started part-way through, in bursts of 1000.
+	live := make([]*flow, 256)
+	for i := range live {
+		live[i] = newFlow()
+		live[i].left = 1 + uint64(rng.Int63n(int64(live[i].left)))
+	}
+	q := NewCFFS(CFFSOptions{NumBuckets: nb, Granularity: gran})
+	rerank := func(f *flow) {
+		if f.node.Queued() {
+			if f.rank/gran == f.node.Rank()/gran {
+				return
+			}
+			q.Remove(&f.node)
+		}
+		q.Enqueue(&f.node, f.rank)
+	}
+	dequeue := func() {
+		f := q.FrontMin().Data.(*flow)
+		rank := f.ranks[0]
+		if f.ranks = f.ranks[1:]; len(f.ranks) == 0 {
+			q.Remove(&f.node)
+			return
+		}
+		f.rank = min(rank, f.ranks[0])
+		rerank(f)
+	}
+	// A burst reaches the leaf in runs of 16 while the worker serves 8
+	// after each, then drains the rest before the next burst.
+	const bursts, burst = 40, 125
+	for b := 0; b < bursts; b++ {
+		for i := 0; i < burst; i++ {
+			k := (b*burst + i) % len(live)
+			f := live[k]
+			f.ranks = append(f.ranks, f.left)
+			if len(f.ranks) == 1 || f.left < f.rank {
+				f.rank = f.left
+			}
+			if f.left -= min(f.left, 1460); f.left == 0 {
+				live[k] = newFlow()
+			}
+			rerank(f)
+			if i%16 == 15 {
+				for j := 0; j < 8; j++ {
+					dequeue()
+				}
+			}
+		}
+		for q.Len() > 0 {
+			dequeue()
+		}
+	}
+	per := float64(q.Moves()) / (bursts * burst)
+	t.Logf("pFabric bursts: %.2f moves per packet", per)
+	if per > 2 {
+		t.Errorf("pFabric bursts: %.1f moves per packet, want at most 2", per)
+	}
+	if k := q.CoarseClamped(); k != 0 {
+		t.Errorf("pFabric bursts: the coarse levels clamped %d arrivals", k)
 	}
 }

@@ -45,3 +45,24 @@ func (c *ShaperStore) AuditChunks() error {
 	}
 	return nil
 }
+
+// Moves returns how many elements the queue's levels re-placed from their
+// overflow (the list or the coarse level) or spilled from the list into
+// the coarse level, summed over every level.
+func (c *CFFS) Moves() uint64 {
+	m := uint64(0)
+	for ; c != nil; c = c.up {
+		m += c.moved
+	}
+	return m
+}
+
+// CoarseClamped returns how many arrivals the queue's coarse levels
+// clamped: none may, or their buckets would stop being disjoint.
+func (c *CFFS) CoarseClamped() uint64 {
+	k := uint64(0)
+	for c = c.up; c != nil; c = c.up {
+		k += c.w.clamped
+	}
+	return k
+}

@@ -5,11 +5,11 @@ package ffsq
 //
 //	[hIndex, hIndex+2*nb)   (in bucket units, bucket = rank/gran)
 //
-// plus an overflow list for everything beyond. The primary half serves
+// plus an overflow for everything beyond. The primary half serves
 // [hIndex, hIndex+nb), the secondary buffers the following nb buckets, and
 // when the primary drains the halves trade places — the "circulation".
 // Window owns every word that positions the window (its start, which half
-// is primary, the overflow list's minimum, the element count) and every
+// is primary, the overflow's minimum, the element count) and every
 // decision to move it; the queue types over it (CFFS, ShaperStore,
 // gradq.CApprox) own only an occupancy index per half and the bucket
 // storage, and do what Add, Place and Step tell them.
@@ -26,7 +26,7 @@ package ffsq
 //	    start therefore clamps into a bucket that is already due: the window
 //	    cannot hold an element past its rank.
 //	W3  An empty window slides back to an arrival behind it and is never
-//	    anchored forward at one. A far arrival waits on the overflow list and
+//	    anchored forward at one. A far arrival waits in the overflow and
 //	    the drain that reaches it jumps the window there. A slide back or a
 //	    jump lands its element in the LAST primary bucket: nb-1 buckets of
 //	    backward headroom, so the slightly smaller ranks of the same burst
@@ -43,7 +43,7 @@ type Window struct {
 	hIndex uint64 // lowest bucket number served by the primary half
 	nb     uint64
 	gran   uint64
-	// overMin is the lowest bucket number on the overflow list, noOverflow
+	// overMin is the lowest bucket number in the overflow, noOverflow
 	// when the list is empty. Exact: Place lowers it, Step and Forget reset
 	// it for the owner's re-placement pass to rebuild.
 	overMin uint64
@@ -54,7 +54,7 @@ type Window struct {
 }
 
 // Overflow is the half Add and Place report for an element beyond the
-// window: it goes on the owner's overflow list, in arrival order.
+// window: it goes to the owner's overflow, in arrival order.
 const Overflow = 2
 
 const noOverflow = ^uint64(0)
@@ -84,8 +84,8 @@ func (w *Window) Granularity() uint64 { return w.gran }
 //eiffel:hotpath
 func (w *Window) Primary() int { return w.prim & 1 }
 
-// Stats returns operational counters: half swaps, arrivals that landed on
-// the overflow list, jumps to the overflow minimum, and arrivals clamped
+// Stats returns operational counters: half swaps, arrivals that landed in
+// the overflow, jumps to the overflow minimum, and arrivals clamped
 // into the first bucket from behind the window.
 func (w *Window) Stats() (swaps, overflows, jumps, clamped uint64) {
 	return w.swaps, w.overflows, w.jumps, w.clamped
@@ -109,7 +109,7 @@ func (w *Window) Hit(rank uint64) (half, slot int, ok bool) {
 }
 
 // Add admits one element and reports where the owner must append it: slot
-// of half (0 or 1), or the overflow list. An empty window slides back to an
+// of half (0 or 1), or the overflow. An empty window slides back to an
 // arrival behind it (W3): with nothing queued no other position matters.
 //
 //eiffel:hotpath
@@ -131,7 +131,7 @@ func (w *Window) Add(rank uint64) (half, slot int) {
 }
 
 // Place reports where an element the window already counts belongs now —
-// the owner's re-placement of its overflow list after Step or Forget — and
+// the owner's re-placement of its overflow after Step or Forget — and
 // records an overflow placement in the overflow minimum. A rank behind the
 // window clamps into its first bucket.
 //
@@ -151,6 +151,26 @@ func (w *Window) Place(rank uint64) (half, slot int) {
 		w.overMin = b
 	}
 	return Overflow, 0
+}
+
+// Covers reports whether the bucket holding rank is no further out than
+// the window's end: an element of that rank would not overflow.
+//
+//eiffel:hotpath
+func (w *Window) Covers(rank uint64) bool {
+	b := rank / w.gran
+	return b < w.hIndex || b-w.hIndex < 2*w.nb
+}
+
+// Anchor places an empty window, a CFFS's coarse level one bucket of which
+// spans one half of below, at the end of below, whose overflow it holds:
+// nothing arrives lower, so W3's slide back never fires and nothing clamps.
+//
+//eiffel:hotpath
+func (w *Window) Anchor(below *Window) {
+	if w.count == 0 {
+		w.hIndex = (below.hIndex + 2*below.nb) / below.nb
+	}
 }
 
 // PrimRank returns the start rank of primary slot i.
@@ -207,8 +227,10 @@ func (w *Window) Step(bound uint64, secMin int) bool {
 // always moves; the owner says only whether the secondary half holds
 // anything. If so the halves trade places, else the window jumps to the
 // overflow minimum (into the last primary bucket, W3). Either way the
-// overflow minimum is reset: the owner must re-place its whole overflow
-// list through Place, in list order, before anything else.
+// overflow minimum is reset: the owner must re-place through Place, in
+// arrival order and before anything else, every overflowed element the
+// window may now hold and every one that may be the new minimum — its
+// whole overflow list, or for a CFFS the lowest coarse buckets.
 //
 //eiffel:hotpath
 func (w *Window) StepPop(secOccupied bool) {
@@ -243,9 +265,9 @@ func (w *Window) Idle(bound uint64) {
 // Forget is told that an element of the given rank left the overflow list
 // other than through Step (beside the owner's Took), and reports whether it
 // may have been the overflow minimum. If so the minimum is reset and the
-// owner must re-place its overflow list through Place to rebuild it —
-// O(list), on the removal of a minimum only — so that a peek never answers
-// from a departed element.
+// owner must re-place its overflow list (a CFFS: its lowest coarse bucket)
+// through Place to rebuild it — on the removal of a minimum only — so that
+// a peek never answers from a departed element.
 //
 //eiffel:hotpath
 func (w *Window) Forget(rank uint64) bool {

@@ -461,6 +461,17 @@ func FuzzWindow(f *testing.F) {
 	// An unclocked consumer that keeps up: drained empty at ^0, then a burst
 	// whose later ranks lie below its first (TestWindowUnclockedBursts).
 	f.Add(seq(0, op(3, 900), op(12, 63), op(3, 1000), op(3, 998), op(3, 999), op(3, 997), op(3, 1005), op(12, 63)))
+	// A CFFS's coarse level. The top coarse bucket, [^0-3, ^0], straddles
+	// the end of the window the pop jumps to: ^0-3 and ^0-2 move in, and
+	// ^0-1 and ^0 itself stay behind in that bucket.
+	f.Add(seq(0, op(4, 6), op(4, 0), op(4, 2), op(4, 3), op(4, 1), op(8, 0), op(9, 0), op(8, 0), op(11, 0), op(8, 0), op(8, 0)))
+	// An overflow three levels out (coarse levels of 4, 256 and 16384
+	// ranks a bucket), and the overflow minimum removed twice: the second
+	// removal leaves the first coarse level's halves empty.
+	f.Add(seq(0, op(3, 0), op(3, 100), op(3, 5000), op(3, 60000), op(3, 60001), op(3, 101), op(11, 0), op(11, 0), op(8, 0), op(9, 0), op(8, 0), op(7, 63)))
+	// Granularity 1 at the top of the rank space, far from the window at 0:
+	// every coarse level up to the one whose window holds the whole space.
+	f.Add(seq(0, op(3, 0), op(4, 0), op(3, 9), op(4, 65535), op(3, 700), op(4, 5), op(3, 40000), op(8, 0), op(8, 0), op(11, 0), op(9, 0), op(12, 63)))
 	// One bucket deeper than a store chunk, drained a few at a time.
 	big := []byte{0}
 	for i := 0; i < 70; i++ {

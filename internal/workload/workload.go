@@ -29,22 +29,6 @@ var WebSearchCDF = []SizePoint{
 	{30_000_000, 1.00},
 }
 
-// DataMiningCDF approximates the data-mining flow-size distribution of the
-// same measurement studies (used alongside web-search by pFabric): even
-// heavier-tailed — most flows are a few KB while almost all bytes come
-// from 100 MB-scale flows.
-var DataMiningCDF = []SizePoint{
-	{300, 0.00},
-	{1_000, 0.50},
-	{2_000, 0.63},
-	{10_000, 0.78},
-	{100_000, 0.85},
-	{1_000_000, 0.91},
-	{10_000_000, 0.95},
-	{100_000_000, 0.98},
-	{1_000_000_000, 1.00},
-}
-
 // SizePoint is one point of a flow-size CDF.
 type SizePoint struct {
 	Bytes uint64

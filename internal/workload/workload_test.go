@@ -64,18 +64,3 @@ func TestPoissonArrivalRate(t *testing.T) {
 		t.Fatalf("mean gap = %v ns, want ~%v", meanGap, want)
 	}
 }
-
-func TestDataMiningDistShape(t *testing.T) {
-	d := NewSizeDist(DataMiningCDF)
-	// Median ~1KB, extreme tail: mean orders of magnitude above median.
-	med := d.Quantile(0.5)
-	if med > 5_000 {
-		t.Fatalf("median = %d, want ~1KB", med)
-	}
-	if d.Mean() < float64(med)*100 {
-		t.Fatalf("mean %v vs median %d: tail not heavy enough", d.Mean(), med)
-	}
-	if d.Quantile(0.99) < 50_000_000 {
-		t.Fatalf("Q99 = %d, want >=50MB", d.Quantile(0.99))
-	}
-}

@@ -47,6 +47,6 @@ doc() {
 }
 
 budget 5478 internal/shardq internal/qdisc
-budget 2238 internal/ffsq internal/gradq
-budget 1845 internal/exp internal/queue internal/cmpq internal/stats internal/workload
+budget 2195 internal/ffsq internal/gradq
+budget 1820 internal/exp internal/queue internal/cmpq internal/stats internal/workload
 doc 732 ARCHITECTURE.md
