@@ -165,49 +165,6 @@ func BenchmarkHotPathShapedEnqueueBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathApproxRIFO holds the fixed-rank-window backend's
-// admission and drain paths to the zero-allocs/op bar (one shift per
-// enqueue, bitmap TZCNT per pop): one publish→drain lap per op through a
-// shaped front whose per-shard scheduler is RIFO. After the warming lap
-// grows every slot backing array, allocs/op must be zero — the approximate
-// backend rides the same //eiffel:hotpath contract as the exact vector
-// store.
-func BenchmarkHotPathApproxRIFO(b *testing.B) {
-	q := eiffel.NewMultiShaped(eiffel.MultiShapedOptions{ShapedShardedOptions: eiffel.ShapedShardedOptions{
-		Shards: 8, HorizonNs: 1 << 20, RankSpan: 1 << 20,
-		SchedBackend: eiffel.SchedRIFO,
-	}})
-	pool := eiffel.NewPool(hotBurst)
-	ps := make([]*eiffel.Packet, hotBurst)
-	for i := range ps {
-		p := pool.Get()
-		p.Flow = uint64(i)
-		p.SendAt = int64(i % (1 << 18))
-		p.Rank = uint64((i * 131) % (1 << 20))
-		ps[i] = p
-	}
-	out := make([]*eiffel.Packet, 256)
-	now := int64(1 << 19)
-	lap := func() {
-		q.EnqueueBatch(ps, now)
-		for q.Len() > 0 {
-			if q.GroupDequeueBatch(0, 1<<20, out) == 0 {
-				b.Fatal("drain stalled with packets queued")
-			}
-		}
-	}
-	lap() // warm every internal buffer to its steady-state capacity
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lap()
-	}
-	b.StopTimer()
-	if pool.Allocs() != hotBurst {
-		b.Fatalf("packet pool allocated beyond its pre-population: %d", pool.Allocs())
-	}
-}
-
 // BenchmarkHotPathPolicyBatched holds the sharded pFabric leaf to the bar.
 // Its ranks span 64 of the leaf's 512 KiB windows (32 MiB, the reach of
 // web-search remaining sizes), so the lap runs the cFFS's coarse level:

@@ -329,7 +329,7 @@ type (
 	// against.
 	Locked = qdisc.Locked
 	// HClockBackend selects the tag-index implementation of a HierSpec
-	// (Eiffel FFS queues, binary heaps, approximate gradient queues).
+	// (Eiffel FFS queues or binary heaps).
 	HClockBackend = hclock.Backend
 )
 
@@ -341,8 +341,6 @@ const (
 	// HClockHeap indexes tags with binary min-heaps — the original
 	// hClock baseline.
 	HClockHeap = hclock.BackendHeap
-	// HClockApprox indexes tags with approximate gradient queues.
-	HClockApprox = hclock.BackendApprox
 )
 
 // NewHierSharded compiles the spec once per shard (rates renormalized by
@@ -366,50 +364,20 @@ func NewShapedShardedQueue(opt ShapedShardedQueueOptions) *ShapedShardedQueue {
 	return shardq.NewShaped(opt)
 }
 
-// Approximate scheduler backend: beside the exact vector store, the
-// per-shard Scheduler slot accepts a RIFO-style fixed-rank window, which
-// trades bounded rank inversion for indexing cost. Select it per shaped
-// front via ShapedShardedOptions.SchedBackend, or construct it directly for
-// a ShapedShardedQueue's SchedBackend hook. Each backend's worst-case
-// inversion magnitude is analytic (the *Bound functions).
-type (
-	// SchedBackendKind selects the shaped front's per-shard scheduler
-	// backend family.
-	SchedBackendKind = qdisc.SchedBackendKind
-	// Qdisc is the kernel queuing-discipline contract (Enqueue, Dequeue,
-	// NextTimer, Len) of the single-consumer qdiscs: the paper's FQ,
-	// Carousel and Eiffel, the locked whole-tree PolicyTree and HierTree,
-	// and the Locked wrapper. The sharded presets drain by group instead.
-	Qdisc = qdisc.Qdisc
-)
+// Qdisc is the kernel queuing-discipline contract (Enqueue, Dequeue,
+// NextTimer, Len) of the single-consumer qdiscs: the paper's FQ, Carousel
+// and Eiffel, the locked whole-tree PolicyTree and HierTree, and the
+// Locked wrapper. The sharded presets drain by group instead.
+type Qdisc = qdisc.Qdisc
 
-// Scheduler backend kinds for ShapedShardedOptions.SchedBackend.
-const (
-	// SchedVec is the exact vectorized hierarchical-FFS backend (default).
-	SchedVec = qdisc.SchedVec
-	// SchedRIFO is the fixed-rank-window backend (approximate).
-	SchedRIFO = qdisc.SchedRIFO
-)
-
-// NewVecSched constructs the exact vectorized Scheduler backend —
-// the default RIFO is measured against.
+// NewVecSched constructs the exact vectorized Scheduler backend. Its
+// bucket width, cfg's Granularity, is the runtime's one approximation:
+// VecSchedBound grows with it.
 func NewVecSched(cfg QueueConfig) Scheduler { return shardq.NewVecSched(cfg) }
-
-// NewRIFOSched constructs a fixed-rank-window Scheduler backend with the
-// given number of window slots (0 selects the default, 64).
-func NewRIFOSched(cfg QueueConfig, slots int) Scheduler {
-	return shardq.NewRIFOSched(cfg, slots)
-}
 
 // VecSchedBound returns NewVecSched's worst-case rank-inversion magnitude
 // over cfg: bucket quantization only.
 func VecSchedBound(cfg QueueConfig) uint64 { return shardq.VecSchedBound(cfg) }
-
-// RIFOSchedBound returns NewRIFOSched's analytic worst-case rank-inversion
-// magnitude over cfg: one window slot's width minus one.
-func RIFOSchedBound(cfg QueueConfig, slots int) uint64 {
-	return shardq.RIFOSchedBound(cfg, slots)
-}
 
 // Flow lifecycle under open-world churn: bounded admission (per-shard
 // occupancy caps with per-packet pushback instead of the legacy unbounded

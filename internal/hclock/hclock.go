@@ -37,9 +37,6 @@ const (
 	BackendEiffel Backend = iota
 	// BackendHeap uses binary min-heaps (the original hClock).
 	BackendHeap
-	// BackendApprox uses circular approximate gradient queues, the
-	// "hierarchical-based schedules" case of the Figure 20 guide.
-	BackendApprox
 )
 
 // String names the backend for tables.
@@ -49,8 +46,6 @@ func (b Backend) String() string {
 		return "Eiffel"
 	case BackendHeap:
 		return "hClock(heap)"
-	case BackendApprox:
-		return "Eiffel(approx)"
 	default:
 		return fmt.Sprintf("Backend(%d)", int(b))
 	}

@@ -6,7 +6,7 @@ import (
 	"eiffel/internal/pkt"
 )
 
-var backends = []Backend{BackendEiffel, BackendHeap, BackendApprox}
+var backends = []Backend{BackendEiffel, BackendHeap}
 
 func drive(s *Scheduler, pool *pkt.Pool, flows []uint64, pktSize uint32, perFlow int, horizon int64) map[uint64]int64 {
 	for i := 0; i < perFlow; i++ {

@@ -70,8 +70,7 @@ func (t *Tenant) Active() bool { return t.active }
 // tenants, limit clocks of parked tenants), the share-tag virtual time,
 // and the optional aggregate output gate. The Backend selection picks the
 // index implementation exactly as for Scheduler — binary heaps (the
-// original hClock), circular FFS queues (the Eiffel configuration), or
-// approximate gradient queues.
+// original hClock) or circular FFS queues (the Eiffel configuration).
 type Hier struct {
 	cfg Config
 
@@ -113,8 +112,6 @@ func NewHier(cfg Config) *Hier {
 		switch cfg.Backend {
 		case BackendHeap:
 			return queue.New(queue.KindBinaryHeap, qc)
-		case BackendApprox:
-			return queue.New(queue.KindCApprox, qc)
 		default:
 			return queue.New(queue.KindCFFS, qc)
 		}
@@ -197,32 +194,6 @@ func (h *Hier) insert(t *Tenant, now int64) {
 	}
 }
 
-// Deactivate detaches an active tenant from whichever indexes hold it and
-// marks it idle — the removal path for callers that evict tenants.
-func (h *Hier) Deactivate(t *Tenant) {
-	if !t.active {
-		return
-	}
-	if t.limited {
-		h.parked.Remove(&t.lNode)
-	} else {
-		// Membership is static, not queried: insert and Migrate put a
-		// non-parked tenant's sNode in readyS always, and its rNode in
-		// readyR exactly when it holds a reservation. (Node.Queued() only
-		// works for bucketed backends — the comparison heaps track
-		// membership through Pos and never set the bucket owner, so a
-		// Queued() guard here silently skips the removal under
-		// BackendHeap and leaves a stale node in the index.)
-		h.readyS.Remove(&t.sNode)
-		if t.ResBps > 0 {
-			h.readyR.Remove(&t.rNode)
-		}
-	}
-	t.active = false
-	t.limited = false
-	h.nActive--
-}
-
 // Migrate moves tenants whose limit clock has arrived from parked to
 // ready. Pick does NOT migrate: callers run this whenever their clock has
 // moved, before picking or reading MinShare/DueReservation.
@@ -300,8 +271,11 @@ func (h *Hier) Pick(now int64, maxShare uint64) (*Tenant, PickResult) {
 	// outside the proportional schedule.
 	t := h.readyS.DequeueMin().Data.(*Tenant)
 	if t.ResBps > 0 {
-		// Static membership, as in Deactivate: a ready reservation holder
-		// is always indexed in readyR.
+		// Membership is static, not queried: insert and Migrate index a
+		// ready reservation holder's rNode in readyR always. (Node.Queued()
+		// would not do: the comparison heaps of BackendHeap never set the
+		// bucket owner, so a Queued() guard would skip this removal and
+		// leave a stale node in the index.)
 		h.readyR.Remove(&t.rNode)
 	}
 	h.pickedRes = false
@@ -354,10 +328,6 @@ func (h *Hier) Idle(t *Tenant) {
 	t.limited = false
 	h.nActive--
 }
-
-// NumActive returns how many tenants are registered (including one mid
-// pick cycle).
-func (h *Hier) NumActive() int { return h.nActive }
 
 // MinShare returns the (quantized) smallest share tag among ready
 // tenants, ok=false when none is ready. Callers that merge several

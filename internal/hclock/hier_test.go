@@ -55,7 +55,7 @@ func (hh *hierHarness) serve(now int64, size uint64) int {
 // TestHierProportionalShares: with no reservations or limits, service
 // splits by weight across every backend.
 func TestHierProportionalShares(t *testing.T) {
-	for _, be := range []Backend{BackendEiffel, BackendHeap, BackendApprox} {
+	for _, be := range []Backend{BackendEiffel, BackendHeap} {
 		hh := newHierHarness(Config{Backend: be}, [][3]uint64{
 			{0, 0, 3},
 			{0, 0, 1},
@@ -146,29 +146,6 @@ func TestHierRateDiv(t *testing.T) {
 	h.Init(&c, 0, 0, 0)
 	if c.ResBps != 0 || c.LimitBps != 0 || c.Weight != 1 {
 		t.Fatalf("zero-rate tenant = res %d limit %d weight %d", c.ResBps, c.LimitBps, c.Weight)
-	}
-}
-
-// TestHierDeactivate: a deactivated tenant never gets picked, from either
-// the ready or the parked side.
-func TestHierDeactivate(t *testing.T) {
-	hh := newHierHarness(Config{}, [][3]uint64{
-		{0, 0, 1},
-		{0, 100e6, 1},
-	})
-	hh.fill(0, 10, 0)
-	hh.fill(1, 10, 0)
-	hh.h.Deactivate(hh.tenants[0]) // ready side
-	if w := hh.serve(0, 1500); w != 1 {
-		t.Fatalf("served %d, want the remaining tenant 1", w)
-	}
-	// Tenant 1 is now parked on its limit; deactivate it there.
-	hh.h.Deactivate(hh.tenants[1])
-	if hh.h.NumActive() != 0 {
-		t.Fatalf("NumActive = %d after deactivating everyone", hh.h.NumActive())
-	}
-	if _, res := hh.h.Pick(1<<40, NoBound); res != PickNone {
-		t.Fatal("picked from an engine with no active tenants")
 	}
 }
 

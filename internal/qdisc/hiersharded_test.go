@@ -58,7 +58,7 @@ type hierRow struct {
 	mode    string // modePerPacket or modeBatched
 }
 
-// hierRows crosses the three tag-index backends with one and two
+// hierRows crosses the two tag-index backends with one and two
 // consumer groups under per-packet admission; the Eiffel backend also
 // admits in batches.
 var hierRows = []hierRow{
@@ -68,8 +68,6 @@ var hierRows = []hierRow{
 	{hclock.BackendEiffel, 2, modeBatched},
 	{hclock.BackendHeap, 1, modePerPacket},
 	{hclock.BackendHeap, 2, modePerPacket},
-	{hclock.BackendApprox, 1, modePerPacket},
-	{hclock.BackendApprox, 2, modePerPacket},
 }
 
 func (r hierRow) String() string { return fmt.Sprintf("%s/G=%d/%s", r.backend, r.groups, r.mode) }

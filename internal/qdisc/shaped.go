@@ -37,66 +37,33 @@ type ShapedShardedOptions struct {
 	Admit AdmitPolicy
 	// Tenants sizes the per-tenant drop buckets (default 1).
 	Tenants int
-	// SchedBackend selects the scheduler-side backend family (default
-	// SchedVec, the exact FFS vector store). SchedRIFO trades bounded rank
-	// inversions for cheaper index maintenance; see SchedInversionBound for
-	// what each kind guarantees.
+	// SchedBackend names the scheduler-side store. SchedVec, the exact FFS
+	// vector store, is its only value; fidelity is set by SchedBuckets and
+	// RankSpan instead (see SchedInversionBound).
 	SchedBackend SchedBackendKind
-	// RIFOSlots is the fixed window width for SchedRIFO, rounded up to a
-	// power of two (0 selects 64).
-	RIFOSlots int
 }
 
-// SchedBackendKind names a scheduler-side backend family for the shaped
-// sharded qdisc: the PR-4 shardq backend hook surfaced as qdisc
-// configuration, so a deployment picks its throughput-versus-fidelity
-// point with one option.
+// SchedBackendKind names the shaped front's per-shard scheduler store. It
+// has one value, SchedVec: the store's bucket width RankSpan/(2*SchedBuckets)
+// is the runtime's only approximation, and a second store earns a kind only
+// with a benchmark row (ROADMAP item 16).
 type SchedBackendKind int
 
-const (
-	// SchedVec is the exact FFS-indexed vector-bucket store — the
-	// default: priority order exact to the scheduler bucket width.
-	SchedVec SchedBackendKind = iota
-	// SchedRIFO is the fixed-rank-window backend (shardq.NewRIFOSched):
-	// O(1) enqueue into a small slot window, inversions bounded by one
-	// slot's width.
-	SchedRIFO
-)
-
-// String returns the short name used in experiment tables.
-func (k SchedBackendKind) String() string {
-	if k == SchedRIFO {
-		return "rifo"
-	}
-	return "vec"
-}
+// SchedVec is the exact FFS-indexed vector-bucket store: priority order
+// exact to the scheduler bucket width.
+const SchedVec SchedBackendKind = 0
 
 // schedCfg is the scheduler-side queue geometry the options imply.
 func (o ShapedShardedOptions) schedCfg() queue.Config {
 	return queue.Config{NumBuckets: o.SchedBuckets, Granularity: o.schedGran()}
 }
 
-// schedFactory returns the shardq.SchedBackend factory for the configured
-// kind, or nil for the default vecSched selection.
-func (o ShapedShardedOptions) schedFactory() func(int) shardq.Scheduler {
-	if o.SchedBackend != SchedRIFO {
-		return nil
-	}
-	cfg := o.schedCfg()
-	return func(int) shardq.Scheduler { return shardq.NewRIFOSched(cfg, o.RIFOSlots) }
-}
-
-// SchedInversionBound returns the analytic worst-case rank-inversion
-// magnitude of the configured scheduler backend, in rank units, for ranks
-// within RankSpan: the bound the property tests hold every measured
-// magnitude to. Options must already
-// carry their defaults (withDefaults is applied).
+// SchedInversionBound returns the scheduler store's analytic worst-case
+// rank-inversion magnitude, in rank units, for ranks within RankSpan: one
+// bucket width minus one, the bound the property tests hold every
+// measured magnitude to. It applies the option defaults itself.
 func (o ShapedShardedOptions) SchedInversionBound() uint64 {
-	o = o.withDefaults()
-	if o.SchedBackend == SchedRIFO {
-		return shardq.RIFOSchedBound(o.schedCfg(), o.RIFOSlots)
-	}
-	return shardq.VecSchedBound(o.schedCfg())
+	return shardq.VecSchedBound(o.withDefaults().schedCfg())
 }
 
 // withDefaults fills the queue-geometry defaults shared by the sharded
@@ -137,15 +104,18 @@ type MultiShapedOptions struct {
 // the TimerNode address is what the per-shard time-indexed shaper store
 // (ffsq.ShaperStore) holds, by value beside both keys, and SchedNode is
 // what the per-shard priority-indexed scheduler takes (FFS-indexed vector
-// buckets over the fixed RankSpan by default; see SchedBackend). Producers
-// publish (TimerNode, SendAt, Rank) triples over lock-free rings; each
-// group's worker migrates due packets shaper→scheduler on its own clock —
-// a copy of (handle, Rank) runs with Pair applied, a constant offset; no
-// packet is loaded or stored on the way — and drains the schedulers in
-// merged cross-shard priority order, exact to the scheduler bucket width
-// RankSpan/(2*SchedBuckets) (ranks within one bucket release FIFO).
+// buckets over the fixed RankSpan). Producers publish (TimerNode, SendAt,
+// Rank) triples over lock-free rings; each group's worker migrates due
+// packets shaper→scheduler on its own clock — a copy of (handle, Rank)
+// runs with Pair applied, a constant offset; no packet is loaded or stored
+// on the way — and drains the schedulers in merged cross-shard priority
+// order, exact to the scheduler bucket width RankSpan/(2*SchedBuckets)
+// (ranks within one bucket release FIFO).
 func NewMultiShaped(opt MultiShapedOptions) *Front {
 	base := opt.ShapedShardedOptions.withDefaults()
+	if base.SchedBackend != SchedVec {
+		panic("qdisc: unknown SchedBackendKind")
+	}
 	rt := shardq.NewShaped(shardq.ShapedOptions{
 		NumShards: base.Shards,
 		NumGroups: opt.Groups,
@@ -155,14 +125,9 @@ func NewMultiShaped(opt MultiShapedOptions) *Front {
 		Pair: func(n *shardq.Node) *shardq.Node {
 			return &pkt.FromTimerNode(n).SchedNode
 		},
-		ShardBound:   base.ShardBound,
-		SchedBackend: base.schedFactory(),
+		ShardBound: base.ShardBound,
 	})
-	name := "Eiffel+shaped-shards"
-	if base.SchedBackend != SchedVec {
-		name += "/" + base.SchedBackend.String()
-	}
-	return newFront(rt.Core, name, pubShaped, base.Admit, base.Tenants)
+	return newFront(rt.Core, "Eiffel+shaped-shards", pubShaped, base.Admit, base.Tenants)
 }
 
 // --- Single-threaded baseline: pifo.Tree behind the decoupled shaper ---

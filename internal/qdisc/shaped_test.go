@@ -209,18 +209,21 @@ func TestShapedTreeFidelity(t *testing.T) {
 }
 
 // TestShapedShardedApproxInversionBound runs 8 producers admitting in
-// batches through the shaped front on each scheduler backend, then drains
-// with everything eligible: nothing is lost, and no packet is overtaken by
-// more than the backend's analytic bound. It asserts the bound, not the
-// count: how many packets an approximate backend inverts depends on how the
-// producers interleave.
+// batches through the shaped front at a fine and a coarse scheduler bucket
+// width, then drains with everything eligible: nothing is lost, and no
+// packet is overtaken by more than the width's analytic bound. It asserts
+// the bound, not the count: how many packets a width inverts depends on
+// how the producers interleave.
 func TestShapedShardedApproxInversionBound(t *testing.T) {
 	const producers, perProducer, rankSpan = 8, 2000, uint64(1) << 20
-	for _, kind := range []SchedBackendKind{SchedVec, SchedRIFO} {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, w := range []struct {
+		name    string
+		buckets int
+	}{{"vec", 256}, {"coarse", 32}} {
+		t.Run(w.name, func(t *testing.T) {
 			opt := ShapedShardedOptions{
 				Shards: 8, ShaperBuckets: 2500, HorizonNs: horizon,
-				SchedBuckets: 256, RankSpan: rankSpan, RingBits: 10, SchedBackend: kind,
+				SchedBuckets: w.buckets, RankSpan: rankSpan, RingBits: 10,
 			}
 			q := mkShapedFront(opt)
 			publish(t, q, shapedPackets(producers, perProducer, rankSpan), modeBatched)
@@ -235,4 +238,16 @@ func TestShapedShardedApproxInversionBound(t *testing.T) {
 			t.Logf("%d inversions, worst %d rank units, bound %d", n, worst, opt.SchedInversionBound())
 		})
 	}
+}
+
+// TestMultiShapedRejectsUnknownBackend: SchedVec is SchedBackendKind's
+// only value; the constructor panics on any other rather than run a store
+// the caller did not ask for.
+func TestMultiShapedRejectsUnknownBackend(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewMultiShaped accepted SchedBackendKind(1)")
+		}
+	}()
+	NewMultiShaped(MultiShapedOptions{ShapedShardedOptions: ShapedShardedOptions{SchedBackend: SchedVec + 1}})
 }

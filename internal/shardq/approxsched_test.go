@@ -86,10 +86,10 @@ func drainInversionMax(t *testing.T, s Scheduler, nodes []*bucket.Node, ranks []
 // TestGradSchedInversionBound is the containment property the sharded
 // gradient backend's inversion bound rested on, kept for the estimator that
 // outlives that backend: gradq's curvature estimate, which Approx and
-// CApprox (and through CApprox, hclock's approximate shards) serve from.
-// Over a shard's bucket geometry (vecGeometry), across rank distributions,
-// seeds, geometries and alphas, every step of a full drain must find the
-// true maximal marked physical bucket m inside the estimate's window
+// CApprox serve from. Over a shard's bucket geometry (vecGeometry), across
+// rank distributions, seeds, geometries and alphas, every step of a full
+// drain must find the true maximal marked physical bucket m inside the
+// estimate's window
 //
 //	est-down <= m <= est+up,  down = floor(|u|+0.5)+2,  up = ceil(|u|^2)+2
 //
@@ -168,28 +168,27 @@ func TestGradSchedInversionBound(t *testing.T) {
 	}
 }
 
-// TestRIFOSchedInversionBound is the same property for the fixed-window
-// backend: inversions are pure slot quantization, so the measured
-// magnitude must stay under one slot's width (RIFOSchedBound) for every
-// distribution and window size.
+// TestRIFOSchedInversionBound holds vecSched to VecSchedBound at the four
+// coarse geometries the retired RIFO slot window (PAPERS.md) was checked
+// at, each now a bucket width of the one store: inversions are pure bucket
+// quantization, so the measured magnitude must stay under one bucket's
+// width for every distribution. The spans match the window's, so a row
+// reads as "W slots over span S" = "S/(2W) ranks per bucket".
 func TestRIFOSchedInversionBound(t *testing.T) {
-	configs := []struct {
-		cfg   queue.Config
-		slots int
-	}{
-		{queue.Config{NumBuckets: 256, Granularity: 2048}, 0},
-		{queue.Config{NumBuckets: 256, Granularity: 2048}, 16},
-		{queue.Config{NumBuckets: 64, Granularity: 8}, 256},
-		{queue.Config{NumBuckets: 1024, Granularity: 1, Start: 1 << 20}, 64},
+	configs := []queue.Config{
+		{NumBuckets: 32, Granularity: 16384},              // 64 slots over 256x2048
+		{NumBuckets: 8, Granularity: 65536},               // 16 slots over 256x2048
+		{NumBuckets: 128, Granularity: 4},                 // 256 slots over 64x8
+		{NumBuckets: 32, Granularity: 32, Start: 1 << 20}, // 64 slots over 1024x1
 	}
-	for ci, c := range configs {
-		bound := RIFOSchedBound(c.cfg, c.slots)
-		span := 2 * uint64(c.cfg.NumBuckets) * c.cfg.Granularity
+	for ci, cfg := range configs {
+		bound := VecSchedBound(cfg)
+		span := 2 * uint64(cfg.NumBuckets) * cfg.Granularity
 		for _, dist := range rankDists {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("cfg%d/%s/seed%d", ci, dist.name, seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
-					s := NewRIFOSched(c.cfg, c.slots)
+					s := NewVecSched(cfg)
 					nodes := make([]*bucket.Node, 1<<11)
 					for i := range nodes {
 						nodes[i] = &bucket.Node{}
@@ -198,7 +197,7 @@ func TestRIFOSchedInversionBound(t *testing.T) {
 					out := make([]*bucket.Node, 128)
 					for round := 0; round < 8; round++ {
 						for i := range ranks {
-							ranks[i] = c.cfg.Start + dist.gen(rng, span, round)
+							ranks[i] = cfg.Start + dist.gen(rng, span, round)
 						}
 						if got := drainInversionMax(t, s, nodes, ranks, out); got > bound {
 							t.Fatalf("round %d: inversion magnitude %d exceeds analytic bound %d", round, got, bound)
@@ -212,16 +211,15 @@ func TestRIFOSchedInversionBound(t *testing.T) {
 
 // TestApproxSchedProgressRule pins the contract mergeRuns depends on: a
 // DequeueBatch that returns 0 must leave the backend empty or with Min
-// above the maxRank it was called with — for the exact vector store and
-// the approximate RIFO window, whose Min is quantized and shares
-// DequeueBatch's selection.
+// above the maxRank it was called with — for the vector store at a fine
+// and a coarse bucket width over one span, where Min is quantized to the
+// bucket and shares DequeueBatch's selection.
 func TestApproxSchedProgressRule(t *testing.T) {
-	cfg := queue.Config{NumBuckets: 256, Granularity: 2048}
+	const span = 1 << 20
 	backends := map[string]Scheduler{
-		"vec":  NewVecSched(cfg),
-		"rifo": NewRIFOSched(cfg, 64),
+		"vec":    NewVecSched(queue.Config{NumBuckets: 256, Granularity: span / 512}),
+		"coarse": NewVecSched(queue.Config{NumBuckets: 32, Granularity: span / 64}),
 	}
-	span := 2 * uint64(cfg.NumBuckets) * cfg.Granularity
 	for name, s := range backends {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
@@ -246,5 +244,98 @@ func TestApproxSchedProgressRule(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// runCounter wraps a shard's Scheduler and counts the non-empty
+// DequeueBatch calls the cross-shard merge makes of it: each is one merge
+// run, served from one shard up to the runner-up shard's Min.
+type runCounter struct {
+	Scheduler
+	runs, pkts *int
+}
+
+func (r runCounter) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
+	k := r.Scheduler.DequeueBatch(maxRank, out)
+	if k > 0 {
+		*r.runs++
+		*r.pkts += k
+	}
+	return k
+}
+
+// TestShapedFidelityDial turns the runtime's one fidelity dial, the
+// scheduler store's bucket width, on a fixed stream shaped like the
+// shape_sched workload: Zipf(1.1) picks over 4096 flows, each flow with
+// one rank in 2^20, everything due, through an 8-shard Shaped. At every
+// width the worst inversion of the merged drain stays within
+// VecSchedBound, and the coarsest width does invert beyond a fine bucket;
+// in exchange its merge runs are at least as long as the finest width's
+// (fewer distinct bucket heads across shards, so a run stops at the
+// runner-up less often).
+func TestShapedFidelityDial(t *testing.T) {
+	const flows, n, span = 4096, 1 << 14, uint64(1) << 20
+	rng := rand.New(rand.NewSource(1))
+	rank := make([]uint64, flows)
+	for f := range rank {
+		rank[f] = uint64(rng.Int63n(int64(span)))
+	}
+	z := rand.NewZipf(rng, 1.1, 1, flows-1)
+	pick := make([]uint64, n)
+	for i := range pick {
+		pick[i] = z.Uint64()
+	}
+	widths := []uint64{128, 1024, 16384}
+	mean := make([]float64, len(widths))
+	for wi, w := range widths {
+		cfg := queue.Config{NumBuckets: int(span / (2 * w)), Granularity: w}
+		var runs, pkts int
+		q := NewShaped(ShapedOptions{
+			NumShards: 8,
+			RingBits:  10,
+			Shaper:    queue.Config{NumBuckets: 1 << 12, Granularity: 1},
+			Sched:     cfg,
+			Pair:      pairElem,
+			SchedBackend: func(int) Scheduler {
+				return runCounter{NewVecSched(cfg), &runs, &pkts}
+			},
+		})
+		for _, f := range pick {
+			e := newElem(0, rank[f])
+			q.Enqueue(f, &e.timer, e.sendAt, e.rank)
+		}
+		out := make([]*bucket.Node, 64)
+		var runMax, worst uint64
+		got := 0
+		for {
+			k := q.GroupDequeueBatch(0, 1, ^uint64(0), out)
+			if k == 0 {
+				break
+			}
+			for _, nd := range out[:k] {
+				r := nd.Data.(*elem).rank
+				if got > 0 && r < runMax {
+					worst = max(worst, runMax-r)
+				} else {
+					runMax = r
+				}
+				got++
+			}
+		}
+		if got != n || q.Len() != 0 {
+			t.Fatalf("width %d: drained %d of %d, Len = %d", w, got, n, q.Len())
+		}
+		if bound := VecSchedBound(cfg); worst > bound {
+			t.Fatalf("width %d: worst inversion %d exceeds VecSchedBound %d", w, worst, bound)
+		}
+		mean[wi] = float64(pkts) / float64(runs)
+		t.Logf("width %5d ranks: worst inversion %5d (bound %5d), %d merge runs, %.2f packets per run",
+			w, worst, VecSchedBound(cfg), runs, mean[wi])
+		if wi == len(widths)-1 && worst <= 127 {
+			t.Fatalf("width %d: worst inversion %d, want the coarse width to show beyond 127", w, worst)
+		}
+	}
+	if mean[len(mean)-1] < mean[0] {
+		t.Fatalf("coarsest width's mean merge run %.2f is below the finest's %.2f", mean[len(mean)-1], mean[0])
 	}
 }

@@ -61,8 +61,8 @@ type HierSpec struct {
 	// Tenants is the tenant table; the enqueue aux word's low half
 	// indexes it (modulo its length). Required.
 	Tenants []HierTenant
-	// Backend picks the tag-index implementation (Eiffel FFS queues,
-	// binary heaps, approximate gradient queues).
+	// Backend picks the tag-index implementation (Eiffel FFS queues or
+	// binary heaps).
 	Backend hclock.Backend
 	// TagGranularityNs / Buckets size the tag queues; see hclock.Config.
 	TagGranularityNs uint64

@@ -35,9 +35,7 @@ type ShapedOptions struct {
 	// (ffsq.NewCFFS is a Scheduler as it stands: Min is a pure peek and
 	// DequeueBatch moves the window only as far as its bound has reached,
 	// so a call that pops nothing leaves Min above the bound — the progress
-	// rule), and the approximate NewRIFOSched drops in the same way. It
-	// relaxes global priority order within its documented inversion bound;
-	// the merge machinery only needs the Scheduler progress rule, which
+	// rule). The merge machinery only needs that progress rule, which
 	// every backend honors.
 	SchedBackend func(shard int) Scheduler
 	// Pair maps the published handle to the handle the scheduler takes.

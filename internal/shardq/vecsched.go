@@ -58,8 +58,8 @@ func newVecSched(cfg queue.Config) *vecSched {
 
 // NewVecSched returns the exact FFS-indexed vector-bucket Scheduler over
 // cfg's rank range — the shaped runtime's default backend, exported so
-// backend factories (ShapedOptions.SchedBackend, the qdisc layer's
-// backend selection) can name the baseline explicitly.
+// backend factories (ShapedOptions.SchedBackend, HierSched's tenant rank
+// stores) can name it explicitly.
 func NewVecSched(cfg queue.Config) Scheduler { return newVecSched(cfg) }
 
 // VecSchedBound returns vecSched's worst-case rank-inversion magnitude in
@@ -70,10 +70,12 @@ func VecSchedBound(cfg queue.Config) uint64 {
 	return gran - 1
 }
 
-// vecGeometry resolves a queue.Config into the fixed-range store geometry
-// shared by vecSched and rifoSched: bucket count (2*NumBuckets, the cFFS
-// half convention), granularity, its shift when a power of two, and the
-// base bucket number.
+// vecGeometry resolves a queue.Config into vecSched's fixed-range
+// geometry: bucket count (2*NumBuckets, the cFFS half convention),
+// granularity, its shift when a power of two, and the base bucket number.
+// The granularity is the runtime's one fidelity dial: wider buckets cost
+// fewer index words and longer merge runs, and VecSchedBound grows with
+// them.
 func vecGeometry(cfg queue.Config) (nb int, gran uint64, granShift int8, base uint64) {
 	nb = 2 * cfg.NumBuckets
 	if nb <= 0 {
@@ -93,6 +95,8 @@ func vecGeometry(cfg queue.Config) (nb int, gran uint64, granShift int8, base ui
 func (v *vecSched) Len() int { return v.count }
 
 // slot clamps rank's bucket into the fixed range.
+//
+//eiffel:hotpath
 func (v *vecSched) slot(rank uint64) int {
 	var b uint64
 	if v.granShift >= 0 {
@@ -109,6 +113,7 @@ func (v *vecSched) slot(rank uint64) int {
 	return len(v.buckets) - 1
 }
 
+//eiffel:hotpath
 func (v *vecSched) Enqueue(n *bucket.Node, rank uint64) {
 	n.SetRank(rank)
 	i := v.slot(rank)
@@ -123,12 +128,15 @@ func (v *vecSched) Enqueue(n *bucket.Node, rank uint64) {
 // the migration and due-flush paths use so a whole run costs one call.
 // Equivalent to that sequence of Enqueue calls (same clamping, same
 // per-bucket FIFO order).
+//
+//eiffel:hotpath
 func (v *vecSched) EnqueueBatch(ns []*bucket.Node, ranks []uint64) {
 	for i, n := range ns {
 		v.Enqueue(n, ranks[i])
 	}
 }
 
+//eiffel:hotpath
 func (v *vecSched) PeekMin() (uint64, bool) {
 	if v.count == 0 {
 		return 0, false
@@ -137,10 +145,14 @@ func (v *vecSched) PeekMin() (uint64, bool) {
 }
 
 // Min is PeekMin under the Scheduler backend contract.
+//
+//eiffel:hotpath
 func (v *vecSched) Min() (uint64, bool) { return v.PeekMin() }
 
 // DequeueBatch pops up to len(out) elements whose bucket-quantized rank is
 // at most maxRank, ascending by bucket, FIFO within a bucket.
+//
+//eiffel:hotpath
 func (v *vecSched) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
 	total := 0
 	for total < len(out) && v.count > 0 {

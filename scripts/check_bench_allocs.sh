@@ -12,9 +12,7 @@
 # refills only on the warming lap),
 # plus the fault-free lap of the resilient egress wrapper
 # (BenchmarkHotPathEgressTx): retry machinery on the path, never firing,
-# the approximate RIFO scheduler backend behind the sharded runtime
-# (BenchmarkHotPathApproxRIFO), and the
-# sharded hierarchical-QoS backend's three-tag charge cycle
+# and the sharded hierarchical-QoS backend's three-tag charge cycle
 # (BenchmarkHotPathHierSched).
 #
 # On failure, the //eiffel:hotpath inventory (cmd/eiffel-vet -hotpaths)
@@ -47,8 +45,6 @@ if [ -n "$failed" ]; then
 		case "$bench" in
 		BenchmarkHotPathShapedEnqueueBatched)
 			pkgs="internal/qdisc internal/pkt internal/shardq internal/bucket internal/ffsq" ;;
-		BenchmarkHotPathApproxRIFO)
-			pkgs="internal/shardq internal/bucket internal/ffsq" ;;
 		BenchmarkHotPathEnqueue* | BenchmarkHotPathGroupDrain)
 			pkgs="internal/shardq internal/bucket internal/ffsq" ;;
 		BenchmarkHotPathPolicyBatched | BenchmarkHotPathChurnAdmit)

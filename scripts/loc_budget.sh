@@ -46,7 +46,7 @@ doc() {
 	fi
 }
 
-budget 5478 internal/shardq internal/qdisc
+budget 5280 internal/shardq internal/qdisc
 budget 2195 internal/ffsq internal/gradq
 budget 1820 internal/exp internal/queue internal/cmpq internal/stats internal/workload
-doc 732 ARCHITECTURE.md
+doc 728 ARCHITECTURE.md
