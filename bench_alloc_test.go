@@ -282,7 +282,9 @@ func (s *tryCountSink) TryTx(ps []*eiffel.Packet) (int, error) {
 // without ever touching the failure path (no clock reads, no backoff,
 // no drops). Any allocation is a regression in the admission path, the
 // group drain — both halves of the timer rule's: ring bypass and staged
-// park — or the retry wrapper itself.
+// park — or the retry wrapper itself. Laps step through time by a whole
+// horizon, so the per-shard timer stores' windows rotate under the gate and
+// their chunk pools serve buckets no earlier lap used.
 func BenchmarkHotPathEgressTx(b *testing.B) {
 	var opt eiffel.MultiShardedOptions
 	opt.Shards = 8
@@ -296,22 +298,22 @@ func BenchmarkHotPathEgressTx(b *testing.B) {
 	for i := range ps {
 		p := pool.Get()
 		p.Flow = uint64(i)
-		p.SendAt = int64(i % (1 << 18))
 		ps[i] = p
 	}
 	out := make([]*eiffel.Packet, 256)
-	now := int64(1 << 19)
+	base := int64(0)
 	lap := func() {
-		for _, p := range ps {
-			if !q.TryEnqueue(p, now) {
+		for i, p := range ps {
+			p.SendAt = base + int64(i%(1<<18))
+			if !q.TryEnqueue(p, base+1<<19) {
 				b.Fatal("TryEnqueue refused on an open unbounded front")
 			}
 		}
 		// Two clocks: at the first, half the burst is overdue on first sight
 		// and leaves straight off the rings (the timer front's due-bypass)
-		// while the other half parks in the cFFS in staged runs; the second
-		// releases those.
-		for _, at := range [...]int64{1 << 17, 1 << 20} {
+		// while the other half parks in the timer stores in staged runs; the
+		// second releases those.
+		for _, at := range [...]int64{base + 1<<17, base + 1<<20} {
 			for g := 0; g < q.NumGroups(); g++ {
 				for {
 					k := q.GroupDequeueBatch(g, at, out)
@@ -325,6 +327,7 @@ func BenchmarkHotPathEgressTx(b *testing.B) {
 		if q.Len() != 0 {
 			b.Fatal("drain left packets queued")
 		}
+		base += 1 << 20
 	}
 	lap() // warm rings, buckets, and the drain scratch to steady state
 	b.ReportAllocs()

@@ -237,11 +237,13 @@ type (
 	CountingSink = qdisc.CountingSink
 )
 
-// NewMultiSharded constructs the timer preset: per-shard Eiffel cFFS timer
-// queues, packets released at their SendAt. A packet that is overdue when
-// the consumer first sees it is released straight off its ring, behind
-// everything already queued and in per-flow order, without touching the
-// cFFS (ShardedStats.Direct counts them); see ARCHITECTURE.md, Due-bypass.
+// NewMultiSharded constructs the timer preset: per-shard timer queues on
+// the cFFS window, packets released at their SendAt. A queue holds each
+// packet's handle and SendAt by value, so its worker never writes packet
+// memory. A packet that is overdue when the consumer first sees it is
+// released straight off its ring, behind everything already queued and in
+// per-flow order, without touching the queue (ShardedStats.Direct counts
+// them); see ARCHITECTURE.md, Due-bypass.
 func NewMultiSharded(opt MultiShardedOptions) *Front {
 	return qdisc.NewMultiSharded(opt)
 }

@@ -93,3 +93,17 @@ func badConcat(a, b string) string {
 func badSliceLit() []int {
 	return []int{1, 2} // want `slice literal allocates`
 }
+
+// A method of an instantiated generic type is checked against the generic
+// declaration's annotation.
+type box[T any] struct{ v T }
+
+//eiffel:hotpath
+func (b *box[T]) get() T { return b.v }
+
+func (b *box[T]) slow() T { return b.v }
+
+//eiffel:hotpath
+func genericCalls(b *box[int]) int {
+	return b.get() + b.slow() // want `calls a.box\[T\].slow, which is not annotated`
+}

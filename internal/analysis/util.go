@@ -10,7 +10,9 @@ import (
 // or nil for dynamic calls: function values, interface methods, builtins,
 // and type conversions. Interface-method calls are deliberately nil — the
 // static analyzers cannot see through dynamic dispatch, and each analyzer
-// documents how its runtime gate covers that blind spot.
+// documents how its runtime gate covers that blind spot. A call to a method
+// of an instantiated generic type resolves to the generic declaration, which
+// carries the annotations.
 func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -30,7 +32,7 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 			return nil
 		}
 	}
-	return fn
+	return fn.Origin()
 }
 
 // FieldOf resolves the struct-field object a selector expression reads or

@@ -83,13 +83,14 @@ func (c *CFFS) Stats() (rotations, overflows, fastForwards, clampedLow uint64) {
 //
 //eiffel:hotpath
 func (c *CFFS) Enqueue(n *bucket.Node, rank uint64) {
-	if h, i, ok := c.w.Hit(rank); ok {
+	h, i, b, ok := c.w.Hit(rank)
+	if ok {
 		if p := &c.h[h]; p.arr.Push(i, n, rank) {
 			p.idx.Set(i)
 		}
 		return
 	}
-	h, i := c.w.Add(rank)
+	h, i = c.w.Add(b)
 	c.put(h, i, n, rank)
 }
 
@@ -337,10 +338,4 @@ func (c *CFFS) unlink(h *half, n *bucket.Node) {
 	if h.arr.Remove(n) {
 		h.idx.Clear(i)
 	}
-}
-
-// Contains reports whether n is currently queued here.
-func (c *CFFS) Contains(n *bucket.Node) bool {
-	return n.InArray(c.h[0].arr) || n.InArray(c.h[1].arr) || n.InArray(c.over) ||
-		c.up != nil && c.up.Contains(n)
 }

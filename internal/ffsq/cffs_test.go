@@ -36,10 +36,6 @@ func TestFixedMaxAndClamp(t *testing.T) {
 	q.Enqueue(node(5), 5)      // clamps low -> bucket 0
 	q.Enqueue(node(150), 150)
 	q.Enqueue(node(999), 999) // clamps high -> bucket 9
-	lo, hi := q.Clamped()
-	if lo != 1 || hi != 1 {
-		t.Fatalf("Clamped = (%d,%d), want (1,1)", lo, hi)
-	}
 	if n := q.DequeueMax(); n.Rank() != 999 {
 		t.Fatalf("DequeueMax rank = %d, want 999", n.Rank())
 	}
@@ -76,8 +72,8 @@ func TestFixedRemove(t *testing.T) {
 	if got := q.DequeueMin(); got != n2 {
 		t.Fatal("expected n2 after removing n1")
 	}
-	if q.Contains(n2) {
-		t.Fatal("dequeued node should not be contained")
+	if n2.Queued() {
+		t.Fatal("dequeued node should not be queued")
 	}
 }
 

@@ -3,15 +3,15 @@ package ffsq
 import "fmt"
 
 // WindowStats exposes a store's window counters to the external tests.
-func (c *ShaperStore) WindowStats() (swaps, overflows, jumps, clamped uint64) { return c.w.Stats() }
+func (c *store[N, K]) WindowStats() (swaps, overflows, jumps, clamped uint64) { return c.w.Stats() }
 
 // AuditChunks checks that every chunk the store ever allocated is linked
-// exactly once — in one bucket chain, the overflow chain or the free list —
-// and that the live entries add up to Len.
-func (c *ShaperStore) AuditChunks() error {
-	seen := map[*chunk]bool{}
+// exactly once — in one bucket chain of one level, or the free list — and
+// that the live entries add up to Len.
+func (c *store[N, K]) AuditChunks() error {
+	seen := map[*chunk[N, K]]bool{}
 	live := 0
-	walk := func(l chain) error {
+	walk := func(l chain[N, K]) error {
 		for ch := l.head; ch != nil; ch = ch.next {
 			if seen[ch] {
 				return fmt.Errorf("a chunk is linked twice")
@@ -24,26 +24,45 @@ func (c *ShaperStore) AuditChunks() error {
 		}
 		return nil
 	}
-	for _, h := range c.h {
-		for _, l := range h.b {
-			if err := walk(l); err != nil {
-				return err
+	for s := c; s != nil; s = s.up {
+		for _, h := range s.h {
+			for _, l := range h.b {
+				if err := walk(l); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	if err := walk(c.over); err != nil {
-		return err
-	}
-	for ch := c.free; ch != nil; ch = ch.next {
+	for ch := c.pool.free; ch != nil; ch = ch.next {
 		if seen[ch] {
 			return fmt.Errorf("a chunk is in the free list and somewhere else")
 		}
 		seen[ch] = true
 	}
-	if live != c.Len() || len(seen) != c.chunks {
-		return fmt.Errorf("%d live elements (Len %d), %d chunks reachable of %d allocated", live, c.Len(), len(seen), c.chunks)
+	if live != c.Len() || len(seen) != c.pool.chunks {
+		return fmt.Errorf("%d live elements (Len %d), %d chunks reachable of %d allocated", live, c.Len(), len(seen), c.pool.chunks)
 	}
 	return nil
+}
+
+// Moves returns how many elements the store's levels took in from their
+// coarse level or sent back to it, summed over every level.
+func (c *store[N, K]) Moves() uint64 {
+	m := uint64(0)
+	for ; c != nil; c = c.up {
+		m += c.moved
+	}
+	return m
+}
+
+// CoarseClamped returns how many arrivals the store's coarse levels
+// clamped: none may, or their buckets would stop being disjoint.
+func (c *store[N, K]) CoarseClamped() uint64 {
+	k := uint64(0)
+	for c = c.up; c != nil; c = c.up {
+		k += c.w.clamped
+	}
+	return k
 }
 
 // Moves returns how many elements the queue's levels re-placed from their

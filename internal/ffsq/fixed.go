@@ -18,9 +18,6 @@ type Fixed struct {
 	base uint64
 	gran uint64
 	nb   uint64
-
-	clampedLow  uint64
-	clampedHigh uint64
 }
 
 // NewFixed returns a fixed-range queue with numBuckets buckets of width gran
@@ -59,23 +56,12 @@ func NewFixedIndex(numBuckets int, gran, base uint64, idx Index) *Fixed {
 // Len returns the number of queued elements.
 func (q *Fixed) Len() int { return q.arr.Len() }
 
-// NumBuckets returns the configured bucket count.
-func (q *Fixed) NumBuckets() int { return int(q.nb) }
-
-// Granularity returns the rank width of one bucket.
-func (q *Fixed) Granularity() uint64 { return q.gran }
-
-// Clamped returns how many enqueues fell below and above the range.
-func (q *Fixed) Clamped() (low, high uint64) { return q.clampedLow, q.clampedHigh }
-
 func (q *Fixed) bucketFor(rank uint64) int {
 	if rank < q.base {
-		q.clampedLow++
 		return 0
 	}
 	b := (rank - q.base) / q.gran
 	if b >= q.nb {
-		q.clampedHigh++
 		return int(q.nb - 1)
 	}
 	return int(b)
@@ -139,16 +125,6 @@ func (q *Fixed) PeekMin() (rank uint64, ok bool) {
 	return q.base + uint64(i)*q.gran, true
 }
 
-// FrontMin returns the FIFO head of the lowest non-empty bucket without
-// removing it, or nil.
-func (q *Fixed) FrontMin() *bucket.Node {
-	i := q.idx.Min()
-	if i < 0 {
-		return nil
-	}
-	return q.arr.Front(i)
-}
-
 // Remove detaches n, which must be queued here, in O(1).
 func (q *Fixed) Remove(n *bucket.Node) {
 	i := n.BucketIndex()
@@ -156,6 +132,3 @@ func (q *Fixed) Remove(n *bucket.Node) {
 		q.idx.Clear(i)
 	}
 }
-
-// Contains reports whether n is currently queued here.
-func (q *Fixed) Contains(n *bucket.Node) bool { return n.InArray(q.arr) }

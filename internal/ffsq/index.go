@@ -28,8 +28,6 @@ type Index interface {
 	Min() int
 	// Max returns the largest marked bucket, or -1 if none.
 	Max() int
-	// NextFrom returns the smallest marked bucket >= i, or -1 if none.
-	NextFrom(i int) int
 	// Empty reports whether no bucket is marked.
 	Empty() bool
 	// Size returns the number of tracked buckets.
@@ -107,26 +105,6 @@ func (b *Bitmap) Max() int {
 	return -1
 }
 
-// NextFrom returns the smallest marked bucket >= i, or -1.
-func (b *Bitmap) NextFrom(i int) int {
-	if b.count == 0 || i >= b.n {
-		return -1
-	}
-	if i < 0 {
-		i = 0
-	}
-	w := i >> 6
-	if word := b.words[w] &^ (1<<(uint(i)&63) - 1); word != 0 {
-		return w<<6 + bits.TrailingZeros64(word)
-	}
-	for w++; w < len(b.words); w++ {
-		if word := b.words[w]; word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
-		}
-	}
-	return -1
-}
-
 // Hier is a hierarchical occupancy bitmap with branching factor 64: bit j of
 // a word at level l+1 summarizes word j at level l. Find-min descends the
 // tree with one FFS per level — O(log64 n) operations regardless of how many
@@ -161,9 +139,6 @@ func (h *Hier) Size() int { return h.n }
 //
 //eiffel:hotpath
 func (h *Hier) Empty() bool { return h.count == 0 }
-
-// Count returns the number of marked buckets.
-func (h *Hier) Count() int { return h.count }
 
 // Test reports whether bucket i is marked.
 //
@@ -233,32 +208,4 @@ func (h *Hier) Max() int {
 		j = j<<6 + 63 - bits.LeadingZeros64(h.levels[lvl][j])
 	}
 	return j
-}
-
-// NextFrom returns the smallest marked bucket >= i, or -1. This is the
-// operation behind SoonestDeadline() in the Eiffel qdisc (§4).
-func (h *Hier) NextFrom(i int) int {
-	if h.count == 0 || i >= h.n {
-		return -1
-	}
-	if i < 0 {
-		i = 0
-	}
-	idx := i
-	for lvl := 0; lvl < len(h.levels); lvl++ {
-		words := h.levels[lvl]
-		w, b := idx>>6, uint(idx)&63
-		if w < len(words) {
-			if masked := words[w] &^ (1<<b - 1); masked != 0 {
-				j := w<<6 + bits.TrailingZeros64(masked)
-				for lvl > 0 {
-					lvl--
-					j = j<<6 + bits.TrailingZeros64(h.levels[lvl][j])
-				}
-				return j
-			}
-		}
-		idx = w + 1
-	}
-	return -1
 }

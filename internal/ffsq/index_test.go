@@ -36,18 +36,6 @@ func (x *naiveIndex) Max() int {
 	return -1
 }
 
-func (x *naiveIndex) NextFrom(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	for ; i < len(x.set); i++ {
-		if x.set[i] {
-			return i
-		}
-	}
-	return -1
-}
-
 func (x *naiveIndex) Empty() bool { return x.Min() == -1 }
 
 func testIndexAgainstNaive(t *testing.T, mk func(n int) Index, n int, seed int64) {
@@ -80,12 +68,6 @@ func testIndexAgainstNaive(t *testing.T, mk func(n int) Index, n int, seed int64
 		}
 		if got, want := idx.Empty(), ref.Empty(); got != want {
 			t.Fatalf("op %d: Empty = %v, want %v", op, got, want)
-		}
-		j := rng.Intn(n + 2)
-		if got, want := idx.NextFrom(j), ref.NextFrom(min(j, n)); got != want {
-			if !(j >= n && got == -1) {
-				t.Fatalf("op %d: NextFrom(%d) = %d, want %d", op, j, got, want)
-			}
 		}
 		if got, want := idx.Test(i), ref.Test(i); got != want {
 			t.Fatalf("op %d: Test(%d) = %v, want %v", op, i, got, want)
@@ -131,12 +113,6 @@ func TestHierSingleBitSweep(t *testing.T) {
 		if got := h.Max(); got != i {
 			t.Fatalf("Max after Set(%d) = %d", i, got)
 		}
-		if got := h.NextFrom(i); got != i {
-			t.Fatalf("NextFrom(%d) = %d", i, got)
-		}
-		if got := h.NextFrom(i + 1); got != -1 {
-			t.Fatalf("NextFrom(%d) = %d, want -1", i+1, got)
-		}
 		h.Clear(i)
 		if !h.Empty() {
 			t.Fatalf("not empty after Clear(%d)", i)
@@ -154,7 +130,7 @@ func TestQuickHierMinMatchesNaive(t *testing.T) {
 			h.Set(i)
 			ref.Set(i)
 		}
-		return h.Min() == ref.Min() && h.Max() == ref.Max() && h.Count() == countSet(ref.set)
+		return h.Min() == ref.Min() && h.Max() == ref.Max() && h.count == countSet(ref.set)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -93,28 +93,30 @@ func (w *Window) Stats() (swaps, overflows, jumps, clamped uint64) {
 
 // Hit is Add for the common case, small enough to inline where Add is not:
 // a rank inside the window is admitted and its half and slot returned. On
-// ok=false nothing happened, and the owner calls Add.
+// ok=false nothing happened, and the owner calls Add with b, the rank's
+// bucket, so a far arrival divides by the granularity once.
 //
 //eiffel:hotpath
-func (w *Window) Hit(rank uint64) (half, slot int, ok bool) {
-	b := rank / w.gran
+func (w *Window) Hit(rank uint64) (half, slot int, b uint64, ok bool) {
+	b = rank / w.gran
 	if b < w.hIndex || b-w.hIndex >= 2*w.nb {
-		return 0, 0, false
+		return 0, 0, b, false
 	}
 	w.count++
-	if b -= w.hIndex; b < w.nb {
-		return w.prim & 1, int(b), true
+	if off := b - w.hIndex; off < w.nb {
+		return w.prim & 1, int(off), b, true
 	}
-	return w.prim&1 ^ 1, int(b - w.nb), true
+	return w.prim&1 ^ 1, int(b - w.hIndex - w.nb), b, true
 }
 
-// Add admits one element and reports where the owner must append it: slot
-// of half (0 or 1), or the overflow. An empty window slides back to an
-// arrival behind it (W3): with nothing queued no other position matters.
+// Add admits one element of bucket b (its rank divided by the
+// granularity, as Hit computes it) and reports where the owner must append
+// it: slot of half (0 or 1), or the overflow. An empty window slides back
+// to an arrival behind it (W3): with nothing queued no other position
+// matters.
 //
 //eiffel:hotpath
-func (w *Window) Add(rank uint64) (half, slot int) {
-	b := rank / w.gran
+func (w *Window) Add(b uint64) (half, slot int) {
 	if b < w.hIndex {
 		if w.count == 0 {
 			w.hIndex = b - min(b, w.nb-1)
@@ -123,7 +125,7 @@ func (w *Window) Add(rank uint64) (half, slot int) {
 		}
 	}
 	w.count++
-	half, slot = w.Place(rank)
+	half, slot = w.place(b)
 	if half == Overflow {
 		w.overflows++
 	}
@@ -136,8 +138,11 @@ func (w *Window) Add(rank uint64) (half, slot int) {
 // window clamps into its first bucket.
 //
 //eiffel:hotpath
-func (w *Window) Place(rank uint64) (half, slot int) {
-	b, off := rank/w.gran, uint64(0)
+func (w *Window) Place(rank uint64) (half, slot int) { return w.place(rank / w.gran) }
+
+//eiffel:hotpath
+func (w *Window) place(b uint64) (half, slot int) {
+	off := uint64(0)
 	if b > w.hIndex {
 		off = b - w.hIndex
 	}
@@ -162,7 +167,7 @@ func (w *Window) Covers(rank uint64) bool {
 	return b < w.hIndex || b-w.hIndex < 2*w.nb
 }
 
-// Anchor places an empty window, a CFFS's coarse level one bucket of which
+// Anchor places an empty window, a coarse level's one bucket of which
 // spans one half of below, at the end of below, whose overflow it holds:
 // nothing arrives lower, so W3's slide back never fires and nothing clamps.
 //

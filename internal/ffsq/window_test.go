@@ -88,14 +88,38 @@ func (s cffsSubject) drain(bound uint64, out []*bucket.Node) (int, bool) {
 }
 
 // storeSubject carries a scheduler rank beside every handle and checks it
-// comes back beside the same handle.
+// comes back beside the same handle; a timer store's rank is the release
+// time, which the handle records for the check.
 type storeSubject struct {
 	t     *testing.T
-	q     *ffsq.ShaperStore
+	q     parkStore
 	ranks []uint64
+	timer bool
 }
 
-func (s storeSubject) name() string                { return "ShaperStore" }
+// parkStore is ffsq.ShaperStore or ffsq.TimerStore.
+type parkStore interface {
+	EnqueueBatch(ns []*bucket.Node, ats, ranks []uint64)
+	DequeueBatch(maxRank uint64, ns []*bucket.Node, ranks []uint64) int
+	Min() (uint64, bool)
+	Len() int
+	AuditChunks() error
+}
+
+func newStoreSubject(t *testing.T, nb int, gran, start uint64, timer bool) storeSubject {
+	if timer {
+		return storeSubject{t, ffsq.NewTimerStore(nb, gran, start), make([]uint64, 256), true}
+	}
+	return storeSubject{t, ffsq.NewShaperStore(nb, gran, start), make([]uint64, 256), false}
+}
+
+func (s storeSubject) name() string {
+	if s.timer {
+		return "TimerStore"
+	}
+	return "ShaperStore"
+}
+
 func (s storeSubject) exact() bool                 { return true }
 func (s storeSubject) clocked() bool               { return true }
 func (s storeSubject) len() int                    { return s.q.Len() }
@@ -104,14 +128,21 @@ func (s storeSubject) pop() (*bucket.Node, bool)   { return nil, false }
 func (s storeSubject) front() (*bucket.Node, bool) { return nil, false }
 func (s storeSubject) remove(*bucket.Node) bool    { return false }
 func (s storeSubject) audit() error                { return s.q.AuditChunks() }
+func (s storeSubject) rank(n *bucket.Node) uint64 {
+	if s.timer {
+		return n.Rank()
+	}
+	return schedRank(n)
+}
 func (s storeSubject) enqueue(n *bucket.Node, rank uint64) {
-	s.q.EnqueueBatch([]*bucket.Node{n}, []uint64{rank}, []uint64{schedRank(n)})
+	n.SetRank(rank)
+	s.q.EnqueueBatch([]*bucket.Node{n}, []uint64{rank}, []uint64{s.rank(n)})
 }
 func (s storeSubject) drain(bound uint64, out []*bucket.Node) (int, bool) {
 	k := s.q.DequeueBatch(bound, out, s.ranks)
 	for j, n := range out[:k] {
-		if s.ranks[j] != schedRank(n) {
-			s.t.Fatalf("ShaperStore: element %d came back with scheduler rank %d", n.Data, s.ranks[j])
+		if s.ranks[j] != s.rank(n) {
+			s.t.Fatalf("%s: element %d came back with scheduler rank %d", s.name(), n.Data, s.ranks[j])
 		}
 	}
 	return k, true
@@ -134,7 +165,8 @@ func (s approxSubject) drain(uint64, []*bucket.Node) (int, bool) { return 0, fal
 func newSubjects(t *testing.T, nb int, gran, start uint64) []subject {
 	return []subject{
 		cffsSubject{ffsq.NewCFFS(ffsq.CFFSOptions{NumBuckets: nb, Granularity: gran, Start: start})},
-		storeSubject{t, ffsq.NewShaperStore(nb, gran, start), make([]uint64, 256)},
+		newStoreSubject(t, nb, gran, start, false),
+		newStoreSubject(t, nb, gran, start, true),
 		approxSubject{gradq.NewCApprox(gradq.CApproxOptions{NumBuckets: nb, Granularity: gran, Start: start})},
 	}
 }
@@ -427,8 +459,8 @@ var windowGeometries = []struct {
 
 const fuzzMaxOps = 300
 
-// FuzzWindow drives every queue over a Window — CFFS, ShaperStore,
-// CApprox — and a model each with one op sequence: byte 0 picks the
+// FuzzWindow drives every queue over a Window — CFFS, the shaper and timer
+// stores, CApprox — and a model each with one op sequence: byte 0 picks the
 // geometry, then three bytes per op, a kind and a 16-bit argument. Ranks
 // are taken relative to a clock that only moves forward (ahead of it,
 // behind it), absolute, and down from the top of the rank space; bounded
@@ -472,6 +504,61 @@ func FuzzWindow(f *testing.F) {
 	// Granularity 1 at the top of the rank space, far from the window at 0:
 	// every coarse level up to the one whose window holds the whole space.
 	f.Add(seq(0, op(3, 0), op(4, 0), op(3, 9), op(4, 65535), op(3, 700), op(4, 5), op(3, 40000), op(8, 0), op(8, 0), op(11, 0), op(9, 0), op(12, 63)))
+	// The cFFS's two coarse-level traps, replayed against the stores, which
+	// drain by bound and never pop. Twelve arrivals at the top of the rank
+	// space go to coarse levels of 4, 256, ... ranks a bucket; drains at ^0
+	// jump the window up there, the coarse bucket [^0-7, ^0-4] straddles the
+	// end of the window it lands at, and swaps then carry that end,
+	// hIndex+2·nb, past MaxUint64. The last bucket sent back up is
+	// [^0-3, ^0], with ^0 itself — an overflow minimum equal to the "none"
+	// sentinel.
+	top := []byte{0}
+	top = append(top, op(3, 0)...)
+	for k := uint16(0); k < 12; k++ {
+		top = append(top, op(4, 11-k)...)
+	}
+	for i := 0; i < 8; i++ {
+		top = append(top, op(12, 1)...)
+	}
+	f.Add(top)
+	// A clocked drain through the coarse levels: twelve arrivals 20 to 70
+	// windows out, drained as the clock steps, with new arrivals between.
+	far := []byte{1}
+	for k := uint16(0); k < 12; k++ {
+		far = append(far, op(1, 320+k*211%800)...)
+	}
+	for i := uint16(0); i < 12; i++ {
+		far = append(far, op(6, 150)...)
+		far = append(far, op(7, 3)...)
+		far = append(far, op(1, 500+i*37)...)
+	}
+	f.Add(far)
+	// A coarse bucket deeper than a store chunk straddles the window's end:
+	// rank 9 jumps the window to [6, 14), 12 and 13 move in, and the 14s and
+	// 15s go back up in arrival order.
+	straddle := append([]byte{0}, op(3, 9)...)
+	for i := uint16(0); i < 20; i++ {
+		straddle = append(straddle, op(3, 12+i*3%4)...)
+	}
+	straddle = append(straddle, op(5, 9)...)
+	straddle = append(straddle, op(7, 0)...)
+	straddle = append(straddle, op(7, 4)...)
+	straddle = append(straddle, op(5, 5)...)
+	straddle = append(straddle, op(7, 63)...)
+	f.Add(straddle)
+	// A swap whose window reaches no coarse bucket: the overflow minimum is
+	// read where it lies, two levels up.
+	deep := append([]byte{0}, op(3, 5)...)
+	for i := uint16(0); i < 20; i++ {
+		deep = append(deep, op(3, 2000+i*7%20)...)
+	}
+	deep = append(deep, op(5, 4)...)
+	deep = append(deep, op(7, 0)...)
+	deep = append(deep, op(7, 0)...)
+	f.Add(deep)
+	// The same a level down: the window takes in the first coarse level's
+	// halves, and what is left waits beyond them.
+	f.Add(seq(0, op(3, 9), op(3, 10), op(3, 11), op(3, 1000), op(3, 1001), op(3, 1002), op(3, 1003), op(3, 1004), op(3, 10), op(5, 9), op(7, 0), op(7, 1), op(5, 3), op(7, 63)))
 	// One bucket deeper than a store chunk, drained a few at a time.
 	big := []byte{0}
 	for i := 0; i < 70; i++ {
@@ -565,7 +652,7 @@ func TestWindowGatesAndOrders(t *testing.T) {
 func TestWindowIdleFollowsClock(t *testing.T) {
 	store := ffsq.NewShaperStore(8, 1, 0)
 	cffs := ffsq.NewCFFS(ffsq.CFFSOptions{NumBuckets: 8, Granularity: 1})
-	for _, s := range []subject{cffsSubject{cffs}, storeSubject{t, store, make([]uint64, 256)}} {
+	for _, s := range []subject{cffsSubject{cffs}, storeSubject{t, store, make([]uint64, 256), false}} {
 		m := newWindowModel(t, s, 8, 1, 0)
 		m.enqueue(3)
 		m.drain(5, 8)
@@ -594,7 +681,7 @@ func TestWindowUnclockedBursts(t *testing.T) {
 	const nb, gran = 16, 4
 	cffs := ffsq.NewCFFS(ffsq.CFFSOptions{NumBuckets: nb, Granularity: gran})
 	store := ffsq.NewShaperStore(nb, gran, 0)
-	for _, s := range []subject{cffsSubject{cffs}, storeSubject{t, store, make([]uint64, 256)}} {
+	for _, s := range []subject{cffsSubject{cffs}, storeSubject{t, store, make([]uint64, 256), false}} {
 		rng := rand.New(rand.NewSource(5))
 		nodes := make([]bucket.Node, 8)
 		ranks := make([]uint64, len(nodes))

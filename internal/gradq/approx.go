@@ -116,9 +116,6 @@ func weightTable(n int, alpha float64, i0 int) []float64 {
 // Len returns the number of queued elements.
 func (q *Approx) Len() int { return q.arr.Len() }
 
-// NumBuckets returns the configured bucket count.
-func (q *Approx) NumBuckets() int { return q.n }
-
 // ApproxStats reports the cost and accuracy counters of an approximate
 // queue. SelectionError compares the bucket actually returned against the
 // true minimum bucket; EstimateError compares the raw curvature estimate
@@ -309,6 +306,3 @@ func (q *Approx) Remove(n *bucket.Node) {
 		q.subWeight(p)
 	}
 }
-
-// Contains reports whether n is currently queued here.
-func (q *Approx) Contains(n *bucket.Node) bool { return n.InArray(q.arr) }

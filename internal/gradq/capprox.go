@@ -20,8 +20,6 @@ type CApprox struct {
 	h    [2]approxHalf
 	over *bucket.Array // one bucket: the overflow list
 	nb   int
-
-	searchSteps uint64
 }
 
 // approxHalf stores logical slot i (ascending rank) at physical bucket
@@ -61,19 +59,9 @@ func NewCApprox(opt CApproxOptions) *CApprox {
 // Len returns the number of queued elements.
 func (c *CApprox) Len() int { return c.w.Len() }
 
-// Granularity returns the rank width of one bucket.
-func (c *CApprox) Granularity() uint64 { return c.w.Granularity() }
-
-// Stats returns operational counters: the window's half rotations, overflow
-// enqueues and jumps, and the index's linear-search steps.
-func (c *CApprox) Stats() (rotations, overflows, fastForwards, searchSteps uint64) {
-	rotations, overflows, fastForwards, _ = c.w.Stats()
-	return rotations, overflows, fastForwards, c.searchSteps
-}
-
 // Enqueue inserts n with the given rank.
 func (c *CApprox) Enqueue(n *bucket.Node, rank uint64) {
-	h, i := c.w.Add(rank)
+	h, i := c.w.Add(rank / c.w.Granularity())
 	c.put(h, i, n, rank)
 }
 
@@ -103,13 +91,11 @@ func (c *CApprox) findMaxPhys(h *approxHalf) int {
 		return est
 	}
 	for i := est - 1; i >= 0; i-- {
-		c.searchSteps++
 		if !h.arr.BucketEmpty(i) {
 			return i
 		}
 	}
 	for i := est + 1; i < c.nb; i++ {
-		c.searchSteps++
 		if !h.arr.BucketEmpty(i) {
 			return i
 		}

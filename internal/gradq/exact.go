@@ -51,23 +51,6 @@ func (g *gnode) maxIdx() int {
 	return int((g.b + g.a - 1) / g.a)
 }
 
-// Theorem1 computes the index of the most significant set bit of a word
-// algebraically, exactly as Appendix A proves: ceil(b/a) with a the word
-// itself and b the index-weighted bit sum. The word must be non-zero and
-// use at most exactWidth bits. Exported for the Appendix A property tests.
-func Theorem1(word uint64) int {
-	var g gnode
-	for i := 0; i < exactWidth; i++ {
-		if word&(1<<uint(i)) != 0 {
-			g.set(i)
-		}
-	}
-	if g.a == 0 {
-		panic("gradq: Theorem1 of zero word")
-	}
-	return g.maxIdx()
-}
-
 // Exact is the exact hierarchical gradient queue: a bucketed max-priority
 // queue over the fixed rank range [base, base+n*gran) whose occupancy index
 // is navigated with divisions instead of FFS instructions. It is

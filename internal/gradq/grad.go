@@ -58,9 +58,6 @@ func NewGrad(w *GradWeights, occupied func(p int) bool) *Grad {
 	return &Grad{w: w, occupied: occupied}
 }
 
-// Coeffs returns the current curvature coefficient values (a, b).
-func (g *Grad) Coeffs() (a, b float64) { return g.a.value(), g.b.value() }
-
 // Mark records bucket p's empty→non-empty transition.
 //
 //eiffel:hotpath

@@ -14,10 +14,28 @@ func node(v uint64) *bucket.Node { return &bucket.Node{Data: v} }
 
 // --- Appendix A: Theorem 1 ---
 
+// theorem1 computes the index of the most significant set bit of a word
+// algebraically, exactly as Appendix A proves: ceil(b/a) with a the word
+// itself and b the index-weighted bit sum. The word must be non-zero and
+// use at most exactWidth bits: a gnode built bit by bit, as the index
+// builds its nodes.
+func theorem1(word uint64) int {
+	var g gnode
+	for i := 0; i < exactWidth; i++ {
+		if word&(1<<uint(i)) != 0 {
+			g.set(i)
+		}
+	}
+	if g.a == 0 {
+		panic("gradq: theorem1 of zero word")
+	}
+	return g.maxIdx()
+}
+
 func TestTheorem1AllSingleBits(t *testing.T) {
 	for i := 0; i < exactWidth; i++ {
-		if got := Theorem1(1 << uint(i)); got != i {
-			t.Fatalf("Theorem1(1<<%d) = %d, want %d", i, got, i)
+		if got := theorem1(1 << uint(i)); got != i {
+			t.Fatalf("theorem1(1<<%d) = %d, want %d", i, got, i)
 		}
 	}
 }
@@ -25,8 +43,8 @@ func TestTheorem1AllSingleBits(t *testing.T) {
 func TestTheorem1AllOnesPrefixes(t *testing.T) {
 	for n := 1; n <= exactWidth; n++ {
 		word := uint64(1)<<uint(n) - 1
-		if got, want := Theorem1(word), n-1; got != want {
-			t.Fatalf("Theorem1(ones(%d)) = %d, want %d", n, got, want)
+		if got, want := theorem1(word), n-1; got != want {
+			t.Fatalf("theorem1(ones(%d)) = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -34,8 +52,8 @@ func TestTheorem1AllOnesPrefixes(t *testing.T) {
 func TestTheorem1Exhaustive16(t *testing.T) {
 	// Exhaustive over all 16-bit occupancies.
 	for w := uint64(1); w < 1<<16; w++ {
-		if got, want := Theorem1(w), bits.Len64(w)-1; got != want {
-			t.Fatalf("Theorem1(%#x) = %d, want %d", w, got, want)
+		if got, want := theorem1(w), bits.Len64(w)-1; got != want {
+			t.Fatalf("theorem1(%#x) = %d, want %d", w, got, want)
 		}
 	}
 }
@@ -46,7 +64,7 @@ func TestQuickTheorem1Random32(t *testing.T) {
 		if w == 0 {
 			w = 1
 		}
-		return Theorem1(w) == bits.Len64(w)-1
+		return theorem1(w) == bits.Len64(w)-1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -231,7 +249,7 @@ func TestApproxRemoveAndDrift(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatal("queue should be empty")
 	}
-	if a, b := q.grad.Coeffs(); a != 0 || b != 0 {
+	if a, b := q.grad.a.value(), q.grad.b.value(); a != 0 || b != 0 {
 		t.Fatalf("coefficients not reset on empty: a=%v b=%v", a, b)
 	}
 }
@@ -358,8 +376,7 @@ func TestCApproxFarJumpAndOverflow(t *testing.T) {
 	if n := q.DequeueMin(); n.Rank() != 100004 {
 		t.Fatalf("third = %d", n.Rank())
 	}
-	_, _, ff, _ := q.Stats()
-	if ff == 0 {
+	if _, _, ff, _ := q.w.Stats(); ff == 0 {
 		t.Fatal("expected a fast-forward")
 	}
 }

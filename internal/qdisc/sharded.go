@@ -1,17 +1,14 @@
 package qdisc
 
-import (
-	"eiffel/internal/queue"
-	"eiffel/internal/shardq"
-)
+import "eiffel/internal/shardq"
 
-// ShardedOptions sizes the timer front (NewMultiSharded): per-shard Eiffel
-// cFFS timer queues, packets released at their SendAt.
+// ShardedOptions sizes the timer front (NewMultiSharded): per-shard timer
+// queues on the cFFS window, packets released at their SendAt.
 type ShardedOptions struct {
 	// Shards is the shard count, rounded up to a power of two (default 8).
 	Shards int
-	// Buckets is the per-shard cFFS bucket count (as NewEiffel's;
-	// default 4096).
+	// Buckets is the per-shard timer queue's bucket count per half (as
+	// NewEiffel's; default 4096).
 	Buckets int
 	// HorizonNs is the shaping horizon covered without overflow.
 	HorizonNs int64
@@ -42,10 +39,10 @@ type MultiShardedOptions struct {
 }
 
 // NewMultiSharded returns the timer front: the scaling answer to Locked —
-// flows hash to one of N shards, each owning its own Eiffel cFFS shaper
-// with the given geometry behind a lock-free MPSC ring, partitioned into
-// opt.Groups consumer groups; no serialization of senders behind one
-// mutex.
+// flows hash to one of N shards, each owning its own timer queue with the
+// given geometry behind a lock-free MPSC ring, partitioned into opt.Groups
+// consumer groups; no serialization of senders behind one mutex. A timer
+// queue holds a packet's handle and SendAt by value (ffsq.TimerStore).
 func NewMultiSharded(opt MultiShardedOptions) *Front {
 	if opt.Buckets <= 0 {
 		opt.Buckets = 4096
@@ -54,7 +51,6 @@ func NewMultiSharded(opt MultiShardedOptions) *Front {
 		NumShards:  opt.Shards,
 		NumGroups:  opt.Groups,
 		RingBits:   opt.RingBits,
-		Kind:       queue.KindCFFS,
 		Queue:      eiffelCfg(opt.Buckets, opt.HorizonNs, opt.Start),
 		ShardBound: opt.ShardBound,
 	})

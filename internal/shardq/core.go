@@ -696,7 +696,7 @@ func (c *Core) settle(gr *groupState, i int, now uint64) {
 // older than its ring, so once the queue holds nothing due, no due ring
 // entry has a queued predecessor — per-flow order is exact, and a settled
 // element is never starved by ring traffic. That rests on the queue's Min
-// never answering late: the cFFS clamps a release time that arrives behind
+// never answering late: the store clamps a release time that arrives behind
 // its window into a bucket already due (ffsq.Window, W2). Across flows,
 // elements first seen overdue come out in arrival order behind every
 // settled one: Carousel's "now slot", which among release times already

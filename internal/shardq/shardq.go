@@ -2,6 +2,7 @@ package shardq
 
 import (
 	"eiffel/internal/bucket"
+	"eiffel/internal/ffsq"
 	"eiffel/internal/queue"
 )
 
@@ -62,14 +63,18 @@ func New(opt Options) *Q { return newQ(opt, false) }
 // tells the runtime is that an element at or below the drain bound is
 // simply overdue, and overdue elements have no order among themselves
 // beyond each flow's own: drains release them straight off the rings
-// (Core.drainTimer) instead of cycling them through a backend. Elements
-// ahead of the bound are shaped exactly as on New's runtime.
+// (Core.drainTimer) instead of cycling them through a backend; the rest park
+// by value in a timer store sized by opt.Queue, unless opt.Backend is set.
 func NewTimer(opt Options) *Q { return newQ(opt, true) }
 
 func newQ(opt Options, timer bool) *Q {
 	sched := opt.Backend
 	if sched == nil {
+		cfg := opt.Queue.WithDefaults()
 		sched = func(int) Scheduler {
+			if timer {
+				return timerSched{ffsq.NewTimerStore(cfg.NumBuckets, cfg.Granularity, cfg.Start)}
+			}
 			s, ok := queue.New(opt.Kind, opt.Queue).(Scheduler)
 			if !ok {
 				panic("shardq: Options.Kind's queue is not a Scheduler; supply the backend through Options.Backend")
@@ -81,6 +86,23 @@ func newQ(opt Options, timer bool) *Q {
 		shards: opt.NumShards, groups: opt.NumGroups, ringBits: opt.RingBits,
 		bound: opt.ShardBound, timer: timer, sched: sched,
 	})}
+}
+
+// timerSched is a timer store under the Scheduler contract; drains skip ranks.
+type timerSched struct{ *ffsq.TimerStore }
+
+func (t timerSched) Enqueue(n *bucket.Node, rank uint64) {
+	t.EnqueueBatch([]*bucket.Node{n}, []uint64{rank})
+}
+
+//eiffel:hotpath
+func (t timerSched) EnqueueBatch(ns []*bucket.Node, ranks []uint64) {
+	t.TimerStore.EnqueueBatch(ns, ranks, ranks)
+}
+
+//eiffel:hotpath
+func (t timerSched) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
+	return t.TimerStore.DequeueBatch(maxRank, out, nil)
 }
 
 // Enqueue publishes n with the given rank on flow's shard; see

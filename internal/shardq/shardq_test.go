@@ -230,7 +230,6 @@ func TestTimerServesSettledBeforeRing(t *testing.T) {
 	q := NewTimer(Options{
 		NumShards: 1,
 		RingBits:  3, // 8 slots
-		Kind:      queue.KindCFFS,
 		Queue:     queue.Config{NumBuckets: 1 << 10, Granularity: 1},
 	})
 	// Pre-stamp each node's rank: the bypass delivers nodes straight off

@@ -136,18 +136,15 @@ func (v *vecSched) EnqueueBatch(ns []*bucket.Node, ranks []uint64) {
 	}
 }
 
+// Min returns the start rank of the lowest occupied bucket.
+//
 //eiffel:hotpath
-func (v *vecSched) PeekMin() (uint64, bool) {
+func (v *vecSched) Min() (uint64, bool) {
 	if v.count == 0 {
 		return 0, false
 	}
 	return (v.base + uint64(v.idx.Min())) * v.gran, true
 }
-
-// Min is PeekMin under the Scheduler backend contract.
-//
-//eiffel:hotpath
-func (v *vecSched) Min() (uint64, bool) { return v.PeekMin() }
 
 // DequeueBatch pops up to len(out) elements whose bucket-quantized rank is
 // at most maxRank, ascending by bucket, FIFO within a bucket.
@@ -182,19 +179,4 @@ func (v *vecSched) DequeueBatch(maxRank uint64, out []*bucket.Node) int {
 		}
 	}
 	return total
-}
-
-// DequeueMin pops the single minimum element, or nil.
-func (v *vecSched) DequeueMin() *bucket.Node {
-	var one [1]*bucket.Node
-	if v.DequeueBatch(^uint64(0), one[:]) == 0 {
-		return nil
-	}
-	return one[0]
-}
-
-// Remove is not supported: scheduler-side elements only leave through the
-// merged drain.
-func (v *vecSched) Remove(*bucket.Node) {
-	panic("shardq: vecSched does not support Remove")
 }

@@ -7,6 +7,13 @@ import (
 	"eiffel/internal/queue"
 )
 
+// popOne drains the single lowest element, or nil: a DequeueBatch of one.
+func popOne(v *vecSched) *bucket.Node {
+	var one [1]*bucket.Node
+	v.DequeueBatch(^uint64(0), one[:])
+	return one[0]
+}
+
 func TestVecSchedOrderingAndFIFO(t *testing.T) {
 	v := newVecSched(queue.Config{NumBuckets: 8, Granularity: 10}) // span [0,160)
 	n1, n2, n3, n4 := &bucket.Node{}, &bucket.Node{}, &bucket.Node{}, &bucket.Node{}
@@ -14,20 +21,20 @@ func TestVecSchedOrderingAndFIFO(t *testing.T) {
 	v.Enqueue(n2, 12)
 	v.Enqueue(n3, 57) // same bucket as n1: FIFO after it
 	v.Enqueue(n4, 140)
-	if r, ok := v.PeekMin(); !ok || r != 10 {
-		t.Fatalf("PeekMin = (%d,%v), want quantized 10", r, ok)
+	if r, ok := v.Min(); !ok || r != 10 {
+		t.Fatalf("Min = (%d,%v), want quantized 10", r, ok)
 	}
 	want := []*bucket.Node{n2, n1, n3, n4}
 	for i, w := range want {
-		if got := v.DequeueMin(); got != w {
+		if got := popOne(v); got != w {
 			t.Fatalf("position %d: got %v, want %v (rank %d)", i, got, w, w.Rank())
 		}
 	}
 	if v.Len() != 0 {
 		t.Fatalf("Len = %d after drain", v.Len())
 	}
-	if _, ok := v.PeekMin(); ok {
-		t.Fatal("PeekMin ok on empty store")
+	if _, ok := v.Min(); ok {
+		t.Fatal("Min ok on empty store")
 	}
 }
 
@@ -37,13 +44,13 @@ func TestVecSchedClampsOutOfRange(t *testing.T) {
 	v.Enqueue(hi, 5000) // beyond: clamps to last bucket
 	v.Enqueue(mid, 150)
 	v.Enqueue(lo, 3) // behind: clamps to first bucket
-	if got := v.DequeueMin(); got != lo {
+	if got := popOne(v); got != lo {
 		t.Fatalf("first = rank %d, want the low clamp", got.Rank())
 	}
-	if got := v.DequeueMin(); got != mid {
+	if got := popOne(v); got != mid {
 		t.Fatalf("second = rank %d, want 150", got.Rank())
 	}
-	if got := v.DequeueMin(); got != hi {
+	if got := popOne(v); got != hi {
 		t.Fatalf("third = rank %d, want the high clamp", got.Rank())
 	}
 }
@@ -109,15 +116,6 @@ func TestVecSchedSteadyStateDoesNotGrow(t *testing.T) {
 	}
 }
 
-func TestVecSchedRemovePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Remove did not panic")
-		}
-	}()
-	newVecSched(queue.Config{NumBuckets: 4, Granularity: 1}).Remove(&bucket.Node{})
-}
-
 // TestVecSchedEnqueueBatch checks the batched enqueue hook: same ordering
 // semantics (ascending bucket, FIFO within bucket, clamped edges) as the
 // equivalent sequence of Enqueue calls.
@@ -155,7 +153,7 @@ func TestVecSchedEnqueueBatch(t *testing.T) {
 		t.Fatalf("granShift = %d for granularity 3, want -1 (divide path)", odd.granShift)
 	}
 	odd.Enqueue(&bucket.Node{}, 7)
-	if r, ok := odd.PeekMin(); !ok || r != 6 {
-		t.Fatalf("PeekMin = (%d,%v), want (6,true): 7/3 quantizes to bucket 2", r, ok)
+	if r, ok := odd.Min(); !ok || r != 6 {
+		t.Fatalf("Min = (%d,%v), want (6,true): 7/3 quantizes to bucket 2", r, ok)
 	}
 }

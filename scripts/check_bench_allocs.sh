@@ -11,7 +11,9 @@
 # (BenchmarkHotPathShapedEnqueueBatched: ffsq.ShaperStore's chunk pool
 # refills only on the warming lap),
 # plus the fault-free lap of the resilient egress wrapper
-# (BenchmarkHotPathEgressTx): retry machinery on the path, never firing,
+# (BenchmarkHotPathEgressTx, on the timer front, whose per-shard timer
+# stores park by value too and rotate with its clock lap by lap): retry
+# machinery on the path, never firing,
 # and the sharded hierarchical-QoS backend's three-tag charge cycle
 # (BenchmarkHotPathHierSched).
 #

@@ -47,6 +47,6 @@ doc() {
 }
 
 budget 5280 internal/shardq internal/qdisc
-budget 2195 internal/ffsq internal/gradq
+budget 2194 internal/ffsq internal/gradq
 budget 1820 internal/exp internal/queue internal/cmpq internal/stats internal/workload
 doc 728 ARCHITECTURE.md

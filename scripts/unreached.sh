@@ -7,6 +7,10 @@
 # code elimination has dropped the rest. The analyzers (internal/analysis)
 # and testdata are not runtime code and are skipped.
 #
+# The linker keeps any method whose name and signature match a method of
+# an interface the binary uses, so a test-only method on a type that
+# reaches such an interface never shows in this report.
+#
 # Unreached is evidence, not a verdict: a test oracle or a documented
 # public API may still be the point of a function. The last line is the
 # total; with a ceiling argument the script fails when the total line
